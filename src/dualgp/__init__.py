@@ -20,7 +20,6 @@ The ``dualgp`` command-line tool (see ``dualgp --help``) wraps the same
 engine for CSV data sets.
 """
 
-from ._backend import BACKEND, HAS_NUMBA
 from .kernels import (
     FactorizationFailed,
     GramFactor,
@@ -103,8 +102,6 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "HAS_NUMBA",
     "FactorizationFailed",
     "GramFactor",
     "Hyperparams",

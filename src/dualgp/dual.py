@@ -39,6 +39,9 @@ from .likelihoods import Likelihood, SiteValues
 
 RANK_TOL = 1e-10
 
+# Query rows per block in predict: bounds its scratch at O(M * PREDICT_BLOCK).
+PREDICT_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class DualState:
@@ -137,17 +140,26 @@ def predict(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
         mean = k_*z K_zz^{-1} alpha_u
         var  = k_** - k_*z [K_zz^{-1} - (K_zz + b_u)^{-1}] k_z*
+
+    ``K_zz + b_u`` is factorized once per call; the query rows are then
+    processed in blocks of ``PREDICT_BLOCK``, so the ``M x rows`` scratch
+    does not grow with the number of query points.
     """
-    k_star = gram(state.kernel, state.z, x_star)
-    mean = k_star.T @ state.kzz.solve(state.alpha_u)
-    half_prior = state.kzz.half_solve(k_star)
+    x_star = np.asarray(x_star, dtype=np.float64)
+    weights = state.kzz.solve(state.alpha_u)
     lq = stable_cholesky(_keff(state) + state.b_u)
-    half_post = lq.half_solve(k_star)
-    var = (
-        gram_diag(state.kernel, x_star)
-        - np.sum(half_prior * half_prior, axis=0)
-        + np.sum(half_post * half_post, axis=0)
-    )
+    mean = np.empty(len(x_star))
+    var = gram_diag(state.kernel, x_star)
+    for lo in range(0, len(x_star), PREDICT_BLOCK):
+        rows = slice(lo, lo + PREDICT_BLOCK)
+        k_star = gram(state.kernel, state.z, x_star[rows])
+        mean[rows] = k_star.T @ weights
+        half = state.kzz.half_solve(k_star)
+        var[rows] -= np.einsum("ij,ij->j", half, half)
+        del half
+        half = lq.half_solve(k_star)
+        del k_star
+        var[rows] += np.einsum("ij,ij->j", half, half)
     return mean, var
 
 

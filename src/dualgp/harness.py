@@ -236,6 +236,8 @@ _CONFIG_SCHEMA = {
     },
 }
 
+LIKELIHOODS = (Gaussian.name, BernoulliLogit.name)
+
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -243,14 +245,15 @@ def parse_config(path: str | None) -> RunConfig:
     """Read an INI-style config into a :class:`RunConfig`, failing fast.
 
     Unknown sections or keys raise :class:`ConfigError`, as do values that do
-    not parse at the declared type.  ``path=None`` returns the defaults.
+    not parse at the declared type and unknown likelihood names.  Inline
+    comments start with ``;`` or ``#``.  ``path=None`` returns the defaults.
     """
     config = RunConfig()
     if path is None:
         return config
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -275,6 +278,10 @@ def parse_config(path: str | None) -> RunConfig:
                 raise ConfigError(
                     f"bad value {raw!r} for {key!r} in section [{section}]"
                 ) from exc
+    if updates.get("likelihood", config.likelihood) not in LIKELIHOODS:
+        raise ConfigError(
+            f"unknown likelihood {updates['likelihood']!r}; expected one of {LIKELIHOODS}"
+        )
     return replace(config, **updates)
 
 

@@ -16,16 +16,17 @@ Usage::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
-from . import _backend
-
 FAMILIES = ("matern52", "squared_exponential")
 
 JITTER_LADDER = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+
+_SQRT5 = math.sqrt(5.0)
 
 
 class FactorizationFailed(RuntimeError):
@@ -126,17 +127,48 @@ def _as_points(x: np.ndarray) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarray:
-    """Cross-covariance matrix ``k(xa_i, xb_j)`` of shape ``(len(xa), len(xb))``."""
+    """Cross-covariance matrix ``k(xa_i, xb_j)`` of shape ``(len(xa), len(xb))``.
+
+    The scaled squared distances come from one matrix product,
+    ``|a|^2 + |b|^2 - 2 a b^T`` clamped at zero, and the kernel transform is
+    applied in place, so at most one scratch array of the output's shape is
+    alive.  A self-Gram (``xb`` omitted) has exactly zero distance on its
+    diagonal, so its diagonal is exactly ``variance + constant_variance``.
+    """
     xa = _as_points(xa)
-    xb = xa if xb is None else _as_points(xb)
-    if xa.shape[1] != xb.shape[1]:
+    xb_pts = xa if xb is None else _as_points(xb)
+    if xa.shape[1] != xb_pts.shape[1]:
         raise ValueError("input dimensions disagree")
     inv_ls = _inv_lengthscales(spec.hyper, xa.shape[1])
-    amplitude = float(spec.hyper.variance)
-    constant = float(spec.hyper.constant_variance)
+    # Measure from a point among the inputs: the distance form cancels badly
+    # far from the origin.  The midpoint keeps gram(a, b) == gram(b, a).T.
+    origin = 0.5 * (xa[0] + xb_pts[0]) if len(xa) and len(xb_pts) else 0.0
+    a = (xa - origin) * inv_ls
+    b = a if xb is None else (xb_pts - origin) * inv_ls
+    norms = np.einsum("ij,ij->i", a, a)
+    k = np.add.outer(norms, norms if xb is None else np.einsum("ij,ij->i", b, b))
+    scratch = a @ b.T
+    scratch *= 2.0
+    k -= scratch
+    np.maximum(k, 0.0, out=k)
+    if xb is None:
+        np.fill_diagonal(k, 0.0)
+    # k now holds the squared scaled distance r^2; transform it in place.
     if spec.family == "matern52":
-        return _backend.gram_matern52(xa, xb, inv_ls, amplitude, constant)
-    return _backend.gram_se(xa, xb, inv_ls, amplitude, constant)
+        neg_s = np.sqrt(k, out=scratch)
+        neg_s *= -_SQRT5
+        k *= 5.0 / 3.0
+        k -= neg_s
+        k += 1.0
+        k *= np.exp(neg_s, out=neg_s)
+    else:
+        del scratch
+        k *= -0.5
+        np.exp(k, out=k)
+    k *= spec.hyper.variance
+    if spec.hyper.constant_variance:
+        k += spec.hyper.constant_variance
+    return k
 
 
 def gram_diag(spec: KernelSpec, xa: np.ndarray) -> np.ndarray:
@@ -160,10 +192,10 @@ def stable_cholesky(matrix: np.ndarray) -> GramFactor:
     matrix = np.asarray(matrix, dtype=np.float64)
     if not np.all(np.isfinite(matrix)):
         raise FactorizationFailed("matrix contains non-finite entries")
-    eye = np.eye(matrix.shape[0])
     for jitter in JITTER_LADDER:
+        shifted = matrix + jitter * np.eye(matrix.shape[0]) if jitter else matrix
         try:
-            low = cholesky(matrix + jitter * eye if jitter else matrix, lower=True)
+            low = cholesky(shifted, lower=True, check_finite=False)
         except LinAlgError:
             continue
         return GramFactor(matrix=matrix, chol=low, jitter_used=jitter)

@@ -40,9 +40,8 @@ def empty_memory(dim: int) -> MemorySet:
 
 def bls(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bayesian leverage scores: site precision times predictive variance."""
-    sites = compute_sites(state, lik, x, y)
-    _, var = predict(state, x)
-    return sites.beta_hat * var
+    mean, var = predict(state, x)
+    return lik.site_expectations(y, mean, var).beta_hat * var
 
 
 def bls_dense(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarray) -> np.ndarray:

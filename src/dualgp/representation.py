@@ -11,11 +11,11 @@ parameters are carried over by the kernel-interpolation projection
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .dual import DualState, make_state
 from .kernels import KernelSpec, gram
 
@@ -31,6 +31,36 @@ class PivotSelection:
     residual_diag: np.ndarray
 
 
+def _pivoted_cholesky(g: np.ndarray, max_rank: int, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pivoted Cholesky on a dense PSD matrix.
+
+    Returns the selected pivot indices in selection order and the
+    Schur-complement diagonal after the last accepted pivot.  Selection stops
+    at ``max_rank`` pivots or once the largest residual falls below
+    ``rel_tol`` times the initial largest diagonal.  Ties break toward the
+    lowest index (first maximum wins).
+    """
+    n = g.shape[0]
+    d = np.diag(g).copy()
+    low = np.empty((n, max_rank))
+    order: list[int] = []
+    threshold = rel_tol * max(float(d.max(initial=0.0)), 0.0)
+    for t in range(min(max_rank, n)):
+        j = int(np.argmax(d))
+        if d[j] <= threshold or d[j] <= 0.0:
+            break
+        col = g[:, j].copy()
+        if t:
+            col -= low[:, :t] @ low[j, :t]
+        col /= math.sqrt(d[j])
+        low[:, t] = col
+        d -= col * col
+        np.maximum(d, 0.0, out=d)
+        d[j] = 0.0
+        order.append(j)
+    return np.array(order, dtype=np.int64), d
+
+
 def pivoted_cholesky_select(
     kernel: KernelSpec,
     candidates: np.ndarray,
@@ -44,9 +74,8 @@ def pivoted_cholesky_select(
     toward the lowest candidate index.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    g = gram(kernel, candidates)
-    order, count, resid = _backend.pivoted_cholesky(g, int(max_points), float(rel_tol))
-    return PivotSelection(indices=np.asarray(order[:count], dtype=np.int64), residual_diag=resid)
+    order, resid = _pivoted_cholesky(gram(kernel, candidates), int(max_points), float(rel_tol))
+    return PivotSelection(indices=order, residual_diag=resid)
 
 
 def project_duals(state: DualState, z_new: np.ndarray) -> DualState:

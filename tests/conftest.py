@@ -1,18 +1,7 @@
-"""Shared test setup.
-
-The compiled backend is warmed up once per session so that JIT
-compilation time never lands inside a timed test.
-"""
+"""Shared test setup."""
 
 import numpy as np
 import pytest
-
-from dualgp import _backend
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_backend():
-    _backend.warm_up()
 
 
 @pytest.fixture

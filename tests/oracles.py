@@ -1,14 +1,31 @@
-"""Independent Monte Carlo oracles used to freeze expected values in tests.
+"""Independent oracles used to check the package and freeze expected values.
 
-These were written and run before the quadrature implementations existed; the
-frozen constants in the test files were produced by the functions here with
-the seeds recorded at each use site.  Rerunning them reproduces the constants
-to Monte Carlo accuracy (~3e-4 at 10^7 samples).
+The Monte Carlo oracles were written and run before the quadrature
+implementations existed; the frozen constants in the test files were produced
+by the functions here with the seeds recorded at each use site.  Rerunning
+them reproduces the constants to Monte Carlo accuracy (~3e-4 at 10^7
+samples).  :func:`gram_einsum` is the direct-difference Gram assembly that
+``dualgp.kernels.gram`` replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def gram_einsum(spec, xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarray:
+    """Reference Gram through the explicit ``(M, N, d)`` difference tensor."""
+    xa = np.asarray(xa, dtype=np.float64).reshape(len(xa), -1)
+    xb = xa if xb is None else np.asarray(xb, dtype=np.float64).reshape(len(xb), -1)
+    inv_ls = 1.0 / np.broadcast_to(spec.hyper.lengthscales, (xa.shape[1],))
+    diff = (xa[:, None, :] - xb[None, :, :]) * inv_ls
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    if spec.family == "matern52":
+        s = np.sqrt(5.0) * np.sqrt(r2)
+        k = (1.0 + s + (5.0 / 3.0) * r2) * np.exp(-s)
+    else:
+        k = np.exp(-0.5 * r2)
+    return spec.hyper.variance * k + spec.hyper.constant_variance
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -10,12 +10,15 @@ hand, so its numbers are frozen here at full precision:
     bound at opt     log N(1 | 0, 2) = -1.5155121234846454
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualgp.dual import (
+    PREDICT_BLOCK,
     DualState,
     compute_sites,
     dual_factor,
@@ -209,6 +212,41 @@ class TestPredict:
         mean, _ = recover_moments(state)
         np.testing.assert_array_equal(mean, state.alpha_u)
         assert mean is not state.alpha_u
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_blocked_rows_match_moment_route(self, rng, flat):
+        state = _random_state(rng, m=6)
+        n = 2 * PREDICT_BLOCK + 1
+        x_test = rng.uniform(-3, 3, n if flat else (n, 1))
+        mean_a, var_a = predict(state, x_test)
+        mean_b, var_b = predict_moments_route(state, x_test)
+        assert mean_a.shape == var_a.shape == (n,)
+        np.testing.assert_allclose(mean_a, mean_b, atol=1e-10)
+        np.testing.assert_allclose(var_a, var_b, atol=1e-10)
+
+    def test_empty_query(self, rng):
+        mean, var = predict(_random_state(rng), np.empty((0, 1)))
+        assert mean.shape == var.shape == (0,)
+
+    def test_peak_memory_does_not_grow_with_rows(self, rng):
+        m = 300
+        z = rng.uniform(-2, 2, (m, 2))
+        a = rng.standard_normal((m, m)) * 0.1
+        state = make_state(
+            KernelSpec("matern52", Hyperparams(1.0, np.array([0.5]))),
+            z, alpha_u=rng.standard_normal(m), b_u=a @ a.T,
+        )
+
+        def peak(rows):
+            x = rng.uniform(-2, 2, (rows, 2))
+            tracemalloc.start()
+            try:
+                predict(state, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10_000) < 2 * peak(PREDICT_BLOCK)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)

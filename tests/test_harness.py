@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +208,22 @@ class TestParseConfig:
         assert config.noise_variance == 0.05
         assert config.num_inducing == 30
         assert config.replay_memory is False
+
+    def test_readme_config_block_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        config = parse_config(_write(tmp_path / "run.ini", block))
+        assert config.likelihood == "gaussian"
+        assert config.lengthscales == (0.5, 2.0)
+
+    def test_documented_bernoulli_value_parses(self, tmp_path):
+        path = _write(tmp_path / "run.ini", "[model]\nlikelihood = bernoulli_logit ; classification\n")
+        assert isinstance(make_likelihood(parse_config(path)), BernoulliLogit)
+
+    def test_unknown_likelihood_rejected_at_parse_time(self, tmp_path):
+        path = _write(tmp_path / "run.ini", "[model]\nlikelihood = bernoulli\n")
+        with pytest.raises(ConfigError, match="unknown likelihood 'bernoulli'"):
+            parse_config(path)
 
     def test_unknown_section_raises(self, tmp_path):
         path = _write(tmp_path / "run.ini", "[optimizer]\nlr = 0.1\n")

@@ -1,9 +1,12 @@
 """Covariance functions, hyperparameter containers, and stable factorization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gram_einsum
 
 from dualgp.kernels import (
     FAMILIES,
@@ -154,6 +157,46 @@ class TestGram:
         base = eval_kernel(spec, x, y)
         moved = eval_kernel(spec, x + shift, y + shift)
         assert moved == pytest.approx(base, rel=1e-12)
+
+
+class TestGramAgainstOracle:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    @pytest.mark.parametrize("per_dim", [False, True])
+    def test_matches_einsum_oracle(self, rng, family, dim, per_dim):
+        ls = rng.uniform(0.3, 2.0, dim) if per_dim else np.array([0.6])
+        spec = _spec(family=family, variance=1.7, lengthscales=ls, constant=0.4)
+        xa = rng.uniform(-3, 3, (40, dim))
+        xb = rng.uniform(-3, 3, (60, dim))
+        np.testing.assert_allclose(gram(spec, xa, xb), gram_einsum(spec, xa, xb), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(gram(spec, xa), gram_einsum(spec, xa), rtol=0, atol=1e-13)
+
+    def test_far_from_origin_matches_oracle(self, rng):
+        spec = _spec(lengthscales=(0.1, 0.3))
+        xa = 100.0 + rng.uniform(0, 1, (30, 2))
+        xb = 100.0 + rng.uniform(0, 1, (50, 2))
+        np.testing.assert_allclose(gram(spec, xa, xb), gram_einsum(spec, xa, xb), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_self_gram_diagonal_is_exact(self, rng, family):
+        spec = _spec(family=family, variance=1.3, lengthscales=(0.2, 0.7, 1.9), constant=0.35)
+        x = rng.uniform(-5, 5, (50, 3))
+        K = gram(spec, x)
+        np.testing.assert_array_equal(np.diag(K), spec.hyper.variance + spec.hyper.constant_variance)
+        np.testing.assert_array_equal(K, K.T)
+
+    def test_peak_memory_within_three_outputs(self, rng):
+        spec = _spec(lengthscales=(0.5, 1.0))
+        z = rng.uniform(-2, 2, (300, 2))
+        x = rng.uniform(-2, 2, (4000, 2))
+        gram(spec, z, x)
+        tracemalloc.start()
+        try:
+            K = gram(spec, z, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * K.nbytes
 
 
 class TestStableCholesky:
