@@ -25,33 +25,20 @@ from .kernels import (
     GramFactor,
     Hyperparams,
     KernelSpec,
-    eval_kernel,
     gram,
     gram_diag,
     stable_cholesky,
 )
-from .likelihoods import (
-    BernoulliLogit,
-    Gaussian,
-    SiteValues,
-    expected_log_lik,
-    predictive_density,
-    site_expectations,
-)
-from .exact import ExactPosterior, fit_exact, log_marginal, predict_exact
+from .likelihoods import BernoulliLogit, Gaussian, SiteValues
 from .dual import (
     DualState,
-    PseudoData,
     compute_sites,
     elbo,
-    init_state,
     iterate_ngd,
     make_state,
     ngd_step,
     predict,
-    pseudo_data,
     recover_moments,
-    site_reconstruction_check,
     state_from_dict,
     state_to_dict,
 )
@@ -61,7 +48,7 @@ from .representation import (
     project_duals,
     refresh_representation,
 )
-from .memory import MemorySet, bls, bls_dense, empty_memory, rls, update_memory
+from .memory import MemorySet, bls, empty_memory, update_memory
 from .sequential import (
     AdjustedPrior,
     SequentialConfig,
@@ -73,7 +60,6 @@ from .sequential import (
     remove_memory,
     run_stream,
     seq_objective,
-    seq_objective_vcl_form,
 )
 from .acquisition import (
     ExpectedImprovement,
@@ -106,32 +92,20 @@ __all__ = [
     "GramFactor",
     "Hyperparams",
     "KernelSpec",
-    "eval_kernel",
     "gram",
     "gram_diag",
     "stable_cholesky",
     "BernoulliLogit",
     "Gaussian",
     "SiteValues",
-    "expected_log_lik",
-    "predictive_density",
-    "site_expectations",
-    "ExactPosterior",
-    "fit_exact",
-    "log_marginal",
-    "predict_exact",
     "DualState",
-    "PseudoData",
     "compute_sites",
     "elbo",
-    "init_state",
     "iterate_ngd",
     "make_state",
     "ngd_step",
     "predict",
-    "pseudo_data",
     "recover_moments",
-    "site_reconstruction_check",
     "state_from_dict",
     "state_to_dict",
     "PivotSelection",
@@ -140,9 +114,7 @@ __all__ = [
     "refresh_representation",
     "MemorySet",
     "bls",
-    "bls_dense",
     "empty_memory",
-    "rls",
     "update_memory",
     "AdjustedPrior",
     "SequentialConfig",
@@ -154,7 +126,6 @@ __all__ = [
     "remove_memory",
     "run_stream",
     "seq_objective",
-    "seq_objective_vcl_form",
     "ExpectedImprovement",
     "ProbabilityOfValidity",
     "ProductAcquisition",

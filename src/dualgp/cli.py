@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .acquisition import ExpectedImprovement, fantasize_batch
-from .dual import init_state, iterate_ngd, ngd_step, predict
+from .dual import iterate_ngd, make_state, ngd_step, predict
 from .harness import (
     ConfigError,
     DataError,
@@ -146,7 +146,7 @@ def _cmd_bo(args) -> int:
     x_obs = rng.uniform(bounds[:, 0], bounds[:, 1], size=(max(config.init_points, 2), len(bounds)))
     y_obs = objective(x_obs)
     selection = pivoted_cholesky_select(kernel, x_obs, config.num_inducing)
-    state = init_state(kernel, x_obs[selection.indices])
+    state = make_state(kernel, x_obs[selection.indices])
     state, _, _ = iterate_ngd(state, lik, x_obs, y_obs, rho=1.0, max_steps=5)
 
     records = []

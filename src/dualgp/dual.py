@@ -27,8 +27,10 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .kernels import (
+    CholeskyFactor,
     GramFactor,
     KernelSpec,
+    as_points,
     gram,
     gram_diag,
     spec_from_dict,
@@ -45,34 +47,25 @@ PREDICT_BLOCK = 2048
 
 @dataclass(frozen=True)
 class DualState:
-    """Immutable snapshot of the variational posterior."""
+    """Immutable snapshot of the variational posterior.
+
+    Carries both factors every posterior quantity is built from: ``kzz``, the
+    Gram matrix of ``z`` with its Cholesky factor, and ``kq``, the Cholesky
+    factor of ``kzz.regularized + b_u``.  ``kq`` is set wherever ``b_u`` is
+    set (:func:`make_state` factors it, :func:`ngd_step` hands over the
+    factor it solved with), so no reader refactorizes it.
+    """
 
     kernel: KernelSpec
     z: np.ndarray
     alpha_u: np.ndarray
     b_u: np.ndarray
     kzz: GramFactor
+    kq: CholeskyFactor
 
     @property
     def num_inducing(self) -> int:
         return self.z.shape[0]
-
-
-@dataclass
-class PseudoData:
-    """Moment-form summary of the data evidence absorbed by a state.
-
-    ``y_tilde`` and ``sigma_tilde`` are the observations and noise covariance
-    of the Gaussian pseudo-likelihood on ``u`` that would reproduce the
-    state's posterior from the prior.  ``degenerate`` flags a rank-deficient
-    ``b_u`` (fewer independent observations absorbed than inducing points),
-    in which case pseudo-inverses were used.
-    """
-
-    y_tilde: np.ndarray
-    sigma_tilde: np.ndarray
-    rank: int
-    degenerate: bool
 
 
 @dataclass
@@ -99,7 +92,7 @@ def make_state(
     b_u: np.ndarray | None = None,
 ) -> DualState:
     """Build a state from inducing inputs and (optionally) dual parameters."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    z = as_points(z)
     m = z.shape[0]
     if alpha_u is None:
         alpha_u = np.zeros(m)
@@ -109,16 +102,16 @@ def make_state(
     b_u = np.asarray(b_u, dtype=np.float64)
     if alpha_u.shape != (m,) or b_u.shape != (m, m):
         raise ValueError("dual parameter shapes do not match the inducing set")
-    return DualState(kernel=kernel, z=z, alpha_u=alpha_u, b_u=b_u, kzz=stable_cholesky(gram(kernel, z)))
+    kzz = stable_cholesky(gram(kernel, z))
+    return DualState(
+        kernel=kernel, z=z, alpha_u=alpha_u, b_u=b_u, kzz=kzz, kq=_sum_factor(kzz, b_u)
+    )
 
 
-def init_state(kernel: KernelSpec, z: np.ndarray) -> DualState:
-    """Fresh state at the prior: zero dual parameters."""
-    return make_state(kernel, z)
-
-
-def _keff(state: DualState) -> np.ndarray:
-    return state.kzz.regularized
+def _sum_factor(kzz: GramFactor, b_u: np.ndarray) -> CholeskyFactor:
+    """Cholesky factor of ``K_zz + b_u``, without keeping the summed matrix."""
+    factor = stable_cholesky(kzz.regularized + b_u)
+    return CholeskyFactor(chol=factor.chol, jitter_used=factor.jitter_used)
 
 
 def recover_moments(state: DualState) -> tuple[np.ndarray, np.ndarray]:
@@ -127,9 +120,8 @@ def recover_moments(state: DualState) -> tuple[np.ndarray, np.ndarray]:
     The mean is ``alpha_u`` itself (returned as a copy, bit for bit); the
     covariance is ``K_zz (K_zz + b_u)^{-1} K_zz``.
     """
-    keff = _keff(state)
-    lq = stable_cholesky(keff + state.b_u)
-    cov = keff @ lq.solve(keff)
+    keff = state.kzz.regularized
+    cov = keff @ state.kq.solve(keff)
     return state.alpha_u.copy(), 0.5 * (cov + cov.T)
 
 
@@ -141,13 +133,12 @@ def predict(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarra
         mean = k_*z K_zz^{-1} alpha_u
         var  = k_** - k_*z [K_zz^{-1} - (K_zz + b_u)^{-1}] k_z*
 
-    ``K_zz + b_u`` is factorized once per call; the query rows are then
-    processed in blocks of ``PREDICT_BLOCK``, so the ``M x rows`` scratch
-    does not grow with the number of query points.
+    Both factors come from the state; the query rows are processed in
+    blocks of ``PREDICT_BLOCK``, so the ``M x rows`` scratch does not grow
+    with the number of query points.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
     weights = state.kzz.solve(state.alpha_u)
-    lq = stable_cholesky(_keff(state) + state.b_u)
     mean = np.empty(len(x_star))
     var = gram_diag(state.kernel, x_star)
     for lo in range(0, len(x_star), PREDICT_BLOCK):
@@ -157,28 +148,9 @@ def predict(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarra
         half = state.kzz.half_solve(k_star)
         var[rows] -= np.einsum("ij,ij->j", half, half)
         del half
-        half = lq.half_solve(k_star)
+        half = state.kq.half_solve(k_star)
         del k_star
         var[rows] += np.einsum("ij,ij->j", half, half)
-    return mean, var
-
-
-def predict_moments_route(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same predictive marginals computed through the moment parameterization.
-
-    Secondary route kept for cross-checking the dual-form ``predict``:
-    ``mean = a^T m`` and ``var = k_** - a^T K_zz a + a^T V a`` with
-    ``a = K_zz^{-1} k_z*``.
-    """
-    mean_u, cov_u = recover_moments(state)
-    k_star = gram(state.kernel, state.z, x_star)
-    a = state.kzz.solve(k_star)
-    mean = a.T @ mean_u
-    var = (
-        gram_diag(state.kernel, x_star)
-        - np.sum(a * (_keff(state) @ a), axis=0)
-        + np.sum(a * (cov_u @ a), axis=0)
-    )
     return mean, var
 
 
@@ -188,8 +160,20 @@ def compute_sites(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarra
     return lik.site_expectations(y, mean, var)
 
 
-def _zero_prior(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros(m), np.zeros((m, m))
+def _prior_pair(
+    m: int,
+    prior_alpha: np.ndarray | None,
+    prior_b: np.ndarray | None,
+    prior_mean_ref: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(alpha, b, mean_ref)`` of a prior: the zero pair when none is given."""
+    if (prior_alpha is None) != (prior_b is None):
+        raise ValueError("pass both prior_alpha and prior_b or neither")
+    if prior_alpha is None:
+        prior_alpha, prior_b = np.zeros(m), np.zeros((m, m))
+    if prior_mean_ref is None:
+        prior_mean_ref = prior_alpha
+    return prior_alpha, prior_b, prior_mean_ref
 
 
 def ngd_step(
@@ -218,13 +202,9 @@ def ngd_step(
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    m = state.num_inducing
-    if prior_alpha is None or prior_b is None:
-        if prior_alpha is not None or prior_b is not None:
-            raise ValueError("pass both prior_alpha and prior_b or neither")
-        prior_alpha, prior_b = _zero_prior(m)
-    if prior_mean_ref is None:
-        prior_mean_ref = prior_alpha
+    prior_alpha, prior_b, prior_mean_ref = _prior_pair(
+        state.num_inducing, prior_alpha, prior_b, prior_mean_ref
+    )
 
     sites = compute_sites(state, lik, x, y)
     kzx = gram(state.kernel, state.z, x)
@@ -235,13 +215,15 @@ def ngd_step(
     b_new = 0.5 * (b_new + b_new.T)
     alpha_raw = (1.0 - rho) * state.alpha_u + rho * (prior_alpha + site_alpha)
 
-    keff = _keff(state)
+    keff = state.kzz.regularized
     carry = (b_new - rho * prior_b) @ state.kzz.solve(state.alpha_u)
     anchor = rho * (prior_b @ state.kzz.solve(prior_mean_ref))
-    lq = stable_cholesky(keff + b_new)
-    alpha_new = keff @ lq.solve(alpha_raw + carry + anchor)
+    kq = _sum_factor(state.kzz, b_new)
+    alpha_new = keff @ kq.solve(alpha_raw + carry + anchor)
 
-    return DualState(kernel=state.kernel, z=state.z, alpha_u=alpha_new, b_u=b_new, kzz=state.kzz)
+    return DualState(
+        kernel=state.kernel, z=state.z, alpha_u=alpha_new, b_u=b_new, kzz=state.kzz, kq=kq
+    )
 
 
 def iterate_ngd(
@@ -289,12 +271,8 @@ def elbo(
     data set with a zero state gives exactly zero.
     """
     m = state.num_inducing
-    if prior_alpha is None or prior_b is None:
-        if prior_alpha is not None or prior_b is not None:
-            raise ValueError("pass both prior_alpha and prior_b or neither")
-        prior_alpha, prior_b = _zero_prior(m)
-    if prior_mean_ref is None:
-        prior_mean_ref = prior_alpha
+    kernel_prior = prior_b is None
+    prior_alpha, prior_b, prior_mean_ref = _prior_pair(m, prior_alpha, prior_b, prior_mean_ref)
 
     x = np.asarray(x, dtype=np.float64)
     ell = 0.0
@@ -302,9 +280,10 @@ def elbo(
         mean, var = predict(state, x)
         ell = float(np.sum(lik.expected_log_lik(y, mean, var)))
 
-    keff = _keff(state)
-    lq = stable_cholesky(keff + state.b_u)
-    lp = stable_cholesky(keff + prior_b)
+    keff = state.kzz.regularized
+    lq = state.kq
+    # The kernel prior's factor is K_zz's own.
+    lp = state.kzz if kernel_prior else stable_cholesky(keff + prior_b)
 
     # KL(q || prior) written entirely in dual quantities:
     # trace term tr(P_p V_q) collapses to tr((K + B_pr)(K + B_u)^{-1}).
@@ -314,32 +293,6 @@ def elbo(
     quad = float(d @ ((keff + prior_b) @ d))
     kl = 0.5 * (trace + quad - m - lp.logdet() + lq.logdet())
     return ell - kl
-
-
-def pseudo_data(state: DualState) -> PseudoData:
-    """Recover the pseudo observations and their noise covariance.
-
-    ``y_tilde = K_zz b_u^+ alpha_u + mean`` and
-    ``sigma_tilde = K_zz b_u^+ K_zz``, with the pseudo-inverse taken by
-    eigendecomposition (relative rank tolerance 1e-10).  Rank deficiency is
-    reported, not repaired.
-    """
-    keff = _keff(state)
-    w, u = eigh(0.5 * (state.b_u + state.b_u.T))
-    cutoff = RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
-    keep = w > cutoff
-    rank = int(np.count_nonzero(keep))
-    u_r = u[:, keep]
-    inv_w = 1.0 / w[keep]
-    pinv_alpha = u_r @ (inv_w * (u_r.T @ state.alpha_u))
-    y_tilde = keff @ pinv_alpha + state.alpha_u
-    sigma_tilde = (keff @ u_r) @ ((inv_w[:, None] * u_r.T) @ keff)
-    return PseudoData(
-        y_tilde=y_tilde,
-        sigma_tilde=0.5 * (sigma_tilde + sigma_tilde.T),
-        rank=rank,
-        degenerate=rank < state.num_inducing,
-    )
 
 
 def dual_factor(kzz: GramFactor, alpha: np.ndarray, b: np.ndarray, mean_ref: np.ndarray) -> GaussianFactor:
@@ -386,32 +339,6 @@ def expected_log_factor(factor: GaussianFactor, mean: np.ndarray, cov: np.ndarra
     )
 
 
-def site_reconstruction_check(
-    state: DualState, sites: SiteValues, x: np.ndarray
-) -> float:
-    """Max absolute mismatch between the state and a site-rebuilt state.
-
-    Rebuilds the natural parameters from per-point sites
-    (``sum_i a_i beta_i a_i^T + K^{-1}`` and the matching linear term) and
-    compares against the state's own natural parameters.  Near zero exactly
-    when the state is the fixed point of NGD on ``(x, sites)`` with a zero
-    prior.
-    """
-    kzx = gram(state.kernel, state.z, x)
-    a = state.kzz.solve(kzx)
-    ki = state.kzz.solve(np.eye(state.num_inducing))
-    prec_built = (a * sites.beta_hat) @ a.T + ki
-    prec_state = state.kzz.solve(state.kzz.solve(_keff(state) + state.b_u).T)
-    mean_u = state.alpha_u
-    y_hat = sites.alpha_hat / sites.beta_hat + kzx.T @ state.kzz.solve(mean_u)
-    lin_built = (a * sites.beta_hat) @ y_hat
-    lin_state = state.kzz.solve(state.alpha_u + state.b_u @ state.kzz.solve(mean_u))
-    return max(
-        float(np.max(np.abs(prec_built - prec_state), initial=0.0)),
-        float(np.max(np.abs(lin_built - lin_state), initial=0.0)),
-    )
-
-
 def state_to_dict(state: DualState) -> dict:
     """JSON-ready representation of a state (kernel, Z, dual parameters)."""
     return {
@@ -434,21 +361,16 @@ def state_from_dict(data: dict) -> DualState:
 
 __all__ = [
     "DualState",
-    "PseudoData",
     "GaussianFactor",
     "make_state",
-    "init_state",
     "recover_moments",
     "predict",
-    "predict_moments_route",
     "compute_sites",
     "ngd_step",
     "iterate_ngd",
     "elbo",
-    "pseudo_data",
     "dual_factor",
     "expected_log_factor",
-    "site_reconstruction_check",
     "state_to_dict",
     "state_from_dict",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dual import DualState, predict, state_from_dict, state_to_dict
-from .kernels import Hyperparams, KernelSpec
+from .kernels import Hyperparams, KernelSpec, as_points
 from .likelihoods import BernoulliLogit, Gaussian, Likelihood, likelihood_from_dict
 from .memory import MemorySet, empty_memory
 from .sequential import SequentialConfig
@@ -107,7 +107,7 @@ def make_stream(
     differ by at most one, with earlier batches taking the remainder
     (n=10 into 3 batches gives 4, 3, 3).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = as_points(x)
     y = np.asarray(y, dtype=np.float64)
     if num_batches < 1:
         raise ValueError("num_batches must be at least 1")
@@ -154,13 +154,13 @@ class Standardizer:
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "Standardizer":
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = as_points(x)
         scale = x.std(axis=0)
         scale[scale < 1e-12] = 1.0
         return cls(mean=x.mean(axis=0), scale=scale)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(np.asarray(x, dtype=np.float64)) - self.mean) / self.scale
+        return (as_points(x) - self.mean) / self.scale
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
@@ -329,7 +329,14 @@ def save_checkpoint(
     seed: int = 0,
     standardizer: Standardizer | None = None,
 ) -> None:
-    """Serialize a full resumable run snapshot as JSON."""
+    """Write the fitted model to a JSON checkpoint.
+
+    It holds the state, the likelihood, the memory, the seed and the input
+    standardizer; ``dualgp predict`` reads the state, likelihood and
+    standardizer back to apply the model to new inputs.  It is not a
+    resumable run snapshot: the data count that scales the memory term, the
+    :class:`SequentialConfig` and the batch index are not saved.
+    """
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -364,7 +371,7 @@ def load_checkpoint(
     if payload.get("memory") is not None:
         raw = payload["memory"]
         memory = MemorySet(
-            inputs=np.atleast_2d(np.asarray(raw["inputs"], dtype=np.float64)),
+            inputs=as_points(raw["inputs"]),
             labels=np.asarray(raw["labels"], dtype=np.float64),
             scores=np.asarray(raw["scores"], dtype=np.float64),
             seed=raw.get("seed"),

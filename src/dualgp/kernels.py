@@ -79,23 +79,14 @@ class KernelSpec:
 
 
 @dataclass
-class GramFactor:
-    """A Gram matrix together with its (possibly jittered) Cholesky factor.
+class CholeskyFactor:
+    """Lower Cholesky factor of a (possibly jittered) positive definite matrix.
 
-    ``chol`` is lower triangular and satisfies
-    ``chol @ chol.T == matrix + jitter_used * I``.
+    ``chol @ chol.T`` equals the factorized matrix plus ``jitter_used * I``.
     """
 
-    matrix: np.ndarray
     chol: np.ndarray
     jitter_used: float
-
-    @property
-    def regularized(self) -> np.ndarray:
-        """The matrix that was actually factorized."""
-        if self.jitter_used == 0.0:
-            return self.matrix
-        return self.matrix + self.jitter_used * np.eye(self.matrix.shape[0])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(matrix + jitter I) x = rhs``."""
@@ -110,6 +101,20 @@ class GramFactor:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
+@dataclass
+class GramFactor(CholeskyFactor):
+    """A Gram matrix together with its (possibly jittered) Cholesky factor."""
+
+    matrix: np.ndarray
+
+    @property
+    def regularized(self) -> np.ndarray:
+        """The matrix that was actually factorized."""
+        if self.jitter_used == 0.0:
+            return self.matrix
+        return self.matrix + self.jitter_used * np.eye(self.matrix.shape[0])
+
+
 def _inv_lengthscales(hyper: Hyperparams, dim: int) -> np.ndarray:
     ls = hyper.lengthscales
     if ls.shape[0] == dim:
@@ -119,7 +124,8 @@ def _inv_lengthscales(hyper: Hyperparams, dim: int) -> np.ndarray:
     raise ValueError(f"lengthscales have {ls.shape[0]} entries for {dim}-dimensional inputs")
 
 
-def _as_points(x: np.ndarray) -> np.ndarray:
+def as_points(x: np.ndarray) -> np.ndarray:
+    """Inputs as a contiguous ``(n, d)`` float array; a 1-D array is n points in 1-D."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -135,8 +141,8 @@ def gram(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray | None = None) -> np.n
     alive.  A self-Gram (``xb`` omitted) has exactly zero distance on its
     diagonal, so its diagonal is exactly ``variance + constant_variance``.
     """
-    xa = _as_points(xa)
-    xb_pts = xa if xb is None else _as_points(xb)
+    xa = as_points(xa)
+    xb_pts = xa if xb is None else as_points(xb)
     if xa.shape[1] != xb_pts.shape[1]:
         raise ValueError("input dimensions disagree")
     inv_ls = _inv_lengthscales(spec.hyper, xa.shape[1])
@@ -173,13 +179,8 @@ def gram(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray | None = None) -> np.n
 
 def gram_diag(spec: KernelSpec, xa: np.ndarray) -> np.ndarray:
     """Prior variances ``k(x_i, x_i)``, constant for stationary kernels."""
-    xa = _as_points(xa)
+    xa = as_points(xa)
     return np.full(xa.shape[0], spec.hyper.variance + spec.hyper.constant_variance)
-
-
-def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Kernel value between two single points."""
-    return float(gram(spec, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
 
 
 def stable_cholesky(matrix: np.ndarray) -> GramFactor:

@@ -163,17 +163,3 @@ def likelihood_from_dict(data: dict) -> Likelihood:
         return BernoulliLogit(quad_points=data.get("quad_points", DEFAULT_QUAD_POINTS))
     raise ValueError(f"unknown likelihood {name!r}")
 
-
-def site_expectations(lik: Likelihood, y, mean, var) -> SiteValues:
-    """Site expectations of ``log p(y | f)`` under ``f ~ N(mean, var)``."""
-    return lik.site_expectations(y, mean, var)
-
-
-def expected_log_lik(lik: Likelihood, y, mean, var) -> np.ndarray:
-    """``E[log p(y | f)]`` under ``f ~ N(mean, var)``, per point."""
-    return lik.expected_log_lik(y, mean, var)
-
-
-def predictive_density(lik: Likelihood, y, mean, var) -> np.ndarray:
-    """``E[p(y | f)]`` under ``f ~ N(mean, var)``, per point."""
-    return lik.predictive_density(y, mean, var)

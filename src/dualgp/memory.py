@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
 
-from .dual import DualState, compute_sites, predict
-from .kernels import KernelSpec, gram, gram_diag
+from .dual import DualState, predict
+from .kernels import as_points
 from .likelihoods import Likelihood
 
 
@@ -44,43 +43,6 @@ def bls(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarray) -> np.n
     return lik.site_expectations(y, mean, var).beta_hat * var
 
 
-def bls_dense(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dense-route leverage scores through the weighted feature Gram.
-
-    Builds the scores from scratch as
-    ``beta_i * (k_ii - a_i^T K_zz a_i + a_i^T (A W A^T + K_zz^{-1})^{-1} a_i)``
-    with features ``a_i = K_zz^{-1} k_zi`` and site weights ``W``.  Agrees
-    with :func:`bls` exactly when the state's ``b_u`` equals the site sum of
-    the scored points (an NGD fixed point with zero prior); kept as an
-    independent assembly for cross-checking.
-    """
-    sites = compute_sites(state, lik, x, y)
-    kzx = gram(state.kernel, state.z, x)
-    a = state.kzz.solve(kzx)
-    ki = state.kzz.solve(np.eye(state.num_inducing))
-    middle = (a * sites.beta_hat) @ a.T + ki
-    low = cholesky(middle, lower=True)
-    half = np.linalg.solve(low, a)
-    leverage = np.sum(half * half, axis=0)
-    residual = gram_diag(state.kernel, x) - np.sum(kzx * a, axis=0)
-    return sites.beta_hat * (residual + leverage)
-
-
-def rls(kernel: KernelSpec, noise_variance: float, a: np.ndarray, kzz: np.ndarray) -> np.ndarray:
-    """Classical ridge leverage scores ``a_i^T (A A^T / s2 + K^{-1})^{-1} a_i``.
-
-    ``a`` holds the feature columns ``a_i`` and ``kzz`` the inducing Gram
-    matrix.  Evaluated through the Woodbury identity, so no explicit
-    ``K^{-1}`` is formed; as ``noise_variance -> inf`` the scores approach
-    ``a_i^T K a_i``.
-    """
-    g = a.T @ kzz @ a
-    n = g.shape[0]
-    low = cholesky(noise_variance * np.eye(n) + g, lower=True)
-    half = np.linalg.solve(low, g)
-    return np.diag(g) - np.sum(half * half, axis=0)
-
-
 def update_memory(
     memory: MemorySet,
     state: DualState,
@@ -100,7 +62,7 @@ def update_memory(
     with probability proportional to their score, via exponential sorting
     keys, deterministically for a given ``rng_seed``.
     """
-    x_batch = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
+    x_batch = as_points(x_batch)
     y_batch = np.asarray(y_batch, dtype=np.float64)
     if pool_includes_memory and len(memory):
         pool_x = np.vstack([memory.inputs, x_batch])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualState, make_state
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, as_points, gram
 
 DEFAULT_REL_TOL = 1e-10
 
@@ -73,7 +73,7 @@ def pivoted_cholesky_select(
     initial largest diagonal (near-duplicates add nothing).  Exact ties break
     toward the lowest candidate index.
     """
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+    candidates = as_points(candidates)
     order, resid = _pivoted_cholesky(gram(kernel, candidates), int(max_points), float(rel_tol))
     return PivotSelection(indices=order, residual_diag=resid)
 
@@ -84,7 +84,7 @@ def project_duals(state: DualState, z_new: np.ndarray) -> DualState:
     Applies ``P = K_{new,old} K_{old,old}^{-1}`` to ``alpha_u`` and
     congruently to ``b_u``; the projected ``b_u`` stays PSD by construction.
     """
-    z_new = np.atleast_2d(np.asarray(z_new, dtype=np.float64))
+    z_new = as_points(z_new)
     k_on = gram(state.kernel, state.z, z_new)
     p = state.kzz.solve(k_on).T
     alpha_new = p @ state.alpha_u
@@ -94,7 +94,7 @@ def project_duals(state: DualState, z_new: np.ndarray) -> DualState:
 
 def refresh_representation(state: DualState, x_batch: np.ndarray, max_points: int) -> DualState:
     """Re-select inducing points over old Z plus the incoming batch, then project."""
-    x_batch = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
+    x_batch = as_points(x_batch)
     candidates = np.vstack([state.z, x_batch]) if x_batch.size else state.z
     selection = pivoted_cholesky_select(state.kernel, candidates, max_points)
     return project_duals(state, candidates[selection.indices])

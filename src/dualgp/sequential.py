@@ -13,8 +13,9 @@ the old posterior).  With the memory equal to the entire past data and a
 converged old state, that prior collapses to the kernel prior and the
 objective coincides with the batch bound on the union; the unnormalized
 four-term rewrite (data term of the new batch, KL to the old posterior,
-memory data term, expected log pseudo-likelihood of the memory) is exposed
-separately and differs from it by a state-independent constant.
+memory data term, expected log pseudo-likelihood of the memory) lives with
+the test oracles in ``tests/oracles.py`` and differs from it by a
+state-independent constant.
 """
 
 from __future__ import annotations
@@ -27,18 +28,18 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .dual import (
+    RANK_TOL,
     DualState,
     compute_sites,
     dual_factor,
     expected_log_factor,
     elbo,
-    init_state,
     make_state,
     ngd_step,
     predict,
     recover_moments,
 )
-from .kernels import Hyperparams, KernelSpec, gram, stable_cholesky
+from .kernels import Hyperparams, KernelSpec, as_points, gram, stable_cholesky
 from .likelihoods import Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
 from .representation import pivoted_cholesky_select, refresh_representation
@@ -142,6 +143,17 @@ def remove_memory(
     )
 
 
+def _with_memory(
+    x_batch: np.ndarray, y_batch: np.ndarray, memory: MemorySet | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The batch followed by the memory points (if any)."""
+    x = as_points(x_batch)
+    y = np.asarray(y_batch, dtype=np.float64)
+    if memory is None or not len(memory):
+        return x, y
+    return np.vstack([x, memory.inputs]), np.concatenate([y, memory.labels])
+
+
 def process_batch(
     state: DualState,
     lik: Likelihood,
@@ -157,12 +169,7 @@ def process_batch(
     evaluate the sequential objective).
     """
     prior = remove_memory(state, lik, memory, config.remove_memory_from_prior)
-    if config.replay_memory and len(memory):
-        x_fit = np.vstack([np.atleast_2d(x_batch), memory.inputs])
-        y_fit = np.concatenate([np.asarray(y_batch, dtype=np.float64), memory.labels])
-    else:
-        x_fit = np.atleast_2d(x_batch)
-        y_fit = np.asarray(y_batch, dtype=np.float64)
+    x_fit, y_fit = _with_memory(x_batch, y_batch, memory if config.replay_memory else None)
     for _ in range(config.ngd_steps):
         state = ngd_step(
             state, lik, x_fit, y_fit, config.ngd_rho, prior.alpha, prior.b, prior.mean_ref
@@ -177,71 +184,22 @@ def seq_objective(
     y_batch: np.ndarray,
     memory: MemorySet,
     prior: AdjustedPrior,
-    n_old: int = 0,
 ) -> float:
     """Streaming evidence bound of batch-plus-memory against the adjusted prior.
 
     The prior enters as a normalized Gaussian, so with the memory covering
     all past data and a converged old state this equals the batch bound on
-    the union.  ``n_old`` is accepted for symmetry with
-    :func:`hyper_objective`; the bound itself applies no rescaling.
+    the union.
     """
-    del n_old
-    if len(memory):
-        x_all = np.vstack([np.atleast_2d(x_batch), memory.inputs])
-        y_all = np.concatenate([np.asarray(y_batch, dtype=np.float64), memory.labels])
-    else:
-        x_all = np.atleast_2d(x_batch)
-        y_all = np.asarray(y_batch, dtype=np.float64)
+    x_all, y_all = _with_memory(x_batch, y_batch, memory)
     return elbo(state, lik, x_all, y_all, prior.alpha, prior.b, prior.mean_ref)
 
 
-def seq_objective_vcl_form(
-    state: DualState,
-    lik: Likelihood,
-    x_batch: np.ndarray,
-    y_batch: np.ndarray,
-    memory: MemorySet,
-    prior: AdjustedPrior,
-    n_old: int = 0,
-) -> float:
-    """Four-term rewrite of the streaming bound.
-
-    Batch data term, minus KL to the old posterior, plus memory data term,
-    minus the expected log pseudo-likelihood of the memory.  Differs from
-    :func:`seq_objective` by a state-independent constant (the normalizer of
-    the subtracted prior), so differences across candidate states match.
-    """
-    del n_old
-    mean_q, cov_q = recover_moments(state)
-
-    old_alpha = prior.alpha + prior.removed_alpha
-    old_b = prior.b + prior.removed_b
-    kl_old = -elbo(
-        state, lik, np.empty((0, state.z.shape[1])), np.empty(0), old_alpha, old_b, prior.mean_ref
-    )
-
-    total = -kl_old
-    x_batch = np.atleast_2d(x_batch)
-    if x_batch.size:
-        mean_b, var_b = predict(state, x_batch)
-        total += float(np.sum(lik.expected_log_lik(y_batch, mean_b, var_b)))
-    if len(memory):
-        mean_m, var_m = predict(state, memory.inputs)
-        total += float(np.sum(lik.expected_log_lik(memory.labels, mean_m, var_m)))
-        factor = dual_factor(state.kzz, prior.removed_alpha, prior.removed_b, prior.mean_ref)
-        total -= expected_log_factor(factor, mean_q, cov_q)
-    return total
-
-
-def _pinv_psd(matrix: np.ndarray, rel_tol: float = 1e-10) -> tuple[np.ndarray, int]:
+def _pinv_psd(matrix: np.ndarray) -> np.ndarray:
     w, u = eigh(0.5 * (matrix + matrix.T))
-    keep = w > rel_tol * max(float(w.max(initial=0.0)), 0.0)
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        return np.zeros_like(matrix), 0
+    keep = w > RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
     u_r = u[:, keep]
-    return (u_r / w[keep]) @ u_r.T, rank
+    return (u_r / w[keep]) @ u_r.T
 
 
 def hyper_objective(
@@ -269,20 +227,19 @@ def hyper_objective(
         lik = Gaussian(noise_variance=float(hyper.noise_variance))
 
     keff = rebuilt.kzz.regularized
-    b_pinv, _ = _pinv_psd(state.b_u)
+    b_pinv = _pinv_psd(state.b_u)
     b_vec = b_pinv @ state.alpha_u + state.alpha_u
     normal_matrix = keff @ b_pinv @ keff + keff
     l_norm = stable_cholesky(0.5 * (normal_matrix + normal_matrix.T))
-    l_quad = stable_cholesky(keff + state.b_u)
-    half = l_quad.half_solve(b_vec)
+    half = rebuilt.kq.half_solve(b_vec)
     log_z = -0.5 * l_norm.logdet() - 0.5 * float(half @ half)
 
     correction = 0.0
-    x_batch = np.atleast_2d(x_batch)
+    x_batch = as_points(x_batch)
     if x_batch.size:
         mean_b, var_b = predict(rebuilt, x_batch)
         correction += float(np.sum(lik.expected_log_lik(y_batch, mean_b, var_b)))
-    x_mem = np.atleast_2d(np.asarray(x_mem, dtype=np.float64))
+    x_mem = as_points(x_mem)
     n_mem = x_mem.shape[0] if x_mem.size else 0
     if n_mem:
         mean_m, var_m = predict(rebuilt, x_mem)
@@ -357,7 +314,7 @@ def optimize_hypers(
     hyper = state.kernel.hyper.copy()
     if with_noise and hyper.noise_variance is None:
         hyper = replace(hyper, noise_variance=lik.noise_variance)
-    x_mem = memory.inputs if len(memory) else np.empty((0, np.atleast_2d(x_batch).shape[1]))
+    x_mem = memory.inputs if len(memory) else np.empty((0, as_points(x_batch).shape[1]))
     y_mem = memory.labels if len(memory) else np.empty(0)
 
     log_theta, names = _pack_log_theta(hyper, with_noise)
@@ -426,19 +383,19 @@ def run_stream(
     n_old = 0
     for batch_index, (x_batch, y_batch) in enumerate(batches):
         start = time.perf_counter()
-        x_batch = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
+        x_batch = as_points(x_batch)
         y_batch = np.asarray(y_batch, dtype=np.float64)
         if state is None:
             memory = empty_memory(x_batch.shape[1])
             selection = pivoted_cholesky_select(kernel, x_batch, config.num_inducing)
-            state = init_state(kernel, x_batch[selection.indices])
+            state = make_state(kernel, x_batch[selection.indices])
         else:
             state = refresh_representation(state, x_batch, config.num_inducing)
 
         state, prior = process_batch(state, lik, config, x_batch, y_batch, memory)
         if config.hyper_steps > 0:
             state, lik, _ = optimize_hypers(state, lik, config, x_batch, y_batch, memory, n_old)
-        objective = seq_objective(state, lik, x_batch, y_batch, memory, prior, n_old)
+        objective = seq_objective(state, lik, x_batch, y_batch, memory, prior)
 
         memory = update_memory(
             memory,
@@ -512,7 +469,6 @@ __all__ = [
     "remove_memory",
     "process_batch",
     "seq_objective",
-    "seq_objective_vcl_form",
     "hyper_objective",
     "hyper_gradient",
     "optimize_hypers",

@@ -6,11 +6,36 @@ by the functions here with the seeds recorded at each use site.  Rerunning
 them reproduces the constants to Monte Carlo accuracy (~3e-4 at 10^7
 samples).  :func:`gram_einsum` is the direct-difference Gram assembly that
 ``dualgp.kernels.gram`` replaced.
+
+The rest are reference routes the engine does not run, each an independent
+assembly of a quantity the package computes another way: exact dense GP
+regression, predictive marginals through the moment form, the pseudo-data
+view of a state, a site-by-site rebuild of a state, dense-route and classical
+ridge leverage scores, and the four-term rewrite of the streaming objective.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.linalg import cholesky, eigh
+
+from dualgp.dual import (
+    RANK_TOL,
+    DualState,
+    compute_sites,
+    dual_factor,
+    elbo,
+    expected_log_factor,
+    predict,
+    recover_moments,
+)
+from dualgp.kernels import GramFactor, KernelSpec, gram, gram_diag, stable_cholesky
+from dualgp.likelihoods import Likelihood, SiteValues
+from dualgp.memory import MemorySet
+from dualgp.sequential import AdjustedPrior
 
 
 def gram_einsum(spec, xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarray:
@@ -79,3 +104,217 @@ def mc_expected_improvement(
     rng = np.random.default_rng(seed)
     f = mean + np.sqrt(var) * rng.standard_normal(n)
     return float(np.maximum(f - best, 0.0).mean())
+
+
+@dataclass
+class ExactPosterior:
+    """Exact conjugate GP regression through a full Cholesky of ``K + noise * I``.
+
+    Only for desk-sized problems: an answer independent of the sparse dual
+    representation.
+    """
+
+    kernel: KernelSpec
+    noise_variance: float
+    x_train: np.ndarray
+    y_train: np.ndarray
+    factor: GramFactor
+    weights: np.ndarray
+
+
+def fit_exact(
+    kernel: KernelSpec, x_train: np.ndarray, y_train: np.ndarray, noise_variance: float
+) -> ExactPosterior:
+    """Factorize ``K + noise * I`` and precompute the representer weights."""
+    x_train = np.atleast_2d(np.asarray(x_train, dtype=np.float64))
+    y_train = np.asarray(y_train, dtype=np.float64)
+    k = gram(kernel, x_train)
+    factor = stable_cholesky(k + noise_variance * np.eye(len(x_train)))
+    return ExactPosterior(
+        kernel=kernel,
+        noise_variance=noise_variance,
+        x_train=x_train,
+        y_train=y_train,
+        factor=factor,
+        weights=factor.solve(y_train),
+    )
+
+
+def predict_exact(post: ExactPosterior, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance of the latent function at ``x_star``."""
+    x_star = np.atleast_2d(np.asarray(x_star, dtype=np.float64))
+    k_star = gram(post.kernel, post.x_train, x_star)
+    mean = k_star.T @ post.weights
+    half = post.factor.half_solve(k_star)
+    var = gram_diag(post.kernel, x_star) - np.sum(half * half, axis=0)
+    return mean, var
+
+
+def log_marginal(post: ExactPosterior) -> float:
+    """Log marginal likelihood ``log N(y | 0, K + noise * I)``."""
+    n = len(post.y_train)
+    return -0.5 * (
+        float(post.y_train @ post.weights) + post.factor.logdet() + n * math.log(2.0 * math.pi)
+    )
+
+
+def predict_moments_route(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same predictive marginals computed through the moment parameterization.
+
+    Secondary route kept for cross-checking the dual-form ``predict``:
+    ``mean = a^T m`` and ``var = k_** - a^T K_zz a + a^T V a`` with
+    ``a = K_zz^{-1} k_z*``.
+    """
+    mean_u, cov_u = recover_moments(state)
+    k_star = gram(state.kernel, state.z, x_star)
+    a = state.kzz.solve(k_star)
+    mean = a.T @ mean_u
+    var = (
+        gram_diag(state.kernel, x_star)
+        - np.sum(a * (state.kzz.regularized @ a), axis=0)
+        + np.sum(a * (cov_u @ a), axis=0)
+    )
+    return mean, var
+
+
+@dataclass
+class PseudoData:
+    """Moment-form summary of the data evidence absorbed by a state.
+
+    ``y_tilde`` and ``sigma_tilde`` are the observations and noise covariance
+    of the Gaussian pseudo-likelihood on ``u`` that would reproduce the
+    state's posterior from the prior.  ``degenerate`` flags a rank-deficient
+    ``b_u`` (fewer independent observations absorbed than inducing points),
+    in which case pseudo-inverses were used.
+    """
+
+    y_tilde: np.ndarray
+    sigma_tilde: np.ndarray
+    rank: int
+    degenerate: bool
+
+
+def pseudo_data(state: DualState) -> PseudoData:
+    """Recover the pseudo observations and their noise covariance.
+
+    ``y_tilde = K_zz b_u^+ alpha_u + mean`` and
+    ``sigma_tilde = K_zz b_u^+ K_zz``, with the pseudo-inverse taken by
+    eigendecomposition (relative rank tolerance 1e-10).  Rank deficiency is
+    reported, not repaired.
+    """
+    keff = state.kzz.regularized
+    w, u = eigh(0.5 * (state.b_u + state.b_u.T))
+    cutoff = RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
+    keep = w > cutoff
+    rank = int(np.count_nonzero(keep))
+    u_r = u[:, keep]
+    inv_w = 1.0 / w[keep]
+    pinv_alpha = u_r @ (inv_w * (u_r.T @ state.alpha_u))
+    y_tilde = keff @ pinv_alpha + state.alpha_u
+    sigma_tilde = (keff @ u_r) @ ((inv_w[:, None] * u_r.T) @ keff)
+    return PseudoData(
+        y_tilde=y_tilde,
+        sigma_tilde=0.5 * (sigma_tilde + sigma_tilde.T),
+        rank=rank,
+        degenerate=rank < state.num_inducing,
+    )
+
+
+def site_reconstruction_check(
+    state: DualState, sites: SiteValues, x: np.ndarray
+) -> float:
+    """Max absolute mismatch between the state and a site-rebuilt state.
+
+    Rebuilds the natural parameters from per-point sites
+    (``sum_i a_i beta_i a_i^T + K^{-1}`` and the matching linear term) and
+    compares against the state's own natural parameters.  Near zero exactly
+    when the state is the fixed point of NGD on ``(x, sites)`` with a zero
+    prior.
+    """
+    kzx = gram(state.kernel, state.z, x)
+    a = state.kzz.solve(kzx)
+    ki = state.kzz.solve(np.eye(state.num_inducing))
+    prec_built = (a * sites.beta_hat) @ a.T + ki
+    prec_state = state.kzz.solve(state.kzz.solve(state.kzz.regularized + state.b_u).T)
+    mean_u = state.alpha_u
+    y_hat = sites.alpha_hat / sites.beta_hat + kzx.T @ state.kzz.solve(mean_u)
+    lin_built = (a * sites.beta_hat) @ y_hat
+    lin_state = state.kzz.solve(state.alpha_u + state.b_u @ state.kzz.solve(mean_u))
+    return max(
+        float(np.max(np.abs(prec_built - prec_state), initial=0.0)),
+        float(np.max(np.abs(lin_built - lin_state), initial=0.0)),
+    )
+
+
+def bls_dense(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dense-route leverage scores through the weighted feature Gram.
+
+    Builds the scores from scratch as
+    ``beta_i * (k_ii - a_i^T K_zz a_i + a_i^T (A W A^T + K_zz^{-1})^{-1} a_i)``
+    with features ``a_i = K_zz^{-1} k_zi`` and site weights ``W``.  Agrees
+    with ``dualgp.memory.bls`` exactly when the state's ``b_u`` equals the site sum of
+    the scored points (an NGD fixed point with zero prior); kept as an
+    independent assembly for cross-checking.
+    """
+    sites = compute_sites(state, lik, x, y)
+    kzx = gram(state.kernel, state.z, x)
+    a = state.kzz.solve(kzx)
+    ki = state.kzz.solve(np.eye(state.num_inducing))
+    middle = (a * sites.beta_hat) @ a.T + ki
+    low = cholesky(middle, lower=True)
+    half = np.linalg.solve(low, a)
+    leverage = np.sum(half * half, axis=0)
+    residual = gram_diag(state.kernel, x) - np.sum(kzx * a, axis=0)
+    return sites.beta_hat * (residual + leverage)
+
+
+def rls(kernel: KernelSpec, noise_variance: float, a: np.ndarray, kzz: np.ndarray) -> np.ndarray:
+    """Classical ridge leverage scores ``a_i^T (A A^T / s2 + K^{-1})^{-1} a_i``.
+
+    ``a`` holds the feature columns ``a_i`` and ``kzz`` the inducing Gram
+    matrix.  Evaluated through the Woodbury identity, so no explicit
+    ``K^{-1}`` is formed; as ``noise_variance -> inf`` the scores approach
+    ``a_i^T K a_i``.
+    """
+    g = a.T @ kzz @ a
+    n = g.shape[0]
+    low = cholesky(noise_variance * np.eye(n) + g, lower=True)
+    half = np.linalg.solve(low, g)
+    return np.diag(g) - np.sum(half * half, axis=0)
+
+
+def seq_objective_vcl_form(
+    state: DualState,
+    lik: Likelihood,
+    x_batch: np.ndarray,
+    y_batch: np.ndarray,
+    memory: MemorySet,
+    prior: AdjustedPrior,
+) -> float:
+    """Four-term rewrite of the streaming bound.
+
+    Batch data term, minus KL to the old posterior, plus memory data term,
+    minus the expected log pseudo-likelihood of the memory.  Differs from
+    ``dualgp.sequential.seq_objective`` by a state-independent constant (the
+    normalizer of the subtracted prior), so differences across candidate
+    states match.
+    """
+    mean_q, cov_q = recover_moments(state)
+
+    old_alpha = prior.alpha + prior.removed_alpha
+    old_b = prior.b + prior.removed_b
+    kl_old = -elbo(
+        state, lik, np.empty((0, state.z.shape[1])), np.empty(0), old_alpha, old_b, prior.mean_ref
+    )
+
+    total = -kl_old
+    x_batch = np.atleast_2d(x_batch)
+    if x_batch.size:
+        mean_b, var_b = predict(state, x_batch)
+        total += float(np.sum(lik.expected_log_lik(y_batch, mean_b, var_b)))
+    if len(memory):
+        mean_m, var_m = predict(state, memory.inputs)
+        total += float(np.sum(lik.expected_log_lik(memory.labels, mean_m, var_m)))
+        factor = dual_factor(state.kzz, prior.removed_alpha, prior.removed_b, prior.mean_ref)
+        total -= expected_log_factor(factor, mean_q, cov_q)
+    return total

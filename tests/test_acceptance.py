@@ -14,27 +14,20 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from oracles import bls_dense, fit_exact, predict_exact, pseudo_data, rls
 
 from dualgp.acquisition import ExpectedImprovement, expected_improvement, fantasize_batch
 from dualgp.dual import (
     elbo,
-    init_state,
     iterate_ngd,
     make_state,
     ngd_step,
     predict,
-    pseudo_data,
 )
-from dualgp.exact import fit_exact, predict_exact
 from dualgp.harness import Standardizer, evaluate_state, load_csv, make_stream
 from dualgp.kernels import Hyperparams, KernelSpec, gram
-from dualgp.likelihoods import (
-    BernoulliLogit,
-    Gaussian,
-    expected_log_lik,
-    site_expectations,
-)
-from dualgp.memory import MemorySet, bls, bls_dense, empty_memory, rls, update_memory
+from dualgp.likelihoods import BernoulliLogit, Gaussian
+from dualgp.memory import MemorySet, bls, empty_memory, update_memory
 from dualgp.representation import pivoted_cholesky_select, project_duals, refresh_representation
 from dualgp.sequential import (
     SequentialConfig,
@@ -79,7 +72,7 @@ def test_criterion_01_conjugate_exactness():
     kernel = _matern(1.3, [0.7])
     with criterion(1, "conjugate exactness with inducing set = data", 1.0):
         state, _, converged = iterate_ngd(
-            init_state(kernel, x), Gaussian(noise), x, y, rho=1.0, max_steps=50, tol=1e-12
+            make_state(kernel, x), Gaussian(noise), x, y, rho=1.0, max_steps=50, tol=1e-12
         )
         assert converged
         x_query = rng.uniform(-2.0, 2.0, (20, 1))
@@ -94,7 +87,7 @@ def test_criterion_02_single_point_fixed_point():
     kernel = KernelSpec("squared_exponential", Hyperparams(1.0, np.array([1.0])))
     z = np.zeros((1, 1))
     with criterion(2, "single-point closed forms", 0.1):
-        state = ngd_step(init_state(kernel, z), Gaussian(1.0), z, np.array([1.0]), rho=1.0)
+        state = ngd_step(make_state(kernel, z), Gaussian(1.0), z, np.array([1.0]), rho=1.0)
         assert state.alpha_u[0] == pytest.approx(0.5, abs=1e-8)
         assert state.b_u[0, 0] == pytest.approx(1.0, abs=1e-8)
         pseudo = pseudo_data(state)
@@ -121,7 +114,7 @@ def test_criterion_03_leverage_score_identities():
                 lik = BernoulliLogit()
                 z = x[rng.choice(n, m, replace=False)]
                 state, _, converged = iterate_ngd(
-                    init_state(kernel, z), lik, x, y, rho=0.5, max_steps=3000, tol=1e-13
+                    make_state(kernel, z), lik, x, y, rho=0.5, max_steps=3000, tol=1e-13
                 )
                 assert converged
                 np.testing.assert_allclose(
@@ -137,7 +130,7 @@ def test_criterion_03_leverage_score_identities():
                 else:
                     z = x[rng.choice(n, int(rng.integers(1, n + 1)), replace=False)]
                 state, _, _ = iterate_ngd(
-                    init_state(kernel, z), lik, x, y, rho=1.0, max_steps=5, tol=1e-12
+                    make_state(kernel, z), lik, x, y, rho=1.0, max_steps=5, tol=1e-12
                 )
                 product = bls(state, lik, x, y)
                 np.testing.assert_allclose(
@@ -171,7 +164,7 @@ def test_criterion_04_memory_limit_equivalence():
                 kernel = _matern(1.0, [0.8])
                 z = x_old[pivoted_cholesky_select(kernel, x_old, 6).indices]
                 state, _, converged = iterate_ngd(
-                    init_state(kernel, z), lik, x_old, y_old, rho=rho, max_steps=3000, tol=tol
+                    make_state(kernel, z), lik, x_old, y_old, rho=rho, max_steps=3000, tol=tol
                 )
                 assert converged
                 memory = MemorySet(inputs=x_old, labels=y_old,
@@ -254,7 +247,7 @@ def _stream_with_random_memory(batches, kernel, lik, config, seed):
         if state is None:
             memory = empty_memory(x_batch.shape[1])
             selection = pivoted_cholesky_select(kernel, x_batch, config.num_inducing)
-            state = init_state(kernel, x_batch[selection.indices])
+            state = make_state(kernel, x_batch[selection.indices])
         else:
             state = refresh_representation(state, x_batch, config.num_inducing)
         state, _ = process_batch(state, lik, config, x_batch, y_batch, memory)
@@ -375,7 +368,7 @@ def test_criterion_08_representation_pipeline():
         y = np.sin(x[:, 0]) + 0.2 * rng.standard_normal(15)
         lik = Gaussian(0.1)
         z = x[pivoted_cholesky_select(kernel, x, 10).indices]
-        state, _, _ = iterate_ngd(init_state(kernel, z), lik, x, y, rho=1.0, max_steps=5)
+        state, _, _ = iterate_ngd(make_state(kernel, z), lik, x, y, rho=1.0, max_steps=5)
 
         same = project_duals(state, state.z)
         np.testing.assert_allclose(same.alpha_u, state.alpha_u, rtol=0, atol=1e-10)
@@ -414,7 +407,7 @@ def test_criterion_09_fantasy_batch_properties():
     kernel = _matern(1.0, [0.8])
     lik = Gaussian(0.1)
     z = x[pivoted_cholesky_select(kernel, x, 15).indices]
-    state, _, _ = iterate_ngd(init_state(kernel, z), lik, x, y, rho=1.0, max_steps=5)
+    state, _, _ = iterate_ngd(make_state(kernel, z), lik, x, y, rho=1.0, max_steps=5)
     with criterion(9, "fantasy batch preservation, shrinkage, improvement vs MC", 30.0):
         alpha_before = state.alpha_u.copy()
         b_before = state.b_u.copy()
@@ -456,10 +449,10 @@ def test_criterion_10_derivative_consistency():
         ]
         for lik, y, mean, var in cases:
             yv, vv = np.array([y]), np.array([var])
-            up = expected_log_lik(lik, yv, np.array([mean + h]), vv)[0]
-            down = expected_log_lik(lik, yv, np.array([mean - h]), vv)[0]
+            up = lik.expected_log_lik(yv, np.array([mean + h]), vv)[0]
+            down = lik.expected_log_lik(yv, np.array([mean - h]), vv)[0]
             fd = (up - down) / (2.0 * h)
-            alpha_hat = site_expectations(lik, yv, np.array([mean]), vv).alpha_hat[0]
+            alpha_hat = lik.site_expectations(yv, np.array([mean]), vv).alpha_hat[0]
             assert fd == pytest.approx(alpha_hat, abs=1e-5)
 
         x = np.linspace(-2.0, 2.0, 12)[:, None]
@@ -467,7 +460,7 @@ def test_criterion_10_derivative_consistency():
         lik = Gaussian(0.25)
         kernel = _matern(0.8, [0.6])
         z = x[pivoted_cholesky_select(kernel, x, 4).indices]
-        state, _, _ = iterate_ngd(init_state(kernel, z), lik, x, y_batch, rho=1.0, max_steps=5)
+        state, _, _ = iterate_ngd(make_state(kernel, z), lik, x, y_batch, rho=1.0, max_steps=5)
         x_mem, y_mem = np.empty((0, 1)), np.empty(0)
 
         def objective(log_theta):

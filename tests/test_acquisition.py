@@ -18,7 +18,7 @@ from dualgp.acquisition import (
     fantasize_batch,
     probability_of_validity,
 )
-from dualgp.dual import init_state, iterate_ngd, ngd_step, predict
+from dualgp.dual import iterate_ngd, make_state, ngd_step, predict
 from dualgp.kernels import Hyperparams, KernelSpec
 from dualgp.likelihoods import BernoulliLogit, Gaussian
 
@@ -34,7 +34,7 @@ def _gaussian_model(rng, n=10):
     x = np.sort(rng.uniform(-3, 3, n))[:, None]
     y = np.sin(1.5 * x[:, 0]) + 0.1 * rng.standard_normal(n)
     lik = Gaussian(noise_variance=0.05)
-    state = ngd_step(init_state(_spec(), x), lik, x, y, rho=1.0)
+    state = ngd_step(make_state(_spec(), x), lik, x, y, rho=1.0)
     return state, lik, x, y
 
 
@@ -42,7 +42,7 @@ def _classifier_model(rng, n=14):
     x = np.sort(rng.uniform(-3, 3, n))[:, None]
     y = np.where(x[:, 0] > 0, 1.0, -1.0)
     lik = BernoulliLogit()
-    state, _, _ = iterate_ngd(init_state(_spec(), x), lik, x, y, rho=0.7, tol=1e-10)
+    state, _, _ = iterate_ngd(make_state(_spec(), x), lik, x, y, rho=0.7, tol=1e-10)
     return state, lik
 
 

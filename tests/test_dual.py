@@ -16,6 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    fit_exact,
+    log_marginal,
+    predict_exact,
+    predict_moments_route,
+    pseudo_data,
+    site_reconstruction_check,
+)
 
 from dualgp.dual import (
     PREDICT_BLOCK,
@@ -24,21 +32,18 @@ from dualgp.dual import (
     dual_factor,
     elbo,
     expected_log_factor,
-    init_state,
     iterate_ngd,
     make_state,
     ngd_step,
     predict,
-    predict_moments_route,
-    pseudo_data,
     recover_moments,
-    site_reconstruction_check,
     state_from_dict,
     state_to_dict,
 )
-from dualgp.exact import fit_exact, log_marginal, predict_exact
-from dualgp.kernels import Hyperparams, KernelSpec
+import dualgp.dual
+from dualgp.kernels import Hyperparams, KernelSpec, stable_cholesky
 from dualgp.likelihoods import BernoulliLogit, Gaussian
+from dualgp.representation import project_duals
 
 ONE_POINT_ELBO = -1.5155121234846454  # log N(1 | 0, 2)
 
@@ -48,7 +53,7 @@ def _spec(variance=1.0, ls=0.8):
 
 
 def _one_point_state():
-    state = init_state(_spec(variance=1.0), np.array([[0.0]]))
+    state = make_state(_spec(variance=1.0), np.array([[0.0]]))
     lik = Gaussian(noise_variance=1.0)
     return ngd_step(state, lik, np.array([[0.0]]), np.array([1.0]), rho=1.0), lik
 
@@ -61,7 +66,7 @@ def _random_state(rng, m=4, scale=0.8):
 
 class TestConstruction:
     def test_defaults_to_prior(self):
-        state = init_state(_spec(), np.array([[0.0], [1.0]]))
+        state = make_state(_spec(), np.array([[0.0], [1.0]]))
         assert state.num_inducing == 2
         np.testing.assert_array_equal(state.alpha_u, 0.0)
         np.testing.assert_array_equal(state.b_u, 0.0)
@@ -71,7 +76,7 @@ class TestConstruction:
             make_state(_spec(), np.array([[0.0], [1.0]]), alpha_u=np.zeros(3))
 
     def test_state_is_frozen(self):
-        state = init_state(_spec(), np.array([[0.0]]))
+        state = make_state(_spec(), np.array([[0.0]]))
         with pytest.raises(AttributeError):
             state.alpha_u = np.ones(1)
 
@@ -142,7 +147,7 @@ class TestNgdStep:
         x = np.sort(rng.uniform(-2, 2, 8))[:, None]
         y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(8)
         noise = 0.05
-        state = init_state(_spec(), x)
+        state = make_state(_spec(), x)
         state = ngd_step(state, Gaussian(noise), x, y, rho=1.0)
         x_test = np.linspace(-2.5, 2.5, 25)[:, None]
         mean, var = predict(state, x_test)
@@ -156,7 +161,7 @@ class TestNgdStep:
         x = rng.uniform(-1, 1, (5, 1))
         y = rng.standard_normal(5)
         lik = Gaussian(noise_variance=0.3)
-        state = init_state(_spec(), x)
+        state = make_state(_spec(), x)
         target = ngd_step(state, lik, x, y, rho=1.0)
         damped, steps, converged = iterate_ngd(state, lik, x, y, rho=0.6, tol=1e-12)
         assert converged
@@ -167,7 +172,7 @@ class TestNgdStep:
     def test_iterate_reports_nonconvergence(self, rng):
         x = rng.uniform(-1, 1, (5, 1))
         y = rng.standard_normal(5)
-        state = init_state(_spec(), x)
+        state = make_state(_spec(), x)
         _, steps, converged = iterate_ngd(state, Gaussian(0.3), x, y, rho=0.5, max_steps=2)
         assert steps == 2
         assert not converged
@@ -177,7 +182,7 @@ class TestNgdStep:
         x = rng.uniform(-2, 2, (6, 1))
         y = np.where(rng.standard_normal(6) > 0, 1.0, -1.0)
         lik = BernoulliLogit()
-        state = init_state(_spec(), x)
+        state = make_state(_spec(), x)
         state, _, converged = iterate_ngd(state, lik, x, y, rho=0.7, tol=1e-12)
         assert converged
         sites = compute_sites(state, lik, x, y)
@@ -187,7 +192,7 @@ class TestNgdStep:
         x = rng.uniform(-2, 2, (6, 1))
         y = np.where(rng.standard_normal(6) > 0, 1.0, -1.0)
         lik = BernoulliLogit()
-        state = ngd_step(init_state(_spec(), x), lik, x, y, rho=0.3)
+        state = ngd_step(make_state(_spec(), x), lik, x, y, rho=0.3)
         sites = compute_sites(state, lik, x, y)
         assert site_reconstruction_check(state, sites, x) > 1e-3
 
@@ -262,7 +267,7 @@ class TestPredict:
 
 class TestElbo:
     def test_zero_at_prior_with_no_data(self):
-        state = init_state(_spec(), np.array([[0.0], [1.0]]))
+        state = make_state(_spec(), np.array([[0.0], [1.0]]))
         assert elbo(state, Gaussian(1.0), np.empty((0, 1)), np.empty(0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_kl_to_self_is_zero(self, rng):
@@ -285,7 +290,7 @@ class TestElbo:
         noise = 0.2
         lik = Gaussian(noise)
         z = x[:4]
-        state, _, _ = iterate_ngd(init_state(_spec(), z), lik, x, y, rho=0.8, tol=1e-12)
+        state, _, _ = iterate_ngd(make_state(_spec(), z), lik, x, y, rho=0.8, tol=1e-12)
         exact = log_marginal(fit_exact(_spec(), x, y, noise_variance=noise))
         assert elbo(state, lik, x, y) < exact
 
@@ -294,7 +299,7 @@ class TestElbo:
         y = rng.standard_normal(7)
         noise = 0.3
         lik = Gaussian(noise)
-        state = ngd_step(init_state(_spec(), x), lik, x, y, rho=1.0)
+        state = ngd_step(make_state(_spec(), x), lik, x, y, rho=1.0)
         exact = log_marginal(fit_exact(_spec(), x, y, noise_variance=noise))
         assert elbo(state, lik, x, y) == pytest.approx(exact, rel=1e-8)
 
@@ -309,7 +314,7 @@ class TestPseudoData:
         """Conditioning the prior on the pseudo data rebuilds the dual pair."""
         x = rng.uniform(-2, 2, (6, 1))
         y = rng.standard_normal(6)
-        state = ngd_step(init_state(_spec(), x), Gaussian(0.4), x, y, rho=1.0)
+        state = ngd_step(make_state(_spec(), x), Gaussian(0.4), x, y, rho=1.0)
         pseudo = pseudo_data(state)
         assert not pseudo.degenerate
         keff = state.kzz.regularized
@@ -320,7 +325,7 @@ class TestPseudoData:
 
     def test_rank_deficiency_is_reported(self, rng):
         z = rng.uniform(-2, 2, (3, 1))
-        state = init_state(_spec(), z)
+        state = make_state(_spec(), z)
         x = np.array([[0.3]])
         state = ngd_step(state, Gaussian(0.5), x, np.array([1.0]), rho=1.0)
         pseudo = pseudo_data(state)
@@ -330,7 +335,7 @@ class TestPseudoData:
 
 class TestFactors:
     def test_zero_rank_contributes_nothing(self):
-        state = init_state(_spec(), np.array([[0.0], [1.0]]))
+        state = make_state(_spec(), np.array([[0.0], [1.0]]))
         factor = dual_factor(state.kzz, np.zeros(2), np.zeros((2, 2)), np.zeros(2))
         assert factor.rank == 0
         assert expected_log_factor(factor, np.ones(2), np.eye(2)) == 0.0
@@ -361,6 +366,67 @@ class TestFactors:
             - logdet_prec
         )
         assert expected_log_factor(factor, mean, cov) == pytest.approx(float(direct), rel=1e-10)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Shapes of the matrices ``dualgp.dual`` factorizes while the test runs."""
+    shapes = []
+
+    def counting(matrix):
+        shapes.append(np.shape(matrix))
+        return stable_cholesky(matrix)
+
+    monkeypatch.setattr(dualgp.dual, "stable_cholesky", counting)
+    return shapes
+
+
+def _states_by_construction(rng):
+    """States built by each route that sets ``b_u``, one with a jittered K_zz."""
+    state = _random_state(rng, m=5)
+    x = rng.uniform(-2, 2, (6, 1))
+    duplicated = make_state(_spec(), np.array([[0.0], [0.0], [1.0]]))
+    return {
+        "make_state": state,
+        "make_state_jittered": duplicated,
+        "ngd_step": ngd_step(state, Gaussian(0.4), x, np.sin(x[:, 0]), rho=0.6),
+        "ngd_step_jittered": ngd_step(duplicated, Gaussian(0.4), x, np.cos(x[:, 0]), rho=1.0),
+        "project_duals": project_duals(state, rng.uniform(-2, 2, (4, 1))),
+        "state_from_dict": state_from_dict(state_to_dict(state)),
+    }
+
+
+class TestFactorOnce:
+    """Each state carries the factor of ``K_zz + b_u``; readers never rebuild it."""
+
+    def test_readers_do_not_factorize(self, rng, factorizations):
+        state = _random_state(rng, m=5)
+        x = rng.uniform(-2, 2, (7, 1))
+        factorizations.clear()
+        predict(state, x)
+        recover_moments(state)
+        elbo(state, Gaussian(0.5), x, rng.standard_normal(7))
+        elbo(state, BernoulliLogit(), x, np.sign(rng.standard_normal(7)))
+        assert factorizations == []
+
+    def test_ngd_step_factorizes_once(self, rng, factorizations):
+        state = _random_state(rng, m=5)
+        x = rng.uniform(-2, 2, (7, 1))
+        factorizations.clear()
+        ngd_step(state, Gaussian(0.5), x, rng.standard_normal(7), rho=0.6)
+        assert factorizations == [(5, 5)]
+
+    def test_stored_factor_is_the_fresh_factor(self, rng):
+        states = _states_by_construction(rng)
+        assert states["make_state_jittered"].kzz.jitter_used > 0.0
+        for name, state in states.items():
+            fresh = stable_cholesky(state.kzz.regularized + state.b_u)
+            assert np.array_equal(state.kq.chol, fresh.chol), name
+            assert state.kq.jitter_used == fresh.jitter_used, name
+
+    def test_state_keeps_only_the_triangular_factor(self, rng):
+        state = _random_state(rng, m=5)
+        assert set(vars(state.kq)) == {"chol", "jitter_used"}
 
 
 class TestSerialization:

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from oracles import fit_exact, log_marginal, predict_exact
 
-from dualgp.exact import fit_exact, log_marginal, predict_exact
 from dualgp.kernels import Hyperparams, KernelSpec
 
 

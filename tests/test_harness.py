@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualgp.dual import init_state, ngd_step, predict
+from dualgp.dual import make_state, ngd_step, predict
 from dualgp.harness import (
     ConfigError,
     EmptyFile,
@@ -152,7 +152,7 @@ class TestMetrics:
         x = rng.uniform(-2, 2, (10, 1))
         y = np.sin(x[:, 0])
         lik = Gaussian(0.1)
-        state = ngd_step(init_state(spec, x), lik, x, y, rho=1.0)
+        state = ngd_step(make_state(spec, x), lik, x, y, rho=1.0)
         out = evaluate_state(state, lik, x, y)
         assert set(out) == {"nlpd", "rmse_or_error"}
         assert out["rmse_or_error"] < 0.3
@@ -162,7 +162,7 @@ class TestMetrics:
         x = np.linspace(-2, 2, 12)[:, None]
         y = np.where(x[:, 0] > 0, 1.0, 0.0)  # {0,1} labels accepted
         lik = BernoulliLogit()
-        state = init_state(spec, x)
+        state = make_state(spec, x)
         for _ in range(30):
             state = ngd_step(state, lik, x, y, rho=0.7)
         out = evaluate_state(state, lik, x, y)
@@ -283,7 +283,7 @@ class TestCheckpoint:
         x = rng.uniform(-2, 2, (6, 1))
         y = np.sin(x[:, 0])
         lik = Gaussian(0.1)
-        return ngd_step(init_state(spec, x), lik, x, y, rho=1.0), lik
+        return ngd_step(make_state(spec, x), lik, x, y, rho=1.0), lik
 
     def test_round_trip_state_and_extras(self, rng, tmp_path):
         state, lik = self._fitted(rng)

@@ -17,11 +17,8 @@ from dualgp.likelihoods import (
     DEFAULT_QUAD_POINTS,
     BernoulliLogit,
     Gaussian,
-    expected_log_lik,
     gauss_hermite_expectation,
     likelihood_from_dict,
-    predictive_density,
-    site_expectations,
 )
 
 # Frozen by tests/oracles.py: mc_bernoulli_sites(y, mean, var).
@@ -225,13 +222,6 @@ class TestBernoulliLogit:
 
 
 class TestModuleHelpers:
-    def test_wrappers_delegate(self):
-        lik = Gaussian(noise_variance=1.0)
-        y, m, v = np.array([1.0]), np.array([0.0]), np.array([0.5])
-        assert site_expectations(lik, y, m, v).alpha_hat[0] == 1.0
-        assert expected_log_lik(lik, y, m, v)[0] == lik.expected_log_lik(y, m, v)[0]
-        assert predictive_density(lik, y, m, v)[0] == lik.predictive_density(y, m, v)[0]
-
     def test_round_trip_gaussian(self):
         back = likelihood_from_dict(Gaussian(noise_variance=0.3).to_dict())
         assert isinstance(back, Gaussian)

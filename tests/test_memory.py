@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from oracles import bls_dense, rls
 
-from dualgp.dual import init_state, iterate_ngd, ngd_step, predict
+from dualgp.dual import iterate_ngd, make_state, ngd_step, predict
 from dualgp.kernels import Hyperparams, KernelSpec, gram
 from dualgp.likelihoods import BernoulliLogit, Gaussian
-from dualgp.memory import MemorySet, bls, bls_dense, empty_memory, rls, update_memory
+from dualgp.memory import MemorySet, bls, empty_memory, update_memory
 
 
 def _spec(ls=0.8):
@@ -17,7 +18,7 @@ def _converged_gaussian_state(rng, n=8):
     x = rng.uniform(-2, 2, (n, 1))
     y = np.sin(x[:, 0]) + 0.2 * rng.standard_normal(n)
     lik = Gaussian(noise_variance=0.3)
-    state = ngd_step(init_state(_spec(), x), lik, x, y, rho=1.0)
+    state = ngd_step(make_state(_spec(), x), lik, x, y, rho=1.0)
     return state, lik, x, y
 
 
@@ -46,7 +47,7 @@ class TestScores:
         x = rng.uniform(-2, 2, (7, 1))
         y = np.where(rng.standard_normal(7) > 0, 1.0, -1.0)
         lik = BernoulliLogit()
-        state, _, converged = iterate_ngd(init_state(_spec(), x), lik, x, y, rho=0.7, tol=1e-12)
+        state, _, converged = iterate_ngd(make_state(_spec(), x), lik, x, y, rho=0.7, tol=1e-12)
         assert converged
         np.testing.assert_allclose(
             bls(state, lik, x, y), bls_dense(state, lik, x, y), atol=1e-9
@@ -169,7 +170,7 @@ class TestUpdateMemory:
         """
         z = np.array([[0.0], [1.5]])
         lik = Gaussian(noise_variance=0.5)
-        state = init_state(_spec(), z)
+        state = make_state(_spec(), z)
         x = np.array([[0.0], [50.0]])
         y = np.array([0.0, 0.0])
         state = ngd_step(state, lik, np.array([[0.0]] * 9), np.zeros(9), rho=1.0)

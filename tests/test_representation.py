@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualgp.dual import init_state, make_state, ngd_step, predict
+from dualgp.dual import make_state, ngd_step, predict
 from dualgp.kernels import Hyperparams, KernelSpec, gram
 from dualgp.likelihoods import Gaussian
 from dualgp.representation import (
@@ -108,7 +108,7 @@ class TestProjection:
         """Adding inducing points on top of the old ones changes nothing."""
         x = rng.uniform(-2, 2, (6, 1))
         y = rng.standard_normal(6)
-        state = ngd_step(init_state(_spec(), x), Gaussian(0.3), x, y, rho=1.0)
+        state = ngd_step(make_state(_spec(), x), Gaussian(0.3), x, y, rho=1.0)
         z_sup = np.vstack([x, rng.uniform(-2, 2, (3, 1))])
         wide = project_duals(state, z_sup)
         x_test = rng.uniform(-2, 2, (10, 1))
@@ -117,7 +117,7 @@ class TestProjection:
 
     def test_projected_b_stays_psd_through_many_cycles(self, rng):
         """A hundred select-and-project rounds never break PSD-ness."""
-        state = init_state(_spec(), rng.uniform(-2, 2, (8, 1)))
+        state = make_state(_spec(), rng.uniform(-2, 2, (8, 1)))
         lik = Gaussian(0.3)
         for _ in range(100):
             x = rng.uniform(-2, 2, (4, 1))
@@ -128,12 +128,12 @@ class TestProjection:
             assert w.min() > -1e-9 * max(w.max(), 1.0)
 
     def test_refresh_keeps_budget(self, rng):
-        state = init_state(_spec(), rng.uniform(-2, 2, (6, 1)))
+        state = make_state(_spec(), rng.uniform(-2, 2, (6, 1)))
         refreshed = refresh_representation(state, rng.uniform(-2, 2, (10, 1)), max_points=6)
         assert refreshed.num_inducing <= 6
 
     def test_refresh_with_empty_batch_reselects_from_old(self, rng):
         z = rng.uniform(-2, 2, (6, 1))
-        state = init_state(_spec(), z)
+        state = make_state(_spec(), z)
         refreshed = refresh_representation(state, np.empty((0, 1)), max_points=4)
         assert refreshed.num_inducing == 4

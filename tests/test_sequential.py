@@ -11,11 +11,14 @@ which also equals the evidence bound plus half log 2 pi there.
 
 import numpy as np
 import pytest
+from oracles import seq_objective_vcl_form
 
-from dualgp.dual import elbo, init_state, iterate_ngd, ngd_step, predict
+from dualgp.dual import elbo, iterate_ngd, make_state, ngd_step, predict
+from dualgp.harness import make_stream
 from dualgp.kernels import Hyperparams, KernelSpec
 from dualgp.likelihoods import BernoulliLogit, Gaussian
 from dualgp.memory import MemorySet, empty_memory
+from dualgp.representation import pivoted_cholesky_select
 from dualgp.sequential import (
     SequentialConfig,
     fit_offline,
@@ -26,7 +29,6 @@ from dualgp.sequential import (
     remove_memory,
     run_stream,
     seq_objective,
-    seq_objective_vcl_form,
 )
 
 ONE_POINT_HYPER_OBJECTIVE = -0.5965735902799727
@@ -44,7 +46,7 @@ def _fitted_gaussian(rng, n=6, noise=0.3):
     x = rng.uniform(-2, 2, (n, 1))
     y = np.sin(x[:, 0]) + 0.2 * rng.standard_normal(n)
     lik = Gaussian(noise)
-    state = ngd_step(init_state(_spec(noise=noise), x), lik, x, y, rho=1.0)
+    state = ngd_step(make_state(_spec(noise=noise), x), lik, x, y, rho=1.0)
     return state, lik, x, y
 
 
@@ -76,7 +78,7 @@ class TestRemoveMemory:
         x = rng.uniform(-2, 2, (8, 1))
         y = np.sin(x[:, 0])
         lik = Gaussian(0.3)
-        state = init_state(_spec(), x[:5])
+        state = make_state(_spec(), x[:5])
         for _ in range(2):
             state = ngd_step(state, lik, x, y, rho=0.6)
         prior = remove_memory(state, lik, _memory_of(x[:4], y[:4]))
@@ -100,13 +102,13 @@ class TestSeqObjective:
             lik = Gaussian(0.3)
             y_old = np.sin(x_old[:, 0]) + 0.1 * rng.standard_normal(6)
             y_new = np.sin(x_new[:, 0]) + 0.1 * rng.standard_normal(4)
-            state = ngd_step(init_state(_spec(), x_old), lik, x_old, y_old, rho=1.0)
+            state = ngd_step(make_state(_spec(), x_old), lik, x_old, y_old, rho=1.0)
         else:
             lik = BernoulliLogit()
             y_old = np.where(rng.standard_normal(6) > 0, 1.0, -1.0)
             y_new = np.where(rng.standard_normal(4) > 0, 1.0, -1.0)
             state, _, converged = iterate_ngd(
-                init_state(_spec(), x_old), lik, x_old, y_old, rho=0.7, tol=1e-12
+                make_state(_spec(), x_old), lik, x_old, y_old, rho=0.7, tol=1e-12
             )
             assert converged
         memory = _memory_of(x_old, y_old)
@@ -130,7 +132,7 @@ class TestSeqObjective:
         x_new = rng.uniform(-2, 2, (3, 1))
         y_new = np.sin(x_new[:, 0])
         lik = Gaussian(0.3)
-        state = ngd_step(init_state(_spec(), x_old), lik, x_old, y_old, rho=1.0)
+        state = ngd_step(make_state(_spec(), x_old), lik, x_old, y_old, rho=1.0)
         memory = _memory_of(x_old[:3], y_old[:3])
         prior = remove_memory(state, lik, memory)
 
@@ -195,7 +197,7 @@ class TestHyperObjective:
         spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.8]), noise_variance=1.0))
         lik = Gaussian(1.0)
         x, y = np.array([[0.0]]), np.array([1.0])
-        state = ngd_step(init_state(spec, x), lik, x, y, rho=1.0)
+        state = ngd_step(make_state(spec, x), lik, x, y, rho=1.0)
         val = hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, spec.hyper)
         assert val == pytest.approx(ONE_POINT_HYPER_OBJECTIVE, rel=1e-12)
 
@@ -203,7 +205,7 @@ class TestHyperObjective:
         spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.8]), noise_variance=1.0))
         lik = Gaussian(1.0)
         x, y = np.array([[0.0]]), np.array([1.0])
-        state = ngd_step(init_state(spec, x), lik, x, y, rho=1.0)
+        state = ngd_step(make_state(spec, x), lik, x, y, rho=1.0)
         val = hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, spec.hyper)
         bound = elbo(state, lik, x, y)
         assert val - bound == pytest.approx(0.5 * np.log(2.0 * np.pi), rel=1e-12)
@@ -243,7 +245,7 @@ class TestOptimizeHypers:
         y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(30)
         spec = _spec(ls=2.0, noise=0.5)
         lik = Gaussian(0.5)
-        state = ngd_step(init_state(spec, x[::3]), lik, x, y, rho=1.0)
+        state = ngd_step(make_state(spec, x[::3]), lik, x, y, rho=1.0)
         config = SequentialConfig(num_inducing=10, hyper_steps=10, hyper_lr=0.05)
         _, _, trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
         diffs = np.diff(np.asarray(trace))
@@ -254,7 +256,7 @@ class TestOptimizeHypers:
         y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(30)
         spec = _spec(ls=2.0, noise=0.5)
         lik = Gaussian(0.5)
-        state = ngd_step(init_state(spec, x[::3]), lik, x, y, rho=1.0)
+        state = ngd_step(make_state(spec, x[::3]), lik, x, y, rho=1.0)
         config = SequentialConfig(num_inducing=10, hyper_steps=15, hyper_lr=0.08)
         new_state, new_lik, trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
         assert trace[-1] > trace[0]
@@ -272,7 +274,7 @@ class TestOptimizeHypers:
         x = rng.uniform(-2, 2, (10, 1))
         y = np.where(x[:, 0] > 0, 1.0, -1.0)
         lik = BernoulliLogit()
-        state, _, _ = iterate_ngd(init_state(_spec(), x), lik, x, y, rho=0.7, tol=1e-10)
+        state, _, _ = iterate_ngd(make_state(_spec(), x), lik, x, y, rho=0.7, tol=1e-10)
         config = SequentialConfig(num_inducing=10, hyper_steps=3, hyper_lr=0.05)
         _, new_lik, trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
         assert new_lik is lik
@@ -350,6 +352,51 @@ class TestRunStream:
         config = SequentialConfig(num_inducing=8)
         result = run_stream(batches, _spec(), Gaussian(0.3), config)
         assert result.state.num_inducing <= 8
+
+
+class TestOneDimensionalInputs:
+    """A 1-D input array is n points in one dimension at every entry point."""
+
+    def test_make_state(self):
+        z = np.array([0.0, 1.0, 2.0])
+        flat, column = make_state(_spec(), z), make_state(_spec(), z[:, None])
+        assert flat.z.shape == (3, 1)
+        for name in ("z", "alpha_u", "b_u"):
+            assert np.array_equal(getattr(flat, name), getattr(column, name))
+        assert np.array_equal(flat.kzz.chol, column.kzz.chol)
+
+    def test_pivoted_cholesky_select(self, rng):
+        x = rng.uniform(-3, 3, 20)
+        flat = pivoted_cholesky_select(_spec(), x, 6)
+        column = pivoted_cholesky_select(_spec(), x[:, None], 6)
+        assert len(flat.indices) == 6
+        assert np.array_equal(flat.indices, column.indices)
+        assert np.array_equal(flat.residual_diag, column.residual_diag)
+
+    def test_make_stream(self, rng):
+        x, y = rng.uniform(-3, 3, 10), rng.standard_normal(10)
+        flat_batches = make_stream(x, y, 3, order="sorted")
+        column_batches = make_stream(x[:, None], y, 3, order="sorted")
+        for flat, column in zip(flat_batches, column_batches):
+            assert np.array_equal(flat[0], column[0]) and np.array_equal(flat[1], column[1])
+
+    def test_run_stream(self, rng):
+        x = np.sort(rng.uniform(-3, 3, 60))
+        y = np.sin(2.0 * x) + 0.1 * rng.standard_normal(60)
+        config = SequentialConfig(num_inducing=8, memory_capacity=6, hyper_steps=1)
+        flat = run_stream(
+            zip(np.array_split(x, 3), np.array_split(y, 3)), _spec(), Gaussian(0.3), config
+        )
+        column = run_stream(
+            zip(np.array_split(x[:, None], 3), np.array_split(y, 3)), _spec(), Gaussian(0.3), config
+        )
+        for name in ("z", "alpha_u", "b_u"):
+            assert np.array_equal(getattr(flat.state, name), getattr(column.state, name))
+        assert np.array_equal(flat.memory.inputs, column.memory.inputs)
+        for a, b in zip(flat.records, column.records):
+            assert {k: v for k, v in a.items() if k != "wall_ms"} == {
+                k: v for k, v in b.items() if k != "wall_ms"
+            }
 
 
 class TestFitOffline:
