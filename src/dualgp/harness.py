@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -190,7 +190,6 @@ class RunConfig:
     memory_capacity: int = 50
     hyper_steps: int = 20
     hyper_lr: float = 1e-2
-    fd_step: float = 1e-4
     remove_memory_from_prior: bool = True
     replay_memory: bool = True
     pool_includes_memory: bool = True
@@ -219,7 +218,6 @@ _CONFIG_SCHEMA = {
         "memory_capacity": ("memory_capacity", int),
         "hyper_steps": ("hyper_steps", int),
         "hyper_lr": ("hyper_lr", float),
-        "fd_step": ("fd_step", float),
         "remove_memory_from_prior": ("remove_memory_from_prior", "bool"),
         "replay_memory": ("replay_memory", "bool"),
         "pool_includes_memory": ("pool_includes_memory", "bool"),
@@ -308,16 +306,7 @@ def make_likelihood(config: RunConfig) -> Likelihood:
 
 def make_seq_config(config: RunConfig) -> SequentialConfig:
     return SequentialConfig(
-        num_inducing=config.num_inducing,
-        ngd_rho=config.ngd_rho,
-        ngd_steps=config.ngd_steps,
-        memory_capacity=config.memory_capacity,
-        hyper_steps=config.hyper_steps,
-        hyper_lr=config.hyper_lr,
-        fd_step=config.fd_step,
-        remove_memory_from_prior=config.remove_memory_from_prior,
-        replay_memory=config.replay_memory,
-        pool_includes_memory=config.pool_includes_memory,
+        **{f.name: getattr(config, f.name) for f in fields(SequentialConfig)}
     )
 
 

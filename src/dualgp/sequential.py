@@ -25,19 +25,16 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, qr, solve_triangular
 
 from .dual import (
     RANK_TOL,
     DualState,
     compute_sites,
-    dual_factor,
-    expected_log_factor,
     elbo,
     make_state,
     ngd_step,
     predict,
-    recover_moments,
 )
 from .kernels import Hyperparams, KernelSpec, as_points, gram, stable_cholesky
 from .likelihoods import Gaussian, Likelihood
@@ -45,6 +42,9 @@ from .memory import MemorySet, empty_memory, update_memory
 from .representation import pivoted_cholesky_select, refresh_representation
 
 logger = logging.getLogger(__name__)
+
+# Step in log-theta of the central differences taken by optimize_hypers.
+FD_STEP = 1e-4
 
 
 @dataclass
@@ -65,7 +65,6 @@ class SequentialConfig:
     memory_capacity: int = 0
     hyper_steps: int = 0
     hyper_lr: float = 1e-2
-    fd_step: float = 1e-4
     remove_memory_from_prior: bool = True
     replay_memory: bool = True
     pool_includes_memory: bool = True
@@ -195,13 +194,6 @@ def seq_objective(
     return elbo(state, lik, x_all, y_all, prior.alpha, prior.b, prior.mean_ref)
 
 
-def _pinv_psd(matrix: np.ndarray) -> np.ndarray:
-    w, u = eigh(0.5 * (matrix + matrix.T))
-    keep = w > RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
-    u_r = u[:, keep]
-    return (u_r / w[keep]) @ u_r.T
-
-
 def hyper_objective(
     state: DualState,
     lik: Likelihood,
@@ -214,42 +206,62 @@ def hyper_objective(
 ) -> float:
     """Hyperparameter ascent target with the dual parameters frozen.
 
-    The normalizer part is ``-1/2 log|K B^+ K + K| - 1/2 b^T (B + K)^{-1} b``
-    with ``b = B^+ alpha_u + mean`` held fixed and only ``K = K(theta)``
-    rebuilt; the correction adds the batch data term under the
-    theta-dependent marginals, the memory data term rescaled by
-    ``n_old / n_mem`` (omitted when the memory is empty), and subtracts the
-    expected log pseudo-likelihood of the full state under theta.
+    Only ``K = K_zz(theta)`` is rebuilt; ``alpha = alpha_u`` and ``B = b_u``
+    stay fixed.  The target is the normalizer ``-1/2 log|K B^+ K + K|
+    - 1/2 b^T S^{-1} b`` (``S = K + B``, ``b = B^+ alpha + alpha``), plus the
+    batch data term and the memory data term times ``n_old / n_mem``, minus
+    the expected log pseudo-likelihood of the state (the factor with
+    precision ``P = K^{-1} B K^{-1}``, normalized on its support).  A
+    Gaussian likelihood takes its noise from ``hyper.noise_variance`` unless
+    that is None.
+
+    It is one closed form over the factors of ``K`` and ``S`` and one
+    eigendecomposition ``B = U W U^T`` on the range of ``B`` (the ``r``
+    eigenvalues above ``RANK_TOL * max``).  With ``a = K^{-1} alpha``, the
+    thin QR ``K^{-1} U = Q R`` and ``g = R^{-1} Q^T a``, the target minus
+    its data terms is::
+
+        -1/2 log|K| - 1/2 b^T S^{-1} b + 1/2 [ ||L_S^{-1} U W^{1/2}||_F^2
+            + g^T W^{-1} g - 2 alpha^T (a - Q Q^T a) + r log 2 pi
+            - 2 sum log|R_ii| - log|W| - log|I_r + W^{-1/2} U^T K U W^{-1/2}| ]
+
+    The norm is ``tr(S^{-1} B)``, ``2 sum log|R_ii| + log|W|`` is the log
+    pseudo-determinant of ``P``, and the bracket is 0 at ``r = 0``.
     """
     kernel = state.kernel.with_hyper(hyper)
     rebuilt = make_state(kernel, state.z, state.alpha_u, state.b_u)
-    if isinstance(lik, Gaussian):
+    if isinstance(lik, Gaussian) and hyper.noise_variance is not None:
         lik = Gaussian(noise_variance=float(hyper.noise_variance))
+    kzz, kq, alpha = rebuilt.kzz, rebuilt.kq, state.alpha_u
 
-    keff = rebuilt.kzz.regularized
-    b_pinv = _pinv_psd(state.b_u)
-    b_vec = b_pinv @ state.alpha_u + state.alpha_u
-    normal_matrix = keff @ b_pinv @ keff + keff
-    l_norm = stable_cholesky(0.5 * (normal_matrix + normal_matrix.T))
-    half = rebuilt.kq.half_solve(b_vec)
-    log_z = -0.5 * l_norm.logdet() - 0.5 * float(half @ half)
+    w, u = eigh(0.5 * (state.b_u + state.b_u.T))
+    keep = w > RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
+    w, u = w[keep], u[:, keep]
+    half = kq.half_solve(u @ ((u.T @ alpha) / w) + alpha)
+    value = -0.5 * kzz.logdet() - 0.5 * float(half @ half)
+    if w.size:
+        a = kzz.solve(alpha)
+        q, r = qr(kzz.solve(u), mode="economic")
+        q_a = q.T @ a
+        g = solve_triangular(r, q_a)
+        trace = kq.half_solve(u * np.sqrt(w))
+        scaled = (kzz.chol.T @ u) / np.sqrt(w)
+        inner = stable_cholesky(np.eye(w.size) + scaled.T @ scaled)
+        value += 0.5 * (
+            float(np.sum(trace * trace) + g @ (g / w) - 2.0 * alpha @ (a - q @ q_a))
+            + w.size * np.log(2.0 * np.pi)
+            - float(np.sum(np.log(w * np.diag(r) ** 2)))
+            - inner.logdet()
+        )
 
-    correction = 0.0
-    x_batch = as_points(x_batch)
-    if x_batch.size:
+    x_batch, x_mem = as_points(x_batch), as_points(x_mem)
+    if len(x_batch):
         mean_b, var_b = predict(rebuilt, x_batch)
-        correction += float(np.sum(lik.expected_log_lik(y_batch, mean_b, var_b)))
-    x_mem = as_points(x_mem)
-    n_mem = x_mem.shape[0] if x_mem.size else 0
-    if n_mem:
+        value += float(np.sum(lik.expected_log_lik(y_batch, mean_b, var_b)))
+    if len(x_mem):
         mean_m, var_m = predict(rebuilt, x_mem)
-        scale = n_old / n_mem
-        correction += scale * float(np.sum(lik.expected_log_lik(y_mem, mean_m, var_m)))
-
-    mean_q, cov_q = recover_moments(rebuilt)
-    factor = dual_factor(rebuilt.kzz, state.alpha_u, state.b_u, state.alpha_u)
-    correction -= expected_log_factor(factor, mean_q, cov_q)
-    return log_z + correction
+        value += n_old / len(x_mem) * float(np.sum(lik.expected_log_lik(y_mem, mean_m, var_m)))
+    return value
 
 
 def _pack_log_theta(hyper: Hyperparams, with_noise: bool) -> tuple[np.ndarray, list[str]]:
@@ -304,7 +316,7 @@ def optimize_hypers(
 ) -> tuple[DualState, Likelihood, list[float]]:
     """Guarded Adam-style ascent on :func:`hyper_objective` in log space.
 
-    Gradients come from central finite differences (step ``config.fd_step``).
+    Gradients come from central finite differences (step ``FD_STEP``).
     A candidate step is rejected, and the learning rate halved, whenever it
     would decrease the objective by more than 1e-6 or make it non-finite.
     Returns the state rebuilt at the accepted hyperparameters, the matching
@@ -314,14 +326,11 @@ def optimize_hypers(
     hyper = state.kernel.hyper.copy()
     if with_noise and hyper.noise_variance is None:
         hyper = replace(hyper, noise_variance=lik.noise_variance)
-    x_mem = memory.inputs if len(memory) else np.empty((0, as_points(x_batch).shape[1]))
-    y_mem = memory.labels if len(memory) else np.empty(0)
-
     log_theta, names = _pack_log_theta(hyper, with_noise)
 
     def objective(lt: np.ndarray) -> float:
         h = _unpack_log_theta(lt, names, hyper)
-        return hyper_objective(state, lik, x_batch, y_batch, x_mem, y_mem, n_old, h)
+        return hyper_objective(state, lik, x_batch, y_batch, memory.inputs, memory.labels, n_old, h)
 
     current = objective(log_theta)
     trace = [current]
@@ -330,7 +339,7 @@ def optimize_hypers(
     m2 = np.zeros_like(log_theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for step in range(1, config.hyper_steps + 1):
-        grad = hyper_gradient(objective, log_theta, config.fd_step)
+        grad = hyper_gradient(objective, log_theta, FD_STEP)
         m1 = beta1 * m1 + (1.0 - beta1) * grad
         m2 = beta2 * m2 + (1.0 - beta2) * grad * grad
         m1_hat = m1 / (1.0 - beta1**step)

@@ -11,7 +11,8 @@ The rest are reference routes the engine does not run, each an independent
 assembly of a quantity the package computes another way: exact dense GP
 regression, predictive marginals through the moment form, the pseudo-data
 view of a state, a site-by-site rebuild of a state, dense-route and classical
-ridge leverage scores, and the four-term rewrite of the streaming objective.
+ridge leverage scores, the four-term rewrite of the streaming objective, and
+the term-by-term hyperparameter objective.
 """
 
 from __future__ import annotations
@@ -29,11 +30,20 @@ from dualgp.dual import (
     dual_factor,
     elbo,
     expected_log_factor,
+    make_state,
     predict,
     recover_moments,
 )
-from dualgp.kernels import GramFactor, KernelSpec, gram, gram_diag, stable_cholesky
-from dualgp.likelihoods import Likelihood, SiteValues
+from dualgp.kernels import (
+    GramFactor,
+    Hyperparams,
+    KernelSpec,
+    as_points,
+    gram,
+    gram_diag,
+    stable_cholesky,
+)
+from dualgp.likelihoods import Gaussian, Likelihood, SiteValues
 from dualgp.memory import MemorySet
 from dualgp.sequential import AdjustedPrior
 
@@ -318,3 +328,56 @@ def seq_objective_vcl_form(
         factor = dual_factor(state.kzz, prior.removed_alpha, prior.removed_b, prior.mean_ref)
         total -= expected_log_factor(factor, mean_q, cov_q)
     return total
+
+
+def hyper_objective_reference(
+    state: DualState,
+    lik: Likelihood,
+    x_batch: np.ndarray,
+    y_batch: np.ndarray,
+    x_mem: np.ndarray,
+    y_mem: np.ndarray,
+    n_old: int,
+    hyper: Hyperparams,
+) -> float:
+    """The hyperparameter objective assembled term by term.
+
+    Normalizer ``-1/2 log|K B^+ K + K| - 1/2 b^T (B + K)^{-1} b`` with
+    ``b = B^+ alpha_u + alpha_u`` through an explicit pseudo-inverse, plus
+    the data terms, minus the expected log pseudo-likelihood through
+    :func:`dual_factor` (its own eigendecomposition of ``K^{-1} B K^{-1}``)
+    and the moment-form covariance.  Ranks come from ``K^{-1} B K^{-1}``
+    here and from ``B`` in ``dualgp.sequential.hyper_objective``, so the
+    two can part where ``B`` is ill-conditioned.
+    """
+    kernel = state.kernel.with_hyper(hyper)
+    rebuilt = make_state(kernel, state.z, state.alpha_u, state.b_u)
+    if isinstance(lik, Gaussian):
+        lik = Gaussian(noise_variance=float(hyper.noise_variance))
+
+    keff = rebuilt.kzz.regularized
+    w, u = eigh(0.5 * (state.b_u + state.b_u.T))
+    keep = w > RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
+    b_pinv = (u[:, keep] / w[keep]) @ u[:, keep].T
+    b_vec = b_pinv @ state.alpha_u + state.alpha_u
+    normal_matrix = keff @ b_pinv @ keff + keff
+    l_norm = stable_cholesky(0.5 * (normal_matrix + normal_matrix.T))
+    half = rebuilt.kq.half_solve(b_vec)
+    log_z = -0.5 * l_norm.logdet() - 0.5 * float(half @ half)
+
+    correction = 0.0
+    x_batch = as_points(x_batch)
+    if x_batch.size:
+        mean_b, var_b = predict(rebuilt, x_batch)
+        correction += float(np.sum(lik.expected_log_lik(y_batch, mean_b, var_b)))
+    x_mem = as_points(x_mem)
+    n_mem = x_mem.shape[0] if x_mem.size else 0
+    if n_mem:
+        mean_m, var_m = predict(rebuilt, x_mem)
+        scale = n_old / n_mem
+        correction += scale * float(np.sum(lik.expected_log_lik(y_mem, mean_m, var_m)))
+
+    mean_q, cov_q = recover_moments(rebuilt)
+    factor = dual_factor(rebuilt.kzz, state.alpha_u, state.b_u, state.alpha_u)
+    correction -= expected_log_factor(factor, mean_q, cov_q)
+    return log_z + correction

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from dualgp.harness import (
 from dualgp.kernels import Hyperparams, KernelSpec
 from dualgp.likelihoods import BernoulliLogit, Gaussian
 from dualgp.memory import MemorySet
+from dualgp.sequential import SequentialConfig
 
 
 def _write(path, text):
@@ -235,6 +237,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key 'bandwidth'"):
             parse_config(path)
 
+    def test_fd_step_is_not_a_key(self, tmp_path):
+        path = _write(tmp_path / "run.ini", "[stream]\nfd_step = 1e-4\n")
+        with pytest.raises(ConfigError, match="unknown key 'fd_step'"):
+            parse_config(path)
+
     def test_bad_value_raises(self, tmp_path):
         path = _write(tmp_path / "run.ini", "[stream]\nnum_inducing = lots\n")
         with pytest.raises(ConfigError, match="bad value 'lots'"):
@@ -275,6 +282,8 @@ class TestFactories:
         assert seq.num_inducing == 17
         assert seq.ngd_rho == 0.5
         assert seq.memory_capacity == 9
+        for field in fields(SequentialConfig):
+            assert getattr(seq, field.name) == getattr(config, field.name)
 
 
 class TestCheckpoint:

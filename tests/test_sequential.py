@@ -9,13 +9,20 @@ noise, y = 1): the hyperparameter objective at the fitted state is
 which also equals the evidence bound plus half log 2 pi there.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from oracles import seq_objective_vcl_form
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import hyper_objective_reference, seq_objective_vcl_form
 
+import dualgp.dual
+import dualgp.sequential
 from dualgp.dual import elbo, iterate_ngd, make_state, ngd_step, predict
 from dualgp.harness import make_stream
-from dualgp.kernels import Hyperparams, KernelSpec
+from dualgp.kernels import Hyperparams, KernelSpec, stable_cholesky
 from dualgp.likelihoods import BernoulliLogit, Gaussian
 from dualgp.memory import MemorySet, empty_memory
 from dualgp.representation import pivoted_cholesky_select
@@ -36,6 +43,54 @@ ONE_POINT_HYPER_OBJECTIVE = -0.5965735902799727
 
 def _spec(ls=0.8, noise=0.3):
     return KernelSpec("matern52", Hyperparams(1.0, np.array([ls]), noise_variance=noise))
+
+
+def _moved(hyper, scale=1.2):
+    """``hyper`` with every value moved, so the objective rebuilds a new ``K``."""
+    noise = None if hyper.noise_variance is None else hyper.noise_variance * scale
+    return Hyperparams(hyper.variance * scale, hyper.lengthscales / scale, noise_variance=noise)
+
+
+def _hyper_case(name, rng):
+    """``(state, lik, x, y, x_mem, y_mem, n_old, hyper)`` for one named state."""
+    no_mem = (np.empty((0, 1)), np.empty(0), 0)
+    if name == "one_point":
+        spec = _spec(noise=1.0)
+        lik, x, y = Gaussian(1.0), np.array([[0.0]]), np.array([1.0])
+        state = ngd_step(make_state(spec, x), lik, x, y, rho=1.0)
+        return (state, lik, x, y, *no_mem, _moved(spec.hyper))
+    if name == "zero_b_u":
+        z = np.linspace(-2.0, 2.0, 5)[:, None]
+        state = make_state(_spec(), z, alpha_u=np.sin(z[:, 0]))
+        x = rng.uniform(-2, 2, (4, 1))
+        return (state, Gaussian(0.3), x, np.cos(x[:, 0]), *no_mem, _moved(state.kernel.hyper))
+    if name.startswith("rank_deficient"):
+        m, n = {"rank_deficient_10_3": (10, 3), "rank_deficient_20_5": (20, 5)}[name]
+        spec = _spec(ls=0.3)
+        x = rng.uniform(-3, 3, (n, 1))
+        y = np.sin(x[:, 0])
+        state = ngd_step(make_state(spec, np.linspace(-3, 3, m)[:, None]), Gaussian(0.3), x, y, 1.0)
+        assert np.linalg.matrix_rank(state.b_u) == n
+        return (state, Gaussian(0.3), x, y, x[:2], y[:2], 4, _moved(spec.hyper))
+    if name == "criterion_10":
+        x = np.linspace(-2.0, 2.0, 12)[:, None]
+        y = np.sin(1.5 * x[:, 0])
+        lik = Gaussian(0.25)
+        spec = KernelSpec("matern52", Hyperparams(0.8, np.array([0.6])))
+        z = x[pivoted_cholesky_select(spec, x, 4).indices]
+        state, _, _ = iterate_ngd(make_state(spec, z), lik, x, y, rho=1.0, max_steps=5)
+        hyper = Hyperparams(0.8, np.array([0.6]), noise_variance=0.25)
+        return (state, lik, x, y, *no_mem, hyper)
+    if name == "bernoulli":
+        x = rng.uniform(-2, 2, (10, 1))
+        y = np.where(np.sin(2.0 * x[:, 0]) > 0, 1.0, -1.0)
+        lik, spec = BernoulliLogit(), KernelSpec("matern52", Hyperparams(1.0, np.array([0.8])))
+        state, _, _ = iterate_ngd(make_state(spec, x[:6]), lik, x, y, rho=0.7, max_steps=20)
+        return (state, lik, x[6:], y[6:], x[:6], y[:6], 12, _moved(spec.hyper))
+    state, lik, x, y = _fitted_gaussian(rng)
+    if name == "with_memory":
+        return (state, lik, x[3:], y[3:], x[:3], y[:3], 9, _moved(state.kernel.hyper))
+    return (state, lik, x, y, *no_mem, _moved(state.kernel.hyper))
 
 
 def _memory_of(x, y):
@@ -227,6 +282,16 @@ class TestHyperObjective:
             state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, loud
         ) != hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, quiet)
 
+    def test_missing_hyper_noise_falls_back_to_likelihood(self, rng):
+        x = rng.uniform(-2, 2, (6, 1))
+        y = np.sin(x[:, 0])
+        bare = Hyperparams(1.0, np.array([0.8]))
+        state = ngd_step(make_state(KernelSpec("matern52", bare), x), Gaussian(0.3), x, y, 1.0)
+        no_mem = (np.empty((0, 1)), np.empty(0), 0)
+        fallback = hyper_objective(state, Gaussian(0.3), x, y, *no_mem, bare)
+        explicit = Hyperparams(1.0, np.array([0.8]), noise_variance=0.3)
+        assert fallback == hyper_objective(state, Gaussian(0.3), x, y, *no_mem, explicit)
+
     def test_gradient_of_quadratic_is_exact(self):
         h = np.array([[2.0, 0.3], [0.3, 1.0]])
         lin = np.array([0.4, -1.1])
@@ -237,6 +302,84 @@ class TestHyperObjective:
         point = np.array([0.7, -0.2])
         grad = hyper_gradient(objective, point, fd_step=1e-4)
         np.testing.assert_allclose(grad, lin - h @ point, atol=1e-9)
+
+
+HYPER_CASES = [
+    "one_point",
+    "zero_b_u",
+    "rank_deficient_10_3",
+    "rank_deficient_20_5",
+    "criterion_10",
+    "bernoulli",
+    "with_memory",
+    "without_memory",
+]
+
+
+class TestHyperObjectiveClosedForm:
+    """The closed form against the term-by-term reference in ``oracles``."""
+
+    @pytest.mark.parametrize("name", HYPER_CASES)
+    def test_matches_reference(self, name, rng):
+        case = _hyper_case(name, rng)
+        expected = hyper_objective_reference(*case)
+        assert hyper_objective(*case) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        m=st.integers(1, 8),
+        extra=st.integers(0, 8),
+        n_mem=st.integers(0, 3),
+        bernoulli=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_on_drawn_states(self, seed, m, extra, n_mem, bernoulli):
+        rng = np.random.default_rng(seed)
+        n = m + extra
+        x = rng.uniform(-3, 3, (n, 1))
+        z = np.linspace(-3, 3, m)[:, None]
+        ls = rng.uniform(0.3, 1.0)
+        if bernoulli:
+            lik, spec = BernoulliLogit(), KernelSpec("matern52", Hyperparams(1.0, np.array([ls])))
+            y = np.where(np.sin(2.0 * x[:, 0]) + 0.3 * rng.standard_normal(n) > 0, 1.0, -1.0)
+        else:
+            lik, spec = Gaussian(rng.uniform(0.05, 1.0)), _spec(ls=ls)
+            y = np.sin(2.0 * x[:, 0])
+        state = ngd_step(make_state(spec, z), lik, x, y, rho=rng.uniform(0.3, 1.0))
+        assume(np.linalg.cond(state.b_u) <= 1e8)
+        hyper = _moved(spec.hyper, scale=rng.uniform(0.75, 1.35))
+        case = (state, lik, x, y, x[:n_mem], y[:n_mem], 7, hyper)
+        expected = hyper_objective_reference(*case)
+        assert hyper_objective(*case) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_one_eigh_and_no_moment_route(self, rng, monkeypatch):
+        """One evaluation: a single eigh, the factors of K and K + B, one r x r factor."""
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        originals = {
+            "eigh": scipy.linalg.eigh,
+            "stable_cholesky": stable_cholesky,
+            "dual_factor": dualgp.dual.dual_factor,
+            "expected_log_factor": dualgp.dual.expected_log_factor,
+            "recover_moments": dualgp.dual.recover_moments,
+        }
+        for name, original in originals.items():
+            for module in (dualgp.dual, dualgp.sequential):
+                monkeypatch.setattr(module, name, counted(name, original), raising=False)
+        case = _hyper_case("with_memory", rng)
+        calls.clear()
+        hyper_objective(*case)
+        assert calls["eigh"] == 1
+        assert calls["stable_cholesky"] <= 3
+        assert calls["dual_factor"] == calls["expected_log_factor"] == 0
+        assert calls["recover_moments"] == 0
 
 
 class TestOptimizeHypers:
