@@ -161,19 +161,14 @@ def compute_sites(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarra
 
 
 def _prior_pair(
-    m: int,
-    prior_alpha: np.ndarray | None,
-    prior_b: np.ndarray | None,
-    prior_mean_ref: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(alpha, b, mean_ref)`` of a prior: the zero pair when none is given."""
+    m: int, prior_alpha: np.ndarray | None, prior_b: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(alpha, b)`` of a prior: the zero pair when none is given."""
     if (prior_alpha is None) != (prior_b is None):
         raise ValueError("pass both prior_alpha and prior_b or neither")
     if prior_alpha is None:
         prior_alpha, prior_b = np.zeros(m), np.zeros((m, m))
-    if prior_mean_ref is None:
-        prior_mean_ref = prior_alpha
-    return prior_alpha, prior_b, prior_mean_ref
+    return prior_alpha, prior_b
 
 
 def ngd_step(
@@ -184,7 +179,6 @@ def ngd_step(
     rho: float,
     prior_alpha: np.ndarray | None = None,
     prior_b: np.ndarray | None = None,
-    prior_mean_ref: np.ndarray | None = None,
 ) -> DualState:
     """One natural-gradient step with step size ``rho`` on the given data.
 
@@ -196,15 +190,11 @@ def ngd_step(
     step double as exact rank-one conditioning.
 
     ``prior_alpha``/``prior_b`` default to the zero pair (the kernel prior).
-    ``prior_mean_ref`` anchors the prior's linear term; by default the prior
-    pair is read as self-consistent (anchored at ``prior_alpha``), which is
-    exact for the zero prior and for conditioning on the state's own duals.
+    A prior is read like a state: ``prior_alpha`` is its mean.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    prior_alpha, prior_b, prior_mean_ref = _prior_pair(
-        state.num_inducing, prior_alpha, prior_b, prior_mean_ref
-    )
+    prior_alpha, prior_b = _prior_pair(state.num_inducing, prior_alpha, prior_b)
 
     sites = compute_sites(state, lik, x, y)
     kzx = gram(state.kernel, state.z, x)
@@ -217,7 +207,7 @@ def ngd_step(
 
     keff = state.kzz.regularized
     carry = (b_new - rho * prior_b) @ state.kzz.solve(state.alpha_u)
-    anchor = rho * (prior_b @ state.kzz.solve(prior_mean_ref))
+    anchor = rho * (prior_b @ state.kzz.solve(prior_alpha))
     kq = _sum_factor(state.kzz, b_new)
     alpha_new = keff @ kq.solve(alpha_raw + carry + anchor)
 
@@ -236,7 +226,6 @@ def iterate_ngd(
     tol: float = 1e-8,
     prior_alpha: np.ndarray | None = None,
     prior_b: np.ndarray | None = None,
-    prior_mean_ref: np.ndarray | None = None,
 ) -> tuple[DualState, int, bool]:
     """Run :func:`ngd_step` until the dual parameters stop moving.
 
@@ -244,7 +233,7 @@ def iterate_ngd(
     ``max_steps`` iterations; returns ``(state, steps_taken, converged)``.
     """
     for step in range(1, max_steps + 1):
-        new = ngd_step(state, lik, x, y, rho, prior_alpha, prior_b, prior_mean_ref)
+        new = ngd_step(state, lik, x, y, rho, prior_alpha, prior_b)
         delta = max(
             float(np.max(np.abs(new.alpha_u - state.alpha_u), initial=0.0)),
             float(np.max(np.abs(new.b_u - state.b_u), initial=0.0)),
@@ -262,17 +251,17 @@ def elbo(
     y: np.ndarray,
     prior_alpha: np.ndarray | None = None,
     prior_b: np.ndarray | None = None,
-    prior_mean_ref: np.ndarray | None = None,
 ) -> float:
     """Evidence lower bound: expected log-likelihoods minus KL to the prior.
 
     The prior is the Gaussian encoded by ``(prior_alpha, prior_b)`` (the
-    kernel prior when omitted), anchored like in :func:`ngd_step`.  An empty
-    data set with a zero state gives exactly zero.
+    kernel prior when omitted): mean ``prior_alpha``, covariance
+    ``K_zz (K_zz + prior_b)^{-1} K_zz``.  An empty data set with a zero state
+    gives exactly zero.
     """
     m = state.num_inducing
     kernel_prior = prior_b is None
-    prior_alpha, prior_b, prior_mean_ref = _prior_pair(m, prior_alpha, prior_b, prior_mean_ref)
+    prior_alpha, prior_b = _prior_pair(m, prior_alpha, prior_b)
 
     x = np.asarray(x, dtype=np.float64)
     ell = 0.0
@@ -288,8 +277,7 @@ def elbo(
     # KL(q || prior) written entirely in dual quantities:
     # trace term tr(P_p V_q) collapses to tr((K + B_pr)(K + B_u)^{-1}).
     trace = float(np.trace(lq.solve(keff + prior_b)))
-    prior_mean = keff @ lp.solve(prior_alpha + prior_b @ state.kzz.solve(prior_mean_ref))
-    d = state.kzz.solve(prior_mean - state.alpha_u)
+    d = state.kzz.solve(prior_alpha - state.alpha_u)
     quad = float(d @ ((keff + prior_b) @ d))
     kl = 0.5 * (trace + quad - m - lp.logdet() + lq.logdet())
     return ell - kl

@@ -190,9 +190,6 @@ class RunConfig:
     memory_capacity: int = 50
     hyper_steps: int = 20
     hyper_lr: float = 1e-2
-    remove_memory_from_prior: bool = True
-    replay_memory: bool = True
-    pool_includes_memory: bool = True
     standardize_inputs: bool = True
     search_budget: int = 2048
     refine_steps: int = 20
@@ -218,9 +215,6 @@ _CONFIG_SCHEMA = {
         "memory_capacity": ("memory_capacity", int),
         "hyper_steps": ("hyper_steps", int),
         "hyper_lr": ("hyper_lr", float),
-        "remove_memory_from_prior": ("remove_memory_from_prior", "bool"),
-        "replay_memory": ("replay_memory", "bool"),
-        "pool_includes_memory": ("pool_includes_memory", "bool"),
     },
     "data": {
         "standardize_inputs": ("standardize_inputs", "bool"),
@@ -340,7 +334,6 @@ def save_checkpoint(
             "inputs": memory.inputs.tolist(),
             "labels": memory.labels.tolist(),
             "scores": memory.scores.tolist(),
-            "seed": memory.seed,
         }
     with open(path, "w") as handle:
         json.dump(payload, handle)
@@ -363,7 +356,6 @@ def load_checkpoint(
             inputs=as_points(raw["inputs"]),
             labels=np.asarray(raw["labels"], dtype=np.float64),
             scores=np.asarray(raw["scores"], dtype=np.float64),
-            seed=raw.get("seed"),
         )
         if memory.inputs.size == 0:
             memory = empty_memory(state.z.shape[1])

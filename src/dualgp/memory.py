@@ -25,16 +25,13 @@ class MemorySet:
     inputs: np.ndarray
     labels: np.ndarray
     scores: np.ndarray
-    seed: int | None = None
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
 
 def empty_memory(dim: int) -> MemorySet:
-    return MemorySet(
-        inputs=np.empty((0, dim)), labels=np.empty(0), scores=np.empty(0), seed=None
-    )
+    return MemorySet(inputs=np.empty((0, dim)), labels=np.empty(0), scores=np.empty(0))
 
 
 def bls(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -51,20 +48,18 @@ def update_memory(
     y_batch: np.ndarray,
     capacity: int,
     rng_seed,
-    pool_includes_memory: bool = True,
 ) -> MemorySet:
     """Re-curate the memory from the candidate pool by leverage-weighted sampling.
 
-    The pool is the current memory plus the incoming batch (just the batch
-    when ``pool_includes_memory`` is off); scores are recomputed for every
-    pool member under the current state.  If the pool fits the capacity it is
-    kept whole; otherwise ``capacity`` points are drawn without replacement
-    with probability proportional to their score, via exponential sorting
-    keys, deterministically for a given ``rng_seed``.
+    The pool is the current memory plus the incoming batch; scores are
+    recomputed for every pool member under the current state.  If the pool
+    fits the capacity it is kept whole; otherwise ``capacity`` points are
+    drawn without replacement with probability proportional to their score,
+    via exponential sorting keys, deterministically for a given ``rng_seed``.
     """
     x_batch = as_points(x_batch)
     y_batch = np.asarray(y_batch, dtype=np.float64)
-    if pool_includes_memory and len(memory):
+    if len(memory):
         pool_x = np.vstack([memory.inputs, x_batch])
         pool_y = np.concatenate([memory.labels, y_batch])
     else:
@@ -80,7 +75,4 @@ def update_memory(
         rng = np.random.default_rng(rng_seed)
         keys = rng.exponential(size=len(pool_x)) / scores
         keep = np.sort(np.argsort(keys)[:capacity])
-    seed_field = int(rng_seed) if np.isscalar(rng_seed) else None
-    return MemorySet(
-        inputs=pool_x[keep], labels=pool_y[keep], scores=scores[keep], seed=seed_field
-    )
+    return MemorySet(inputs=pool_x[keep], labels=pool_y[keep], scores=scores[keep])

@@ -46,6 +46,10 @@ logger = logging.getLogger(__name__)
 # Step in log-theta of the central differences taken by optimize_hypers.
 FD_STEP = 1e-4
 
+# A clip of the adjusted prior's precision up to this multiple of its scale
+# (at least 1) is rounding; run_stream warns once about the larger ones.
+CLIP_RTOL = 1e-12
+
 
 @dataclass
 class SequentialConfig:
@@ -54,9 +58,8 @@ class SequentialConfig:
     ``ngd_rho``/``ngd_steps`` control the per-batch natural-gradient
     iterations; ``hyper_steps``/``hyper_lr`` the guarded hyperparameter
     ascent; ``memory_capacity`` the replay budget (0 disables memory).  The
-    three toggles select whether removal adjusts the prior, whether memory is
-    replayed in the NGD data, and whether the curation pool includes the old
-    memory.
+    memory is always removed from the prior, replayed in the NGD data and
+    curated together with the new batch.
     """
 
     num_inducing: int
@@ -65,90 +68,55 @@ class SequentialConfig:
     memory_capacity: int = 0
     hyper_steps: int = 0
     hyper_lr: float = 1e-2
-    remove_memory_from_prior: bool = True
-    replay_memory: bool = True
-    pool_includes_memory: bool = True
 
 
 @dataclass
 class AdjustedPrior:
     """Old posterior with the memory's site contributions subtracted.
 
-    ``alpha``/``b`` is the adjusted dual pair (PSD-repaired if the literal
-    subtraction left ``b`` indefinite, with the clip magnitude recorded);
-    ``mean_ref`` anchors its linear term at the old posterior mean.  The
-    subtracted site sums are kept so the old posterior and the memory's
-    pseudo-likelihood can be reconstructed exactly by the objectives.
+    ``alpha``/``b`` is a dual pair read like a state's: ``alpha`` is the
+    prior mean.  ``b`` is PSD-repaired if the literal subtraction left it
+    indefinite, and ``clip_magnitude`` is the largest eigenvalue clipped.
     """
 
     alpha: np.ndarray
     b: np.ndarray
-    mean_ref: np.ndarray
-    removed_alpha: np.ndarray
-    removed_b: np.ndarray
     clip_magnitude: float = 0.0
 
 
-def remove_memory(
-    state: DualState, lik: Likelihood, memory: MemorySet, enabled: bool = True
-) -> AdjustedPrior:
+def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> AdjustedPrior:
     """Subtract the memory's sites from the posterior to form the prior.
 
-    Sites are evaluated at the current marginals.  If the subtraction leaves
-    the precision contribution indefinite, negative eigenvalues are clipped
-    to zero (warned, magnitude recorded).  With ``enabled`` off the dual pair
-    is returned unchanged and only the bookkeeping sums are filled in.
+    Sites ``(alpha_i, beta_i)`` are evaluated at the current marginals.  The
+    precision is ``b = b_u - sum_i k_zi beta_i k_zi^T``, with negative
+    eigenvalues clipped to zero if the subtraction left it indefinite.  The
+    mean is ``alpha_u - K (K + b)^{-1} sum_i k_zi alpha_i`` (``K = K_zz``),
+    the pair whose natural parameters are the posterior's minus the sites'.
     """
-    m = state.num_inducing
     if len(memory) == 0:
-        removed_alpha = np.zeros(m)
-        removed_b = np.zeros((m, m))
-    else:
-        sites = compute_sites(state, lik, memory.inputs, memory.labels)
-        kzm = gram(state.kernel, state.z, memory.inputs)
-        removed_alpha = kzm @ sites.alpha_hat
-        removed_b = (kzm * sites.beta_hat) @ kzm.T
-        removed_b = 0.5 * (removed_b + removed_b.T)
+        return AdjustedPrior(alpha=state.alpha_u.copy(), b=state.b_u.copy())
 
-    mean_ref = state.alpha_u.copy()
-    if not enabled or len(memory) == 0:
-        return AdjustedPrior(
-            alpha=state.alpha_u.copy(),
-            b=state.b_u.copy(),
-            mean_ref=mean_ref,
-            removed_alpha=removed_alpha,
-            removed_b=removed_b,
-        )
-
-    alpha_pr = state.alpha_u - removed_alpha
-    b_pr = 0.5 * ((state.b_u - removed_b) + (state.b_u - removed_b).T)
+    sites = compute_sites(state, lik, memory.inputs, memory.labels)
+    kzm = gram(state.kernel, state.z, memory.inputs)
+    b_pr = state.b_u - (kzm * sites.beta_hat) @ kzm.T
+    b_pr = 0.5 * (b_pr + b_pr.T)
     w, u = eigh(b_pr)
     clip = max(-float(w.min(initial=0.0)), 0.0)
     if clip > 0.0:
-        if clip > 1e-12 * max(float(np.max(np.abs(w), initial=0.0)), 1.0):
-            logger.warning(
-                "memory removal left the prior precision indefinite; clipping "
-                "eigenvalues by up to %.3e", clip,
-            )
         b_pr = (u * np.maximum(w, 0.0)) @ u.T
         b_pr = 0.5 * (b_pr + b_pr.T)
-    return AdjustedPrior(
-        alpha=alpha_pr,
-        b=b_pr,
-        mean_ref=mean_ref,
-        removed_alpha=removed_alpha,
-        removed_b=removed_b,
-        clip_magnitude=clip,
-    )
+    keff = state.kzz.regularized
+    alpha_pr = state.alpha_u - keff @ stable_cholesky(keff + b_pr).solve(kzm @ sites.alpha_hat)
+    return AdjustedPrior(alpha=alpha_pr, b=b_pr, clip_magnitude=clip)
 
 
 def _with_memory(
-    x_batch: np.ndarray, y_batch: np.ndarray, memory: MemorySet | None
+    x_batch: np.ndarray, y_batch: np.ndarray, memory: MemorySet
 ) -> tuple[np.ndarray, np.ndarray]:
     """The batch followed by the memory points (if any)."""
     x = as_points(x_batch)
     y = np.asarray(y_batch, dtype=np.float64)
-    if memory is None or not len(memory):
+    if not len(memory):
         return x, y
     return np.vstack([x, memory.inputs]), np.concatenate([y, memory.labels])
 
@@ -163,16 +131,14 @@ def process_batch(
 ) -> tuple[DualState, AdjustedPrior]:
     """NGD updates for one batch against the memory-adjusted prior.
 
-    The update data is batch plus memory when replay is on.  Returns the
-    updated state and the prior that was used (the caller needs it to
-    evaluate the sequential objective).
+    The update data is batch plus memory.  Returns the updated state and the
+    prior that was used (the caller needs it to evaluate the sequential
+    objective).
     """
-    prior = remove_memory(state, lik, memory, config.remove_memory_from_prior)
-    x_fit, y_fit = _with_memory(x_batch, y_batch, memory if config.replay_memory else None)
+    prior = remove_memory(state, lik, memory)
+    x_fit, y_fit = _with_memory(x_batch, y_batch, memory)
     for _ in range(config.ngd_steps):
-        state = ngd_step(
-            state, lik, x_fit, y_fit, config.ngd_rho, prior.alpha, prior.b, prior.mean_ref
-        )
+        state = ngd_step(state, lik, x_fit, y_fit, config.ngd_rho, prior.alpha, prior.b)
     return state, prior
 
 
@@ -191,7 +157,7 @@ def seq_objective(
     the union.
     """
     x_all, y_all = _with_memory(x_batch, y_batch, memory)
-    return elbo(state, lik, x_all, y_all, prior.alpha, prior.b, prior.mean_ref)
+    return elbo(state, lik, x_all, y_all, prior.alpha, prior.b)
 
 
 def hyper_objective(
@@ -384,11 +350,15 @@ def run_stream(
     Per batch: refresh/project the inducing set, NGD against the
     memory-adjusted prior, hyperparameter steps, memory re-curation.
     ``evaluate`` (optional) is called as ``evaluate(state, lik)`` after each
-    batch and its dict is merged into that batch's record.
+    batch and its dict is merged into that batch's record.  Each record
+    carries the batch's ``clip_magnitude``; batches whose clip exceeds
+    ``CLIP_RTOL`` times the Frobenius norm of the repaired prior precision
+    (at least 1) are summed up in one warning at the end of the run.
     """
     state: DualState | None = None
     memory: MemorySet | None = None
     records: list[dict] = []
+    clips: list[float] = []
     n_old = 0
     for batch_index, (x_batch, y_batch) in enumerate(batches):
         start = time.perf_counter()
@@ -414,9 +384,10 @@ def run_stream(
             y_batch,
             config.memory_capacity,
             rng_seed=[seed, batch_index],
-            pool_includes_memory=config.pool_includes_memory,
         )
         n_old += len(y_batch)
+        if prior.clip_magnitude > CLIP_RTOL * max(float(np.linalg.norm(prior.b)), 1.0):
+            clips.append(prior.clip_magnitude)
 
         record = {
             "batch_index": batch_index,
@@ -425,12 +396,18 @@ def run_stream(
             "theta": _theta_record(state.kernel.hyper, lik),
             "wall_ms": 1000.0 * (time.perf_counter() - start),
             "seed": seed,
+            "clip_magnitude": prior.clip_magnitude,
         }
         if evaluate is not None:
             record.update(evaluate(state, lik))
         records.append(record)
     if state is None:
         raise ValueError("run_stream needs at least one batch")
+    if clips:
+        logger.warning(
+            "memory removal left the prior precision indefinite on %d of %d batches; "
+            "clipped eigenvalues by up to %.3e", len(clips), len(records), max(clips),
+        )
     return StreamResult(state=state, memory=memory, records=records, lik=lik)
 
 

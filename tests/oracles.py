@@ -45,7 +45,6 @@ from dualgp.kernels import (
 )
 from dualgp.likelihoods import Gaussian, Likelihood, SiteValues
 from dualgp.memory import MemorySet
-from dualgp.sequential import AdjustedPrior
 
 
 def gram_einsum(spec, xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarray:
@@ -299,22 +298,22 @@ def seq_objective_vcl_form(
     x_batch: np.ndarray,
     y_batch: np.ndarray,
     memory: MemorySet,
-    prior: AdjustedPrior,
+    old_state: DualState,
 ) -> float:
     """Four-term rewrite of the streaming bound.
 
     Batch data term, minus KL to the old posterior, plus memory data term,
-    minus the expected log pseudo-likelihood of the memory.  Differs from
+    minus the expected log pseudo-likelihood of the memory.  The memory's
+    site sums are taken at ``old_state``'s marginals, as removal takes them,
+    and anchored at the old posterior mean.  Differs from
     ``dualgp.sequential.seq_objective`` by a state-independent constant (the
     normalizer of the subtracted prior), so differences across candidate
     states match.
     """
     mean_q, cov_q = recover_moments(state)
 
-    old_alpha = prior.alpha + prior.removed_alpha
-    old_b = prior.b + prior.removed_b
     kl_old = -elbo(
-        state, lik, np.empty((0, state.z.shape[1])), np.empty(0), old_alpha, old_b, prior.mean_ref
+        state, lik, np.empty((0, state.z.shape[1])), np.empty(0), old_state.alpha_u, old_state.b_u
     )
 
     total = -kl_old
@@ -325,7 +324,10 @@ def seq_objective_vcl_form(
     if len(memory):
         mean_m, var_m = predict(state, memory.inputs)
         total += float(np.sum(lik.expected_log_lik(memory.labels, mean_m, var_m)))
-        factor = dual_factor(state.kzz, prior.removed_alpha, prior.removed_b, prior.mean_ref)
+        sites = compute_sites(old_state, lik, memory.inputs, memory.labels)
+        kzm = gram(old_state.kernel, old_state.z, memory.inputs)
+        removed_b = (kzm * sites.beta_hat) @ kzm.T
+        factor = dual_factor(state.kzz, kzm @ sites.alpha_hat, removed_b, old_state.alpha_u)
         total -= expected_log_factor(factor, mean_q, cov_q)
     return total
 

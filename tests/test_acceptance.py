@@ -168,13 +168,13 @@ def test_criterion_04_memory_limit_equivalence():
                 )
                 assert converged
                 memory = MemorySet(inputs=x_old, labels=y_old,
-                                   scores=np.ones(20), seed=None)
+                                   scores=np.ones(20))
                 prior = remove_memory(state, lik, memory)
                 x_union = np.vstack([x_new, x_old])
                 y_union = np.concatenate([y_new, y_old])
 
                 stepped = ngd_step(state, lik, x_union, y_union, 0.7,
-                                   prior.alpha, prior.b, prior.mean_ref)
+                                   prior.alpha, prior.b)
                 bump = rng.standard_normal(6)
                 perturbed = make_state(
                     kernel, z, state.alpha_u + 0.3 * rng.standard_normal(6),
@@ -263,7 +263,7 @@ def _stream_with_random_memory(batches, kernel, lik, config, seed):
         else:
             keep = np.sort(rng.choice(len(pool_x), size=config.memory_capacity, replace=False))
         memory = MemorySet(inputs=pool_x[keep], labels=pool_y[keep],
-                           scores=np.ones(len(keep)), seed=None)
+                           scores=np.ones(len(keep)))
         n_old += len(y_batch)
     return state, lik
 

@@ -279,7 +279,6 @@ class TestElbo:
             np.empty(0),
             prior_alpha=state.alpha_u,
             prior_b=state.b_u,
-            prior_mean_ref=state.alpha_u,
         )
         assert val == pytest.approx(0.0, abs=1e-10)
 

@@ -202,14 +202,14 @@ class TestParseConfig:
         path = _write(
             tmp_path / "run.ini",
             "[model]\nkernel = squared_exponential\nlengthscales = 0.5, 2.0\n"
-            "noise_variance = 0.05\n\n[stream]\nnum_inducing = 30\nreplay_memory = false\n",
+            "noise_variance = 0.05\n\n[stream]\nnum_inducing = 30\n\n[data]\nstandardize_inputs = false\n",
         )
         config = parse_config(path)
         assert config.kernel_family == "squared_exponential"
         assert config.lengthscales == (0.5, 2.0)
         assert config.noise_variance == 0.05
         assert config.num_inducing == 30
-        assert config.replay_memory is False
+        assert config.standardize_inputs is False
 
     def test_readme_config_block_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -242,13 +242,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key 'fd_step'"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "key", ["remove_memory_from_prior", "replay_memory", "pool_includes_memory"]
+    )
+    def test_memory_toggle_is_not_a_key(self, tmp_path, key):
+        path = _write(tmp_path / "run.ini", f"[stream]\n{key} = true\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(path)
+
     def test_bad_value_raises(self, tmp_path):
         path = _write(tmp_path / "run.ini", "[stream]\nnum_inducing = lots\n")
         with pytest.raises(ConfigError, match="bad value 'lots'"):
             parse_config(path)
 
     def test_bad_bool_raises(self, tmp_path):
-        path = _write(tmp_path / "run.ini", "[stream]\nreplay_memory = maybe\n")
+        path = _write(tmp_path / "run.ini", "[data]\nstandardize_inputs = maybe\n")
         with pytest.raises(ConfigError, match="bad value 'maybe'"):
             parse_config(path)
 
@@ -298,7 +306,7 @@ class TestCheckpoint:
         state, lik = self._fitted(rng)
         memory = MemorySet(
             inputs=np.array([[0.1], [0.2]]), labels=np.array([1.0, 2.0]),
-            scores=np.array([0.5, 0.6]), seed=42,
+            scores=np.array([0.5, 0.6]),
         )
         std = Standardizer(mean=np.array([1.0]), scale=np.array([2.0]))
         path = str(tmp_path / "ckpt.json")
@@ -308,7 +316,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(state2.b_u, state.b_u)
         assert isinstance(lik2, Gaussian) and lik2.noise_variance == 0.1
         np.testing.assert_array_equal(memory2.inputs, memory.inputs)
-        assert memory2.seed == 42
+        assert "seed" not in json.load(open(path))["memory"]
         assert seed2 == 11
         np.testing.assert_array_equal(std2.mean, std.mean)
         probe = rng.uniform(-2, 2, (5, 1))
@@ -322,6 +330,19 @@ class TestCheckpoint:
         assert memory is None
         assert seed == 0
         assert std is None
+
+    def test_checkpoint_with_memory_seed_still_loads(self, rng, tmp_path):
+        """Checkpoints written before the memory lost its seed field load."""
+        state, lik = self._fitted(rng)
+        memory = MemorySet(inputs=np.array([[0.1]]), labels=np.array([1.0]), scores=np.ones(1))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), state, lik, memory=memory, seed=3)
+        payload = json.loads(path.read_text())
+        payload["memory"]["seed"] = None
+        path.write_text(json.dumps(payload))
+        _, _, memory2, seed2, _ = load_checkpoint(str(path))
+        np.testing.assert_array_equal(memory2.inputs, memory.inputs)
+        assert seed2 == 3
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"

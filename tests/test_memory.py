@@ -128,7 +128,6 @@ class TestUpdateMemory:
         state, lik, x, y = _converged_gaussian_state(rng, n=12)
         mem = update_memory(empty_memory(1), state, lik, x, y, capacity=5, rng_seed=[3, 1])
         assert len(mem) == 5
-        assert mem.seed is None
 
     def test_pool_includes_old_memory(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng, n=6)
@@ -138,17 +137,6 @@ class TestUpdateMemory:
         mem = update_memory(old, state, lik, x, y, capacity=20, rng_seed=0)
         assert len(mem) == 8
         np.testing.assert_array_equal(mem.inputs[:2], old.inputs)
-
-    def test_pool_toggle_drops_old_memory(self, rng):
-        state, lik, x, y = _converged_gaussian_state(rng, n=6)
-        old = MemorySet(
-            inputs=np.array([[5.0]]), labels=np.array([0.1]), scores=np.ones(1)
-        )
-        mem = update_memory(
-            old, state, lik, x, y, capacity=20, rng_seed=0, pool_includes_memory=False
-        )
-        assert len(mem) == 6
-        assert 5.0 not in mem.inputs[:, 0]
 
     def test_kept_indices_preserve_pool_order(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng, n=15)

@@ -22,7 +22,7 @@ import dualgp.dual
 import dualgp.sequential
 from dualgp.dual import elbo, iterate_ngd, make_state, ngd_step, predict
 from dualgp.harness import make_stream
-from dualgp.kernels import Hyperparams, KernelSpec, stable_cholesky
+from dualgp.kernels import FactorizationFailed, Hyperparams, KernelSpec, stable_cholesky
 from dualgp.likelihoods import BernoulliLogit, Gaussian
 from dualgp.memory import MemorySet, empty_memory
 from dualgp.representation import pivoted_cholesky_select
@@ -111,15 +111,7 @@ class TestRemoveMemory:
         prior = remove_memory(state, lik, empty_memory(1))
         np.testing.assert_array_equal(prior.alpha, state.alpha_u)
         np.testing.assert_array_equal(prior.b, state.b_u)
-        np.testing.assert_array_equal(prior.removed_alpha, 0.0)
         assert prior.clip_magnitude == 0.0
-
-    def test_disabled_keeps_pair_but_fills_bookkeeping(self, rng):
-        state, lik, x, y = _fitted_gaussian(rng)
-        prior = remove_memory(state, lik, _memory_of(x, y), enabled=False)
-        np.testing.assert_array_equal(prior.alpha, state.alpha_u)
-        np.testing.assert_array_equal(prior.b, state.b_u)
-        assert float(np.max(np.abs(prior.removed_b))) > 0.1
 
     def test_full_memory_removal_recovers_kernel_prior(self, rng):
         """Removing all the data a converged state absorbed leaves nothing."""
@@ -141,10 +133,25 @@ class TestRemoveMemory:
         assert w.min() >= -1e-10
         assert prior.clip_magnitude >= 0.0
 
-    def test_mean_ref_is_old_posterior_mean(self, rng):
-        state, lik, x, y = _fitted_gaussian(rng)
-        prior = remove_memory(state, lik, _memory_of(x[:2], y[:2]))
-        np.testing.assert_array_equal(prior.mean_ref, state.alpha_u)
+    def test_prior_is_posterior_of_the_other_points(self):
+        """The adjusted pair is the posterior without the memory, mean included.
+
+        Gaussian likelihood, Z equal to the data, one full step: removing
+        the memory must give the fit on the remaining points, and
+        conditioning that prior on the memory must give the state back.
+        """
+        rng = np.random.default_rng(1)
+        x = rng.uniform(-2, 2, (8, 1))
+        y = np.sin(x[:, 0]) + 0.2 * rng.standard_normal(8)
+        lik = Gaussian(0.3)
+        state = ngd_step(make_state(_spec(), x), lik, x, y, rho=1.0)
+        rest = ngd_step(make_state(_spec(), x), lik, x[3:], y[3:], rho=1.0)
+        prior = remove_memory(state, lik, _memory_of(x[:3], y[:3]))
+        np.testing.assert_allclose(prior.alpha, rest.alpha_u, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(prior.b, rest.b_u, rtol=0, atol=1e-9)
+        back = ngd_step(state, lik, x[:3], y[:3], 1.0, prior.alpha, prior.b)
+        np.testing.assert_allclose(back.alpha_u, state.alpha_u, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(back.b_u, state.b_u, rtol=0, atol=1e-9)
 
 
 class TestSeqObjective:
@@ -171,8 +178,7 @@ class TestSeqObjective:
 
         # Candidate states need not be converged for the identity to hold.
         candidate = ngd_step(
-            state, lik, x_new, y_new, rho=0.5, prior_alpha=prior.alpha,
-            prior_b=prior.b, prior_mean_ref=prior.mean_ref,
+            state, lik, x_new, y_new, rho=0.5, prior_alpha=prior.alpha, prior_b=prior.b
         )
         for probe in (state, candidate):
             streaming = seq_objective(probe, lik, x_new, y_new, memory, prior)
@@ -195,11 +201,10 @@ class TestSeqObjective:
         probe = state
         for _ in range(3):
             probe = ngd_step(
-                probe, lik, x_new, y_new, rho=0.4, prior_alpha=prior.alpha,
-                prior_b=prior.b, prior_mean_ref=prior.mean_ref,
+                probe, lik, x_new, y_new, rho=0.4, prior_alpha=prior.alpha, prior_b=prior.b
             )
             a = seq_objective(probe, lik, x_new, y_new, memory, prior)
-            b = seq_objective_vcl_form(probe, lik, x_new, y_new, memory, prior)
+            b = seq_objective_vcl_form(probe, lik, x_new, y_new, memory, state)
             offsets.append(a - b)
         assert max(offsets) - min(offsets) < 1e-9
 
@@ -208,9 +213,7 @@ class TestSeqObjective:
         memory = empty_memory(1)
         prior = remove_memory(state, lik, memory)
         val = seq_objective(state, lik, x, y, memory, prior)
-        ref = elbo(
-            state, lik, x, y, prior.alpha, prior.b, prior.mean_ref
-        )
+        ref = elbo(state, lik, x, y, prior.alpha, prior.b)
         assert val == pytest.approx(ref, rel=1e-12)
 
 
@@ -222,18 +225,10 @@ class TestProcessBatch:
         with_replay, prior = process_batch(state, lik, config, x[3:], y[3:], memory)
         manual = ngd_step(
             state, lik, np.vstack([x[3:], x[:3]]), np.concatenate([y[3:], y[:3]]),
-            0.5, prior.alpha, prior.b, prior.mean_ref,
+            0.5, prior.alpha, prior.b,
         )
         np.testing.assert_allclose(with_replay.alpha_u, manual.alpha_u, atol=1e-12)
         np.testing.assert_allclose(with_replay.b_u, manual.b_u, atol=1e-12)
-
-    def test_replay_toggle_off_uses_batch_only(self, rng):
-        state, lik, x, y = _fitted_gaussian(rng)
-        memory = _memory_of(x[:3], y[:3])
-        config = SequentialConfig(num_inducing=6, ngd_steps=1, ngd_rho=0.5, replay_memory=False)
-        no_replay, prior = process_batch(state, lik, config, x[3:], y[3:], memory)
-        manual = ngd_step(state, lik, x[3:], y[3:], 0.5, prior.alpha, prior.b, prior.mean_ref)
-        np.testing.assert_allclose(no_replay.alpha_u, manual.alpha_u, atol=1e-12)
 
     def test_runs_requested_step_count(self, rng):
         state, lik, x, y = _fitted_gaussian(rng)
@@ -243,7 +238,7 @@ class TestProcessBatch:
         three, _ = process_batch(state, lik, config3, x, y, empty_memory(1))
         manual = one
         for _ in range(2):
-            manual = ngd_step(manual, lik, x, y, 0.4, prior.alpha, prior.b, prior.mean_ref)
+            manual = ngd_step(manual, lik, x, y, 0.4, prior.alpha, prior.b)
         np.testing.assert_allclose(three.alpha_u, manual.alpha_u, atol=1e-12)
 
 
@@ -495,6 +490,115 @@ class TestRunStream:
         config = SequentialConfig(num_inducing=8)
         result = run_stream(batches, _spec(), Gaussian(0.3), config)
         assert result.state.num_inducing <= 8
+
+
+class TestClipTelemetry:
+    """Clips go to the records and to one warning at the end of the run."""
+
+    def _run(self, memory_capacity=10):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-3, 3, (60, 1))
+        y = np.sin(2.0 * x[:, 0]) + 0.2 * rng.standard_normal(60)
+        spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.5]), noise_variance=0.1))
+        config = SequentialConfig(num_inducing=10, memory_capacity=memory_capacity)
+        batches = make_stream(x, y, 5, order="sorted")
+        return run_stream(batches, spec, Gaussian(0.1), config)
+
+    def test_records_carry_the_removal_clip(self, monkeypatch):
+        priors = []
+
+        def spy(*args):
+            priors.append(remove_memory(*args))
+            return priors[-1]
+
+        monkeypatch.setattr(dualgp.sequential, "remove_memory", spy)
+        result = self._run()
+        clips = [r["clip_magnitude"] for r in result.records]
+        assert clips == [prior.clip_magnitude for prior in priors]
+        assert sum(clip > 1e-6 for clip in clips) >= 2
+
+    def test_one_warning_per_run(self, caplog):
+        with caplog.at_level("WARNING", logger="dualgp.sequential"):
+            result = self._run()
+        warnings = [r for r in caplog.records if r.name == "dualgp.sequential"]
+        assert len(warnings) == 1
+        clips = [r["clip_magnitude"] for r in result.records]
+        clipped = sum(clip > 0.0 for clip in clips)
+        assert clipped >= 2
+        message = warnings[0].getMessage()
+        assert f"on {clipped} of {len(clips)} batches" in message
+        assert f"{max(clips):.3e}" in message
+
+    def test_removal_does_not_log(self, rng, caplog):
+        x = rng.uniform(-2, 2, (8, 1))
+        y = np.sin(x[:, 0])
+        lik = Gaussian(0.3)
+        state = make_state(_spec(), x[:5])
+        for _ in range(2):
+            state = ngd_step(state, lik, x, y, rho=0.6)
+        with caplog.at_level("DEBUG", logger="dualgp"):
+            prior = remove_memory(state, lik, _memory_of(x[:4], y[:4]))
+        assert prior.clip_magnitude > 1e-6
+        assert not caplog.records
+
+    def test_no_warning_without_clips(self, caplog):
+        with caplog.at_level("WARNING", logger="dualgp.sequential"):
+            result = self._run(memory_capacity=0)
+        assert all(r["clip_magnitude"] == 0.0 for r in result.records)
+        assert not caplog.records
+
+
+@st.composite
+def _awkward_streams(draw):
+    """Small streams with the inputs that stress factorizations."""
+    bernoulli = draw(st.booleans())
+    dim = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2, 2, (n, dim))
+    if draw(st.booleans()):
+        x[n // 2:] = x[: n - n // 2]
+    if dim == 2 and draw(st.booleans()):
+        x[:, 1] = 0.5
+    f = np.sin(2.0 * x[:, 0])
+    y = np.where(f + 0.3 * rng.standard_normal(n) > 0, 1.0, -1.0) if bernoulli else f
+    lengthscale = draw(st.sampled_from([1e-4, 1.0, 1e4]))
+    num_batches = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        num_batches = n  # one point per batch
+    config = SequentialConfig(
+        num_inducing=draw(st.integers(1, 8)),
+        ngd_rho=draw(st.sampled_from([0.5, 0.8, 1.0])),
+        ngd_steps=draw(st.integers(1, 3)),
+        memory_capacity=draw(st.integers(0, 6)),
+        hyper_steps=draw(st.integers(0, 1)),
+    )
+    noise = None if bernoulli else 0.1
+    spec = KernelSpec("matern52", Hyperparams(1.0, np.full(dim, lengthscale), noise_variance=noise))
+    lik = BernoulliLogit() if bernoulli else Gaussian(0.1)
+    return make_stream(x, y, num_batches), spec, lik, config
+
+
+class TestRunStreamProperties:
+    @given(stream=_awkward_streams())
+    @settings(max_examples=30, deadline=None)
+    def test_finite_and_psd_or_typed_error(self, stream):
+        batches, spec, lik, config = stream
+        try:
+            result = run_stream(batches, spec, lik, config)
+        except FactorizationFailed:
+            return
+        state = result.state
+        assert np.all(np.isfinite(state.alpha_u))
+        assert np.all(np.isfinite(state.b_u))
+        w = np.linalg.eigvalsh(state.b_u)
+        assert w.min() >= -1e-8 * max(1.0, float(np.abs(w).max()))
+        for record in result.records:
+            assert np.isfinite(record["elbo_like_objective"])
+            assert np.isfinite(record["clip_magnitude"])
+            assert np.all(np.isfinite(record["theta"]["lengthscales"]))
+        assert np.all(np.isfinite(predict(state, batches[0][0])))
 
 
 class TestOneDimensionalInputs:
