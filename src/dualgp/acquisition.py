@@ -163,8 +163,7 @@ def fantasize_batch(
 
         mean, var = predict(fantasy, x_best[None, :])
         y_fantasy = _fantasy_label(lik, float(mean[0]), float(var[0]), fantasy_sample, rng)
-        prior_alpha = fantasy.alpha_u.copy()
-        prior_b = fantasy.b_u.copy()
+        prior_alpha, prior_b = fantasy.alpha_u, fantasy.b_u
         for _ in range(ngd_steps):
             fantasy = ngd_step(
                 fantasy, lik, x_best[None, :], np.array([y_fantasy]), rho, prior_alpha, prior_b

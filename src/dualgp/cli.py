@@ -167,7 +167,7 @@ def _cmd_bo(args) -> int:
         x_obs = np.vstack([x_obs, points])
         y_obs = np.concatenate([y_obs, values])
         state = refresh_representation(state, points, config.num_inducing)
-        state = ngd_step(state, lik, points, values, 1.0, state.alpha_u.copy(), state.b_u.copy())
+        state = ngd_step(state, lik, points, values, 1.0, state.alpha_u, state.b_u)
         records.append(
             {
                 "iteration": iteration,
@@ -239,6 +239,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualgp", description="Streaming sparse GP regression/classification harness"
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--label", required=True)
     stream.add_argument("--config", default=None)
     stream.add_argument("--test", default=None)
-    stream.add_argument("--batches", type=int, required=True)
+    stream.add_argument("--batches", type=_positive_int, required=True)
     stream.add_argument("--order", choices=["as_is", "sorted", "shuffled"], default="as_is")
     stream.add_argument("--sort-dim", type=int, default=0, dest="sort_dim")
     stream.add_argument("--seed", type=int, default=0)
@@ -269,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bo = sub.add_parser("bo", help="batch Bayesian optimization on a synthetic objective")
     bo.add_argument("--objective", choices=sorted(OBJECTIVES), required=True)
-    bo.add_argument("--steps", type=int, default=10)
-    bo.add_argument("--batch-size", type=int, default=1, dest="batch_size")
+    bo.add_argument("--steps", type=_positive_int, default=10)
+    bo.add_argument("--batch-size", type=_positive_int, default=1, dest="batch_size")
     bo.add_argument("--config", default=None)
     bo.add_argument("--seed", type=int, default=0)
     bo.add_argument("--out", required=True)

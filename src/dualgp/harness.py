@@ -2,8 +2,8 @@
 
 Everything the CLI needs that is not model math lives here.  Data files are
 plain RFC-4180 CSV with a header row; run configuration is an INI-style file
-of ``key = value`` lines under sections, validated fail-fast against the
-known keys; checkpoints are JSON (Python's float repr round-trips, so a
+with one ``key = value`` line per :class:`RunConfig` field, validated
+fail-fast; checkpoints are JSON (Python's float repr round-trips, so a
 save/load cycle is lossless).
 """
 
@@ -14,13 +14,15 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
+from .acquisition import DEFAULT_REFINE_STEPS, DEFAULT_SEARCH_BUDGET
 from .dual import DualState, predict, state_from_dict, state_to_dict
 from .kernels import Hyperparams, KernelSpec, as_points
-from .likelihoods import BernoulliLogit, Gaussian, Likelihood, likelihood_from_dict
+from .likelihoods import DEFAULT_QUAD_POINTS, BernoulliLogit, Gaussian, Likelihood, likelihood_from_dict
 from .memory import MemorySet, empty_memory
 from .sequential import SequentialConfig
 
@@ -173,71 +175,52 @@ class Standardizer:
         )
 
 
+def _setting(section: str, default):
+    """A :class:`RunConfig` field, read from key ``<field name>`` of ``[section]``."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class RunConfig:
-    """Flat bag of every run-time knob, fed from a config file plus CLI flags."""
+    """Every run-time setting, fed from a config file plus CLI flags.
 
-    kernel_family: str = "matern52"
-    variance: float = 1.0
-    lengthscales: tuple = (1.0,)
-    constant_variance: float = 0.0
-    noise_variance: float = 0.1
-    likelihood: str = "gaussian"
-    quad_points: int = 20
-    num_inducing: int = 50
-    ngd_rho: float = 0.8
-    ngd_steps: int = 2
-    memory_capacity: int = 50
-    hyper_steps: int = 20
-    hyper_lr: float = 1e-2
-    standardize_inputs: bool = True
-    search_budget: int = 2048
-    refine_steps: int = 20
-    fantasy_sample: bool = False
-    batch_size: int = 1
-    init_points: int = 5
+    Each field is the config key of the same name in its :func:`_setting`
+    section, parsed at the field's type; engine defaults come from the engine.
+    """
+
+    kernel: str = _setting("model", "matern52")
+    variance: float = _setting("model", 1.0)
+    lengthscales: tuple[float, ...] = _setting("model", (1.0,))
+    constant_variance: float = _setting("model", 0.0)
+    noise_variance: float = _setting("model", 0.1)
+    likelihood: str = _setting("model", Gaussian.name)
+    quad_points: int = _setting("model", DEFAULT_QUAD_POINTS)
+    num_inducing: int = _setting("stream", 50)
+    ngd_rho: float = _setting("stream", SequentialConfig.ngd_rho)
+    ngd_steps: int = _setting("stream", SequentialConfig.ngd_steps)
+    memory_capacity: int = _setting("stream", 50)
+    hyper_steps: int = _setting("stream", 20)
+    hyper_lr: float = _setting("stream", SequentialConfig.hyper_lr)
+    standardize_inputs: bool = _setting("data", True)
+    search_budget: int = _setting("bo", DEFAULT_SEARCH_BUDGET)
+    refine_steps: int = _setting("bo", DEFAULT_REFINE_STEPS)
+    fantasy_sample: bool = _setting("bo", False)
+    init_points: int = _setting("bo", 5)
 
 
-_CONFIG_SCHEMA = {
-    "model": {
-        "kernel": ("kernel_family", str),
-        "variance": ("variance", float),
-        "lengthscales": ("lengthscales", "floats"),
-        "constant_variance": ("constant_variance", float),
-        "noise_variance": ("noise_variance", float),
-        "likelihood": ("likelihood", str),
-        "quad_points": ("quad_points", int),
-    },
-    "stream": {
-        "num_inducing": ("num_inducing", int),
-        "ngd_rho": ("ngd_rho", float),
-        "ngd_steps": ("ngd_steps", int),
-        "memory_capacity": ("memory_capacity", int),
-        "hyper_steps": ("hyper_steps", int),
-        "hyper_lr": ("hyper_lr", float),
-    },
-    "data": {
-        "standardize_inputs": ("standardize_inputs", "bool"),
-    },
-    "bo": {
-        "search_budget": ("search_budget", int),
-        "refine_steps": ("refine_steps", int),
-        "fantasy_sample": ("fantasy_sample", "bool"),
-        "batch_size": ("batch_size", int),
-        "init_points": ("init_points", int),
-    },
+# Parsers for the field types that are not their own parser.
+_PARSERS = {
+    bool: lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
+    tuple[float, ...]: lambda raw: tuple(float(part) for part in raw.split(",")),
 }
-
-LIKELIHOODS = (Gaussian.name, BernoulliLogit.name)
-
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
 def parse_config(path: str | None) -> RunConfig:
     """Read an INI-style config into a :class:`RunConfig`, failing fast.
 
     Unknown sections or keys raise :class:`ConfigError`, as do values that do
-    not parse at the declared type and unknown likelihood names.  Inline
+    not parse at the field's type and settings the run would reject (an
+    unknown kernel or likelihood, or a value outside its range).  Inline
     comments start with ``;`` or ``#``.  ``path=None`` returns the defaults.
     """
     config = RunConfig()
@@ -251,36 +234,33 @@ def parse_config(path: str | None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
+    settings = {f.name: f.metadata["section"] for f in fields(RunConfig)}
+    types = get_type_hints(RunConfig)
     updates = {}
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in settings.values():
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _CONFIG_SCHEMA[section]:
+            if settings.get(key) != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            attr, kind = _CONFIG_SCHEMA[section][key]
             try:
-                if kind == "bool":
-                    updates[attr] = _BOOL_VALUES[raw.strip().lower()]
-                elif kind == "floats":
-                    updates[attr] = tuple(float(part) for part in raw.split(","))
-                else:
-                    updates[attr] = kind(raw)
+                updates[key] = _PARSERS.get(types[key], types[key])(raw)
             except (ValueError, KeyError) as exc:
-                raise ConfigError(
-                    f"bad value {raw!r} for {key!r} in section [{section}]"
-                ) from exc
-    if updates.get("likelihood", config.likelihood) not in LIKELIHOODS:
-        raise ConfigError(
-            f"unknown likelihood {updates['likelihood']!r}; expected one of {LIKELIHOODS}"
-        )
-    return replace(config, **updates)
+                raise ConfigError(f"bad value {raw!r} for {key!r} in section [{section}]") from exc
+    config = replace(config, **updates)
+    if config.search_budget < 1:
+        raise ConfigError("search_budget must be at least 1")
+    try:
+        make_kernel(config), make_likelihood(config), make_seq_config(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return config
 
 
 def make_kernel(config: RunConfig) -> KernelSpec:
-    noise = config.noise_variance if config.likelihood == "gaussian" else None
+    noise = config.noise_variance if config.likelihood == Gaussian.name else None
     return KernelSpec(
-        family=config.kernel_family,
+        family=config.kernel,
         hyper=Hyperparams(
             variance=config.variance,
             lengthscales=np.asarray(config.lengthscales, dtype=np.float64),
@@ -291,17 +271,15 @@ def make_kernel(config: RunConfig) -> KernelSpec:
 
 
 def make_likelihood(config: RunConfig) -> Likelihood:
-    if config.likelihood == "gaussian":
-        return Gaussian(noise_variance=config.noise_variance)
-    if config.likelihood == "bernoulli_logit":
-        return BernoulliLogit(quad_points=config.quad_points)
-    raise ConfigError(f"unknown likelihood {config.likelihood!r}")
+    """The likelihood named by ``config``; its settings are the fields of the same name."""
+    try:
+        return likelihood_from_dict(dict(vars(config), name=config.likelihood))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def make_seq_config(config: RunConfig) -> SequentialConfig:
-    return SequentialConfig(
-        **{f.name: getattr(config, f.name) for f in fields(SequentialConfig)}
-    )
+    return SequentialConfig(**{f.name: getattr(config, f.name) for f in fields(SequentialConfig)})
 
 
 def save_checkpoint(
@@ -347,6 +325,8 @@ def load_checkpoint(
         payload = json.load(handle)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+    if payload.get("version") != CHECKPOINT_VERSION:
+        raise DataError(f"{path} has checkpoint version {payload.get('version')!r}, not {CHECKPOINT_VERSION}")
     state = state_from_dict(payload["state"])
     lik = likelihood_from_dict(payload["likelihood"])
     memory = None

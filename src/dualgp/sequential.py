@@ -59,7 +59,9 @@ class SequentialConfig:
     iterations; ``hyper_steps``/``hyper_lr`` the guarded hyperparameter
     ascent; ``memory_capacity`` the replay budget (0 disables memory).  The
     memory is always removed from the prior, replayed in the NGD data and
-    curated together with the new batch.
+    curated together with the new batch.  A value outside its range raises
+    :class:`ValueError`: ``num_inducing >= 1``, ``0 <= ngd_rho <= 1``,
+    ``hyper_lr > 0``, and the step counts and ``memory_capacity >= 0``.
     """
 
     num_inducing: int
@@ -68,6 +70,16 @@ class SequentialConfig:
     memory_capacity: int = 0
     hyper_steps: int = 0
     hyper_lr: float = 1e-2
+
+    def __post_init__(self) -> None:
+        if self.num_inducing < 1:
+            raise ValueError("num_inducing must be at least 1")
+        if not 0.0 <= self.ngd_rho <= 1.0:
+            raise ValueError("ngd_rho must lie in [0, 1]")
+        if min(self.ngd_steps, self.memory_capacity, self.hyper_steps) < 0:
+            raise ValueError("ngd_steps, memory_capacity and hyper_steps must be nonnegative")
+        if not self.hyper_lr > 0.0:
+            raise ValueError("hyper_lr must be positive")
 
 
 @dataclass

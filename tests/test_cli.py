@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dualgp.cli import run_cli
+from test_harness import REJECTED_CONFIGS
 
 
 def _write_regression_csv(path, n=60, seed=0):
@@ -160,6 +161,31 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", REJECTED_CONFIGS)
+    def test_rejected_config_is_config_error(self, tmp_path, capsys, text, message):
+        data = _write_regression_csv(tmp_path / "train.csv", n=10)
+        config = _write_config(tmp_path / "bad.ini", text)
+        code = run_cli([
+            "fit", "--data", data, "--label", "y", "--config", config,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bo", "--objective", "sinebump", "--steps", "0"],
+            ["bo", "--objective", "sinebump", "--batch-size", "0"],
+            ["stream", "--data", "train.csv", "--label", "y", "--batches", "0"],
+        ],
+        ids=["steps", "batch_size", "batches"],
+    )
+    def test_count_flag_below_one_is_usage_error(self, tmp_path, capsys, argv):
+        assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "must be an integer >= 1" in capsys.readouterr().err
 
     def test_eval_length_mismatch(self, tmp_path, capsys):
         data = _write_regression_csv(tmp_path / "train.csv", n=10)

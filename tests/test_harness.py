@@ -1,5 +1,6 @@
 """Data loading, streaming splits, metrics, config parsing, checkpoints."""
 
+import configparser
 import json
 import math
 from dataclasses import fields
@@ -11,6 +12,7 @@ import pytest
 from dualgp.dual import make_state, ngd_step, predict
 from dualgp.harness import (
     ConfigError,
+    DataError,
     EmptyFile,
     MissingColumn,
     NonNumericCell,
@@ -33,6 +35,24 @@ from dualgp.kernels import Hyperparams, KernelSpec
 from dualgp.likelihoods import BernoulliLogit, Gaussian
 from dualgp.memory import MemorySet
 from dualgp.sequential import SequentialConfig
+
+
+# Configs that parse_config rejects, each with the message it gives.
+REJECTED_CONFIGS = [
+    pytest.param("[model]\nvariance = -1\n", "^variance must be positive", id="variance"),
+    pytest.param("[model]\nnoise_variance = 0\n", "noise_variance must be positive", id="noise"),
+    pytest.param("[model]\nkernel = rbf\n", "unknown kernel family 'rbf'", id="kernel"),
+    pytest.param(
+        "[model]\nlikelihood = bernoulli_logit\nquad_points = 1\n",
+        "quad_points must be at least 2",
+        id="quad_points",
+    ),
+    pytest.param("[stream]\nnum_inducing = 0\n", "num_inducing must be at least 1", id="num_inducing"),
+    pytest.param("[stream]\nngd_rho = 1.5\n", r"ngd_rho must lie in \[0, 1\]", id="ngd_rho"),
+    pytest.param("[stream]\nhyper_lr = 0\n", "hyper_lr must be positive", id="hyper_lr"),
+    pytest.param("[bo]\nsearch_budget = 0\n", "search_budget must be at least 1", id="search_budget"),
+    pytest.param("[bo]\nbatch_size = 4\n", r"unknown key 'batch_size' in section \[bo\]", id="batch_size"),
+]
 
 
 def _write(path, text):
@@ -205,7 +225,7 @@ class TestParseConfig:
             "noise_variance = 0.05\n\n[stream]\nnum_inducing = 30\n\n[data]\nstandardize_inputs = false\n",
         )
         config = parse_config(path)
-        assert config.kernel_family == "squared_exponential"
+        assert config.kernel == "squared_exponential"
         assert config.lengthscales == (0.5, 2.0)
         assert config.noise_variance == 0.05
         assert config.num_inducing == 30
@@ -217,6 +237,10 @@ class TestParseConfig:
         config = parse_config(_write(tmp_path / "run.ini", block))
         assert config.likelihood == "gaussian"
         assert config.lengthscales == (0.5, 2.0)
+        documented = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        documented.read_string(block)
+        keys = [(section, key) for section in documented.sections() for key in documented[section]]
+        assert sorted(keys) == sorted((f.metadata["section"], f.name) for f in fields(RunConfig))
 
     def test_documented_bernoulli_value_parses(self, tmp_path):
         path = _write(tmp_path / "run.ini", "[model]\nlikelihood = bernoulli_logit ; classification\n")
@@ -249,6 +273,11 @@ class TestParseConfig:
         path = _write(tmp_path / "run.ini", f"[stream]\n{key} = true\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(path)
+
+    @pytest.mark.parametrize("text, message", REJECTED_CONFIGS)
+    def test_rejected_config_raises(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(_write(tmp_path / "run.ini", text))
 
     def test_bad_value_raises(self, tmp_path):
         path = _write(tmp_path / "run.ini", "[stream]\nnum_inducing = lots\n")
@@ -343,6 +372,16 @@ class TestCheckpoint:
         _, _, memory2, seed2, _ = load_checkpoint(str(path))
         np.testing.assert_array_equal(memory2.inputs, memory.inputs)
         assert seed2 == 3
+
+    def test_wrong_version_rejected(self, rng, tmp_path):
+        state, lik = self._fitted(rng)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), state, lik)
+        payload = json.loads(path.read_text())
+        payload["version"] = 2
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="checkpoint version 2, not 1"):
+            load_checkpoint(str(path))
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"

@@ -105,6 +105,30 @@ def _fitted_gaussian(rng, n=6, noise=0.3):
     return state, lik, x, y
 
 
+class TestSequentialConfig:
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"num_inducing": 0},
+            {"ngd_rho": -0.1},
+            {"ngd_rho": 1.5},
+            {"ngd_steps": -1},
+            {"memory_capacity": -1},
+            {"hyper_steps": -1},
+            {"hyper_lr": 0.0},
+            {"hyper_lr": float("nan")},
+        ],
+        ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
+    )
+    def test_out_of_range_value_raises(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            SequentialConfig(**{"num_inducing": 5, **setting})
+
+    def test_range_ends_are_accepted(self):
+        SequentialConfig(num_inducing=1, ngd_rho=0.0, ngd_steps=0, memory_capacity=0, hyper_steps=0)
+        SequentialConfig(num_inducing=1, ngd_rho=1.0)
+
+
 class TestRemoveMemory:
     def test_empty_memory_returns_posterior(self, rng):
         state, lik, _, _ = _fitted_gaussian(rng)
