@@ -22,7 +22,6 @@ engine for CSV data sets.
 
 from .kernels import (
     FactorizationFailed,
-    GramFactor,
     Hyperparams,
     KernelSpec,
     gram,
@@ -89,7 +88,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FactorizationFailed",
-    "GramFactor",
     "Hyperparams",
     "KernelSpec",
     "gram",

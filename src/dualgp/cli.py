@@ -143,7 +143,7 @@ def _cmd_bo(args) -> int:
     lik = Gaussian(noise_variance=config.noise_variance)
     kernel = make_kernel(config)
 
-    x_obs = rng.uniform(bounds[:, 0], bounds[:, 1], size=(max(config.init_points, 2), len(bounds)))
+    x_obs = rng.uniform(bounds[:, 0], bounds[:, 1], size=(config.init_points, len(bounds)))
     y_obs = objective(x_obs)
     selection = pivoted_cholesky_select(kernel, x_obs, config.num_inducing)
     state = make_state(kernel, x_obs[selection.indices])

@@ -13,22 +13,26 @@ role for the site means, which is what makes streaming updates and memory
 removal cheap: contributions of individual observations add and subtract in
 this parameterization.
 
-All functions here treat :class:`DualState` as immutable and return new
-states.  The effective ``K_zz`` is the factorized (jitter-regularized) Gram
-matrix throughout, so the algebraic identities between the dual and moment
-forms hold exactly even when a jitter was needed.
+A :class:`DualState` carries ``(kernel, z, alpha_u, b_u)`` and what is
+derived from them, each once: the factorized Gram matrix ``keff`` (jitter
+included), the Cholesky factors of ``keff`` and ``keff + b_u`` and
+``keff^{-1} alpha_u`` when the state is built, the range decomposition of
+``b_u`` on first use.  This relies on states being immutable: every function
+here returns new states and never writes to a state's arrays.  ``keff`` is
+the effective ``K_zz`` throughout, so the identities between the dual and
+moment forms hold exactly even when a jitter was needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .kernels import (
     CholeskyFactor,
-    GramFactor,
     KernelSpec,
     as_points,
     gram,
@@ -49,23 +53,35 @@ PREDICT_BLOCK = 2048
 class DualState:
     """Immutable snapshot of the variational posterior.
 
-    Carries both factors every posterior quantity is built from: ``kzz``, the
-    Gram matrix of ``z`` with its Cholesky factor, and ``kq``, the Cholesky
-    factor of ``kzz.regularized + b_u``.  ``kq`` is set wherever ``b_u`` is
-    set (:func:`make_state` factors it, :func:`ngd_step` hands over the
-    factor it solved with), so no reader refactorizes it.
+    The dual pair ``(alpha_u, b_u)`` on the inducing inputs ``z`` is the
+    state; the rest is derived from it once, and readers never rebuild it:
+    ``keff`` is ``K_zz + jitter I`` as factorized, ``kzz`` its Cholesky
+    factor, ``kq`` the Cholesky factor of ``keff + b_u`` and ``kinv_alpha``
+    is ``keff^{-1} alpha_u``.  :func:`make_state` computes them and
+    :func:`ngd_step` hands over the ``kq`` it solved with.  ``b_range`` is
+    computed on first use and then cached, which is sound only because a
+    state's arrays are never written to.
     """
 
     kernel: KernelSpec
     z: np.ndarray
     alpha_u: np.ndarray
     b_u: np.ndarray
-    kzz: GramFactor
+    keff: np.ndarray
+    kzz: CholeskyFactor
     kq: CholeskyFactor
+    kinv_alpha: np.ndarray
 
     @property
     def num_inducing(self) -> int:
         return self.z.shape[0]
+
+    @cached_property
+    def b_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs ``(w, u)`` of ``b_u`` with ``w`` above ``RANK_TOL * max(w)``."""
+        w, u = eigh(0.5 * (self.b_u + self.b_u.T))
+        keep = w > RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
+        return w[keep], u[:, keep]
 
 
 @dataclass
@@ -102,16 +118,13 @@ def make_state(
     b_u = np.asarray(b_u, dtype=np.float64)
     if alpha_u.shape != (m,) or b_u.shape != (m, m):
         raise ValueError("dual parameter shapes do not match the inducing set")
-    kzz = stable_cholesky(gram(kernel, z))
+    k = gram(kernel, z)
+    kzz = stable_cholesky(k)
+    keff = k + kzz.jitter_used * np.eye(m) if kzz.jitter_used else k
     return DualState(
-        kernel=kernel, z=z, alpha_u=alpha_u, b_u=b_u, kzz=kzz, kq=_sum_factor(kzz, b_u)
+        kernel=kernel, z=z, alpha_u=alpha_u, b_u=b_u, keff=keff, kzz=kzz,
+        kq=stable_cholesky(keff + b_u), kinv_alpha=kzz.solve(alpha_u),
     )
-
-
-def _sum_factor(kzz: GramFactor, b_u: np.ndarray) -> CholeskyFactor:
-    """Cholesky factor of ``K_zz + b_u``, without keeping the summed matrix."""
-    factor = stable_cholesky(kzz.regularized + b_u)
-    return CholeskyFactor(chol=factor.chol, jitter_used=factor.jitter_used)
 
 
 def recover_moments(state: DualState) -> tuple[np.ndarray, np.ndarray]:
@@ -120,8 +133,7 @@ def recover_moments(state: DualState) -> tuple[np.ndarray, np.ndarray]:
     The mean is ``alpha_u`` itself (returned as a copy, bit for bit); the
     covariance is ``K_zz (K_zz + b_u)^{-1} K_zz``.
     """
-    keff = state.kzz.regularized
-    cov = keff @ state.kq.solve(keff)
+    cov = state.keff @ state.kq.solve(state.keff)
     return state.alpha_u.copy(), 0.5 * (cov + cov.T)
 
 
@@ -133,12 +145,12 @@ def predict(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarra
         mean = k_*z K_zz^{-1} alpha_u
         var  = k_** - k_*z [K_zz^{-1} - (K_zz + b_u)^{-1}] k_z*
 
-    Both factors come from the state; the query rows are processed in
-    blocks of ``PREDICT_BLOCK``, so the ``M x rows`` scratch does not grow
-    with the number of query points.
+    Both factors and the weights ``K_zz^{-1} alpha_u`` come from the state;
+    the query rows are processed in blocks of ``PREDICT_BLOCK``, so the
+    ``M x rows`` scratch does not grow with the number of query points.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
-    weights = state.kzz.solve(state.alpha_u)
+    weights = state.kinv_alpha
     mean = np.empty(len(x_star))
     var = gram_diag(state.kernel, x_star)
     for lo in range(0, len(x_star), PREDICT_BLOCK):
@@ -205,14 +217,12 @@ def ngd_step(
     b_new = 0.5 * (b_new + b_new.T)
     alpha_raw = (1.0 - rho) * state.alpha_u + rho * (prior_alpha + site_alpha)
 
-    keff = state.kzz.regularized
-    carry = (b_new - rho * prior_b) @ state.kzz.solve(state.alpha_u)
+    carry = (b_new - rho * prior_b) @ state.kinv_alpha
     anchor = rho * (prior_b @ state.kzz.solve(prior_alpha))
-    kq = _sum_factor(state.kzz, b_new)
-    alpha_new = keff @ kq.solve(alpha_raw + carry + anchor)
-
-    return DualState(
-        kernel=state.kernel, z=state.z, alpha_u=alpha_new, b_u=b_new, kzz=state.kzz, kq=kq
+    kq = stable_cholesky(state.keff + b_new)
+    alpha_new = state.keff @ kq.solve(alpha_raw + carry + anchor)
+    return replace(
+        state, alpha_u=alpha_new, b_u=b_new, kq=kq, kinv_alpha=state.kzz.solve(alpha_new)
     )
 
 
@@ -269,7 +279,7 @@ def elbo(
         mean, var = predict(state, x)
         ell = float(np.sum(lik.expected_log_lik(y, mean, var)))
 
-    keff = state.kzz.regularized
+    keff = state.keff
     lq = state.kq
     # The kernel prior's factor is K_zz's own.
     lp = state.kzz if kernel_prior else stable_cholesky(keff + prior_b)
@@ -283,7 +293,7 @@ def elbo(
     return ell - kl
 
 
-def dual_factor(kzz: GramFactor, alpha: np.ndarray, b: np.ndarray, mean_ref: np.ndarray) -> GaussianFactor:
+def dual_factor(kzz: CholeskyFactor, alpha: np.ndarray, b: np.ndarray, mean_ref: np.ndarray) -> GaussianFactor:
     """Natural-form Gaussian factor encoded by a dual pair.
 
     Precision ``K^{-1} b K^{-1}`` and linear term

@@ -250,6 +250,8 @@ def parse_config(path: str | None) -> RunConfig:
     config = replace(config, **updates)
     if config.search_budget < 1:
         raise ConfigError("search_budget must be at least 1")
+    if config.init_points < 2:
+        raise ConfigError("init_points must be at least 2")
     try:
         make_kernel(config), make_likelihood(config), make_seq_config(config)
     except ValueError as exc:

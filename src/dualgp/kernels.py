@@ -50,14 +50,14 @@ class Hyperparams:
 
     def __post_init__(self) -> None:
         self.lengthscales = np.atleast_1d(np.asarray(self.lengthscales, dtype=np.float64))
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
-        if np.any(self.lengthscales <= 0):
-            raise ValueError("lengthscales must be positive")
-        if self.constant_variance < 0:
-            raise ValueError("constant_variance must be nonnegative")
-        if self.noise_variance is not None and self.noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        if not 0.0 < self.variance < math.inf:
+            raise ValueError("variance must be positive and finite")
+        if not np.all((self.lengthscales > 0.0) & (self.lengthscales < math.inf)):
+            raise ValueError("lengthscales must be positive and finite")
+        if not 0.0 <= self.constant_variance < math.inf:
+            raise ValueError("constant_variance must be nonnegative and finite")
+        if self.noise_variance is not None and not 0.0 < self.noise_variance < math.inf:
+            raise ValueError("noise_variance must be positive and finite")
 
     def copy(self) -> "Hyperparams":
         return replace(self, lengthscales=self.lengthscales.copy())
@@ -99,20 +99,6 @@ class CholeskyFactor:
     def logdet(self) -> float:
         """Log determinant of the factorized matrix."""
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
-
-
-@dataclass
-class GramFactor(CholeskyFactor):
-    """A Gram matrix together with its (possibly jittered) Cholesky factor."""
-
-    matrix: np.ndarray
-
-    @property
-    def regularized(self) -> np.ndarray:
-        """The matrix that was actually factorized."""
-        if self.jitter_used == 0.0:
-            return self.matrix
-        return self.matrix + self.jitter_used * np.eye(self.matrix.shape[0])
 
 
 def _inv_lengthscales(hyper: Hyperparams, dim: int) -> np.ndarray:
@@ -183,7 +169,7 @@ def gram_diag(spec: KernelSpec, xa: np.ndarray) -> np.ndarray:
     return np.full(xa.shape[0], spec.hyper.variance + spec.hyper.constant_variance)
 
 
-def stable_cholesky(matrix: np.ndarray) -> GramFactor:
+def stable_cholesky(matrix: np.ndarray) -> CholeskyFactor:
     """Cholesky with an escalating diagonal jitter ladder.
 
     Tries each jitter in ``JITTER_LADDER`` in order and returns the first
@@ -199,7 +185,7 @@ def stable_cholesky(matrix: np.ndarray) -> GramFactor:
             low = cholesky(shifted, lower=True, check_finite=False)
         except LinAlgError:
             continue
-        return GramFactor(matrix=matrix, chol=low, jitter_used=jitter)
+        return CholeskyFactor(chol=low, jitter_used=jitter)
     raise FactorizationFailed(
         f"cholesky failed at every jitter level {JITTER_LADDER} for shape {matrix.shape}"
     )

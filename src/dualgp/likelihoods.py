@@ -69,8 +69,8 @@ class Gaussian:
     name = "gaussian"
 
     def __init__(self, noise_variance: float):
-        if noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        if not 0.0 < noise_variance < math.inf:
+            raise ValueError("noise_variance must be positive and finite")
         self.noise_variance = float(noise_variance)
 
     def site_expectations(self, y, mean, var) -> SiteValues:

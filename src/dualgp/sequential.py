@@ -28,7 +28,6 @@ import numpy as np
 from scipy.linalg import eigh, qr, solve_triangular
 
 from .dual import (
-    RANK_TOL,
     DualState,
     compute_sites,
     elbo,
@@ -117,7 +116,7 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
     if clip > 0.0:
         b_pr = (u * np.maximum(w, 0.0)) @ u.T
         b_pr = 0.5 * (b_pr + b_pr.T)
-    keff = state.kzz.regularized
+    keff = state.keff
     alpha_pr = state.alpha_u - keff @ stable_cholesky(keff + b_pr).solve(kzm @ sites.alpha_hat)
     return AdjustedPrior(alpha=alpha_pr, b=b_pr, clip_magnitude=clip)
 
@@ -193,11 +192,12 @@ def hyper_objective(
     Gaussian likelihood takes its noise from ``hyper.noise_variance`` unless
     that is None.
 
-    It is one closed form over the factors of ``K`` and ``S`` and one
-    eigendecomposition ``B = U W U^T`` on the range of ``B`` (the ``r``
-    eigenvalues above ``RANK_TOL * max``).  With ``a = K^{-1} alpha``, the
-    thin QR ``K^{-1} U = Q R`` and ``g = R^{-1} Q^T a``, the target minus
-    its data terms is::
+    It is one closed form over the factors of ``K`` and ``S`` and the
+    eigendecomposition ``B = U W U^T`` on the range of ``B``.  ``B`` does
+    not move with ``theta``, so that decomposition comes from the state
+    (``state.b_range``, computed on its first evaluation).  With
+    ``a = K^{-1} alpha``, the thin QR ``K^{-1} U = Q R`` and
+    ``g = R^{-1} Q^T a``, the target minus its data terms is::
 
         -1/2 log|K| - 1/2 b^T S^{-1} b + 1/2 [ ||L_S^{-1} U W^{1/2}||_F^2
             + g^T W^{-1} g - 2 alpha^T (a - Q Q^T a) + r log 2 pi
@@ -210,15 +210,12 @@ def hyper_objective(
     rebuilt = make_state(kernel, state.z, state.alpha_u, state.b_u)
     if isinstance(lik, Gaussian) and hyper.noise_variance is not None:
         lik = Gaussian(noise_variance=float(hyper.noise_variance))
-    kzz, kq, alpha = rebuilt.kzz, rebuilt.kq, state.alpha_u
+    kzz, kq, alpha, a = rebuilt.kzz, rebuilt.kq, state.alpha_u, rebuilt.kinv_alpha
 
-    w, u = eigh(0.5 * (state.b_u + state.b_u.T))
-    keep = w > RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
-    w, u = w[keep], u[:, keep]
+    w, u = state.b_range
     half = kq.half_solve(u @ ((u.T @ alpha) / w) + alpha)
     value = -0.5 * kzz.logdet() - 0.5 * float(half @ half)
     if w.size:
-        a = kzz.solve(alpha)
         q, r = qr(kzz.solve(u), mode="economic")
         q_a = q.T @ a
         g = solve_triangular(r, q_a)

@@ -35,7 +35,7 @@ from dualgp.dual import (
     recover_moments,
 )
 from dualgp.kernels import (
-    GramFactor,
+    CholeskyFactor,
     Hyperparams,
     KernelSpec,
     as_points,
@@ -127,7 +127,7 @@ class ExactPosterior:
     noise_variance: float
     x_train: np.ndarray
     y_train: np.ndarray
-    factor: GramFactor
+    factor: CholeskyFactor
     weights: np.ndarray
 
 
@@ -180,7 +180,7 @@ def predict_moments_route(state: DualState, x_star: np.ndarray) -> tuple[np.ndar
     mean = a.T @ mean_u
     var = (
         gram_diag(state.kernel, x_star)
-        - np.sum(a * (state.kzz.regularized @ a), axis=0)
+        - np.sum(a * (state.keff @ a), axis=0)
         + np.sum(a * (cov_u @ a), axis=0)
     )
     return mean, var
@@ -211,7 +211,7 @@ def pseudo_data(state: DualState) -> PseudoData:
     eigendecomposition (relative rank tolerance 1e-10).  Rank deficiency is
     reported, not repaired.
     """
-    keff = state.kzz.regularized
+    keff = state.keff
     w, u = eigh(0.5 * (state.b_u + state.b_u.T))
     cutoff = RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
     keep = w > cutoff
@@ -244,7 +244,7 @@ def site_reconstruction_check(
     a = state.kzz.solve(kzx)
     ki = state.kzz.solve(np.eye(state.num_inducing))
     prec_built = (a * sites.beta_hat) @ a.T + ki
-    prec_state = state.kzz.solve(state.kzz.solve(state.kzz.regularized + state.b_u).T)
+    prec_state = state.kzz.solve(state.kzz.solve(state.keff + state.b_u).T)
     mean_u = state.alpha_u
     y_hat = sites.alpha_hat / sites.beta_hat + kzx.T @ state.kzz.solve(mean_u)
     lin_built = (a * sites.beta_hat) @ y_hat
@@ -357,7 +357,7 @@ def hyper_objective_reference(
     if isinstance(lik, Gaussian):
         lik = Gaussian(noise_variance=float(hyper.noise_variance))
 
-    keff = rebuilt.kzz.regularized
+    keff = rebuilt.keff
     w, u = eigh(0.5 * (state.b_u + state.b_u.T))
     keep = w > RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
     b_pinv = (u[:, keep] / w[keep]) @ u[:, keep].T

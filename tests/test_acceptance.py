@@ -138,7 +138,7 @@ def test_criterion_03_leverage_score_identities():
                 )
                 if instance % 4 == 0:
                     a = state.kzz.solve(gram(kernel, z, x))
-                    ridge = rls(kernel, 1.0, a, state.kzz.regularized)
+                    ridge = rls(kernel, 1.0, a, state.keff)
                     np.testing.assert_allclose(product, ridge, rtol=0, atol=1e-8)
 
 

@@ -14,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -41,9 +42,11 @@ from dualgp.dual import (
     state_to_dict,
 )
 import dualgp.dual
-from dualgp.kernels import Hyperparams, KernelSpec, stable_cholesky
+import dualgp.sequential
+from dualgp.kernels import CholeskyFactor, Hyperparams, KernelSpec, gram, stable_cholesky
 from dualgp.likelihoods import BernoulliLogit, Gaussian
 from dualgp.representation import project_duals
+from dualgp.sequential import hyper_objective
 
 ONE_POINT_ELBO = -1.5155121234846454  # log N(1 | 0, 2)
 
@@ -316,7 +319,7 @@ class TestPseudoData:
         state = ngd_step(make_state(_spec(), x), Gaussian(0.4), x, y, rho=1.0)
         pseudo = pseudo_data(state)
         assert not pseudo.degenerate
-        keff = state.kzz.regularized
+        keff = state.keff
         b_back = keff @ np.linalg.solve(pseudo.sigma_tilde, keff)
         alpha_back = keff @ np.linalg.solve(keff + pseudo.sigma_tilde, pseudo.y_tilde)
         np.testing.assert_allclose(b_back, state.b_u, atol=1e-8)
@@ -380,23 +383,42 @@ def factorizations(monkeypatch):
     return shapes
 
 
+def _hyper_rebuild(state, x, y):
+    """The state ``hyper_objective`` rebuilds at moved hyperparameters."""
+    rebuilt = []
+
+    def capture(*args):
+        rebuilt.append(make_state(*args))
+        return rebuilt[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dualgp.sequential, "make_state", capture)
+        moved = Hyperparams(1.3, np.array([0.6]), noise_variance=0.4)
+        hyper_objective(state, Gaussian(0.4), x, y, np.empty((0, 1)), np.empty(0), 0, moved)
+    (only,) = rebuilt
+    return only
+
+
 def _states_by_construction(rng):
     """States built by each route that sets ``b_u``, one with a jittered K_zz."""
     state = _random_state(rng, m=5)
     x = rng.uniform(-2, 2, (6, 1))
     duplicated = make_state(_spec(), np.array([[0.0], [0.0], [1.0]]))
+    fitted = ngd_step(duplicated, Gaussian(0.4), x, np.cos(x[:, 0]), rho=1.0)
     return {
         "make_state": state,
         "make_state_jittered": duplicated,
         "ngd_step": ngd_step(state, Gaussian(0.4), x, np.sin(x[:, 0]), rho=0.6),
-        "ngd_step_jittered": ngd_step(duplicated, Gaussian(0.4), x, np.cos(x[:, 0]), rho=1.0),
+        "ngd_step_jittered": fitted,
         "project_duals": project_duals(state, rng.uniform(-2, 2, (4, 1))),
         "state_from_dict": state_from_dict(state_to_dict(state)),
+        "hyper_objective": _hyper_rebuild(state, x, np.sin(x[:, 0])),
+        "hyper_objective_jittered": _hyper_rebuild(fitted, x, np.cos(x[:, 0])),
     }
 
 
 class TestFactorOnce:
-    """Each state carries the factor of ``K_zz + b_u``; readers never rebuild it."""
+    """Each state carries what is derived from it; readers never rebuild it."""
 
     def test_readers_do_not_factorize(self, rng, factorizations):
         state = _random_state(rng, m=5)
@@ -419,9 +441,57 @@ class TestFactorOnce:
         states = _states_by_construction(rng)
         assert states["make_state_jittered"].kzz.jitter_used > 0.0
         for name, state in states.items():
-            fresh = stable_cholesky(state.kzz.regularized + state.b_u)
+            fresh = stable_cholesky(state.keff + state.b_u)
             assert np.array_equal(state.kq.chol, fresh.chol), name
             assert state.kq.jitter_used == fresh.jitter_used, name
+
+    def test_stored_gram_and_weights_are_fresh(self, rng):
+        """``keff`` is ``K_zz + jitter I``, ``kinv_alpha`` is ``keff^{-1} alpha_u``, bit for bit."""
+        states = _states_by_construction(rng)
+        for name in ("make_state", "ngd_step", "hyper_objective"):
+            assert states[name].kzz.jitter_used == 0.0, name
+            assert states[f"{name}_jittered"].kzz.jitter_used > 0.0, name
+        for name, state in states.items():
+            kzz = stable_cholesky(gram(state.kernel, state.z))
+            assert np.array_equal(state.kzz.chol, kzz.chol), name
+            fresh = gram(state.kernel, state.z) + kzz.jitter_used * np.eye(state.num_inducing)
+            assert np.array_equal(state.keff, fresh), name
+            assert np.array_equal(state.kinv_alpha, kzz.solve(state.alpha_u)), name
+
+    def test_one_row_predict_solves_nothing_for_the_mean(self, rng, monkeypatch):
+        solves = []
+        original = CholeskyFactor.solve
+
+        def counting(self, rhs):
+            solves.append(np.shape(rhs))
+            return original(self, rhs)
+
+        monkeypatch.setattr(CholeskyFactor, "solve", counting)
+        state = _random_state(rng, m=5)
+        solves.clear()
+        predict(state, rng.uniform(-2, 2, (1, 1)))
+        assert solves == []
+
+    def test_range_decomposition_is_lazy_and_cached(self, rng, monkeypatch):
+        """No ``eigh`` until ``b_range`` is read, then one per state."""
+        calls = []
+
+        def counting(matrix):
+            calls.append(np.shape(matrix))
+            return scipy.linalg.eigh(matrix)
+
+        monkeypatch.setattr(dualgp.dual, "eigh", counting)
+        x = rng.uniform(-2, 2, (7, 1))
+        state = ngd_step(_random_state(rng, m=5), Gaussian(0.5), x, np.sin(x[:, 0]), rho=0.6)
+        predict(state, x)
+        assert calls == []
+        w, u = state.b_range
+        assert state.b_range[0] is w and state.b_range[1] is u
+        assert calls == [(5, 5)]
+        fresh_w, fresh_u = scipy.linalg.eigh(0.5 * (state.b_u + state.b_u.T))
+        keep = fresh_w > dualgp.dual.RANK_TOL * fresh_w.max()
+        assert np.array_equal(w, fresh_w[keep])
+        assert np.array_equal(u, fresh_u[:, keep])
 
     def test_state_keeps_only_the_triangular_factor(self, rng):
         state = _random_state(rng, m=5)

@@ -42,6 +42,18 @@ REJECTED_CONFIGS = [
     pytest.param("[model]\nvariance = -1\n", "^variance must be positive", id="variance"),
     pytest.param("[model]\nnoise_variance = 0\n", "noise_variance must be positive", id="noise"),
     pytest.param("[model]\nkernel = rbf\n", "unknown kernel family 'rbf'", id="kernel"),
+    pytest.param("[model]\nvariance = nan\n", "^variance must be positive and finite", id="variance_nan"),
+    pytest.param(
+        "[model]\nnoise_variance = nan\n", "^noise_variance must be positive and finite", id="noise_nan"
+    ),
+    pytest.param(
+        "[model]\nlengthscales = inf\n", "^lengthscales must be positive and finite", id="lengthscales_inf"
+    ),
+    pytest.param(
+        "[model]\nconstant_variance = inf\n",
+        "^constant_variance must be nonnegative and finite",
+        id="constant_variance_inf",
+    ),
     pytest.param(
         "[model]\nlikelihood = bernoulli_logit\nquad_points = 1\n",
         "quad_points must be at least 2",
@@ -51,6 +63,7 @@ REJECTED_CONFIGS = [
     pytest.param("[stream]\nngd_rho = 1.5\n", r"ngd_rho must lie in \[0, 1\]", id="ngd_rho"),
     pytest.param("[stream]\nhyper_lr = 0\n", "hyper_lr must be positive", id="hyper_lr"),
     pytest.param("[bo]\nsearch_budget = 0\n", "search_budget must be at least 1", id="search_budget"),
+    pytest.param("[bo]\ninit_points = 0\n", "init_points must be at least 2", id="init_points"),
     pytest.param("[bo]\nbatch_size = 4\n", r"unknown key 'batch_size' in section \[bo\]", id="batch_size"),
 ]
 

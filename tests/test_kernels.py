@@ -12,7 +12,6 @@ from dualgp.kernels import (
     FAMILIES,
     JITTER_LADDER,
     FactorizationFailed,
-    GramFactor,
     Hyperparams,
     KernelSpec,
     gram,
@@ -56,6 +55,16 @@ class TestHyperparams:
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError, match="noise_variance"):
             Hyperparams(variance=1.0, lengthscales=np.array([1.0]), noise_variance=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name", ["variance", "lengthscales", "constant_variance", "noise_variance"]
+    )
+    def test_rejects_non_finite(self, name, bad):
+        values = {"variance": 1.0, "lengthscales": np.array([1.0, 0.5]), "noise_variance": 0.1}
+        values[name] = np.array([1.0, bad]) if name == "lengthscales" else bad
+        with pytest.raises(ValueError, match=f"^{name} must be .* and finite"):
+            Hyperparams(**values)
 
     def test_copy_is_independent(self):
         h = Hyperparams(variance=1.0, lengthscales=np.array([1.0, 2.0]))
@@ -203,7 +212,7 @@ class TestStableCholesky:
         K = gram(_spec(), np.linspace(0, 3, 5))
         factor = stable_cholesky(K + 0.1 * np.eye(5))
         assert factor.jitter_used == 0.0
-        np.testing.assert_allclose(factor.chol @ factor.chol.T, factor.regularized, atol=1e-12)
+        np.testing.assert_allclose(factor.chol @ factor.chol.T, K + 0.1 * np.eye(5), atol=1e-12)
 
     def test_ladder_escalates_for_rank_deficient(self):
         x = np.array([0.0, 0.0, 1.0])  # duplicate point forces singularity
@@ -211,7 +220,8 @@ class TestStableCholesky:
         factor = stable_cholesky(K)
         assert factor.jitter_used in JITTER_LADDER
         assert factor.jitter_used > 0.0
-        np.testing.assert_allclose(factor.chol @ factor.chol.T, factor.regularized, atol=1e-10)
+        jittered = K + factor.jitter_used * np.eye(3)
+        np.testing.assert_allclose(factor.chol @ factor.chol.T, jittered, atol=1e-10)
 
     def test_solve_matches_numpy(self, rng):
         K = gram(_spec(), rng.standard_normal((7, 1))) + 0.3 * np.eye(7)
@@ -242,11 +252,6 @@ class TestStableCholesky:
         with pytest.raises(FactorizationFailed, match="every jitter level"):
             stable_cholesky(np.array([[-5.0, 0.0], [0.0, -5.0]]))
 
-    def test_regularized_identity_when_no_jitter(self):
-        K = np.eye(3) * 2.0
-        factor = stable_cholesky(K)
-        assert factor.regularized is factor.matrix
-
 
 class TestSerialization:
     def test_round_trip(self):
@@ -267,7 +272,3 @@ class TestSerialization:
     def test_none_noise_survives(self):
         back = spec_from_dict(spec_to_dict(_spec(noise=None)))
         assert back.hyper.noise_variance is None
-
-    def test_gram_factor_jittered_regularized(self):
-        factor = GramFactor(matrix=np.eye(2), chol=np.linalg.cholesky(np.eye(2) * 1.5), jitter_used=0.5)
-        np.testing.assert_allclose(factor.regularized, np.eye(2) * 1.5)

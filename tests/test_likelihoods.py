@@ -135,6 +135,11 @@ class TestGaussian:
         with pytest.raises(ValueError, match="noise_variance"):
             Gaussian(noise_variance=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_noise(self, bad):
+        with pytest.raises(ValueError, match="noise_variance must be positive and finite"):
+            Gaussian(noise_variance=bad)
+
     def test_beta_constant_across_points(self):
         lik = Gaussian(noise_variance=2.0)
         sites = lik.site_expectations(np.zeros(4), np.arange(4.0), np.ones(4))

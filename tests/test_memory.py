@@ -85,7 +85,7 @@ class TestRidgeLeverage:
         """With unit site weights 1/s2 the two score families share their core."""
         state, lik, x, y = _converged_gaussian_state(rng)
         spec = state.kernel
-        kzz = state.kzz.regularized
+        kzz = state.keff
         kzx = gram(spec, state.z, x)
         a = np.linalg.solve(kzz, kzx)
         noise = lik.noise_variance

@@ -93,6 +93,19 @@ def _hyper_case(name, rng):
     return (state, lik, x, y, *no_mem, _moved(state.kernel.hyper))
 
 
+def _count_eigh(monkeypatch):
+    """A list that grows by one entry per ``eigh`` the engine runs."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return scipy.linalg.eigh(*args, **kwargs)
+
+    for module in (dualgp.dual, dualgp.sequential):
+        monkeypatch.setattr(module, "eigh", counting)
+    return calls
+
+
 def _memory_of(x, y):
     return MemorySet(inputs=x, labels=y, scores=np.ones(len(y)))
 
@@ -400,6 +413,17 @@ class TestHyperObjectiveClosedForm:
         assert calls["dual_factor"] == calls["expected_log_factor"] == 0
         assert calls["recover_moments"] == 0
 
+    def test_second_evaluation_on_a_state_runs_no_eigh(self, rng, monkeypatch):
+        """``B`` does not move with theta: its decomposition is the state's."""
+        calls = _count_eigh(monkeypatch)
+        state, lik, x, y, x_mem, y_mem, n_old, hyper = _hyper_case("with_memory", rng)
+        first = hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, hyper)
+        assert len(calls) == 1
+        again = hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, _moved(hyper))
+        assert len(calls) == 1
+        assert hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, hyper) == first
+        assert again != first
+
 
 class TestOptimizeHypers:
     def test_trace_never_drops_beyond_guard(self, rng):
@@ -424,6 +448,15 @@ class TestOptimizeHypers:
         assert trace[-1] > trace[0]
         assert new_state.kernel.hyper.lengthscales[0] != 2.0
         assert new_lik.noise_variance != 0.5
+
+    def test_one_eigh_per_call(self, rng, monkeypatch):
+        """Five Adam steps over three parameters evaluate 36 times on one decomposition."""
+        state, lik, x, y = _fitted_gaussian(rng)
+        calls = _count_eigh(monkeypatch)
+        config = SequentialConfig(num_inducing=6, hyper_steps=5, hyper_lr=0.05)
+        _, _, trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        assert len(trace) == 6
+        assert calls == [(6, 6)]
 
     def test_dual_parameters_frozen_through_ascent(self, rng):
         state, lik, x, y = _fitted_gaussian(rng)
