@@ -133,8 +133,6 @@ def fantasize_batch(
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     seed: int = 0,
     refine_steps: int = DEFAULT_REFINE_STEPS,
-    rho: float = 1.0,
-    ngd_steps: int = 1,
     fantasy_sample: bool = False,
 ) -> tuple[np.ndarray, DualState]:
     """Assemble ``k`` query points by greedy fantasy conditioning.
@@ -142,10 +140,11 @@ def fantasize_batch(
     Each round maximizes ``acq`` over ``search_budget`` seeded uniform
     samples plus coordinate refinement, conditions a fantasy copy of the
     state on the invented observation (predictive mean unless
-    ``fantasy_sample``), and continues.  For a Gaussian likelihood one
-    ``rho = 1`` step is exact rank-one conditioning; non-Gaussian
-    likelihoods use the given ``(rho, ngd_steps)``.  Returns the points and
-    the final fantasy state; the input state is never modified.
+    ``fantasy_sample``), and continues.  Conditioning is one ``rho = 1``
+    :func:`ngd_step` against the fantasy state as prior: exact rank-one
+    conditioning for a Gaussian likelihood, one full natural-gradient step
+    otherwise.  Returns the points and the final fantasy state; the input
+    state is never modified.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -163,9 +162,7 @@ def fantasize_batch(
 
         mean, var = predict(fantasy, x_best[None, :])
         y_fantasy = _fantasy_label(lik, float(mean[0]), float(var[0]), fantasy_sample, rng)
-        prior_alpha, prior_b = fantasy.alpha_u, fantasy.b_u
-        for _ in range(ngd_steps):
-            fantasy = ngd_step(
-                fantasy, lik, x_best[None, :], np.array([y_fantasy]), rho, prior_alpha, prior_b
-            )
+        fantasy = ngd_step(
+            fantasy, lik, x_best[None, :], np.array([y_fantasy]), 1.0, fantasy.alpha_u, fantasy.b_u
+        )
     return np.asarray(points), fantasy

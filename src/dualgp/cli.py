@@ -140,7 +140,9 @@ def _cmd_bo(args) -> int:
     config = parse_config(args.config)
     objective, bounds = OBJECTIVES[args.objective]
     rng = np.random.default_rng(args.seed)
-    lik = Gaussian(noise_variance=config.noise_variance)
+    lik = make_likelihood(config)
+    if not isinstance(lik, Gaussian):
+        raise ConfigError(f"dualgp bo needs likelihood = {Gaussian.name}, not {config.likelihood!r}")
     kernel = make_kernel(config)
 
     x_obs = rng.uniform(bounds[:, 0], bounds[:, 1], size=(config.init_points, len(bounds)))
@@ -209,6 +211,13 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _require(ok: np.ndarray, column: str, problem: str) -> None:
+    """Raise :class:`DataError` at the first data row (0-based) where ``ok`` is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise DataError(f"{problem} at data row {bad[0]}, column {column!r}")
+
+
 def _cmd_eval(args) -> int:
     preds, names = load_matrix(args.predictions)
     _, y, _ = load_csv(args.data, args.label)
@@ -218,8 +227,9 @@ def _cmd_eval(args) -> int:
         )
     columns = {name: preds[:, i] for i, name in enumerate(names)}
     if "p_positive" in columns:
-        labels = BernoulliLogit.canon_labels(y)
         prob_pos = columns["p_positive"]
+        _require((prob_pos >= 0.0) & (prob_pos <= 1.0), "p_positive", "probability outside [0, 1]")
+        labels = BernoulliLogit.canon_labels(y)
         prob_label = np.where(labels > 0, prob_pos, 1.0 - prob_pos)
         out = {
             "nlpd": float(-np.mean(np.log(np.clip(prob_label, 1e-300, None)))),
@@ -230,6 +240,7 @@ def _cmd_eval(args) -> int:
             raise DataError("predictions need 'mean' and 'predictive_variance' columns")
         mean = columns["mean"]
         total_var = columns["predictive_variance"]
+        _require(total_var > 0.0, "predictive_variance", "nonpositive variance")
         logp = -0.5 * (np.log(2.0 * np.pi * total_var) + (y - mean) ** 2 / total_var)
         out = {
             "nlpd": float(-np.mean(logp)),

@@ -234,16 +234,14 @@ def iterate_ngd(
     rho: float,
     max_steps: int = 1000,
     tol: float = 1e-8,
-    prior_alpha: np.ndarray | None = None,
-    prior_b: np.ndarray | None = None,
 ) -> tuple[DualState, int, bool]:
-    """Run :func:`ngd_step` until the dual parameters stop moving.
+    """Run :func:`ngd_step` against the kernel prior until the duals stop moving.
 
     Stops when ``max(|d alpha|, |d b|)`` falls below ``tol`` or after
     ``max_steps`` iterations; returns ``(state, steps_taken, converged)``.
     """
     for step in range(1, max_steps + 1):
-        new = ngd_step(state, lik, x, y, rho, prior_alpha, prior_b)
+        new = ngd_step(state, lik, x, y, rho)
         delta = max(
             float(np.max(np.abs(new.alpha_u - state.alpha_u), initial=0.0)),
             float(np.max(np.abs(new.b_u - state.b_u), initial=0.0)),
@@ -318,25 +316,6 @@ def dual_factor(kzz: CholeskyFactor, alpha: np.ndarray, b: np.ndarray, mean_ref:
     )
 
 
-def expected_log_factor(factor: GaussianFactor, mean: np.ndarray, cov: np.ndarray) -> float:
-    """``E[log f(u)]`` for ``u ~ N(mean, cov)`` and a support-normalized factor.
-
-    Zero-rank factors contribute exactly zero (empty product convention).
-    """
-    if factor.rank == 0:
-        return 0.0
-    trace = float(np.sum(factor.precision * cov))
-    proj = factor._eigvecs.T @ factor.linear
-    quad = (
-        float(mean @ (factor.precision @ mean))
-        - 2.0 * float(mean @ factor.linear)
-        + float(proj @ (proj / factor._eigvals))
-    )
-    return -0.5 * (
-        trace + quad + factor.rank * np.log(2.0 * np.pi) - factor.logdet_plus
-    )
-
-
 def state_to_dict(state: DualState) -> dict:
     """JSON-ready representation of a state (kernel, Z, dual parameters)."""
     return {
@@ -368,7 +347,6 @@ __all__ = [
     "iterate_ngd",
     "elbo",
     "dual_factor",
-    "expected_log_factor",
     "state_to_dict",
     "state_from_dict",
 ]

@@ -3,9 +3,9 @@
 Two kernel families are provided, Matérn-5/2 and squared-exponential, each
 with a signal variance, per-dimension or shared lengthscales, and an optional
 additive constant variance.  Hyperparameters live in :class:`Hyperparams`,
-which also carries the observation-noise variance consumed by the Gaussian
-likelihood so that one object holds everything the hyperparameter optimizer
-touches.
+which may also carry the observation-noise variance of a Gaussian
+likelihood; the likelihood owns that value, and the streaming engine
+rejects a kernel whose noise differs from it.
 
 Usage::
 
@@ -17,7 +17,7 @@ Usage::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
@@ -40,7 +40,7 @@ class Hyperparams:
     ``lengthscales`` has one entry per input dimension, or a single entry
     shared across dimensions.  ``constant_variance`` adds a constant kernel
     ``c(x, x') = constant_variance``; zero disables it.  ``noise_variance``
-    is None for likelihoods that have no noise parameter.
+    may be None; a set value must equal a Gaussian likelihood's noise.
     """
 
     variance: float
@@ -58,9 +58,6 @@ class Hyperparams:
             raise ValueError("constant_variance must be nonnegative and finite")
         if self.noise_variance is not None and not 0.0 < self.noise_variance < math.inf:
             raise ValueError("noise_variance must be positive and finite")
-
-    def copy(self) -> "Hyperparams":
-        return replace(self, lengthscales=self.lengthscales.copy())
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 from .dual import DualState, make_state
 from .kernels import KernelSpec, as_points, gram
 
-DEFAULT_REL_TOL = 1e-10
+REL_TOL = 1e-10
 
 
 @dataclass
@@ -31,20 +31,19 @@ class PivotSelection:
     residual_diag: np.ndarray
 
 
-def _pivoted_cholesky(g: np.ndarray, max_rank: int, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy pivoted Cholesky on a dense PSD matrix.
+def pivoted_cholesky_select(kernel: KernelSpec, candidates: np.ndarray, max_points: int) -> PivotSelection:
+    """Pick up to ``max_points`` candidates by greedy pivoted Cholesky.
 
-    Returns the selected pivot indices in selection order and the
-    Schur-complement diagonal after the last accepted pivot.  Selection stops
-    at ``max_rank`` pivots or once the largest residual falls below
-    ``rel_tol`` times the initial largest diagonal.  Ties break toward the
-    lowest index (first maximum wins).
+    Stops early once the largest residual falls below ``REL_TOL`` times the
+    initial largest diagonal (near-duplicates add nothing).  Exact ties break
+    toward the lowest candidate index.
     """
-    n = g.shape[0]
+    g = gram(kernel, as_points(candidates))
+    n, max_rank = g.shape[0], int(max_points)
     d = np.diag(g).copy()
     low = np.empty((n, max_rank))
     order: list[int] = []
-    threshold = rel_tol * max(float(d.max(initial=0.0)), 0.0)
+    threshold = REL_TOL * max(float(d.max(initial=0.0)), 0.0)
     for t in range(min(max_rank, n)):
         j = int(np.argmax(d))
         if d[j] <= threshold or d[j] <= 0.0:
@@ -58,24 +57,7 @@ def _pivoted_cholesky(g: np.ndarray, max_rank: int, rel_tol: float) -> tuple[np.
         np.maximum(d, 0.0, out=d)
         d[j] = 0.0
         order.append(j)
-    return np.array(order, dtype=np.int64), d
-
-
-def pivoted_cholesky_select(
-    kernel: KernelSpec,
-    candidates: np.ndarray,
-    max_points: int,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> PivotSelection:
-    """Pick up to ``max_points`` candidates by greedy pivoted Cholesky.
-
-    Stops early once the largest residual falls below ``rel_tol`` times the
-    initial largest diagonal (near-duplicates add nothing).  Exact ties break
-    toward the lowest candidate index.
-    """
-    candidates = as_points(candidates)
-    order, resid = _pivoted_cholesky(gram(kernel, candidates), int(max_points), float(rel_tol))
-    return PivotSelection(indices=order, residual_diag=resid)
+    return PivotSelection(indices=np.array(order, dtype=np.int64), residual_diag=d)
 
 
 def project_duals(state: DualState, z_new: np.ndarray) -> DualState:

@@ -239,31 +239,26 @@ def hyper_objective(
     return value
 
 
-def _pack_log_theta(hyper: Hyperparams, with_noise: bool) -> tuple[np.ndarray, list[str]]:
+def _log_theta(hyper: Hyperparams, lik: Likelihood) -> np.ndarray:
+    """``log theta`` in the positional layout of :func:`optimize_hypers`."""
     values = [hyper.variance, *hyper.lengthscales]
-    names = ["variance"] + [f"lengthscale_{i}" for i in range(len(hyper.lengthscales))]
     if hyper.constant_variance > 0:
         values.append(hyper.constant_variance)
-        names.append("constant_variance")
-    if with_noise:
-        values.append(hyper.noise_variance)
-        names.append("noise_variance")
-    return np.log(np.asarray(values, dtype=np.float64)), names
+    if isinstance(lik, Gaussian):
+        values.append(lik.noise_variance)
+    return np.log(np.asarray(values, dtype=np.float64))
 
 
-def _unpack_log_theta(log_theta: np.ndarray, names: list[str], template: Hyperparams) -> Hyperparams:
-    values = dict(zip(names, np.exp(log_theta)))
+def _hyper_at(log_theta: np.ndarray, template: Hyperparams, lik: Likelihood) -> Hyperparams:
+    """Inverse of :func:`_log_theta`; what theta leaves out comes from ``template``."""
+    theta = np.exp(log_theta)
     n_ls = len(template.lengthscales)
-    lengthscales = np.array([values[f"lengthscale_{i}"] for i in range(n_ls)])
+    rest = iter(theta[1 + n_ls :])
     return Hyperparams(
-        variance=float(values["variance"]),
-        lengthscales=lengthscales,
-        constant_variance=float(values.get("constant_variance", template.constant_variance)),
-        noise_variance=(
-            float(values["noise_variance"])
-            if "noise_variance" in values
-            else template.noise_variance
-        ),
+        variance=float(theta[0]),
+        lengthscales=theta[1 : 1 + n_ls],
+        constant_variance=float(next(rest)) if template.constant_variance > 0 else 0.0,
+        noise_variance=float(next(rest)) if isinstance(lik, Gaussian) else template.noise_variance,
     )
 
 
@@ -291,20 +286,21 @@ def optimize_hypers(
 ) -> tuple[DualState, Likelihood, list[float]]:
     """Guarded Adam-style ascent on :func:`hyper_objective` in log space.
 
+    ``theta`` is positional: the signal variance, the lengthscales in order,
+    ``constant_variance`` if it is positive, and, for a Gaussian likelihood,
+    the noise read from ``lik`` (the value NGD ran with); for any other
+    likelihood the kernel's ``noise_variance`` passes through unchanged.
     Gradients come from central finite differences (step ``FD_STEP``).
     A candidate step is rejected, and the learning rate halved, whenever it
     would decrease the objective by more than 1e-6 or make it non-finite.
     Returns the state rebuilt at the accepted hyperparameters, the matching
     likelihood, and the trace of accepted objective values.
     """
-    with_noise = isinstance(lik, Gaussian)
-    hyper = state.kernel.hyper.copy()
-    if with_noise and hyper.noise_variance is None:
-        hyper = replace(hyper, noise_variance=lik.noise_variance)
-    log_theta, names = _pack_log_theta(hyper, with_noise)
+    hyper = state.kernel.hyper
+    log_theta = _log_theta(hyper, lik)
 
     def objective(lt: np.ndarray) -> float:
-        h = _unpack_log_theta(lt, names, hyper)
+        h = _hyper_at(lt, hyper, lik)
         return hyper_objective(state, lik, x_batch, y_batch, memory.inputs, memory.labels, n_old, h)
 
     current = objective(log_theta)
@@ -329,11 +325,11 @@ def optimize_hypers(
         current = value
         trace.append(current)
 
-    final_hyper = _unpack_log_theta(log_theta, names, hyper)
-    new_kernel = state.kernel.with_hyper(final_hyper)
-    new_state = make_state(new_kernel, state.z, state.alpha_u, state.b_u)
-    new_lik = Gaussian(noise_variance=float(final_hyper.noise_variance)) if with_noise else lik
-    return new_state, new_lik, trace
+    final_hyper = _hyper_at(log_theta, hyper, lik)
+    new_state = make_state(state.kernel.with_hyper(final_hyper), state.z, state.alpha_u, state.b_u)
+    if isinstance(lik, Gaussian):
+        lik = Gaussian(noise_variance=final_hyper.noise_variance)
+    return new_state, lik, trace
 
 
 @dataclass
@@ -362,8 +358,16 @@ def run_stream(
     batch and its dict is merged into that batch's record.  Each record
     carries the batch's ``clip_magnitude``; batches whose clip exceeds
     ``CLIP_RTOL`` times the Frobenius norm of the repaired prior precision
-    (at least 1) are summed up in one warning at the end of the run.
+    (at least 1) are summed up in one warning at the end of the run.  A
+    Gaussian likelihood owns the noise: a kernel ``noise_variance`` that is
+    set and differs from it raises :class:`ValueError` before any batch.
     """
+    noise = kernel.hyper.noise_variance
+    if isinstance(lik, Gaussian) and noise is not None and noise != lik.noise_variance:
+        raise ValueError(
+            f"kernel noise_variance {noise} differs from the Gaussian likelihood's "
+            f"{lik.noise_variance}; make them equal or leave the kernel's unset"
+        )
     state: DualState | None = None
     memory: MemorySet | None = None
     records: list[dict] = []

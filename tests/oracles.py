@@ -11,8 +11,9 @@ The rest are reference routes the engine does not run, each an independent
 assembly of a quantity the package computes another way: exact dense GP
 regression, predictive marginals through the moment form, the pseudo-data
 view of a state, a site-by-site rebuild of a state, dense-route and classical
-ridge leverage scores, the four-term rewrite of the streaming objective, and
-the term-by-term hyperparameter objective.
+ridge leverage scores, the expected log of a dual-pair factor, the four-term
+rewrite of the streaming objective, and the term-by-term hyperparameter
+objective.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from scipy.linalg import cholesky, eigh
 from dualgp.dual import (
     RANK_TOL,
     DualState,
+    GaussianFactor,
     compute_sites,
     dual_factor,
     elbo,
-    expected_log_factor,
     make_state,
     predict,
     recover_moments,
@@ -290,6 +291,25 @@ def rls(kernel: KernelSpec, noise_variance: float, a: np.ndarray, kzz: np.ndarra
     low = cholesky(noise_variance * np.eye(n) + g, lower=True)
     half = np.linalg.solve(low, g)
     return np.diag(g) - np.sum(half * half, axis=0)
+
+
+def expected_log_factor(factor: GaussianFactor, mean: np.ndarray, cov: np.ndarray) -> float:
+    """``E[log f(u)]`` for ``u ~ N(mean, cov)`` and a support-normalized factor.
+
+    Zero-rank factors contribute exactly zero (empty product convention).
+    """
+    if factor.rank == 0:
+        return 0.0
+    trace = float(np.sum(factor.precision * cov))
+    proj = factor._eigvecs.T @ factor.linear
+    quad = (
+        float(mean @ (factor.precision @ mean))
+        - 2.0 * float(mean @ factor.linear)
+        + float(proj @ (proj / factor._eigvals))
+    )
+    return -0.5 * (
+        trace + quad + factor.rank * np.log(2.0 * np.pi) - factor.logdet_plus
+    )
 
 
 def seq_objective_vcl_form(

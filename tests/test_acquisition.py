@@ -180,7 +180,7 @@ class TestFantasizeBatch:
     def test_classifier_fantasy_conditions_with_thresholded_label(self, rng):
         state, lik = _classifier_model(rng)
         acq = ProbabilityOfValidity(state, lik, bounds=np.array([[-3.0, 3.0]]))
-        points, fantasy = fantasize_batch(state, lik, acq, k=2, seed=6, rho=0.5, ngd_steps=3)
+        points, fantasy = fantasize_batch(state, lik, acq, k=2, seed=6)
         assert points.shape == (2, 1)
         _, var_before = predict(state, points)
         _, var_after = predict(fantasy, points)

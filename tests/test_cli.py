@@ -195,6 +195,34 @@ class TestExitCodes:
         assert code == 1
         assert "10 labels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "write, text, column",
+        [
+            (_write_regression_csv, "mean,predictive_variance\n0.0,1.0\n0.5,0.0\n", "predictive_variance"),
+            (_write_classification_csv, "mean,variance,p_positive\n0.0,1.0,0.5\n0.5,1.0,1.5\n", "p_positive"),
+        ],
+        ids=["nonpositive_variance", "probability_above_one"],
+    )
+    def test_eval_out_of_range_prediction_is_data_error(self, tmp_path, capsys, write, text, column):
+        data = write(tmp_path / "train.csv", n=2)
+        preds = tmp_path / "preds.csv"
+        preds.write_text(text)
+        code = run_cli(["eval", "--predictions", str(preds), "--data", data, "--label", "y"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"data row 1, column {column!r}" in captured.err
+
+    def test_bo_rejects_a_non_gaussian_likelihood(self, tmp_path, capsys):
+        config = _write_config(tmp_path / "clf.ini", "[model]\nlikelihood = bernoulli_logit\n")
+        code = run_cli([
+            "bo", "--objective", "sinebump", "--steps", "1", "--config", config,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "likelihood = gaussian" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert run_cli([]) == 2
         capsys.readouterr()

@@ -18,6 +18,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    expected_log_factor,
     fit_exact,
     log_marginal,
     predict_exact,
@@ -32,7 +33,6 @@ from dualgp.dual import (
     compute_sites,
     dual_factor,
     elbo,
-    expected_log_factor,
     iterate_ngd,
     make_state,
     ngd_step,

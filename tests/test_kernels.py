@@ -66,12 +66,6 @@ class TestHyperparams:
         with pytest.raises(ValueError, match=f"^{name} must be .* and finite"):
             Hyperparams(**values)
 
-    def test_copy_is_independent(self):
-        h = Hyperparams(variance=1.0, lengthscales=np.array([1.0, 2.0]))
-        c = h.copy()
-        c.lengthscales[0] = 9.0
-        assert h.lengthscales[0] == 1.0
-
 
 class TestKernelSpec:
     def test_rejects_unknown_family(self):

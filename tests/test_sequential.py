@@ -28,6 +28,8 @@ from dualgp.memory import MemorySet, empty_memory
 from dualgp.representation import pivoted_cholesky_select
 from dualgp.sequential import (
     SequentialConfig,
+    _hyper_at,
+    _log_theta,
     fit_offline,
     hyper_gradient,
     hyper_objective,
@@ -399,7 +401,6 @@ class TestHyperObjectiveClosedForm:
             "eigh": scipy.linalg.eigh,
             "stable_cholesky": stable_cholesky,
             "dual_factor": dualgp.dual.dual_factor,
-            "expected_log_factor": dualgp.dual.expected_log_factor,
             "recover_moments": dualgp.dual.recover_moments,
         }
         for name, original in originals.items():
@@ -410,7 +411,7 @@ class TestHyperObjectiveClosedForm:
         hyper_objective(*case)
         assert calls["eigh"] == 1
         assert calls["stable_cholesky"] <= 3
-        assert calls["dual_factor"] == calls["expected_log_factor"] == 0
+        assert calls["dual_factor"] == 0
         assert calls["recover_moments"] == 0
 
     def test_second_evaluation_on_a_state_runs_no_eigh(self, rng, monkeypatch):
@@ -425,7 +426,62 @@ class TestHyperObjectiveClosedForm:
         assert again != first
 
 
+class TestThetaLayout:
+    @pytest.mark.parametrize("lengthscales", [[0.7], [0.7, 1.9, 0.4]], ids=["shared", "per_dim"])
+    @pytest.mark.parametrize("constant", [0.0, 0.4])
+    @pytest.mark.parametrize("lik", [Gaussian(0.25), BernoulliLogit()], ids=["gaussian", "bernoulli"])
+    def test_positional_layout_round_trips(self, lengthscales, constant, lik):
+        """variance, lengthscales, constant if positive, noise if Gaussian; all in log."""
+        hyper = Hyperparams(1.3, np.array(lengthscales), constant_variance=constant, noise_variance=0.8)
+        gaussian = isinstance(lik, Gaussian)
+        expected = [1.3, *lengthscales] + [constant] * (constant > 0) + [0.25] * gaussian
+        log_theta = _log_theta(hyper, lik)
+        assert np.array_equal(log_theta, np.log(expected))
+
+        back = _hyper_at(log_theta, hyper, lik)
+        theta = np.exp(log_theta)
+        n_ls = len(lengthscales)
+        assert back.variance == theta[0]
+        assert np.array_equal(back.lengthscales, theta[1 : 1 + n_ls])
+        assert back.constant_variance == (theta[1 + n_ls] if constant > 0 else 0.0)
+        assert back.noise_variance == (theta[-1] if gaussian else 0.8)
+        back_lik = Gaussian(back.noise_variance) if gaussian else lik
+        assert np.array_equal(_log_theta(back, back_lik), np.log(theta))
+
+
 class TestOptimizeHypers:
+    def test_gaussian_noise_is_read_from_the_likelihood(self, rng):
+        """An unset kernel noise ascends the likelihood's; kernel and likelihood agree after."""
+        state, lik, x, y = _fitted_gaussian(rng, noise=0.5)
+        config = SequentialConfig(num_inducing=6, hyper_steps=5, hyper_lr=0.05)
+        bare = make_state(_spec(noise=None), state.z, state.alpha_u, state.b_u)
+        new_state, new_lik, trace = optimize_hypers(bare, lik, config, x, y, empty_memory(1), 0)
+        _, same_lik, same_trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        assert new_lik.noise_variance != 0.5
+        assert new_state.kernel.hyper.noise_variance == new_lik.noise_variance
+        assert trace == same_trace
+        assert same_lik.noise_variance == new_lik.noise_variance
+
+    def test_bernoulli_theta_has_no_noise_and_kernel_noise_passes_through(self, rng, monkeypatch):
+        x = rng.uniform(-2, 2, (10, 1))
+        y = np.where(x[:, 0] > 0, 1.0, -1.0)
+        lik = BernoulliLogit()
+        state, _, _ = iterate_ngd(make_state(_spec(noise=0.7), x), lik, x, y, rho=0.7, tol=1e-10)
+        evals = []
+        original = dualgp.sequential.hyper_objective
+
+        def counted(*args):
+            evals.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(dualgp.sequential, "hyper_objective", counted)
+        config = SequentialConfig(num_inducing=10, hyper_steps=3, hyper_lr=0.05)
+        new_state, _, _ = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        # two components (variance, lengthscale): 1 + 3 * (2 * 2 + 1) evaluations
+        assert len(evals) == 16
+        assert all(h.noise_variance == 0.7 for h in evals)
+        assert new_state.kernel.hyper.noise_variance == 0.7
+
     def test_trace_never_drops_beyond_guard(self, rng):
         x = np.sort(rng.uniform(-3, 3, 30))[:, None]
         y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(30)
@@ -547,6 +603,44 @@ class TestRunStream:
         config = SequentialConfig(num_inducing=8)
         result = run_stream(batches, _spec(), Gaussian(0.3), config)
         assert result.state.num_inducing <= 8
+
+
+class TestNoiseOwnership:
+    """A Gaussian likelihood owns the noise; a different kernel noise is rejected."""
+
+    def _batches(self, rng, consumed):
+        x = np.sort(rng.uniform(-3, 3, 40))[:, None]
+        y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(40)
+        for xs, ys in zip(np.array_split(x, 4), np.array_split(y, 4)):
+            consumed.append(len(ys))
+            yield xs, ys
+
+    @pytest.mark.parametrize("hyper_steps", [0, 1])
+    def test_mismatch_raises_before_the_first_batch(self, rng, hyper_steps):
+        consumed = []
+        config = SequentialConfig(num_inducing=8, memory_capacity=5, hyper_steps=hyper_steps)
+        with pytest.raises(ValueError, match="noise_variance 0.5 differs .* 0.1"):
+            run_stream(self._batches(rng, consumed), _spec(noise=0.5), Gaussian(0.1), config)
+        assert consumed == []
+
+    def test_fit_offline_inherits_the_check(self, rng):
+        x = rng.uniform(-3, 3, (20, 1))
+        config = SequentialConfig(num_inducing=8)
+        with pytest.raises(ValueError, match="noise_variance"):
+            fit_offline(_spec(noise=0.5), Gaussian(0.1), config, x, np.sin(x[:, 0]))
+
+    @pytest.mark.parametrize("noise", [0.1, None], ids=["equal", "unset"])
+    @pytest.mark.parametrize("hyper_steps", [0, 1])
+    def test_equal_or_unset_kernel_noise_runs(self, rng, noise, hyper_steps):
+        config = SequentialConfig(num_inducing=8, memory_capacity=5, hyper_steps=hyper_steps)
+        result = run_stream(self._batches(rng, []), _spec(noise=noise), Gaussian(0.1), config)
+        noises = [r["theta"]["noise_variance"] for r in result.records]
+        assert len(noises) == 4
+        if hyper_steps == 0:
+            assert noises == [0.1] * 4
+        else:
+            assert noises[0] != 0.1
+            assert result.state.kernel.hyper.noise_variance == result.lik.noise_variance
 
 
 class TestClipTelemetry:
@@ -708,7 +802,7 @@ class TestFitOffline:
         x = rng.uniform(-3, 3, (60, 1))
         y = np.sin(x[:, 0])
         config = SequentialConfig(num_inducing=10, ngd_steps=2, hyper_steps=1, memory_capacity=9)
-        result = fit_offline(_spec(), Gaussian(0.2), config, x, y, budget_batches=3)
+        result = fit_offline(_spec(), Gaussian(0.3), config, x, y, budget_batches=3)
         assert len(result.records) == 1
         assert result.records[0]["n_seen"] == 60
         assert len(result.memory) == 0
@@ -717,7 +811,7 @@ class TestFitOffline:
         x = rng.uniform(-3, 3, (40, 1))
         y = np.sin(x[:, 0])
         config = SequentialConfig(num_inducing=8, ngd_steps=2)
-        offline = fit_offline(_spec(), Gaussian(0.2), config, x, y, budget_batches=2)
+        offline = fit_offline(_spec(), Gaussian(0.3), config, x, y, budget_batches=2)
         manual_config = SequentialConfig(num_inducing=8, ngd_steps=4)
-        manual = run_stream([(x, y)], _spec(), Gaussian(0.2), manual_config)
+        manual = run_stream([(x, y)], _spec(), Gaussian(0.3), manual_config)
         np.testing.assert_allclose(offline.state.alpha_u, manual.state.alpha_u, atol=1e-12)
