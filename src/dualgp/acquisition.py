@@ -9,16 +9,24 @@ happens on a throwaway copy of the state; the real model is never touched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .dual import DualState, ngd_step, predict
 from .likelihoods import BernoulliLogit, Gaussian, Likelihood
 
 DEFAULT_SEARCH_BUDGET = 2048
 DEFAULT_REFINE_STEPS = 20
+
+# math.erfc as a ufunc (object output); numpy itself has no error function.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, ``erfc(-z / sqrt 2) / 2``: accurate far into the lower tail."""
+    return 0.5 * np.asarray(_erfc(-np.asarray(z) / math.sqrt(2.0)), dtype=np.float64)
 
 
 def expected_improvement(mean, var, best) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .kernels import (
     CholeskyFactor,
@@ -259,13 +259,15 @@ def elbo(
     y: np.ndarray,
     prior_alpha: np.ndarray | None = None,
     prior_b: np.ndarray | None = None,
+    prior_factor: CholeskyFactor | None = None,
 ) -> float:
     """Evidence lower bound: expected log-likelihoods minus KL to the prior.
 
     The prior is the Gaussian encoded by ``(prior_alpha, prior_b)`` (the
     kernel prior when omitted): mean ``prior_alpha``, covariance
-    ``K_zz (K_zz + prior_b)^{-1} K_zz``.  An empty data set with a zero state
-    gives exactly zero.
+    ``K_zz (K_zz + prior_b)^{-1} K_zz``.  ``prior_factor``, if given, is the
+    caller's Cholesky factor of ``state.keff + prior_b``; otherwise it is
+    computed here.  An empty data set with a zero state gives exactly zero.
     """
     m = state.num_inducing
     kernel_prior = prior_b is None
@@ -280,7 +282,9 @@ def elbo(
     keff = state.keff
     lq = state.kq
     # The kernel prior's factor is K_zz's own.
-    lp = state.kzz if kernel_prior else stable_cholesky(keff + prior_b)
+    lp = state.kzz if kernel_prior else prior_factor
+    if lp is None:
+        lp = stable_cholesky(keff + prior_b)
 
     # KL(q || prior) written entirely in dual quantities:
     # trace term tr(P_p V_q) collapses to tr((K + B_pr)(K + B_u)^{-1}).

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
 FAMILIES = ("matern52", "squared_exponential")
 
 JITTER_LADDER = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+
+# A triangle of at most this many rows is inverted directly, not split.
+INV_LEAF = 32
 
 _SQRT5 = math.sqrt(5.0)
 
@@ -80,22 +83,50 @@ class CholeskyFactor:
     """Lower Cholesky factor of a (possibly jittered) positive definite matrix.
 
     ``chol @ chol.T`` equals the factorized matrix plus ``jitter_used * I``.
+    A factor is built once and solved against many times, so its solves go
+    through ``inv``, the inverse of ``chol``: computed on the first solve,
+    then cached, which makes every later solve a matrix product.  Solving by
+    a triangular inverse is as accurate in the forward error as substitution
+    (Druinsky & Toledo, arXiv:1201.6035); the inverse is not backward stable,
+    but the engine uses only the solutions.
     """
 
     chol: np.ndarray
     jitter_used: float
 
+    @cached_property
+    def inv(self) -> np.ndarray:
+        """``chol^{-1}``, lower triangular."""
+        return _lower_inverse(self.chol)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(matrix + jitter I) x = rhs``."""
-        return cho_solve((self.chol, True), rhs)
+        return self.inv.T @ (self.inv @ rhs)
 
     def half_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``chol x = rhs`` (one triangular solve)."""
-        return solve_triangular(self.chol, rhs, lower=True)
+        return self.inv @ rhs
 
     def logdet(self) -> float:
         """Log determinant of the factorized matrix."""
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by recursive 2x2 block inversion.
+
+    ``[[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]]``,
+    with ``np.linalg.inv`` on blocks of at most ``INV_LEAF`` rows.
+    """
+    n = low.shape[0]
+    if n <= INV_LEAF:
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    inv = np.zeros_like(low)
+    inv[:h, :h] = _lower_inverse(low[:h, :h])
+    inv[h:, h:] = _lower_inverse(low[h:, h:])
+    inv[h:, :h] = -inv[h:, h:] @ (low[h:, :h] @ inv[:h, :h])
+    return inv
 
 
 def _inv_lengthscales(hyper: Hyperparams, dim: int) -> np.ndarray:
@@ -179,8 +210,8 @@ def stable_cholesky(matrix: np.ndarray) -> CholeskyFactor:
     for jitter in JITTER_LADDER:
         shifted = matrix + jitter * np.eye(matrix.shape[0]) if jitter else matrix
         try:
-            low = cholesky(shifted, lower=True, check_finite=False)
-        except LinAlgError:
+            low = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
             continue
         return CholeskyFactor(chol=low, jitter_used=jitter)
     raise FactorizationFailed(

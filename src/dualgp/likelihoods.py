@@ -23,11 +23,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 DEFAULT_QUAD_POINTS = 20
 
 BETA_FLOOR = 1e-8
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid ``1 / (1 + exp(-x))``, without overflow in either tail."""
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 @dataclass

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh, qr, solve_triangular
+from numpy.linalg import eigh
 
 from .dual import (
     DualState,
@@ -35,7 +35,7 @@ from .dual import (
     ngd_step,
     predict,
 )
-from .kernels import Hyperparams, KernelSpec, as_points, gram, stable_cholesky
+from .kernels import CholeskyFactor, Hyperparams, KernelSpec, as_points, gram, stable_cholesky
 from .likelihoods import Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
 from .representation import pivoted_cholesky_select, refresh_representation
@@ -88,10 +88,15 @@ class AdjustedPrior:
     ``alpha``/``b`` is a dual pair read like a state's: ``alpha`` is the
     prior mean.  ``b`` is PSD-repaired if the literal subtraction left it
     indefinite, and ``clip_magnitude`` is the largest eigenvalue clipped.
+    ``factor`` is the Cholesky factor of ``keff + b``, where ``keff`` is the
+    factorized K_zz of the state the prior was formed from (the same array
+    object); a state with that ``keff`` reuses the factor.
     """
 
     alpha: np.ndarray
     b: np.ndarray
+    keff: np.ndarray
+    factor: CholeskyFactor
     clip_magnitude: float = 0.0
 
 
@@ -103,9 +108,11 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
     eigenvalues clipped to zero if the subtraction left it indefinite.  The
     mean is ``alpha_u - K (K + b)^{-1} sum_i k_zi alpha_i`` (``K = K_zz``),
     the pair whose natural parameters are the posterior's minus the sites'.
+    With no memory the prior is the posterior, and its factor is ``kq``.
     """
+    keff = state.keff
     if len(memory) == 0:
-        return AdjustedPrior(alpha=state.alpha_u.copy(), b=state.b_u.copy())
+        return AdjustedPrior(alpha=state.alpha_u.copy(), b=state.b_u.copy(), keff=keff, factor=state.kq)
 
     sites = compute_sites(state, lik, memory.inputs, memory.labels)
     kzm = gram(state.kernel, state.z, memory.inputs)
@@ -116,9 +123,9 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
     if clip > 0.0:
         b_pr = (u * np.maximum(w, 0.0)) @ u.T
         b_pr = 0.5 * (b_pr + b_pr.T)
-    keff = state.keff
-    alpha_pr = state.alpha_u - keff @ stable_cholesky(keff + b_pr).solve(kzm @ sites.alpha_hat)
-    return AdjustedPrior(alpha=alpha_pr, b=b_pr, clip_magnitude=clip)
+    factor = stable_cholesky(keff + b_pr)
+    alpha_pr = state.alpha_u - keff @ factor.solve(kzm @ sites.alpha_hat)
+    return AdjustedPrior(alpha=alpha_pr, b=b_pr, keff=keff, factor=factor, clip_magnitude=clip)
 
 
 def _with_memory(
@@ -165,10 +172,12 @@ def seq_objective(
 
     The prior enters as a normalized Gaussian, so with the memory covering
     all past data and a converged old state this equals the batch bound on
-    the union.
+    the union.  The prior's factor is reused while ``state`` has the ``keff``
+    it was built with; after hyperparameter steps ``elbo`` refactors.
     """
     x_all, y_all = _with_memory(x_batch, y_batch, memory)
-    return elbo(state, lik, x_all, y_all, prior.alpha, prior.b)
+    factor = prior.factor if state.keff is prior.keff else None
+    return elbo(state, lik, x_all, y_all, prior.alpha, prior.b, factor)
 
 
 def hyper_objective(
@@ -216,9 +225,9 @@ def hyper_objective(
     half = kq.half_solve(u @ ((u.T @ alpha) / w) + alpha)
     value = -0.5 * kzz.logdet() - 0.5 * float(half @ half)
     if w.size:
-        q, r = qr(kzz.solve(u), mode="economic")
+        q, r = np.linalg.qr(kzz.solve(u))
         q_a = q.T @ a
-        g = solve_triangular(r, q_a)
+        g = np.linalg.solve(r, q_a)
         trace = kq.half_solve(u * np.sqrt(w))
         scaled = (kzz.chol.T @ u) / np.sqrt(w)
         inner = stable_cholesky(np.eye(w.size) + scaled.T @ scaled)

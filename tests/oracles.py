@@ -14,6 +14,12 @@ view of a state, a site-by-site rebuild of a state, dense-route and classical
 ridge leverage scores, the expected log of a dual-pair factor, the four-term
 rewrite of the streaming objective, and the term-by-term hyperparameter
 objective.
+
+The engine runs on numpy alone.  scipy is the reference for what it computes
+with numpy: Cholesky solves by LAPACK substitution
+(:func:`solve_by_substitution`, :func:`half_solve_by_substitution`), the
+logistic sigmoid (``expit_reference``) and the standard normal CDF
+(``ndtr_reference``).
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, eigh
+from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
+from scipy.special import expit as expit_reference
+from scipy.special import ndtr as ndtr_reference
 
 from dualgp.dual import (
     RANK_TOL,
@@ -61,6 +69,16 @@ def gram_einsum(spec, xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarra
     else:
         k = np.exp(-0.5 * r2)
     return spec.hyper.variance * k + spec.hyper.constant_variance
+
+
+def solve_by_substitution(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
+    """``(L L^T)^{-1} rhs`` by two LAPACK triangular substitutions."""
+    return cho_solve((factor.chol, True), rhs)
+
+
+def half_solve_by_substitution(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
+    """``L^{-1} rhs`` by one LAPACK triangular substitution."""
+    return solve_triangular(factor.chol, rhs, lower=True)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ Frozen by tests/oracles.py (mc_expected_improvement, 10^7 samples, seed
 
 import numpy as np
 import pytest
+from oracles import ndtr_reference
 
 from dualgp.acquisition import (
     ExpectedImprovement,
@@ -16,6 +17,7 @@ from dualgp.acquisition import (
     ProductAcquisition,
     expected_improvement,
     fantasize_batch,
+    ndtr,
     probability_of_validity,
 )
 from dualgp.dual import iterate_ngd, make_state, ngd_step, predict
@@ -77,6 +79,18 @@ class TestExpectedImprovement:
         vals = expected_improvement(np.array([1.0, 1.0]), np.array([0.0, 1e-12]), best=0.0)
         assert vals[0] == pytest.approx(1.0)
         assert vals[1] == pytest.approx(1.0, abs=1e-5)
+
+
+class TestNdtr:
+    def test_matches_scipy_over_both_tails(self):
+        """Relative to 1e-12 down to the smallest normal float; scipy flushes subnormals earlier."""
+        z = np.concatenate([np.linspace(-40.0, 40.0, 16001), [-40.0, -37.5, -8.3, 0.0, 8.3, 40.0]])
+        np.testing.assert_allclose(ndtr(z), ndtr_reference(z), rtol=1e-12, atol=np.finfo(np.float64).tiny)
+
+    def test_keeps_the_shape(self):
+        assert ndtr(np.zeros((2, 3))).shape == (2, 3)
+        assert ndtr(np.zeros(0)).shape == (0,)
+        assert ndtr(0.0) == 0.5
 
 
 class TestAcquisitionObjects:

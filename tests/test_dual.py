@@ -14,7 +14,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -370,19 +369,6 @@ class TestFactors:
         assert expected_log_factor(factor, mean, cov) == pytest.approx(float(direct), rel=1e-10)
 
 
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Shapes of the matrices ``dualgp.dual`` factorizes while the test runs."""
-    shapes = []
-
-    def counting(matrix):
-        shapes.append(np.shape(matrix))
-        return stable_cholesky(matrix)
-
-    monkeypatch.setattr(dualgp.dual, "stable_cholesky", counting)
-    return shapes
-
-
 def _hyper_rebuild(state, x, y):
     """The state ``hyper_objective`` rebuilds at moved hyperparameters."""
     rebuilt = []
@@ -478,7 +464,7 @@ class TestFactorOnce:
 
         def counting(matrix):
             calls.append(np.shape(matrix))
-            return scipy.linalg.eigh(matrix)
+            return np.linalg.eigh(matrix)
 
         monkeypatch.setattr(dualgp.dual, "eigh", counting)
         x = rng.uniform(-2, 2, (7, 1))
@@ -488,7 +474,7 @@ class TestFactorOnce:
         w, u = state.b_range
         assert state.b_range[0] is w and state.b_range[1] is u
         assert calls == [(5, 5)]
-        fresh_w, fresh_u = scipy.linalg.eigh(0.5 * (state.b_u + state.b_u.T))
+        fresh_w, fresh_u = np.linalg.eigh(0.5 * (state.b_u + state.b_u.T))
         keep = fresh_w > dualgp.dual.RANK_TOL * fresh_w.max()
         assert np.array_equal(w, fresh_w[keep])
         assert np.array_equal(u, fresh_u[:, keep])

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gram_einsum
+from oracles import gram_einsum, half_solve_by_substitution, solve_by_substitution
 
 from dualgp.kernels import (
     FAMILIES,
+    INV_LEAF,
     JITTER_LADDER,
     FactorizationFailed,
     Hyperparams,
@@ -245,6 +246,64 @@ class TestStableCholesky:
     def test_hopeless_matrix_raises(self):
         with pytest.raises(FactorizationFailed, match="every jitter level"):
             stable_cholesky(np.array([[-5.0, 0.0], [0.0, -5.0]]))
+
+
+@st.composite
+def _spd_systems(draw):
+    """An SPD matrix on either side of the inversion leaf, and a 1-D or 2-D right-hand side.
+
+    ``graded`` spreads the spectrum over up to twelve decades and factorizes
+    without jitter; ``repeated`` repeats half of the inputs of a Gram matrix,
+    which is singular, so the ladder adds jitter.
+    """
+    m = draw(st.sampled_from([1, INV_LEAF - 1, INV_LEAF, INV_LEAF + 1, 65, 130]))
+    kind = draw(st.sampled_from(["wishart", "graded", "repeated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "wishart":
+        a = rng.standard_normal((m, m + 2))
+        matrix = a @ a.T / m
+    elif kind == "graded":
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        matrix = (q * np.logspace(0, -draw(st.integers(0, 12)), m)) @ q.T
+    else:
+        x = rng.uniform(-3, 3, (m, 2))
+        x[m // 2 :] = x[: m - m // 2]
+        matrix = gram(_spec(lengthscales=(draw(st.sampled_from([0.3, 1.0, 3.0])),)), x)
+    shape = (m,) if draw(st.booleans()) else (m, draw(st.integers(1, 5)))
+    return kind, matrix, rng.standard_normal(shape)
+
+
+class TestCachedInverse:
+    """Solves through the cached inverse of the factor, against LAPACK substitution."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_spd_systems())
+    def test_solves_match_substitution(self, system):
+        kind, matrix, rhs = system
+        factor = stable_cholesky(matrix)
+        if kind == "repeated" and len(matrix) > 1:
+            assert factor.jitter_used > 0.0
+        for got, ref in (
+            (factor.solve(rhs), solve_by_substitution(factor, rhs)),
+            (factor.half_solve(rhs), half_solve_by_substitution(factor, rhs)),
+        ):
+            assert got.shape == rhs.shape
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("m", [INV_LEAF, INV_LEAF + 1, 100])
+    def test_inverse_is_lower_triangular(self, rng, m):
+        a = rng.standard_normal((m, m))
+        factor = stable_cholesky(a @ a.T + m * np.eye(m))
+        assert not np.any(np.triu(factor.inv, 1))
+        np.testing.assert_allclose(factor.inv @ factor.chol, np.eye(m), rtol=0, atol=1e-13)
+
+    def test_inverse_is_computed_on_first_solve_and_kept(self, rng):
+        factor = stable_cholesky(gram(_spec(), rng.standard_normal((6, 1))) + 0.1 * np.eye(6))
+        assert "inv" not in vars(factor)
+        factor.half_solve(rng.standard_normal(6))
+        inv = vars(factor)["inv"]
+        factor.solve(rng.standard_normal((6, 2)))
+        assert factor.inv is inv
 
 
 class TestSerialization:

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import expit_reference
 
 from dualgp.likelihoods import (
     BETA_FLOOR,
     DEFAULT_QUAD_POINTS,
     BernoulliLogit,
     Gaussian,
+    expit,
     gauss_hermite_expectation,
     likelihood_from_dict,
 )
@@ -163,12 +165,10 @@ class TestBernoulliLogit:
     def test_sites_collapse_to_pointwise_derivatives(self):
         """As var -> 0 the site expectations hit the log-likelihood derivatives."""
         lik = BernoulliLogit()
-        from scipy.special import expit
-
         for y, mean in [(1.0, 0.7), (-1.0, 1.3), (1.0, -2.0)]:
             sites = lik.site_expectations(np.array([y]), np.array([mean]), np.array([1e-12]))
-            assert sites.alpha_hat[0] == pytest.approx(y * expit(-y * mean), abs=1e-6)
-            assert sites.beta_hat[0] == pytest.approx(expit(mean) * expit(-mean), abs=1e-6)
+            assert sites.alpha_hat[0] == pytest.approx(y * expit_reference(-y * mean), abs=1e-6)
+            assert sites.beta_hat[0] == pytest.approx(expit_reference(mean) * expit_reference(-mean), abs=1e-6)
 
     def test_expected_log_lik_matches_oracle(self):
         lik = BernoulliLogit()
@@ -224,6 +224,17 @@ class TestBernoulliLogit:
     def test_rejects_tiny_quadrature(self):
         with pytest.raises(ValueError, match="quad_points"):
             BernoulliLogit(quad_points=1)
+
+
+class TestExpit:
+    def test_matches_scipy_over_both_tails(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 16001), [-40.0, -39.99, -1e-300, 0.0, 1e-300, 39.99]])
+        np.testing.assert_allclose(expit(x), expit_reference(x), rtol=1e-12, atol=0)
+
+    def test_saturates_without_overflow(self):
+        with np.errstate(over="raise", invalid="raise"):
+            out = expit(np.array([-1000.0, 1000.0]))
+        assert out[0] == 0.0 and out[1] == 1.0
 
 
 class TestModuleHelpers:

@@ -13,7 +13,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import hyper_objective_reference, seq_objective_vcl_form
@@ -101,7 +100,7 @@ def _count_eigh(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(np.shape(args[0]))
-        return scipy.linalg.eigh(*args, **kwargs)
+        return np.linalg.eigh(*args, **kwargs)
 
     for module in (dualgp.dual, dualgp.sequential):
         monkeypatch.setattr(module, "eigh", counting)
@@ -256,6 +255,44 @@ class TestSeqObjective:
         assert val == pytest.approx(ref, rel=1e-12)
 
 
+class TestPriorFactor:
+    """The prior carries the factor of ``keff + b``; the objective reuses it while ``keff`` holds."""
+
+    @pytest.mark.parametrize("n_mem", [0, 3])
+    def test_prior_factor_is_the_fresh_factor(self, rng, n_mem):
+        state, lik, x, y = _fitted_gaussian(rng)
+        prior = remove_memory(state, lik, _memory_of(x[:n_mem], y[:n_mem]))
+        assert prior.keff is state.keff
+        fresh = stable_cholesky(state.keff + prior.b)
+        assert np.array_equal(prior.factor.chol, fresh.chol)
+        assert prior.factor.jitter_used == fresh.jitter_used
+
+    @pytest.mark.parametrize("n_mem", [0, 3])
+    def test_objective_reuses_the_factor_bit_for_bit(self, rng, n_mem, factorizations):
+        state, lik, x, y = _fitted_gaussian(rng)
+        memory = _memory_of(x[:n_mem], y[:n_mem])
+        config = SequentialConfig(num_inducing=6, ngd_steps=2)
+        new, prior = process_batch(state, lik, config, x[n_mem:], y[n_mem:], memory)
+        factorizations.clear()
+        value = seq_objective(new, lik, x[n_mem:], y[n_mem:], memory, prior)
+        assert factorizations == []
+        x_all, y_all = np.vstack([x[n_mem:], x[:n_mem]]), np.concatenate([y[n_mem:], y[:n_mem]])
+        assert value == elbo(new, lik, x_all, y_all, prior.alpha, prior.b)
+
+    def test_objective_refactors_after_hyper_steps(self, rng, factorizations):
+        state, lik, x, y = _fitted_gaussian(rng)
+        memory = _memory_of(x[:3], y[:3])
+        config = SequentialConfig(num_inducing=6, ngd_steps=1, hyper_steps=2)
+        new, prior = process_batch(state, lik, config, x[3:], y[3:], memory)
+        new, lik, _ = optimize_hypers(new, lik, config, x[3:], y[3:], memory, n_old=3)
+        assert new.keff is not prior.keff
+        factorizations.clear()
+        value = seq_objective(new, lik, x[3:], y[3:], memory, prior)
+        assert factorizations == [(6, 6)]
+        x_all, y_all = np.vstack([x[3:], x[:3]]), np.concatenate([y[3:], y[:3]])
+        assert value == elbo(new, lik, x_all, y_all, prior.alpha, prior.b)
+
+
 class TestProcessBatch:
     def test_replay_includes_memory_points(self, rng):
         state, lik, x, y = _fitted_gaussian(rng)
@@ -398,7 +435,7 @@ class TestHyperObjectiveClosedForm:
             return wrapper
 
         originals = {
-            "eigh": scipy.linalg.eigh,
+            "eigh": np.linalg.eigh,
             "stable_cholesky": stable_cholesky,
             "dual_factor": dualgp.dual.dual_factor,
             "recover_moments": dualgp.dual.recover_moments,
