@@ -3,8 +3,9 @@
 Batches of query points are built greedily: maximize the acquisition over a
 seeded random search with local coordinate refinement, invent a fantasy
 observation at the winner (the predictive mean by default), condition the
-model on it through a dual-space NGD step, and repeat.  The conditioning
-happens on a throwaway copy of the state; the real model is never touched.
+Gaussian surrogate on it through a dual-space NGD step, and repeat.  The
+conditioning happens on a throwaway copy of the state; the real model is
+never touched.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualState, ngd_step, predict
-from .likelihoods import BernoulliLogit, Gaussian, Likelihood
+from .likelihoods import Gaussian
 
 DEFAULT_SEARCH_BUDGET = 2048
 DEFAULT_REFINE_STEPS = 20
@@ -49,12 +50,6 @@ def expected_improvement(mean, var, best) -> np.ndarray:
     return out
 
 
-def probability_of_validity(state: DualState, lik: BernoulliLogit, x: np.ndarray) -> np.ndarray:
-    """Predictive probability of the positive class under a classifier state."""
-    mean, var = predict(state, x)
-    return lik.predictive_density(np.ones(mean.shape[0]), mean, var)
-
-
 @dataclass
 class ExpectedImprovement:
     """EI over the model being fantasized, with box ``bounds`` of shape (d, 2)."""
@@ -67,41 +62,7 @@ class ExpectedImprovement:
         return expected_improvement(mean, var, self.best)
 
 
-@dataclass
-class ProbabilityOfValidity:
-    """Validity probability from a frozen side classifier.
-
-    Ignores the fantasized state: the classifier is not conditioned during
-    batch assembly.
-    """
-
-    classifier_state: DualState
-    classifier_lik: BernoulliLogit
-    bounds: np.ndarray
-
-    def evaluate(self, state: DualState, x: np.ndarray) -> np.ndarray:
-        del state
-        return probability_of_validity(self.classifier_state, self.classifier_lik, x)
-
-
-@dataclass
-class ProductAcquisition:
-    """Elementwise product of component acquisitions (e.g. EI times validity)."""
-
-    parts: list
-
-    @property
-    def bounds(self) -> np.ndarray:
-        return self.parts[0].bounds
-
-    def evaluate(self, state: DualState, x: np.ndarray) -> np.ndarray:
-        score = self.parts[0].evaluate(state, x)
-        for part in self.parts[1:]:
-            score = score * part.evaluate(state, x)
-        return score
-
-
-def _refine(acq, state: DualState, x0: np.ndarray, s0: float, steps: int) -> np.ndarray:
+def _refine(acq: ExpectedImprovement, state: DualState, x0: np.ndarray, s0: float, steps: int) -> np.ndarray:
     """Deterministic coordinate pattern search inside the acquisition's box."""
     bounds = np.asarray(acq.bounds, dtype=np.float64)
     lo, hi = bounds[:, 0], bounds[:, 1]
@@ -122,21 +83,10 @@ def _refine(acq, state: DualState, x0: np.ndarray, s0: float, steps: int) -> np.
     return x_cur
 
 
-def _fantasy_label(lik: Likelihood, mean: float, var: float, sample: bool, rng) -> float:
-    if isinstance(lik, Gaussian):
-        if sample:
-            return float(rng.normal(mean, np.sqrt(max(var, 0.0) + lik.noise_variance)))
-        return float(mean)
-    prob = float(lik.predictive_density(np.ones(1), np.array([mean]), np.array([var]))[0])
-    if sample:
-        return 1.0 if rng.uniform() < prob else -1.0
-    return 1.0 if prob >= 0.5 else -1.0
-
-
 def fantasize_batch(
     state: DualState,
-    lik: Likelihood,
-    acq,
+    lik: Gaussian,
+    acq: ExpectedImprovement,
     k: int,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     seed: int = 0,
@@ -149,13 +99,15 @@ def fantasize_batch(
     samples plus coordinate refinement, conditions a fantasy copy of the
     state on the invented observation (predictive mean unless
     ``fantasy_sample``), and continues.  Conditioning is one ``rho = 1``
-    :func:`ngd_step` against the fantasy state as prior: exact rank-one
-    conditioning for a Gaussian likelihood, one full natural-gradient step
-    otherwise.  Returns the points and the final fantasy state; the input
-    state is never modified.
+    :func:`ngd_step` against the fantasy state as prior, which is exact
+    rank-one conditioning; a non-Gaussian likelihood raises ``ValueError``.
+    Returns the points and the final fantasy state; the input state is never
+    modified.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if not isinstance(lik, Gaussian):
+        raise ValueError(f"fantasize_batch needs a {Gaussian.name} likelihood, not {lik.name!r}")
     bounds = np.asarray(acq.bounds, dtype=np.float64)
     lo, hi = bounds[:, 0], bounds[:, 1]
     rng = np.random.default_rng(seed)
@@ -169,7 +121,10 @@ def fantasize_batch(
         points.append(x_best)
 
         mean, var = predict(fantasy, x_best[None, :])
-        y_fantasy = _fantasy_label(lik, float(mean[0]), float(var[0]), fantasy_sample, rng)
+        y_fantasy = float(mean[0])
+        if fantasy_sample:
+            spread = np.sqrt(max(float(var[0]), 0.0) + lik.noise_variance)
+            y_fantasy = float(rng.normal(y_fantasy, spread))
         fantasy = ngd_step(
             fantasy, lik, x_best[None, :], np.array([y_fantasy]), 1.0, fantasy.alpha_u, fantasy.b_u
         )

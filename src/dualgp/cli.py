@@ -63,77 +63,68 @@ OBJECTIVES = {
 }
 
 
-def _load_labeled(path: str, label: str, standardizer: Standardizer | None):
-    x, y, _ = load_csv(path, label)
-    if standardizer is not None:
-        x = standardizer.transform(x)
-    return x, y
+def _fit_and_write(args, split, engine) -> int:
+    """The body of ``fit`` and ``stream``.
 
-
-def _make_evaluator(x_test, y_test):
-    if x_test is None:
-        return lambda state, lik: {"nlpd": None, "rmse_or_error": None}
-    return lambda state, lik: evaluate_state(state, lik, x_test, y_test)
-
-
-def _write_run_outputs(out_dir, result, seed, standardizer):
-    os.makedirs(out_dir, exist_ok=True)
-    write_jsonl(os.path.join(out_dir, "run_log.jsonl"), result.records)
-    save_checkpoint(
-        os.path.join(out_dir, "checkpoint.json"),
-        result.state,
-        result.lik,
-        memory=result.memory,
-        seed=seed,
-        standardizer=standardizer,
-    )
-
-
-def _cmd_fit(args) -> int:
+    Parses the config, turns the training rows into batches with
+    ``split(x, y)``, standardizes the inputs on the first batch, runs
+    ``engine(batches, kernel, lik, seq_config, seed=..., evaluate=...)``,
+    writes the run log and the checkpoint, and prints the last record.
+    """
     config = parse_config(args.config)
     x, y, _ = load_csv(args.data, args.label)
-    standardizer = Standardizer.fit(x) if config.standardize_inputs else None
-    if standardizer is not None:
-        x = standardizer.transform(x)
-    x_test = y_test = None
-    if args.test:
-        x_test, y_test = _load_labeled(args.test, args.label, standardizer)
-    result = fit_offline(
-        make_kernel(config),
-        make_likelihood(config),
-        make_seq_config(config),
-        x,
-        y,
-        seed=args.seed,
-        evaluate=_make_evaluator(x_test, y_test),
-    )
-    _write_run_outputs(args.out, result, args.seed, standardizer)
-    print(json.dumps(result.records[-1]))
-    return 0
-
-
-def _cmd_stream(args) -> int:
-    config = parse_config(args.config)
-    x, y, _ = load_csv(args.data, args.label)
-    batches = make_stream(x, y, args.batches, order=args.order, sort_dim=args.sort_dim, seed=args.seed)
+    batches = split(x, y)
     standardizer = None
     if config.standardize_inputs:
         standardizer = Standardizer.fit(batches[0][0])
         batches = [(standardizer.transform(bx), by) for bx, by in batches]
+
     x_test = y_test = None
     if args.test:
-        x_test, y_test = _load_labeled(args.test, args.label, standardizer)
-    result = run_stream(
+        x_test, y_test, _ = load_csv(args.test, args.label)
+        if standardizer is not None:
+            x_test = standardizer.transform(x_test)
+
+    def evaluate(state, lik):
+        if x_test is None:
+            return {"nlpd": None, "rmse_or_error": None}
+        return evaluate_state(state, lik, x_test, y_test)
+
+    result = engine(
         batches,
         make_kernel(config),
         make_likelihood(config),
         make_seq_config(config),
         seed=args.seed,
-        evaluate=_make_evaluator(x_test, y_test),
+        evaluate=evaluate,
     )
-    _write_run_outputs(args.out, result, args.seed, standardizer)
+    os.makedirs(args.out, exist_ok=True)
+    write_jsonl(os.path.join(args.out, "run_log.jsonl"), result.records)
+    save_checkpoint(
+        os.path.join(args.out, "checkpoint.json"),
+        result.state,
+        result.lik,
+        memory=result.memory,
+        seed=args.seed,
+        standardizer=standardizer,
+    )
     print(json.dumps(result.records[-1]))
     return 0
+
+
+def _cmd_fit(args) -> int:
+    def offline(batches, kernel, lik, config, **run):
+        ((x, y),) = batches
+        return fit_offline(kernel, lik, config, x, y, **run)
+
+    return _fit_and_write(args, lambda x, y: [(x, y)], offline)
+
+
+def _cmd_stream(args) -> int:
+    def split(x, y):
+        return make_stream(x, y, args.batches, order=args.order, sort_dim=args.sort_dim, seed=args.seed)
+
+    return _fit_and_write(args, split, run_stream)
 
 
 def _cmd_bo(args) -> int:
@@ -190,10 +181,9 @@ def _cmd_bo(args) -> int:
 
 def _cmd_predict(args) -> int:
     state, lik, _, _, standardizer = load_checkpoint(args.checkpoint)
-    if args.label:
-        x, _, _ = load_csv(args.data, args.label)
-    else:
-        x, _ = load_matrix(args.data)
+    x, header = load_matrix(args.data)
+    if args.label in header:
+        x = np.delete(x, header.index(args.label), axis=1)
     if standardizer is not None:
         x = standardizer.transform(x)
     mean, var = predict(state, x)
@@ -250,11 +240,19 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--label", required=True, help="name of the label column")
     fit.add_argument("--config", default=None, help="INI config file")
     fit.add_argument("--test", default=None, help="held-out CSV for metrics")
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seed", type=_nonnegative_int, default=0)
     fit.add_argument("--out", required=True, help="output directory")
     fit.set_defaults(func=_cmd_fit)
 
@@ -280,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--test", default=None)
     stream.add_argument("--batches", type=_positive_int, required=True)
     stream.add_argument("--order", choices=["as_is", "sorted", "shuffled"], default="as_is")
-    stream.add_argument("--sort-dim", type=int, default=0, dest="sort_dim")
-    stream.add_argument("--seed", type=int, default=0)
+    stream.add_argument("--sort-dim", type=_nonnegative_int, default=0, dest="sort_dim")
+    stream.add_argument("--seed", type=_nonnegative_int, default=0)
     stream.add_argument("--out", required=True)
     stream.set_defaults(func=_cmd_stream)
 
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--steps", type=_positive_int, default=10)
     bo.add_argument("--batch-size", type=_positive_int, default=1, dest="batch_size")
     bo.add_argument("--config", default=None)
-    bo.add_argument("--seed", type=int, default=0)
+    bo.add_argument("--seed", type=_nonnegative_int, default=0)
     bo.add_argument("--out", required=True)
     bo.set_defaults(func=_cmd_bo)
 

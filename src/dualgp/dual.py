@@ -342,15 +342,12 @@ def state_from_dict(data: dict) -> DualState:
 
 __all__ = [
     "DualState",
-    "GaussianFactor",
     "make_state",
-    "recover_moments",
     "predict",
     "compute_sites",
     "ngd_step",
     "iterate_ngd",
     "elbo",
-    "dual_factor",
     "state_to_dict",
     "state_from_dict",
 ]

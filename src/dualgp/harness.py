@@ -118,6 +118,8 @@ def make_stream(
     if order == "as_is":
         idx = np.arange(len(y))
     elif order == "sorted":
+        if not 0 <= sort_dim < x.shape[1]:
+            raise ValueError(f"sort_dim {sort_dim} is not an input dimension of {x.shape[1]}-dimensional data")
         idx = np.argsort(x[:, sort_dim], kind="stable")
     elif order == "shuffled":
         idx = np.random.default_rng(seed).permutation(len(y))
@@ -252,6 +254,8 @@ def parse_config(path: str | None) -> RunConfig:
         raise ConfigError("search_budget must be at least 1")
     if config.init_points < 2:
         raise ConfigError("init_points must be at least 2")
+    if config.refine_steps < 0:
+        raise ConfigError("refine_steps must be at least 0")
     try:
         make_kernel(config), make_likelihood(config), make_seq_config(config)
     except ValueError as exc:

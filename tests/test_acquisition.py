@@ -11,15 +11,7 @@ import numpy as np
 import pytest
 from oracles import ndtr_reference
 
-from dualgp.acquisition import (
-    ExpectedImprovement,
-    ProbabilityOfValidity,
-    ProductAcquisition,
-    expected_improvement,
-    fantasize_batch,
-    ndtr,
-    probability_of_validity,
-)
+from dualgp.acquisition import ExpectedImprovement, expected_improvement, fantasize_batch, ndtr
 from dualgp.dual import iterate_ngd, make_state, ngd_step, predict
 from dualgp.kernels import Hyperparams, KernelSpec
 from dualgp.likelihoods import BernoulliLogit, Gaussian
@@ -103,34 +95,6 @@ class TestAcquisitionObjects:
             acq.evaluate(state, probe), expected_improvement(mean, var, 0.4), atol=1e-14
         )
 
-    def test_validity_probability_tracks_labels(self, rng):
-        state, lik = _classifier_model(rng)
-        probs = probability_of_validity(state, lik, np.array([[2.0], [-2.0]]))
-        assert probs[0] > 0.6
-        assert probs[1] < 0.4
-
-    def test_validity_object_ignores_fantasy_state(self, rng):
-        cls_state, cls_lik = _classifier_model(rng)
-        reg_state, _, _, _ = _gaussian_model(rng)
-        acq = ProbabilityOfValidity(cls_state, cls_lik, bounds=np.array([[-3.0, 3.0]]))
-        probe = np.array([[1.0]])
-        assert acq.evaluate(reg_state, probe)[0] == acq.evaluate(None, probe)[0]
-
-    def test_product_multiplies_components(self, rng):
-        state, _, _, _ = _gaussian_model(rng)
-        cls_state, cls_lik = _classifier_model(rng)
-        bounds = np.array([[-3.0, 3.0]])
-        ei = ExpectedImprovement(best=0.0, bounds=bounds)
-        validity = ProbabilityOfValidity(cls_state, cls_lik, bounds=bounds)
-        product = ProductAcquisition([ei, validity])
-        probe = rng.uniform(-3, 3, (5, 1))
-        np.testing.assert_allclose(
-            product.evaluate(state, probe),
-            ei.evaluate(state, probe) * validity.evaluate(state, probe),
-            atol=1e-14,
-        )
-        np.testing.assert_array_equal(product.bounds, bounds)
-
 
 class TestFantasizeBatch:
     def test_returns_k_points_inside_bounds(self, rng):
@@ -191,14 +155,12 @@ class TestFantasizeBatch:
         with pytest.raises(ValueError, match="k"):
             fantasize_batch(state, lik, acq, k=0)
 
-    def test_classifier_fantasy_conditions_with_thresholded_label(self, rng):
+    def test_classifier_fantasy_is_rejected(self, rng):
+        """Only a Gaussian surrogate is conditioned; a classifier raises, naming its likelihood."""
         state, lik = _classifier_model(rng)
-        acq = ProbabilityOfValidity(state, lik, bounds=np.array([[-3.0, 3.0]]))
-        points, fantasy = fantasize_batch(state, lik, acq, k=2, seed=6)
-        assert points.shape == (2, 1)
-        _, var_before = predict(state, points)
-        _, var_after = predict(fantasy, points)
-        assert np.all(var_after < var_before + 1e-12)
+        acq = ExpectedImprovement(best=0.0, bounds=np.array([[-3.0, 3.0]]))
+        with pytest.raises(ValueError, match="bernoulli_logit"):
+            fantasize_batch(state, lik, acq, k=2, seed=6)
 
     def test_sampled_fantasies_still_deterministic(self, rng):
         state, lik, _, y = _gaussian_model(rng)

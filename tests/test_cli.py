@@ -90,6 +90,29 @@ class TestStreamPredictEval:
         assert scored["nlpd"] == pytest.approx(stream_eval["nlpd"], rel=1e-9)
         assert scored["rmse_or_error"] == pytest.approx(stream_eval["rmse_or_error"], rel=1e-9)
 
+    def test_predict_label_flag_is_optional_in_the_data(self, tmp_path, fast_config, capsys):
+        """``--label`` drops the column where it is present and reads every column where not."""
+        data = _write_regression_csv(tmp_path / "train.csv")
+        out = str(tmp_path / "run")
+        assert run_cli(["fit", "--data", data, "--label", "y", "--config", fast_config, "--out", out]) == 0
+        capsys.readouterr()
+        inputs = tmp_path / "inputs.csv"
+        with open(data) as src, open(inputs, "w", newline="") as dst:
+            csv.writer(dst).writerows(row[:1] for row in csv.reader(src))
+        checkpoint = os.path.join(out, "checkpoint.json")
+
+        written = {}
+        for name, argv in {
+            "labelled": ["--data", data, "--label", "y"],
+            "label_flag_without_column": ["--data", str(inputs), "--label", "y"],
+            "no_label_flag": ["--data", str(inputs)],
+        }.items():
+            preds = tmp_path / f"{name}.csv"
+            assert run_cli(["predict", "--checkpoint", checkpoint, *argv, "--out", str(preds)]) == 0
+            written[name] = preds.read_text()
+        assert written["label_flag_without_column"] == written["no_label_flag"]
+        assert written["labelled"] == written["no_label_flag"]
+
     def test_classifier_round_trip(self, tmp_path, capsys):
         data = _write_classification_csv(tmp_path / "train.csv")
         config = _write_config(
@@ -186,6 +209,30 @@ class TestExitCodes:
     def test_count_flag_below_one_is_usage_error(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
         assert "must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--data", "train.csv", "--label", "y", "--seed", "-2"],
+            ["stream", "--data", "train.csv", "--label", "y", "--batches", "2", "--seed", "-1"],
+            ["bo", "--objective", "sinebump", "--seed", "-1"],
+            ["stream", "--data", "train.csv", "--label", "y", "--batches", "2", "--sort-dim", "-1"],
+        ],
+        ids=["fit_seed", "stream_seed", "bo_seed", "sort_dim"],
+    )
+    def test_index_flag_below_zero_is_usage_error(self, tmp_path, capsys, argv):
+        assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_sort_dim_beyond_the_inputs_names_the_dimension(self, tmp_path, capsys):
+        data = _write_regression_csv(tmp_path / "train.csv", n=10)
+        code = run_cli([
+            "stream", "--data", data, "--label", "y", "--batches", "2",
+            "--order", "sorted", "--sort-dim", "5", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "sort_dim 5 is not an input dimension of 1-dimensional data" in capsys.readouterr().err
 
     def test_eval_length_mismatch(self, tmp_path, capsys):
         data = _write_regression_csv(tmp_path / "train.csv", n=10)

@@ -64,6 +64,7 @@ REJECTED_CONFIGS = [
     pytest.param("[stream]\nhyper_lr = 0\n", "hyper_lr must be positive", id="hyper_lr"),
     pytest.param("[bo]\nsearch_budget = 0\n", "search_budget must be at least 1", id="search_budget"),
     pytest.param("[bo]\ninit_points = 0\n", "init_points must be at least 2", id="init_points"),
+    pytest.param("[bo]\nrefine_steps = -3\n", "refine_steps must be at least 0", id="refine_steps"),
     pytest.param("[bo]\nbatch_size = 4\n", r"unknown key 'batch_size' in section \[bo\]", id="batch_size"),
 ]
 
@@ -166,6 +167,11 @@ class TestMakeStream:
     def test_too_many_batches_raises(self):
         with pytest.raises(ValueError, match="more batches"):
             make_stream(np.zeros((2, 1)), np.zeros(2), 3)
+
+    @pytest.mark.parametrize("sort_dim", [2, 5, -1])
+    def test_sort_dim_outside_the_inputs_raises(self, sort_dim):
+        with pytest.raises(ValueError, match=f"sort_dim {sort_dim} .* 2-dimensional"):
+            make_stream(np.zeros((4, 2)), np.zeros(4), 2, order="sorted", sort_dim=sort_dim)
 
 
 class TestMetrics:
