@@ -37,8 +37,6 @@ from .kernels import (
     as_points,
     gram,
     gram_diag,
-    spec_from_dict,
-    spec_to_dict,
     stable_cholesky,
 )
 from .likelihoods import Likelihood, SiteValues
@@ -320,26 +318,6 @@ def dual_factor(kzz: CholeskyFactor, alpha: np.ndarray, b: np.ndarray, mean_ref:
     )
 
 
-def state_to_dict(state: DualState) -> dict:
-    """JSON-ready representation of a state (kernel, Z, dual parameters)."""
-    return {
-        "kernel": spec_to_dict(state.kernel),
-        "z": state.z.tolist(),
-        "alpha_u": state.alpha_u.tolist(),
-        "b_u": state.b_u.tolist(),
-    }
-
-
-def state_from_dict(data: dict) -> DualState:
-    """Inverse of :func:`state_to_dict`."""
-    return make_state(
-        kernel=spec_from_dict(data["kernel"]),
-        z=np.asarray(data["z"], dtype=np.float64),
-        alpha_u=np.asarray(data["alpha_u"], dtype=np.float64),
-        b_u=np.asarray(data["b_u"], dtype=np.float64),
-    )
-
-
 __all__ = [
     "DualState",
     "make_state",
@@ -348,6 +326,4 @@ __all__ = [
     "ngd_step",
     "iterate_ngd",
     "elbo",
-    "state_to_dict",
-    "state_from_dict",
 ]

@@ -20,10 +20,10 @@ from typing import get_type_hints
 import numpy as np
 
 from .acquisition import DEFAULT_REFINE_STEPS, DEFAULT_SEARCH_BUDGET
-from .dual import DualState, predict, state_from_dict, state_to_dict
+from .dual import DualState, make_state, predict
 from .kernels import Hyperparams, KernelSpec, as_points
-from .likelihoods import DEFAULT_QUAD_POINTS, BernoulliLogit, Gaussian, Likelihood, likelihood_from_dict
-from .memory import MemorySet, empty_memory
+from .likelihoods import DEFAULT_QUAD_POINTS, BernoulliLogit, Gaussian, Likelihood
+from .memory import MemorySet
 from .sequential import SequentialConfig
 
 CHECKPOINT_FORMAT = "dualgp-checkpoint"
@@ -166,16 +166,6 @@ class Standardizer:
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (as_points(x) - self.mean) / self.scale
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Standardizer":
-        return cls(
-            mean=np.asarray(data["mean"], dtype=np.float64),
-            scale=np.asarray(data["scale"], dtype=np.float64),
-        )
-
 
 def _setting(section: str, default):
     """A :class:`RunConfig` field, read from key ``<field name>`` of ``[section]``."""
@@ -276,10 +266,19 @@ def make_kernel(config: RunConfig) -> KernelSpec:
     )
 
 
+def _likelihood(name: str, settings: dict) -> Likelihood:
+    """The likelihood called ``name``, set from a config's fields or a checkpoint entry."""
+    if name == Gaussian.name:
+        return Gaussian(noise_variance=settings["noise_variance"])
+    if name == BernoulliLogit.name:
+        return BernoulliLogit(quad_points=settings.get("quad_points", DEFAULT_QUAD_POINTS))
+    raise ValueError(f"unknown likelihood {name!r}")
+
+
 def make_likelihood(config: RunConfig) -> Likelihood:
     """The likelihood named by ``config``; its settings are the fields of the same name."""
     try:
-        return likelihood_from_dict(dict(vars(config), name=config.likelihood))
+        return _likelihood(config.likelihood, vars(config))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -302,23 +301,45 @@ def save_checkpoint(
     standardizer; ``dualgp predict`` reads the state, likelihood and
     standardizer back to apply the model to new inputs.  It is not a
     resumable run snapshot: the data count that scales the memory term, the
-    :class:`SequentialConfig` and the batch index are not saved.
+    :class:`SequentialConfig` and the batch index are not saved.  The keys
+    of version 1, arrays as nested lists (a change needs a new version)::
+
+        format ("dualgp-checkpoint"), version (1), seed
+        state: kernel {family, variance, lengthscales, constant_variance,
+               noise_variance or null}, z, alpha_u, b_u
+        likelihood: name, then noise_variance (gaussian) or quad_points
+        memory: null or {inputs, labels, scores}
+        standardizer: null or {mean, scale}
     """
+    hyper = state.kernel.hyper
+    setting = "noise_variance" if isinstance(lik, Gaussian) else "quad_points"
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "state": state_to_dict(state),
-        "likelihood": lik.to_dict(),
+        "state": {
+            "kernel": {
+                "family": state.kernel.family,
+                "variance": float(hyper.variance),
+                "lengthscales": hyper.lengthscales.tolist(),
+                "constant_variance": float(hyper.constant_variance),
+                "noise_variance": None if hyper.noise_variance is None else float(hyper.noise_variance),
+            },
+            "z": state.z.tolist(),
+            "alpha_u": state.alpha_u.tolist(),
+            "b_u": state.b_u.tolist(),
+        },
+        "likelihood": {"name": lik.name, setting: getattr(lik, setting)},
         "seed": seed,
-        "memory": None,
-        "standardizer": None if standardizer is None else standardizer.to_dict(),
-    }
-    if memory is not None:
-        payload["memory"] = {
+        "memory": None if memory is None else {
             "inputs": memory.inputs.tolist(),
             "labels": memory.labels.tolist(),
             "scores": memory.scores.tolist(),
-        }
+        },
+        "standardizer": None if standardizer is None else {
+            "mean": standardizer.mean.tolist(),
+            "scale": standardizer.scale.tolist(),
+        },
+    }
     with open(path, "w") as handle:
         json.dump(payload, handle)
 
@@ -326,28 +347,40 @@ def save_checkpoint(
 def load_checkpoint(
     path: str,
 ) -> tuple[DualState, Likelihood, MemorySet | None, int, Standardizer | None]:
-    """Inverse of :func:`save_checkpoint`."""
+    """Inverse of :func:`save_checkpoint`.
+
+    Absent ``constant_variance`` and ``noise_variance`` read as 0 and None.
+    """
     with open(path) as handle:
         payload = json.load(handle)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"{path} has checkpoint version {payload.get('version')!r}, not {CHECKPOINT_VERSION}")
-    state = state_from_dict(payload["state"])
-    lik = likelihood_from_dict(payload["likelihood"])
-    memory = None
+    saved = payload["state"]
+    kernel = saved["kernel"]
+    hyper = Hyperparams(
+        kernel["variance"],
+        kernel["lengthscales"],
+        kernel.get("constant_variance", 0.0),
+        kernel.get("noise_variance"),
+    )
+    state = make_state(KernelSpec(kernel["family"], hyper), saved["z"], saved["alpha_u"], saved["b_u"])
+    lik = _likelihood(payload["likelihood"]["name"], payload["likelihood"])
+    memory = standardizer = None
     if payload.get("memory") is not None:
         raw = payload["memory"]
         memory = MemorySet(
-            inputs=as_points(raw["inputs"]),
+            inputs=np.asarray(raw["inputs"], dtype=np.float64).reshape(len(raw["labels"]), state.z.shape[1]),
             labels=np.asarray(raw["labels"], dtype=np.float64),
             scores=np.asarray(raw["scores"], dtype=np.float64),
         )
-        if memory.inputs.size == 0:
-            memory = empty_memory(state.z.shape[1])
-    standardizer = None
     if payload.get("standardizer") is not None:
-        standardizer = Standardizer.from_dict(payload["standardizer"])
+        raw = payload["standardizer"]
+        standardizer = Standardizer(
+            mean=np.asarray(raw["mean"], dtype=np.float64),
+            scale=np.asarray(raw["scale"], dtype=np.float64),
+        )
     return state, lik, memory, int(payload.get("seed", 0)), standardizer
 
 

@@ -217,28 +217,3 @@ def stable_cholesky(matrix: np.ndarray) -> CholeskyFactor:
     raise FactorizationFailed(
         f"cholesky failed at every jitter level {JITTER_LADDER} for shape {matrix.shape}"
     )
-
-
-def spec_to_dict(spec: KernelSpec) -> dict:
-    """JSON-ready representation of a kernel spec."""
-    h = spec.hyper
-    return {
-        "family": spec.family,
-        "variance": float(h.variance),
-        "lengthscales": [float(v) for v in h.lengthscales],
-        "constant_variance": float(h.constant_variance),
-        "noise_variance": None if h.noise_variance is None else float(h.noise_variance),
-    }
-
-
-def spec_from_dict(data: dict) -> KernelSpec:
-    """Inverse of :func:`spec_to_dict`."""
-    return KernelSpec(
-        family=data["family"],
-        hyper=Hyperparams(
-            variance=data["variance"],
-            lengthscales=np.asarray(data["lengthscales"], dtype=np.float64),
-            constant_variance=data.get("constant_variance", 0.0),
-            noise_variance=data.get("noise_variance"),
-        ),
-    )

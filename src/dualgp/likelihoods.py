@@ -100,9 +100,6 @@ class Gaussian:
     def predictive_density(self, y, mean, var) -> np.ndarray:
         return np.exp(self.log_predictive_density(y, mean, var))
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "noise_variance": self.noise_variance}
-
 
 class BernoulliLogit:
     """Binary labels through a logistic link.
@@ -151,19 +148,5 @@ class BernoulliLogit:
     def log_predictive_density(self, y, mean, var) -> np.ndarray:
         return np.log(self.predictive_density(y, mean, var))
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "quad_points": self.quad_points}
-
 
 Likelihood = Gaussian | BernoulliLogit
-
-
-def likelihood_from_dict(data: dict) -> Likelihood:
-    """Inverse of the likelihoods' ``to_dict``."""
-    name = data["name"]
-    if name == Gaussian.name:
-        return Gaussian(noise_variance=data["noise_variance"])
-    if name == BernoulliLogit.name:
-        return BernoulliLogit(quad_points=data.get("quad_points", DEFAULT_QUAD_POINTS))
-    raise ValueError(f"unknown likelihood {name!r}")
-

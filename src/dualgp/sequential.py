@@ -59,8 +59,9 @@ class SequentialConfig:
     ascent; ``memory_capacity`` the replay budget (0 disables memory).  The
     memory is always removed from the prior, replayed in the NGD data and
     curated together with the new batch.  A value outside its range raises
-    :class:`ValueError`: ``num_inducing >= 1``, ``0 <= ngd_rho <= 1``,
-    ``hyper_lr > 0``, and the step counts and ``memory_capacity >= 0``.
+    :class:`ValueError`: ``num_inducing >= 1``, ``0 < ngd_rho <= 1`` and
+    ``ngd_steps >= 1`` (a stream must learn from each batch),
+    ``hyper_lr > 0``, ``hyper_steps >= 0`` and ``memory_capacity >= 0``.
     """
 
     num_inducing: int
@@ -73,10 +74,12 @@ class SequentialConfig:
     def __post_init__(self) -> None:
         if self.num_inducing < 1:
             raise ValueError("num_inducing must be at least 1")
-        if not 0.0 <= self.ngd_rho <= 1.0:
-            raise ValueError("ngd_rho must lie in [0, 1]")
-        if min(self.ngd_steps, self.memory_capacity, self.hyper_steps) < 0:
-            raise ValueError("ngd_steps, memory_capacity and hyper_steps must be nonnegative")
+        if not 0.0 < self.ngd_rho <= 1.0:
+            raise ValueError("ngd_rho must lie in (0, 1]")
+        if self.ngd_steps < 1:
+            raise ValueError("ngd_steps must be at least 1")
+        if min(self.memory_capacity, self.hyper_steps) < 0:
+            raise ValueError("memory_capacity and hyper_steps must be nonnegative")
         if not self.hyper_lr > 0.0:
             raise ValueError("hyper_lr must be positive")
 
@@ -204,7 +207,9 @@ def hyper_objective(
     It is one closed form over the factors of ``K`` and ``S`` and the
     eigendecomposition ``B = U W U^T`` on the range of ``B``.  ``B`` does
     not move with ``theta``, so that decomposition comes from the state
-    (``state.b_range``, computed on its first evaluation).  With
+    (``state.b_range``, computed on its first evaluation); ``B^+ alpha``
+    from it takes one refinement step ``c += U W^{-1} U^T (alpha - B c)``,
+    which holds the target to 1e-9 at cond(B) near 1e8.  With
     ``a = K^{-1} alpha``, the thin QR ``K^{-1} U = Q R`` and
     ``g = R^{-1} Q^T a``, the target minus its data terms is::
 
@@ -222,7 +227,9 @@ def hyper_objective(
     kzz, kq, alpha, a = rebuilt.kzz, rebuilt.kq, state.alpha_u, rebuilt.kinv_alpha
 
     w, u = state.b_range
-    half = kq.half_solve(u @ ((u.T @ alpha) / w) + alpha)
+    pinv_alpha = u @ ((u.T @ alpha) / w)
+    pinv_alpha += u @ ((u.T @ (alpha - state.b_u @ pinv_alpha)) / w)
+    half = kq.half_solve(pinv_alpha + alpha)
     value = -0.5 * kzz.logdet() - 0.5 * float(half @ half)
     if w.size:
         q, r = np.linalg.qr(kzz.solve(u))

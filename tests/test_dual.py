@@ -28,7 +28,6 @@ from oracles import (
 
 from dualgp.dual import (
     PREDICT_BLOCK,
-    DualState,
     compute_sites,
     dual_factor,
     elbo,
@@ -37,11 +36,10 @@ from dualgp.dual import (
     ngd_step,
     predict,
     recover_moments,
-    state_from_dict,
-    state_to_dict,
 )
 import dualgp.dual
 import dualgp.sequential
+from dualgp.harness import load_checkpoint, save_checkpoint
 from dualgp.kernels import CholeskyFactor, Hyperparams, KernelSpec, gram, stable_cholesky
 from dualgp.likelihoods import BernoulliLogit, Gaussian
 from dualgp.representation import project_duals
@@ -385,9 +383,10 @@ def _hyper_rebuild(state, x, y):
     return only
 
 
-def _states_by_construction(rng):
+def _states_by_construction(rng, tmp_path):
     """States built by each route that sets ``b_u``, one with a jittered K_zz."""
     state = _random_state(rng, m=5)
+    save_checkpoint(str(tmp_path / "checkpoint.json"), state, Gaussian(0.4))
     x = rng.uniform(-2, 2, (6, 1))
     duplicated = make_state(_spec(), np.array([[0.0], [0.0], [1.0]]))
     fitted = ngd_step(duplicated, Gaussian(0.4), x, np.cos(x[:, 0]), rho=1.0)
@@ -397,7 +396,7 @@ def _states_by_construction(rng):
         "ngd_step": ngd_step(state, Gaussian(0.4), x, np.sin(x[:, 0]), rho=0.6),
         "ngd_step_jittered": fitted,
         "project_duals": project_duals(state, rng.uniform(-2, 2, (4, 1))),
-        "state_from_dict": state_from_dict(state_to_dict(state)),
+        "load_checkpoint": load_checkpoint(str(tmp_path / "checkpoint.json"))[0],
         "hyper_objective": _hyper_rebuild(state, x, np.sin(x[:, 0])),
         "hyper_objective_jittered": _hyper_rebuild(fitted, x, np.cos(x[:, 0])),
     }
@@ -423,17 +422,17 @@ class TestFactorOnce:
         ngd_step(state, Gaussian(0.5), x, rng.standard_normal(7), rho=0.6)
         assert factorizations == [(5, 5)]
 
-    def test_stored_factor_is_the_fresh_factor(self, rng):
-        states = _states_by_construction(rng)
+    def test_stored_factor_is_the_fresh_factor(self, rng, tmp_path):
+        states = _states_by_construction(rng, tmp_path)
         assert states["make_state_jittered"].kzz.jitter_used > 0.0
         for name, state in states.items():
             fresh = stable_cholesky(state.keff + state.b_u)
             assert np.array_equal(state.kq.chol, fresh.chol), name
             assert state.kq.jitter_used == fresh.jitter_used, name
 
-    def test_stored_gram_and_weights_are_fresh(self, rng):
+    def test_stored_gram_and_weights_are_fresh(self, rng, tmp_path):
         """``keff`` is ``K_zz + jitter I``, ``kinv_alpha`` is ``keff^{-1} alpha_u``, bit for bit."""
-        states = _states_by_construction(rng)
+        states = _states_by_construction(rng, tmp_path)
         for name in ("make_state", "ngd_step", "hyper_objective"):
             assert states[name].kzz.jitter_used == 0.0, name
             assert states[f"{name}_jittered"].kzz.jitter_used > 0.0, name
@@ -482,23 +481,3 @@ class TestFactorOnce:
     def test_state_keeps_only_the_triangular_factor(self, rng):
         state = _random_state(rng, m=5)
         assert set(vars(state.kq)) == {"chol", "jitter_used"}
-
-
-class TestSerialization:
-    def test_round_trip_preserves_predictions(self, rng):
-        state = _random_state(rng, m=4)
-        back = state_from_dict(state_to_dict(state))
-        np.testing.assert_array_equal(back.alpha_u, state.alpha_u)
-        np.testing.assert_array_equal(back.b_u, state.b_u)
-        np.testing.assert_array_equal(back.z, state.z)
-        x_test = rng.uniform(-2, 2, (7, 1))
-        np.testing.assert_allclose(predict(back, x_test)[0], predict(state, x_test)[0], atol=1e-14)
-        np.testing.assert_allclose(predict(back, x_test)[1], predict(state, x_test)[1], atol=1e-14)
-
-    def test_round_trip_is_plain_json_types(self):
-        import json
-
-        state, _ = _one_point_state()
-        encoded = json.dumps(state_to_dict(state))
-        back = state_from_dict(json.loads(encoded))
-        assert isinstance(back, DualState)

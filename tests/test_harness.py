@@ -32,7 +32,7 @@ from dualgp.harness import (
     write_jsonl,
 )
 from dualgp.kernels import Hyperparams, KernelSpec
-from dualgp.likelihoods import BernoulliLogit, Gaussian
+from dualgp.likelihoods import DEFAULT_QUAD_POINTS, BernoulliLogit, Gaussian
 from dualgp.memory import MemorySet
 from dualgp.sequential import SequentialConfig
 
@@ -60,7 +60,9 @@ REJECTED_CONFIGS = [
         id="quad_points",
     ),
     pytest.param("[stream]\nnum_inducing = 0\n", "num_inducing must be at least 1", id="num_inducing"),
-    pytest.param("[stream]\nngd_rho = 1.5\n", r"ngd_rho must lie in \[0, 1\]", id="ngd_rho"),
+    pytest.param("[stream]\nngd_rho = 1.5\n", r"ngd_rho must lie in \(0, 1\]", id="ngd_rho"),
+    pytest.param("[stream]\nngd_rho = 0\n", r"ngd_rho must lie in \(0, 1\]", id="ngd_rho_zero"),
+    pytest.param("[stream]\nngd_steps = 0\n", "ngd_steps must be at least 1", id="ngd_steps"),
     pytest.param("[stream]\nhyper_lr = 0\n", "hyper_lr must be positive", id="hyper_lr"),
     pytest.param("[bo]\nsearch_budget = 0\n", "search_budget must be at least 1", id="search_budget"),
     pytest.param("[bo]\ninit_points = 0\n", "init_points must be at least 2", id="init_points"),
@@ -224,13 +226,6 @@ class TestStandardizer:
         std = Standardizer.fit(x)
         assert std.scale[0] == 1.0
 
-    def test_round_trip(self, rng):
-        x = rng.standard_normal((20, 3))
-        std = Standardizer.fit(x)
-        back = Standardizer.from_dict(std.to_dict())
-        np.testing.assert_array_equal(back.mean, std.mean)
-        np.testing.assert_array_equal(back.scale, std.scale)
-
 
 class TestParseConfig:
     def test_none_gives_defaults(self):
@@ -342,13 +337,110 @@ class TestFactories:
             assert getattr(seq, field.name) == getattr(config, field.name)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _round_trip(tmp_path, state, lik, **extras):
+    """``save_checkpoint`` then ``load_checkpoint`` through a file."""
+    path = str(tmp_path / "ckpt.json")
+    save_checkpoint(path, state, lik, **extras)
+    return load_checkpoint(path)
+
+
+def _edited(tmp_path, state, lik, edit):
+    """A checkpoint of ``state`` whose parsed payload ``edit`` changed in place."""
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), state, lik)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 class TestCheckpoint:
-    def _fitted(self, rng):
-        spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.8])))
-        x = rng.uniform(-2, 2, (6, 1))
-        y = np.sin(x[:, 0])
-        lik = Gaussian(0.1)
+    def _fitted(self, rng, spec=None, lik=None):
+        spec = spec or KernelSpec("matern52", Hyperparams(1.0, np.array([0.8])))
+        lik = lik or Gaussian(0.1)
+        x = rng.uniform(-2, 2, (6, spec.hyper.lengthscales.size))
+        y = np.where(np.sin(x[:, 0]) > 0, 1.0, -1.0) if isinstance(lik, BernoulliLogit) else np.sin(x[:, 0])
         return ngd_step(make_state(spec, x), lik, x, y, rho=1.0), lik
+
+    def test_kernel_round_trip(self, rng, tmp_path):
+        """Family, per-dimension lengthscales, constant and noise survive exactly."""
+        hyper = Hyperparams(0.9, np.array([0.4, 1.1]), constant_variance=0.05, noise_variance=0.01)
+        state, lik = self._fitted(rng, KernelSpec("squared_exponential", hyper), Gaussian(0.01))
+        back = _round_trip(tmp_path, state, lik)[0].kernel
+        assert back.family == "squared_exponential"
+        assert back.hyper.variance == 0.9
+        np.testing.assert_array_equal(back.hyper.lengthscales, [0.4, 1.1])
+        assert back.hyper.constant_variance == 0.05
+        assert back.hyper.noise_variance == 0.01
+
+    def test_none_kernel_noise_survives(self, rng, tmp_path):
+        state, lik = self._fitted(rng, lik=BernoulliLogit())
+        assert _round_trip(tmp_path, state, lik)[0].kernel.hyper.noise_variance is None
+
+    def test_round_trip_preserves_predictions(self, rng, tmp_path):
+        a = rng.standard_normal((4, 4))
+        spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.8])))
+        state = make_state(spec, rng.uniform(-2, 2, (4, 1)), rng.standard_normal(4), a @ a.T)
+        back = _round_trip(tmp_path, state, Gaussian(0.1))[0]
+        for name in ("z", "alpha_u", "b_u", "keff", "kinv_alpha"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(state, name), err_msg=name)
+        x_test = rng.uniform(-2, 2, (7, 1))
+        np.testing.assert_array_equal(predict(back, x_test), predict(state, x_test))
+
+    def test_round_trip_is_plain_json_types(self, rng, tmp_path):
+        """numpy scalars in the hyperparameters are written as plain JSON numbers."""
+        hyper = Hyperparams(np.float64(1.2), np.array([0.7]), np.float64(0.05), np.float64(0.3))
+        state, lik = self._fitted(rng, KernelSpec("matern52", hyper), Gaussian(0.3))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), state, lik)
+        kernel = json.loads(path.read_text())["state"]["kernel"]
+        assert kernel == {
+            "family": "matern52", "variance": 1.2, "lengthscales": [0.7],
+            "constant_variance": 0.05, "noise_variance": 0.3,
+        }
+        assert all(type(kernel[key]) is float for key in ("variance", "constant_variance", "noise_variance"))
+        assert load_checkpoint(str(path))[0].kernel.hyper.variance == 1.2
+
+    def test_gaussian_likelihood_round_trip(self, rng, tmp_path):
+        state, _ = self._fitted(rng)
+        lik = _round_trip(tmp_path, state, Gaussian(noise_variance=0.3))[1]
+        assert isinstance(lik, Gaussian)
+        assert lik.noise_variance == 0.3
+
+    def test_bernoulli_quad_points_round_trip(self, rng, tmp_path):
+        state, _ = self._fitted(rng, lik=BernoulliLogit())
+        lik = _round_trip(tmp_path, state, BernoulliLogit(quad_points=32))[1]
+        assert isinstance(lik, BernoulliLogit)
+        assert lik.quad_points == 32
+
+    def test_unknown_likelihood_raises(self, rng, tmp_path):
+        state, lik = self._fitted(rng)
+        path = _edited(tmp_path, state, lik, lambda payload: payload.update(likelihood={"name": "poisson"}))
+        with pytest.raises(ValueError, match="unknown likelihood 'poisson'"):
+            load_checkpoint(path)
+
+    def test_absent_optional_settings_take_defaults(self, rng, tmp_path):
+        """``constant_variance``, kernel ``noise_variance`` and ``quad_points`` may be left out."""
+        state, lik = self._fitted(rng, lik=BernoulliLogit(quad_points=32))
+
+        def strip(payload):
+            del payload["state"]["kernel"]["constant_variance"], payload["state"]["kernel"]["noise_variance"]
+            del payload["likelihood"]["quad_points"]
+
+        back, lik, _, _, _ = load_checkpoint(_edited(tmp_path, state, lik, strip))
+        assert back.kernel.hyper.constant_variance == 0.0
+        assert back.kernel.hyper.noise_variance is None
+        assert lik.quad_points == DEFAULT_QUAD_POINTS
+
+    def test_standardizer_round_trip(self, rng, tmp_path):
+        state, lik = self._fitted(rng)
+        std = Standardizer.fit(rng.standard_normal((20, 3)))
+        back = _round_trip(tmp_path, state, lik, standardizer=std)[4]
+        np.testing.assert_array_equal(back.mean, std.mean)
+        np.testing.assert_array_equal(back.scale, std.scale)
 
     def test_round_trip_state_and_extras(self, rng, tmp_path):
         state, lik = self._fitted(rng)
@@ -394,13 +486,9 @@ class TestCheckpoint:
 
     def test_wrong_version_rejected(self, rng, tmp_path):
         state, lik = self._fitted(rng)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(str(path), state, lik)
-        payload = json.loads(path.read_text())
-        payload["version"] = 2
-        path.write_text(json.dumps(payload))
+        path = _edited(tmp_path, state, lik, lambda payload: payload.update(version=2))
         with pytest.raises(DataError, match="checkpoint version 2, not 1"):
-            load_checkpoint(str(path))
+            load_checkpoint(path)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"
@@ -409,6 +497,55 @@ class TestCheckpoint:
 
         with pytest.raises(DataError, match="not a dualgp-checkpoint"):
             load_checkpoint(str(path))
+
+
+class TestCheckpointV1Files:
+    """Version-1 files written by an earlier release load and re-save byte for byte.
+
+    A change to what ``save_checkpoint`` writes fails here; such a change
+    comes with a new ``CHECKPOINT_VERSION`` and new files.
+    """
+
+    def test_gaussian_file(self, tmp_path):
+        path = DATA / "checkpoint_v1_gaussian.json"
+        payload = json.loads(path.read_text())
+        state, lik, memory, seed, std = load_checkpoint(str(path))
+        assert state.kernel.family == "matern52"
+        assert (state.kernel.hyper.variance, state.kernel.hyper.constant_variance) == (1.3, 0.0)
+        np.testing.assert_array_equal(state.kernel.hyper.lengthscales, [0.7])
+        assert state.kernel.hyper.noise_variance == 0.2
+        assert isinstance(lik, Gaussian) and lik.noise_variance == 0.2
+        for name in ("z", "alpha_u", "b_u"):
+            np.testing.assert_array_equal(getattr(state, name), payload["state"][name])
+        for name in ("inputs", "labels", "scores"):
+            np.testing.assert_array_equal(getattr(memory, name), payload["memory"][name])
+        assert memory.inputs.shape == (2, 1)
+        assert seed == 7
+        np.testing.assert_array_equal(std.mean, payload["standardizer"]["mean"])
+        np.testing.assert_array_equal(std.scale, payload["standardizer"]["scale"])
+        self._resaves_identically(tmp_path, path, state, lik, memory=memory, seed=seed, standardizer=std)
+
+    def test_bernoulli_file(self, tmp_path):
+        path = DATA / "checkpoint_v1_bernoulli.json"
+        payload = json.loads(path.read_text())
+        state, lik, memory, seed, std = load_checkpoint(str(path))
+        assert state.kernel.family == "squared_exponential"
+        assert (state.kernel.hyper.variance, state.kernel.hyper.constant_variance) == (0.9, 0.1)
+        np.testing.assert_array_equal(state.kernel.hyper.lengthscales, [0.5, 2.0])
+        assert state.kernel.hyper.noise_variance is None
+        assert isinstance(lik, BernoulliLogit) and lik.quad_points == 24
+        for name in ("z", "alpha_u", "b_u"):
+            np.testing.assert_array_equal(getattr(state, name), payload["state"][name])
+        assert memory.inputs.shape == (0, 2) and len(memory.labels) == len(memory.scores) == 0
+        assert seed == 0
+        assert std is None
+        self._resaves_identically(tmp_path, path, state, lik, memory=memory, seed=seed)
+
+    @staticmethod
+    def _resaves_identically(tmp_path, path, state, lik, **extras):
+        again = tmp_path / "again.json"
+        save_checkpoint(str(again), state, lik, **extras)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestWriteJsonl:

@@ -17,8 +17,6 @@ from dualgp.kernels import (
     KernelSpec,
     gram,
     gram_diag,
-    spec_from_dict,
-    spec_to_dict,
     stable_cholesky,
 )
 
@@ -304,24 +302,3 @@ class TestCachedInverse:
         inv = vars(factor)["inv"]
         factor.solve(rng.standard_normal((6, 2)))
         assert factor.inv is inv
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        spec = _spec(
-            family="squared_exponential",
-            variance=0.9,
-            lengthscales=(0.4, 1.1),
-            constant=0.05,
-            noise=0.01,
-        )
-        back = spec_from_dict(spec_to_dict(spec))
-        assert back.family == spec.family
-        assert back.hyper.variance == spec.hyper.variance
-        np.testing.assert_array_equal(back.hyper.lengthscales, spec.hyper.lengthscales)
-        assert back.hyper.constant_variance == spec.hyper.constant_variance
-        assert back.hyper.noise_variance == spec.hyper.noise_variance
-
-    def test_none_noise_survives(self):
-        back = spec_from_dict(spec_to_dict(_spec(noise=None)))
-        assert back.hyper.noise_variance is None

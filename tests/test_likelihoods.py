@@ -20,7 +20,6 @@ from dualgp.likelihoods import (
     Gaussian,
     expit,
     gauss_hermite_expectation,
-    likelihood_from_dict,
 )
 
 # Frozen by tests/oracles.py: mc_bernoulli_sites(y, mean, var).
@@ -238,19 +237,5 @@ class TestExpit:
 
 
 class TestModuleHelpers:
-    def test_round_trip_gaussian(self):
-        back = likelihood_from_dict(Gaussian(noise_variance=0.3).to_dict())
-        assert isinstance(back, Gaussian)
-        assert back.noise_variance == 0.3
-
-    def test_round_trip_bernoulli(self):
-        back = likelihood_from_dict(BernoulliLogit(quad_points=32).to_dict())
-        assert isinstance(back, BernoulliLogit)
-        assert back.quad_points == 32
-
     def test_default_quad_points(self):
         assert BernoulliLogit().quad_points == DEFAULT_QUAD_POINTS
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown likelihood"):
-            likelihood_from_dict({"name": "poisson"})

@@ -13,9 +13,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import hyper_objective_reference, seq_objective_vcl_form
+from oracles import hyper_objective_exact, hyper_objective_reference, seq_objective_vcl_form
 
 import dualgp.dual
 import dualgp.sequential
@@ -125,8 +125,10 @@ class TestSequentialConfig:
         [
             {"num_inducing": 0},
             {"ngd_rho": -0.1},
+            {"ngd_rho": 0.0},
             {"ngd_rho": 1.5},
             {"ngd_steps": -1},
+            {"ngd_steps": 0},
             {"memory_capacity": -1},
             {"hyper_steps": -1},
             {"hyper_lr": 0.0},
@@ -139,7 +141,7 @@ class TestSequentialConfig:
             SequentialConfig(**{"num_inducing": 5, **setting})
 
     def test_range_ends_are_accepted(self):
-        SequentialConfig(num_inducing=1, ngd_rho=0.0, ngd_steps=0, memory_capacity=0, hyper_steps=0)
+        SequentialConfig(num_inducing=1, ngd_rho=5e-324, ngd_steps=1, memory_capacity=0, hyper_steps=0)
         SequentialConfig(num_inducing=1, ngd_rho=1.0)
 
 
@@ -388,7 +390,12 @@ HYPER_CASES = [
 
 
 class TestHyperObjectiveClosedForm:
-    """The closed form against the term-by-term reference in ``oracles``."""
+    """The closed form against the term-by-term references in ``oracles``.
+
+    The named cases use the float64 reference.  Drawn states use the same
+    definition at 50 digits: on ill-conditioned ``b_u`` the float64
+    reference is itself a few 1e-9 off, so it cannot referee a 1e-9 bound.
+    """
 
     @pytest.mark.parametrize("name", HYPER_CASES)
     def test_matches_reference(self, name, rng):
@@ -404,6 +411,7 @@ class TestHyperObjectiveClosedForm:
         bernoulli=st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
+    @example(seed=997308486, m=8, extra=0, n_mem=0, bernoulli=False)  # cond(b_u) 6.4e7
     def test_matches_reference_on_drawn_states(self, seed, m, extra, n_mem, bernoulli):
         rng = np.random.default_rng(seed)
         n = m + extra
@@ -420,7 +428,7 @@ class TestHyperObjectiveClosedForm:
         assume(np.linalg.cond(state.b_u) <= 1e8)
         hyper = _moved(spec.hyper, scale=rng.uniform(0.75, 1.35))
         case = (state, lik, x, y, x[:n_mem], y[:n_mem], 7, hyper)
-        expected = hyper_objective_reference(*case)
+        expected = hyper_objective_exact(*case)
         assert hyper_objective(*case) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_one_eigh_and_no_moment_route(self, rng, monkeypatch):
