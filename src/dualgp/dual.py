@@ -15,12 +15,14 @@ this parameterization.
 
 A :class:`DualState` carries ``(kernel, z, alpha_u, b_u)`` and what is
 derived from them, each once: the factorized Gram matrix ``keff`` (jitter
-included), the Cholesky factors of ``keff`` and ``keff + b_u`` and
+included), the inverse Cholesky factors of ``keff`` and ``keff + b_u`` and
 ``keff^{-1} alpha_u`` when the state is built, the range decomposition of
-``b_u`` on first use.  This relies on states being immutable: every function
-here returns new states and never writes to a state's arrays.  ``keff`` is
-the effective ``K_zz`` throughout, so the identities between the dual and
-moment forms hold exactly even when a jitter was needed.
+``b_u`` on first use.  So a state holds four ``M x M`` arrays: ``b_u``,
+``keff`` and the two inverse factors.  This relies on states being
+immutable: every function here returns new states and never writes to a
+state's arrays, and states may share them.  ``keff`` is the effective
+``K_zz`` throughout, so the identities between the dual and moment forms
+hold exactly even when a jitter was needed.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from .likelihoods import Likelihood, SiteValues
 
 RANK_TOL = 1e-10
 
-# Query rows per block in predict: bounds its scratch at O(M * PREDICT_BLOCK).
-PREDICT_BLOCK = 2048
+# Entries of one M x rows block in predict: bounds its scratch at a few
+# blocks of this size, whatever M and the number of query rows.
+PREDICT_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,15 @@ class DualState:
 
     The dual pair ``(alpha_u, b_u)`` on the inducing inputs ``z`` is the
     state; the rest is derived from it once, and readers never rebuild it:
-    ``keff`` is ``K_zz + jitter I`` as factorized, ``kzz`` its Cholesky
-    factor, ``kq`` the Cholesky factor of ``keff + b_u`` and ``kinv_alpha``
-    is ``keff^{-1} alpha_u``.  :func:`make_state` computes them and
-    :func:`ngd_step` hands over the ``kq`` it solved with.  ``b_range`` is
-    computed on first use and then cached, which is sound only because a
-    state's arrays are never written to.
+    ``keff`` is ``K_zz + jitter I`` as factorized, ``kzz`` its factor,
+    ``kq`` the factor of ``keff + b_u`` and ``kinv_alpha`` is
+    ``keff^{-1} alpha_u``.  Each factor holds only its inverse Cholesky
+    triangle, built when it is factored, so the state's ``M x M`` arrays are
+    ``b_u``, ``keff``, ``kzz.inv`` and ``kq.inv``.  :func:`make_state`
+    computes them and :func:`ngd_step` hands over the ``kq`` it solved with
+    and shares ``keff`` and ``kzz``.  ``b_range`` is computed on first use
+    and then cached, which is sound only because a state's arrays are never
+    written to.
     """
 
     kernel: KernelSpec
@@ -143,16 +149,19 @@ def predict(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarra
         mean = k_*z K_zz^{-1} alpha_u
         var  = k_** - k_*z [K_zz^{-1} - (K_zz + b_u)^{-1}] k_z*
 
-    Both factors and the weights ``K_zz^{-1} alpha_u`` come from the state;
-    the query rows are processed in blocks of ``PREDICT_BLOCK``, so the
-    ``M x rows`` scratch does not grow with the number of query points.
+    Both factors and the weights ``K_zz^{-1} alpha_u`` come from the state.
+    The query rows are processed in blocks of ``PREDICT_ENTRIES // M`` rows
+    (at least one), and at most two ``M x rows`` arrays are alive at once,
+    so the scratch grows neither with ``M`` nor with the number of query
+    points.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
     weights = state.kinv_alpha
     mean = np.empty(len(x_star))
     var = gram_diag(state.kernel, x_star)
-    for lo in range(0, len(x_star), PREDICT_BLOCK):
-        rows = slice(lo, lo + PREDICT_BLOCK)
+    block = max(1, PREDICT_ENTRIES // state.num_inducing)
+    for lo in range(0, len(x_star), block):
+        rows = slice(lo, lo + block)
         k_star = gram(state.kernel, state.z, x_star[rows])
         mean[rows] = k_star.T @ weights
         half = state.kzz.half_solve(k_star)
@@ -161,6 +170,7 @@ def predict(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarra
         half = state.kq.half_solve(k_star)
         del k_star
         var[rows] += np.einsum("ij,ij->j", half, half)
+        del half
     return mean, var
 
 
@@ -209,10 +219,15 @@ def ngd_step(
     sites = compute_sites(state, lik, x, y)
     kzx = gram(state.kernel, state.z, x)
     site_alpha = kzx @ sites.alpha_hat
-    site_b = (kzx * sites.beta_hat) @ kzx.T
-
-    b_new = (1.0 - rho) * state.b_u + rho * (prior_b + site_b)
-    b_new = 0.5 * (b_new + b_new.T)
+    # b_new = (1 - rho) b_u + rho (prior_b + site_b), summed in place in that
+    # order, which gives the same bits; kzx is not needed past site_b.
+    b_new = (kzx * sites.beta_hat) @ kzx.T
+    del kzx
+    b_new += prior_b
+    b_new *= rho
+    b_new += (1.0 - rho) * state.b_u
+    b_new = b_new + b_new.T
+    b_new *= 0.5
     alpha_raw = (1.0 - rho) * state.alpha_u + rho * (prior_alpha + site_alpha)
 
     carry = (b_new - rho * prior_b) @ state.kinv_alpha
@@ -289,7 +304,7 @@ def elbo(
     trace = float(np.trace(lq.solve(keff + prior_b)))
     d = state.kzz.solve(prior_alpha - state.alpha_u)
     quad = float(d @ ((keff + prior_b) @ d))
-    kl = 0.5 * (trace + quad - m - lp.logdet() + lq.logdet())
+    kl = 0.5 * (trace + quad - m - lp.logdet + lq.logdet)
     return ell - kl
 
 

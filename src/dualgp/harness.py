@@ -344,44 +344,76 @@ def save_checkpoint(
         json.dump(payload, handle)
 
 
+class _Entry(dict):
+    """A checkpoint object that names its file and key path when a key is missing."""
+
+    def __init__(self, path: str, where: str, items: dict):
+        super().__init__(items)
+        self.path, self.where = path, where
+
+    def __missing__(self, key):
+        raise DataError(f"{self.path}: missing key {self.where}{key}")
+
+
+def _entries(path: str, value, where: str = ""):
+    """``value`` with every JSON object wrapped as an :class:`_Entry`."""
+    if isinstance(value, dict):
+        return _Entry(path, where, {k: _entries(path, v, f"{where}{k}.") for k, v in value.items()})
+    if isinstance(value, list):
+        return [_entries(path, v, where) for v in value]
+    return value
+
+
 def load_checkpoint(
     path: str,
 ) -> tuple[DualState, Likelihood, MemorySet | None, int, Standardizer | None]:
     """Inverse of :func:`save_checkpoint`.
 
     Absent ``constant_variance`` and ``noise_variance`` read as 0 and None.
+    A file that is not valid JSON, lacks a required key or holds values of
+    the wrong type or shape raises :class:`DataError` naming the file, and
+    the key path (``likelihood.noise_variance``) where a key is missing.
     """
     with open(path) as handle:
-        payload = json.load(handle)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+        try:
+            payload = _entries(path, json.load(handle))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"{path} has checkpoint version {payload.get('version')!r}, not {CHECKPOINT_VERSION}")
-    saved = payload["state"]
-    kernel = saved["kernel"]
-    hyper = Hyperparams(
-        kernel["variance"],
-        kernel["lengthscales"],
-        kernel.get("constant_variance", 0.0),
-        kernel.get("noise_variance"),
-    )
-    state = make_state(KernelSpec(kernel["family"], hyper), saved["z"], saved["alpha_u"], saved["b_u"])
-    lik = _likelihood(payload["likelihood"]["name"], payload["likelihood"])
-    memory = standardizer = None
-    if payload.get("memory") is not None:
-        raw = payload["memory"]
-        memory = MemorySet(
-            inputs=np.asarray(raw["inputs"], dtype=np.float64).reshape(len(raw["labels"]), state.z.shape[1]),
-            labels=np.asarray(raw["labels"], dtype=np.float64),
-            scores=np.asarray(raw["scores"], dtype=np.float64),
+    try:
+        saved = payload["state"]
+        kernel = saved["kernel"]
+        hyper = Hyperparams(
+            kernel["variance"],
+            kernel["lengthscales"],
+            kernel.get("constant_variance", 0.0),
+            kernel.get("noise_variance"),
         )
-    if payload.get("standardizer") is not None:
-        raw = payload["standardizer"]
-        standardizer = Standardizer(
-            mean=np.asarray(raw["mean"], dtype=np.float64),
-            scale=np.asarray(raw["scale"], dtype=np.float64),
-        )
-    return state, lik, memory, int(payload.get("seed", 0)), standardizer
+        state = make_state(KernelSpec(kernel["family"], hyper), saved["z"], saved["alpha_u"], saved["b_u"])
+        lik = _likelihood(payload["likelihood"]["name"], payload["likelihood"])
+        memory = standardizer = None
+        if payload.get("memory") is not None:
+            raw = payload["memory"]
+            memory = MemorySet(
+                inputs=np.asarray(raw["inputs"], dtype=np.float64).reshape(len(raw["labels"]), state.z.shape[1]),
+                labels=np.asarray(raw["labels"], dtype=np.float64),
+                scores=np.asarray(raw["scores"], dtype=np.float64),
+            )
+        if payload.get("standardizer") is not None:
+            raw = payload["standardizer"]
+            standardizer = Standardizer(
+                mean=np.asarray(raw["mean"], dtype=np.float64),
+                scale=np.asarray(raw["scale"], dtype=np.float64),
+            )
+        seed = int(payload.get("seed", 0))
+    except DataError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    return state, lik, memory, seed, standardizer
 
 
 def write_jsonl(path: str, records: list[dict]) -> None:

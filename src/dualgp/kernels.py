@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -80,36 +79,29 @@ class KernelSpec:
 
 @dataclass
 class CholeskyFactor:
-    """Lower Cholesky factor of a (possibly jittered) positive definite matrix.
+    """Inverse Cholesky factor of a (possibly jittered) positive definite matrix.
 
-    ``chol @ chol.T`` equals the factorized matrix plus ``jitter_used * I``.
-    A factor is built once and solved against many times, so its solves go
-    through ``inv``, the inverse of ``chol``: computed on the first solve,
-    then cached, which makes every later solve a matrix product.  Solving by
-    a triangular inverse is as accurate in the forward error as substitution
-    (Druinsky & Toledo, arXiv:1201.6035); the inverse is not backward stable,
-    but the engine uses only the solutions.
+    For the lower Cholesky factor ``L`` of the factorized matrix plus
+    ``jitter_used * I``, a factor holds ``inv = L^{-1}`` and ``logdet``, the
+    log determinant of that matrix; :func:`stable_cholesky` builds both when
+    it factors, and ``L`` itself is not kept.  A factor is built once and
+    solved against many times, so every solve is a matrix product with
+    ``inv``.  Solving by a triangular inverse is as accurate in the forward
+    error as substitution (Druinsky & Toledo, arXiv:1201.6035); the inverse
+    is not backward stable, but the engine uses only the solutions.
     """
 
-    chol: np.ndarray
+    inv: np.ndarray
+    logdet: float
     jitter_used: float
-
-    @cached_property
-    def inv(self) -> np.ndarray:
-        """``chol^{-1}``, lower triangular."""
-        return _lower_inverse(self.chol)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(matrix + jitter I) x = rhs``."""
         return self.inv.T @ (self.inv @ rhs)
 
     def half_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``chol x = rhs`` (one triangular solve)."""
+        """Solve ``L x = rhs`` (one triangular solve)."""
         return self.inv @ rhs
-
-    def logdet(self) -> float:
-        """Log determinant of the factorized matrix."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:
@@ -198,11 +190,12 @@ def gram_diag(spec: KernelSpec, xa: np.ndarray) -> np.ndarray:
 
 
 def stable_cholesky(matrix: np.ndarray) -> CholeskyFactor:
-    """Cholesky with an escalating diagonal jitter ladder.
+    """Cholesky with an escalating diagonal jitter ladder, returned as its inverse.
 
-    Tries each jitter in ``JITTER_LADDER`` in order and returns the first
-    success; raises :class:`FactorizationFailed` if the whole ladder fails
-    or the matrix contains non-finite entries.
+    Tries each jitter in ``JITTER_LADDER`` in order.  At the first success it
+    inverts the Cholesky factor, takes the log determinant and returns both,
+    and the factor is dropped.  Raises :class:`FactorizationFailed` if the
+    whole ladder fails or the matrix contains non-finite entries.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if not np.all(np.isfinite(matrix)):
@@ -213,7 +206,9 @@ def stable_cholesky(matrix: np.ndarray) -> CholeskyFactor:
             low = np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             continue
-        return CholeskyFactor(chol=low, jitter_used=jitter)
+        del shifted
+        logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
+        return CholeskyFactor(inv=_lower_inverse(low), logdet=logdet, jitter_used=jitter)
     raise FactorizationFailed(
         f"cholesky failed at every jitter level {JITTER_LADDER} for shape {matrix.shape}"
     )

@@ -67,11 +67,12 @@ def project_duals(state: DualState, z_new: np.ndarray) -> DualState:
     congruently to ``b_u``; the projected ``b_u`` stays PSD by construction.
     """
     z_new = as_points(z_new)
-    k_on = gram(state.kernel, state.z, z_new)
-    p = state.kzz.solve(k_on).T
+    p = state.kzz.solve(gram(state.kernel, state.z, z_new)).T
     alpha_new = p @ state.alpha_u
     b_new = p @ state.b_u @ p.T
-    return make_state(state.kernel, z_new, alpha_new, 0.5 * (b_new + b_new.T))
+    del p
+    b_new = 0.5 * (b_new + b_new.T)
+    return make_state(state.kernel, z_new, alpha_new, b_new)
 
 
 def refresh_representation(state: DualState, x_batch: np.ndarray, max_points: int) -> DualState:

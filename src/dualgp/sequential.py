@@ -111,11 +111,12 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
     eigenvalues clipped to zero if the subtraction left it indefinite.  The
     mean is ``alpha_u - K (K + b)^{-1} sum_i k_zi alpha_i`` (``K = K_zz``),
     the pair whose natural parameters are the posterior's minus the sites'.
-    With no memory the prior is the posterior, and its factor is ``kq``.
+    With no memory the prior is the posterior: it shares the state's arrays
+    (states are immutable), and its factor is ``kq``.
     """
     keff = state.keff
     if len(memory) == 0:
-        return AdjustedPrior(alpha=state.alpha_u.copy(), b=state.b_u.copy(), keff=keff, factor=state.kq)
+        return AdjustedPrior(alpha=state.alpha_u, b=state.b_u, keff=keff, factor=state.kq)
 
     sites = compute_sites(state, lik, memory.inputs, memory.labels)
     kzm = gram(state.kernel, state.z, memory.inputs)
@@ -218,7 +219,9 @@ def hyper_objective(
             - 2 sum log|R_ii| - log|W| - log|I_r + W^{-1/2} U^T K U W^{-1/2}| ]
 
     The norm is ``tr(S^{-1} B)``, ``2 sum log|R_ii| + log|W|`` is the log
-    pseudo-determinant of ``P``, and the bracket is 0 at ``r = 0``.
+    pseudo-determinant of ``P``, and the bracket is 0 at ``r = 0``.  The
+    last log determinant is taken by a plain Cholesky of its ``r x r``
+    matrix, formed from the rebuilt ``keff``.
     """
     kernel = state.kernel.with_hyper(hyper)
     rebuilt = make_state(kernel, state.z, state.alpha_u, state.b_u)
@@ -230,19 +233,20 @@ def hyper_objective(
     pinv_alpha = u @ ((u.T @ alpha) / w)
     pinv_alpha += u @ ((u.T @ (alpha - state.b_u @ pinv_alpha)) / w)
     half = kq.half_solve(pinv_alpha + alpha)
-    value = -0.5 * kzz.logdet() - 0.5 * float(half @ half)
+    value = -0.5 * kzz.logdet - 0.5 * float(half @ half)
     if w.size:
         q, r = np.linalg.qr(kzz.solve(u))
         q_a = q.T @ a
         g = np.linalg.solve(r, q_a)
         trace = kq.half_solve(u * np.sqrt(w))
-        scaled = (kzz.chol.T @ u) / np.sqrt(w)
-        inner = stable_cholesky(np.eye(w.size) + scaled.T @ scaled)
+        scaled = u / np.sqrt(w)
+        # I + V^T K V >= I is positive definite, so it needs no jitter ladder.
+        inner = np.linalg.cholesky(np.eye(w.size) + scaled.T @ (rebuilt.keff @ scaled))
         value += 0.5 * (
             float(np.sum(trace * trace) + g @ (g / w) - 2.0 * alpha @ (a - q @ q_a))
             + w.size * np.log(2.0 * np.pi)
             - float(np.sum(np.log(w * np.diag(r) ** 2)))
-            - inner.logdet()
+            - 2.0 * float(np.sum(np.log(np.diag(inner))))
         )
 
     x_batch, x_mem = as_points(x_batch), as_points(x_mem)

@@ -16,8 +16,9 @@ rewrite of the streaming objective, and the term-by-term hyperparameter
 objective, in float64 and at 50 significant digits (mpmath).
 
 The engine runs on numpy alone.  scipy is the reference for what it computes
-with numpy: Cholesky solves by LAPACK substitution
-(:func:`solve_by_substitution`, :func:`half_solve_by_substitution`), the
+with numpy: Cholesky solves by LAPACK substitution on the triangle the
+engine inverts (:func:`solve_by_substitution`,
+:func:`half_solve_by_substitution`), the
 logistic sigmoid (``expit_reference``) and the standard normal CDF
 (``ndtr_reference``).
 """
@@ -72,14 +73,24 @@ def gram_einsum(spec, xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarra
     return spec.hyper.variance * k + spec.hyper.constant_variance
 
 
-def solve_by_substitution(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """``(L L^T)^{-1} rhs`` by two LAPACK triangular substitutions."""
-    return cho_solve((factor.chol, True), rhs)
+def solve_by_substitution(matrix: np.ndarray, jitter: float, rhs: np.ndarray) -> np.ndarray:
+    """``(matrix + jitter I)^{-1} rhs`` by a Cholesky factor and two LAPACK substitutions."""
+    return cho_solve((_lower_factor(matrix, jitter), True), rhs)
 
 
-def half_solve_by_substitution(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """``L^{-1} rhs`` by one LAPACK triangular substitution."""
-    return solve_triangular(factor.chol, rhs, lower=True)
+def half_solve_by_substitution(matrix: np.ndarray, jitter: float, rhs: np.ndarray) -> np.ndarray:
+    """``L^{-1} rhs`` for the Cholesky factor ``L`` of ``matrix + jitter I``, by one substitution."""
+    return solve_triangular(_lower_factor(matrix, jitter), rhs, lower=True)
+
+
+def _lower_factor(matrix: np.ndarray, jitter: float) -> np.ndarray:
+    """The triangle the engine inverts: numpy's LAPACK Cholesky, shifted as the ladder shifts.
+
+    scipy's Cholesky differs from numpy's in the last bits, and on a matrix
+    of condition 1e12 that moves the solves by more than the 1e-12 at which
+    the inverse is compared with substitution; so both start from one factor.
+    """
+    return np.linalg.cholesky(matrix + jitter * np.eye(len(matrix)) if jitter else matrix)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -183,7 +194,7 @@ def log_marginal(post: ExactPosterior) -> float:
     """Log marginal likelihood ``log N(y | 0, K + noise * I)``."""
     n = len(post.y_train)
     return -0.5 * (
-        float(post.y_train @ post.weights) + post.factor.logdet() + n * math.log(2.0 * math.pi)
+        float(post.y_train @ post.weights) + post.factor.logdet + n * math.log(2.0 * math.pi)
     )
 
 
@@ -404,7 +415,7 @@ def hyper_objective_reference(
     normal_matrix = keff @ b_pinv @ keff + keff
     l_norm = stable_cholesky(0.5 * (normal_matrix + normal_matrix.T))
     half = rebuilt.kq.half_solve(b_vec)
-    log_z = -0.5 * l_norm.logdet() - 0.5 * float(half @ half)
+    log_z = -0.5 * l_norm.logdet - 0.5 * float(half @ half)
 
     correction = 0.0
     x_batch = as_points(x_batch)

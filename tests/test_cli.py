@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dualgp.cli import run_cli
-from test_harness import REJECTED_CONFIGS
+from test_harness import DAMAGED_CHECKPOINTS, REJECTED_CONFIGS
 
 
 def _write_regression_csv(path, n=60, seed=0):
@@ -174,6 +174,21 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", DAMAGED_CHECKPOINTS)
+    def test_damaged_checkpoint_names_file_and_key(self, tmp_path, fast_config, capsys, damage, message):
+        data = _write_regression_csv(tmp_path / "train.csv", n=20)
+        out = tmp_path / "fit"
+        assert run_cli(["fit", "--data", data, "--label", "y", "--config", fast_config, "--out", str(out)]) == 0
+        checkpoint = out / "checkpoint.json"
+        checkpoint.write_text(damage(checkpoint.read_text()))
+        capsys.readouterr()
+        code = run_cli([
+            "predict", "--checkpoint", str(checkpoint), "--data", data, "--label", "y",
+            "--out", str(tmp_path / "preds.csv"),
+        ])
+        assert code == 1
+        assert f"error: {checkpoint}: {message}" in capsys.readouterr().err
 
     def test_bad_config_is_config_error(self, tmp_path, capsys):
         data = _write_regression_csv(tmp_path / "train.csv", n=10)

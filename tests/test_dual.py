@@ -27,7 +27,7 @@ from oracles import (
 )
 
 from dualgp.dual import (
-    PREDICT_BLOCK,
+    PREDICT_ENTRIES,
     compute_sites,
     dual_factor,
     elbo,
@@ -62,6 +62,31 @@ def _random_state(rng, m=4, scale=0.8):
     z = rng.uniform(-2, 2, (m, 1))
     a = rng.standard_normal((m, m)) * scale
     return make_state(_spec(), z, alpha_u=rng.standard_normal(m), b_u=a @ a.T)
+
+
+def _wide_state(rng, m, d=2):
+    z = rng.uniform(-2, 2, (m, d))
+    a = rng.standard_normal((m, m)) * 0.1
+    return make_state(
+        KernelSpec("matern52", Hyperparams(1.0, np.array([0.5]))),
+        z, alpha_u=rng.standard_normal(m), b_u=a @ a.T,
+    )
+
+
+def _traced(build):
+    """``(result, bytes the result holds, transient peak)`` of ``build()`` under tracemalloc.
+
+    ``build`` runs once untraced first, so first-call imports and caches are not counted.
+    """
+    build()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - before, peak - before
 
 
 class TestConstruction:
@@ -221,7 +246,7 @@ class TestPredict:
     @pytest.mark.parametrize("flat", [False, True])
     def test_blocked_rows_match_moment_route(self, rng, flat):
         state = _random_state(rng, m=6)
-        n = 2 * PREDICT_BLOCK + 1
+        n = 2 * (PREDICT_ENTRIES // 6) + 1
         x_test = rng.uniform(-3, 3, n if flat else (n, 1))
         mean_a, var_a = predict(state, x_test)
         mean_b, var_b = predict_moments_route(state, x_test)
@@ -233,25 +258,20 @@ class TestPredict:
         mean, var = predict(_random_state(rng), np.empty((0, 1)))
         assert mean.shape == var.shape == (0,)
 
-    def test_peak_memory_does_not_grow_with_rows(self, rng):
-        m = 300
-        z = rng.uniform(-2, 2, (m, 2))
-        a = rng.standard_normal((m, m)) * 0.1
-        state = make_state(
-            KernelSpec("matern52", Hyperparams(1.0, np.array([0.5]))),
-            z, alpha_u=rng.standard_normal(m), b_u=a @ a.T,
-        )
+    @pytest.mark.parametrize("m", [50, 300])
+    def test_peak_memory_within_three_blocks(self, rng, m):
+        """The scratch is bounded by the entry budget, not by M or the rows."""
+        state = _wide_state(rng, m)
+        x = rng.uniform(-2, 2, (10_000, 2))
+        peak = _traced(lambda: predict(state, x))[2]
+        assert peak <= 3 * PREDICT_ENTRIES * 8
 
-        def peak(rows):
-            x = rng.uniform(-2, 2, (rows, 2))
-            tracemalloc.start()
-            try:
-                predict(state, x)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(10_000) < 2 * peak(PREDICT_BLOCK)
+    def test_small_inducing_sets_take_whole_candidate_batches(self, rng, monkeypatch):
+        """At M <= 50 a block holds at least 2048 rows, so BO's candidate predicts are one block."""
+        state, blocks = _wide_state(rng, 50), []
+        monkeypatch.setattr(dualgp.dual, "gram", lambda *args: blocks.append(len(args[2])) or gram(*args))
+        predict(state, rng.uniform(-2, 2, (2048, 2)))
+        assert blocks == [2048]
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -427,7 +447,8 @@ class TestFactorOnce:
         assert states["make_state_jittered"].kzz.jitter_used > 0.0
         for name, state in states.items():
             fresh = stable_cholesky(state.keff + state.b_u)
-            assert np.array_equal(state.kq.chol, fresh.chol), name
+            assert np.array_equal(state.kq.inv, fresh.inv), name
+            assert state.kq.logdet == fresh.logdet, name
             assert state.kq.jitter_used == fresh.jitter_used, name
 
     def test_stored_gram_and_weights_are_fresh(self, rng, tmp_path):
@@ -438,7 +459,7 @@ class TestFactorOnce:
             assert states[f"{name}_jittered"].kzz.jitter_used > 0.0, name
         for name, state in states.items():
             kzz = stable_cholesky(gram(state.kernel, state.z))
-            assert np.array_equal(state.kzz.chol, kzz.chol), name
+            assert np.array_equal(state.kzz.inv, kzz.inv), name
             fresh = gram(state.kernel, state.z) + kzz.jitter_used * np.eye(state.num_inducing)
             assert np.array_equal(state.keff, fresh), name
             assert np.array_equal(state.kinv_alpha, kzz.solve(state.alpha_u)), name
@@ -479,5 +500,57 @@ class TestFactorOnce:
         assert np.array_equal(u, fresh_u[:, keep])
 
     def test_state_keeps_only_the_triangular_factor(self, rng):
+        """Each factor holds its inverse triangle, built when it is factored, and no ``chol``."""
         state = _random_state(rng, m=5)
-        assert set(vars(state.kq)) == {"chol", "jitter_used"}
+        for factor in (state.kzz, state.kq):
+            assert set(vars(factor)) == {"inv", "logdet", "jitter_used"}
+            assert not np.any(np.triu(factor.inv, 1))
+        jittered = state.keff + state.b_u + state.kq.jitter_used * np.eye(5)
+        np.testing.assert_allclose(state.kq.inv @ jittered @ state.kq.inv.T, np.eye(5), atol=1e-12)
+
+
+class TestMemory:
+    """What a state holds and what an NGD step allocates, at the benchmark's M = 300."""
+
+    M = 300
+
+    @pytest.mark.parametrize("route", ["make_state", "ngd_step"])
+    def test_state_holds_four_square_arrays(self, rng, route):
+        m, d = self.M, 2
+        z = rng.uniform(-2, 2, (m, d))
+        alpha = rng.standard_normal(m)
+        a = rng.standard_normal((m, m)) * 0.1
+        x = rng.uniform(-2, 2, (2 * m, d))
+        y = np.sign(x[:, 0])
+
+        def build():
+            state = make_state(_spec(ls=0.5), z, alpha, a @ a.T)
+            if route == "ngd_step":
+                state = ngd_step(state, BernoulliLogit(), x, y, 0.6, state.alpha_u, state.b_u)
+            return state
+
+        state, held, _ = _traced(build)
+        assert state.num_inducing == m
+        assert held <= 4 * m * m * 8 + 64 * m * d * 8
+
+    def test_ngd_step_peak(self, rng):
+        state = _wide_state(rng, self.M)
+        x = rng.uniform(-2, 2, (600, 2))
+        y = np.sign(x[:, 0])
+        _, _, peak = _traced(lambda: ngd_step(state, BernoulliLogit(), x, y, 0.6, state.alpha_u, state.b_u))
+        assert peak <= 4.5e6
+
+    @pytest.mark.parametrize("rho", [0.3, 0.6, 1.0])
+    def test_in_place_b_equals_the_formula_bit_for_bit(self, rng, rho):
+        state = _random_state(rng, m=6)
+        x = rng.uniform(-2, 2, (9, 1))
+        y = np.sign(x[:, 0])
+        a = rng.standard_normal((6, 6)) * 0.3
+        prior_alpha, prior_b = rng.standard_normal(6), a @ a.T
+        lik = BernoulliLogit()
+        new = ngd_step(state, lik, x, y, rho, prior_alpha, prior_b)
+        sites = compute_sites(state, lik, x, y)
+        kzx = gram(state.kernel, state.z, x)
+        site_b = (kzx * sites.beta_hat) @ kzx.T
+        expected = (1.0 - rho) * state.b_u + rho * (prior_b + site_b)
+        assert np.array_equal(new.b_u, 0.5 * (expected + expected.T))

@@ -3,6 +3,7 @@
 import configparser
 import json
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -340,6 +341,41 @@ class TestFactories:
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def _without(*keys):
+    """A damage that deletes the key at the path ``keys`` from a checkpoint's text."""
+
+    def damage(text):
+        payload = json.loads(text)
+        entry = payload
+        for key in keys[:-1]:
+            entry = entry[key]
+        del entry[keys[-1]]
+        return json.dumps(payload)
+
+    return damage
+
+
+def _truncated_b_u(text):
+    payload = json.loads(text)
+    payload["state"]["b_u"].pop()
+    return json.dumps(payload)
+
+
+# Damaged Gaussian checkpoints that load_checkpoint rejects, each with the
+# message that follows the file name.
+DAMAGED_CHECKPOINTS = [
+    pytest.param(_without("likelihood", "noise_variance"), "missing key likelihood.noise_variance", id="noise"),
+    pytest.param(_without("state", "kernel", "family"), "missing key state.kernel.family", id="family"),
+    pytest.param(_without("state"), "missing key state", id="state"),
+    pytest.param(_truncated_b_u, "dual parameter shapes do not match the inducing set", id="b_u_shape"),
+    pytest.param(lambda text: text[: len(text) // 2], "not valid JSON", id="invalid_json"),
+    pytest.param(
+        lambda text: json.dumps({**json.loads(text), "state": "z"}), "string indices must be integers",
+        id="state_type",
+    ),
+]
+
+
 def _round_trip(tmp_path, state, lik, **extras):
     """``save_checkpoint`` then ``load_checkpoint`` through a file."""
     path = str(tmp_path / "ckpt.json")
@@ -489,6 +525,15 @@ class TestCheckpoint:
         path = _edited(tmp_path, state, lik, lambda payload: payload.update(version=2))
         with pytest.raises(DataError, match="checkpoint version 2, not 1"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", DAMAGED_CHECKPOINTS)
+    def test_damaged_checkpoint_is_data_error(self, rng, tmp_path, damage, message):
+        state, lik = self._fitted(rng)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), state, lik)
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(str(path))
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"

@@ -205,7 +205,8 @@ class TestStableCholesky:
         K = gram(_spec(), np.linspace(0, 3, 5))
         factor = stable_cholesky(K + 0.1 * np.eye(5))
         assert factor.jitter_used == 0.0
-        np.testing.assert_allclose(factor.chol @ factor.chol.T, K + 0.1 * np.eye(5), atol=1e-12)
+        whitened = factor.inv @ (K + 0.1 * np.eye(5)) @ factor.inv.T
+        np.testing.assert_allclose(whitened, np.eye(5), atol=1e-12)
 
     def test_ladder_escalates_for_rank_deficient(self):
         x = np.array([0.0, 0.0, 1.0])  # duplicate point forces singularity
@@ -214,7 +215,7 @@ class TestStableCholesky:
         assert factor.jitter_used in JITTER_LADDER
         assert factor.jitter_used > 0.0
         jittered = K + factor.jitter_used * np.eye(3)
-        np.testing.assert_allclose(factor.chol @ factor.chol.T, jittered, atol=1e-10)
+        np.testing.assert_allclose(factor.inv @ jittered @ factor.inv.T, np.eye(3), atol=1e-10)
 
     def test_solve_matches_numpy(self, rng):
         K = gram(_spec(), rng.standard_normal((7, 1))) + 0.3 * np.eye(7)
@@ -227,7 +228,7 @@ class TestStableCholesky:
         factor = stable_cholesky(K)
         sign, ref = np.linalg.slogdet(K)
         assert sign == 1.0
-        assert factor.logdet() == pytest.approx(ref, rel=1e-12)
+        assert factor.logdet == pytest.approx(ref, rel=1e-12)
 
     def test_half_solve_composes_to_solve(self, rng):
         K = gram(_spec(), rng.standard_normal((5, 1))) + 0.2 * np.eye(5)
@@ -272,7 +273,7 @@ def _spd_systems(draw):
 
 
 class TestCachedInverse:
-    """Solves through the cached inverse of the factor, against LAPACK substitution."""
+    """Solves through the inverse factor, against LAPACK substitution."""
 
     @settings(max_examples=60, deadline=None)
     @given(_spd_systems())
@@ -282,8 +283,8 @@ class TestCachedInverse:
         if kind == "repeated" and len(matrix) > 1:
             assert factor.jitter_used > 0.0
         for got, ref in (
-            (factor.solve(rhs), solve_by_substitution(factor, rhs)),
-            (factor.half_solve(rhs), half_solve_by_substitution(factor, rhs)),
+            (factor.solve(rhs), solve_by_substitution(matrix, factor.jitter_used, rhs)),
+            (factor.half_solve(rhs), half_solve_by_substitution(matrix, factor.jitter_used, rhs)),
         ):
             assert got.shape == rhs.shape
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -291,14 +292,17 @@ class TestCachedInverse:
     @pytest.mark.parametrize("m", [INV_LEAF, INV_LEAF + 1, 100])
     def test_inverse_is_lower_triangular(self, rng, m):
         a = rng.standard_normal((m, m))
-        factor = stable_cholesky(a @ a.T + m * np.eye(m))
+        matrix = a @ a.T + m * np.eye(m)
+        factor = stable_cholesky(matrix)
         assert not np.any(np.triu(factor.inv, 1))
-        np.testing.assert_allclose(factor.inv @ factor.chol, np.eye(m), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(factor.inv @ matrix @ factor.inv.T, np.eye(m), rtol=0, atol=1e-13)
 
-    def test_inverse_is_computed_on_first_solve_and_kept(self, rng):
-        factor = stable_cholesky(gram(_spec(), rng.standard_normal((6, 1))) + 0.1 * np.eye(6))
-        assert "inv" not in vars(factor)
+    def test_inverse_is_built_at_factorization_and_kept(self, rng):
+        matrix = gram(_spec(), rng.standard_normal((6, 1))) + 0.1 * np.eye(6)
+        factor = stable_cholesky(matrix)
+        assert set(vars(factor)) == {"inv", "logdet", "jitter_used"}
+        inv = factor.inv
+        np.testing.assert_allclose(inv @ matrix @ inv.T, np.eye(6), rtol=0, atol=1e-13)
         factor.half_solve(rng.standard_normal(6))
-        inv = vars(factor)["inv"]
         factor.solve(rng.standard_normal((6, 2)))
         assert factor.inv is inv
