@@ -14,21 +14,19 @@ removal cheap: contributions of individual observations add and subtract in
 this parameterization.
 
 A :class:`DualState` carries ``(kernel, z, alpha_u, b_u)`` and what is
-derived from them, each once: the factorized Gram matrix ``keff`` (jitter
-included), the inverse Cholesky factors of ``keff`` and ``keff + b_u`` and
-``keff^{-1} alpha_u`` when the state is built, the range decomposition of
-``b_u`` on first use.  So a state holds four ``M x M`` arrays: ``b_u``,
-``keff`` and the two inverse factors.  This relies on states being
-immutable: every function here returns new states and never writes to a
-state's arrays, and states may share them.  ``keff`` is the effective
-``K_zz`` throughout, so the identities between the dual and moment forms
-hold exactly even when a jitter was needed.
+derived from them, once, when the state is built: the factorized Gram
+matrix ``keff`` (jitter included), the inverse Cholesky factors of
+``keff`` and ``keff + b_u`` and ``keff^{-1} alpha_u``.  So a state holds
+four ``M x M`` arrays: ``b_u``, ``keff`` and the two inverse factors.  This
+relies on states being immutable: every function here returns new states
+and never writes to a state's arrays, and states may share them.  ``keff``
+is the effective ``K_zz`` throughout, so the identities between the dual
+and moment forms hold exactly even when a jitter was needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from numpy.linalg import eigh
@@ -62,9 +60,7 @@ class DualState:
     triangle, built when it is factored, so the state's ``M x M`` arrays are
     ``b_u``, ``keff``, ``kzz.inv`` and ``kq.inv``.  :func:`make_state`
     computes them and :func:`ngd_step` hands over the ``kq`` it solved with
-    and shares ``keff`` and ``kzz``.  ``b_range`` is computed on first use
-    and then cached, which is sound only because a state's arrays are never
-    written to.
+    and shares ``keff`` and ``kzz``.
     """
 
     kernel: KernelSpec
@@ -79,13 +75,6 @@ class DualState:
     @property
     def num_inducing(self) -> int:
         return self.z.shape[0]
-
-    @cached_property
-    def b_range(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs ``(w, u)`` of ``b_u`` with ``w`` above ``RANK_TOL * max(w)``."""
-        w, u = eigh(0.5 * (self.b_u + self.b_u.T))
-        keep = w > RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
-        return w[keep], u[:, keep]
 
 
 @dataclass

@@ -196,63 +196,24 @@ def hyper_objective(
 ) -> float:
     """Hyperparameter ascent target with the dual parameters frozen.
 
-    Only ``K = K_zz(theta)`` is rebuilt; ``alpha = alpha_u`` and ``B = b_u``
-    stay fixed.  The target is the normalizer ``-1/2 log|K B^+ K + K|
-    - 1/2 b^T S^{-1} b`` (``S = K + B``, ``b = B^+ alpha + alpha``), plus the
-    batch data term and the memory data term times ``n_old / n_mem``, minus
-    the expected log pseudo-likelihood of the state (the factor with
-    precision ``P = K^{-1} B K^{-1}``, normalized on its support).  A
-    Gaussian likelihood takes its noise from ``hyper.noise_variance`` unless
-    that is None.
-
-    It is one closed form over the factors of ``K`` and ``S`` and the
-    eigendecomposition ``B = U W U^T`` on the range of ``B``.  ``B`` does
-    not move with ``theta``, so that decomposition comes from the state
-    (``state.b_range``, computed on its first evaluation); ``B^+ alpha``
-    from it takes one refinement step ``c += U W^{-1} U^T (alpha - B c)``,
-    which holds the target to 1e-9 at cond(B) near 1e8.  With
-    ``a = K^{-1} alpha``, the thin QR ``K^{-1} U = Q R`` and
-    ``g = R^{-1} Q^T a``, the target minus its data terms is::
-
-        -1/2 log|K| - 1/2 b^T S^{-1} b + 1/2 [ ||L_S^{-1} U W^{1/2}||_F^2
-            + g^T W^{-1} g - 2 alpha^T (a - Q Q^T a) + r log 2 pi
-            - 2 sum log|R_ii| - log|W| - log|I_r + W^{-1/2} U^T K U W^{-1/2}| ]
-
-    The norm is ``tr(S^{-1} B)``, ``2 sum log|R_ii| + log|W|`` is the log
-    pseudo-determinant of ``P``, and the bracket is 0 at ``r = 0``.  The
-    last log determinant is taken by a plain Cholesky of its ``r x r``
-    matrix, formed from the rebuilt ``keff``.
+    The state is rebuilt at ``theta`` with its dual pair ``(alpha_u, b_u)``
+    fixed, and the target is its evidence bound, :func:`elbo` plus the
+    memory term: the batch data term, plus the memory data term times
+    ``n_old / n_mem``, minus the KL from the rebuilt posterior ``q`` to the
+    kernel prior ``p``.  ``q`` is ``p`` times the pseudo-likelihood ``t``
+    of the pair, over its normalizer ``Z``, so ``log Z - E_q[log t]`` is
+    ``-KL(q || p)``: the bound is the normalizer minus the expected log
+    pseudo-likelihood plus the data terms.  Scaling ``y`` by ``c`` and the
+    variance and the noise by ``c**2`` shifts the target by a
+    ``theta``-free constant, so its steps do not depend on the units of
+    ``y``.  A Gaussian likelihood takes its noise from
+    ``hyper.noise_variance`` unless that is None.
     """
-    kernel = state.kernel.with_hyper(hyper)
-    rebuilt = make_state(kernel, state.z, state.alpha_u, state.b_u)
+    rebuilt = make_state(state.kernel.with_hyper(hyper), state.z, state.alpha_u, state.b_u)
     if isinstance(lik, Gaussian) and hyper.noise_variance is not None:
         lik = Gaussian(noise_variance=float(hyper.noise_variance))
-    kzz, kq, alpha, a = rebuilt.kzz, rebuilt.kq, state.alpha_u, rebuilt.kinv_alpha
-
-    w, u = state.b_range
-    pinv_alpha = u @ ((u.T @ alpha) / w)
-    pinv_alpha += u @ ((u.T @ (alpha - state.b_u @ pinv_alpha)) / w)
-    half = kq.half_solve(pinv_alpha + alpha)
-    value = -0.5 * kzz.logdet - 0.5 * float(half @ half)
-    if w.size:
-        q, r = np.linalg.qr(kzz.solve(u))
-        q_a = q.T @ a
-        g = np.linalg.solve(r, q_a)
-        trace = kq.half_solve(u * np.sqrt(w))
-        scaled = u / np.sqrt(w)
-        # I + V^T K V >= I is positive definite, so it needs no jitter ladder.
-        inner = np.linalg.cholesky(np.eye(w.size) + scaled.T @ (rebuilt.keff @ scaled))
-        value += 0.5 * (
-            float(np.sum(trace * trace) + g @ (g / w) - 2.0 * alpha @ (a - q @ q_a))
-            + w.size * np.log(2.0 * np.pi)
-            - float(np.sum(np.log(w * np.diag(r) ** 2)))
-            - 2.0 * float(np.sum(np.log(np.diag(inner))))
-        )
-
-    x_batch, x_mem = as_points(x_batch), as_points(x_mem)
-    if len(x_batch):
-        mean_b, var_b = predict(rebuilt, x_batch)
-        value += float(np.sum(lik.expected_log_lik(y_batch, mean_b, var_b)))
+    value = elbo(rebuilt, lik, as_points(x_batch), y_batch)
+    x_mem = as_points(x_mem)
     if len(x_mem):
         mean_m, var_m = predict(rebuilt, x_mem)
         value += n_old / len(x_mem) * float(np.sum(lik.expected_log_lik(y_mem, mean_m, var_m)))

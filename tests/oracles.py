@@ -12,8 +12,8 @@ assembly of a quantity the package computes another way: exact dense GP
 regression, predictive marginals through the moment form, the pseudo-data
 view of a state, a site-by-site rebuild of a state, dense-route and classical
 ridge leverage scores, the expected log of a dual-pair factor, the four-term
-rewrite of the streaming objective, and the term-by-term hyperparameter
-objective, in float64 and at 50 significant digits (mpmath).
+rewrite of the streaming objective, and the hyperparameter objective in
+moment form.
 
 The engine runs on numpy alone.  scipy is the reference for what it computes
 with numpy: Cholesky solves by LAPACK substitution on the triangle the
@@ -28,9 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cholesky, eigh, solve_triangular
 from scipy.special import expit as expit_reference
 from scipy.special import ndtr as ndtr_reference
 
@@ -54,7 +53,7 @@ from dualgp.kernels import (
     gram_diag,
     stable_cholesky,
 )
-from dualgp.likelihoods import Gaussian, Likelihood, SiteValues, _hermgauss
+from dualgp.likelihoods import Gaussian, Likelihood, SiteValues
 from dualgp.memory import MemorySet
 
 
@@ -392,108 +391,34 @@ def hyper_objective_reference(
     n_old: int,
     hyper: Hyperparams,
 ) -> float:
-    """The hyperparameter objective assembled term by term.
+    """The hyperparameter objective through the moments of the rebuilt state.
 
-    Normalizer ``-1/2 log|K B^+ K + K| - 1/2 b^T (B + K)^{-1} b`` with
-    ``b = B^+ alpha_u + alpha_u`` through an explicit pseudo-inverse, plus
-    the data terms, minus the expected log pseudo-likelihood through
-    :func:`dual_factor` (its own eigendecomposition of ``K^{-1} B K^{-1}``)
-    and the moment-form covariance.  Ranks come from ``K^{-1} B K^{-1}``
-    here and from ``B`` in ``dualgp.sequential.hyper_objective``, so the
-    two can part where ``B`` is ill-conditioned.
-    """
-    kernel = state.kernel.with_hyper(hyper)
-    rebuilt = make_state(kernel, state.z, state.alpha_u, state.b_u)
-    if isinstance(lik, Gaussian):
-        lik = Gaussian(noise_variance=float(hyper.noise_variance))
-
-    keff = rebuilt.keff
-    w, u = eigh(0.5 * (state.b_u + state.b_u.T))
-    keep = w > RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
-    b_pinv = (u[:, keep] / w[keep]) @ u[:, keep].T
-    b_vec = b_pinv @ state.alpha_u + state.alpha_u
-    normal_matrix = keff @ b_pinv @ keff + keff
-    l_norm = stable_cholesky(0.5 * (normal_matrix + normal_matrix.T))
-    half = rebuilt.kq.half_solve(b_vec)
-    log_z = -0.5 * l_norm.logdet - 0.5 * float(half @ half)
-
-    correction = 0.0
-    x_batch = as_points(x_batch)
-    if x_batch.size:
-        mean_b, var_b = predict(rebuilt, x_batch)
-        correction += float(np.sum(lik.expected_log_lik(y_batch, mean_b, var_b)))
-    x_mem = as_points(x_mem)
-    n_mem = x_mem.shape[0] if x_mem.size else 0
-    if n_mem:
-        mean_m, var_m = predict(rebuilt, x_mem)
-        scale = n_old / n_mem
-        correction += scale * float(np.sum(lik.expected_log_lik(y_mem, mean_m, var_m)))
-
-    mean_q, cov_q = recover_moments(rebuilt)
-    factor = dual_factor(rebuilt.kzz, state.alpha_u, state.b_u, state.alpha_u)
-    correction -= expected_log_factor(factor, mean_q, cov_q)
-    return log_z + correction
-
-
-def hyper_objective_exact(
-    state: DualState,
-    lik: Likelihood,
-    x_batch: np.ndarray,
-    y_batch: np.ndarray,
-    x_mem: np.ndarray,
-    y_mem: np.ndarray,
-    n_old: int,
-    hyper: Hyperparams,
-) -> float:
-    """:func:`hyper_objective_reference`'s definition at 50 digits, for full-rank ``b_u``.
-
-    The float64 inputs are taken as exact: ``K`` is the rebuilt state's
-    ``keff``, the cross-covariances and prior variances come from ``gram``,
-    and a Bernoulli likelihood keeps its float64 Gauss-Hermite rule.  Every
-    step after that runs in mpmath, so the result is the objective of those
-    inputs to float64 precision, whatever the conditioning of ``b_u``.
+    The state is rebuilt at ``hyper`` with its dual pair frozen: mean
+    ``alpha_u`` and covariance ``Sigma = K (K + B)^{-1} K`` (scipy
+    ``cho_solve``), with ``K`` the rebuilt ``keff``.  The value is the batch
+    data term plus the memory data term times ``n_old / n_mem``, both through
+    :func:`predict_moments_route`, minus ``KL(N(alpha_u, Sigma) || N(0, K))``
+    from scipy Cholesky factors of ``K`` and ``Sigma``.
     """
     rebuilt = make_state(state.kernel.with_hyper(hyper), state.z, state.alpha_u, state.b_u)
     if isinstance(lik, Gaussian) and hyper.noise_variance is not None:
         lik = Gaussian(noise_variance=float(hyper.noise_variance))
-    with mpmath.workdps(50):
-        k, b, alpha = mpmath.matrix(rebuilt.keff), mpmath.matrix(state.b_u), mpmath.matrix(state.alpha_u)
-        k_inv, b_inv, s_inv = k**-1, b**-1, (k + b) ** -1
-        pinv_alpha = b_inv * alpha + alpha
-        value = -mpmath.log(mpmath.det(k * b_inv * k + k)) / 2 - (pinv_alpha.T * s_inv * pinv_alpha)[0] / 2
+    k, alpha = rebuilt.keff, state.alpha_u
+    cov = k @ cho_solve(cho_factor(k + state.b_u, lower=True), k)
+    low_k = cholesky(k, lower=True)
+    low_cov = cholesky(0.5 * (cov + cov.T), lower=True)
+    kl = 0.5 * (
+        float(np.trace(cho_solve((low_k, True), cov)))
+        + float(alpha @ cho_solve((low_k, True), alpha))
+        - len(alpha)
+        + 2.0 * float(np.sum(np.log(np.diag(low_k))) - np.sum(np.log(np.diag(low_cov))))
+    )
 
-        def expected_log_lik(x, y):
-            x = as_points(x)
-            kzx, prior = mpmath.matrix(gram(rebuilt.kernel, rebuilt.z, x)), gram_diag(rebuilt.kernel, x)
-            total = mpmath.mpf(0)
-            for i, label in enumerate(y):
-                col = kzx[:, i]
-                mean = (col.T * k_inv * alpha)[0]
-                var = prior[i] - (col.T * (k_inv - s_inv) * col)[0]
-                if isinstance(lik, Gaussian):
-                    noise = mpmath.mpf(lik.noise_variance)
-                    total -= mpmath.log(2 * mpmath.pi * noise) / 2 + ((label - mean) ** 2 + var) / (2 * noise)
-                else:
-                    nodes, weights = _hermgauss(lik.quad_points)
-                    spread = mpmath.sqrt(2 * max(var, 0))
-                    sign = 1 if label > 0 else -1
-                    total -= mpmath.fsum(
-                        mpmath.mpf(w) * mpmath.log1p(mpmath.exp(-sign * (mean + spread * mpmath.mpf(node))))
-                        for node, w in zip(nodes, weights)
-                    )
-            return total
+    def data_term(x: np.ndarray, y: np.ndarray) -> float:
+        mean, var = predict_moments_route(rebuilt, as_points(x))
+        return float(np.sum(lik.expected_log_lik(y, mean, var)))
 
-        value += expected_log_lik(x_batch, y_batch)
-        if len(y_mem):
-            value += mpmath.mpf(n_old) / len(y_mem) * expected_log_lik(x_mem, y_mem)
-
-        # E_q[log f] for the factor with precision P = K^-1 B K^-1 and linear
-        # term l = K^-1 alpha + P alpha, normalized, under q = N(alpha, K S^-1 K)
-        precision = k_inv * b * k_inv
-        linear = k_inv * alpha + precision * alpha
-        cov = k * s_inv * k
-        trace = mpmath.fsum(precision[i, j] * cov[j, i] for i in range(k.rows) for j in range(k.rows))
-        quad = (alpha.T * precision * alpha)[0] - 2 * (alpha.T * linear)[0] + (linear.T * k * b_inv * k * linear)[0]
-        log_det = mpmath.log(mpmath.det(b)) - 2 * mpmath.log(mpmath.det(k))
-        value += (trace + quad + k.rows * mpmath.log(2 * mpmath.pi) - log_det) / 2
-        return float(value)
+    value = data_term(x_batch, y_batch) - kl
+    if len(y_mem):
+        value += n_old / len(y_mem) * data_term(x_mem, y_mem)
+    return value

@@ -1,10 +1,10 @@
 """Acceptance gate: ten end-to-end contracts, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines with measured wall time.  Criterion 7 needs a local copy of the bank
-marketing table (all-numeric CSV with a {0,1} label column ``y``); point
-``DUALGP_BANK_CSV`` at it or drop it at ``data/bank.csv``, otherwise that
-one criterion is skipped.
+lines with measured CPU and wall time.  Criterion 7 needs a local copy of
+the bank marketing table (all-numeric CSV with a {0,1} label column
+``y``); point ``DUALGP_BANK_CSV`` at it or drop it at ``data/bank.csv``,
+otherwise that one criterion is skipped.
 """
 
 import math
@@ -43,19 +43,31 @@ from dualgp.sequential import (
 
 @contextmanager
 def criterion(number, label, limit_s):
-    """Time the body, print one verdict line, enforce the wall-time budget."""
-    start = time.perf_counter()
+    """Time the body, print one verdict line, enforce the CPU-time budget.
+
+    The budget is on the process's CPU time, which a busy host does not
+    inflate the way it inflates wall time; it counts the BLAS worker
+    threads too.  Both times are printed.
+    """
+    start_wall, start_cpu = time.perf_counter(), time.process_time()
+
+    def spent():
+        return time.perf_counter() - start_wall, time.process_time() - start_cpu
+
     try:
         yield
     except BaseException:
-        elapsed = time.perf_counter() - start
-        print(f"criterion {number:2d} [{label}]: FAIL after {elapsed:.2f}s")
+        wall, cpu = spent()
+        print(f"criterion {number:2d} [{label}]: FAIL after {wall:.2f}s wall, {cpu:.2f}s CPU")
         raise
-    elapsed = time.perf_counter() - start
-    in_budget = elapsed < limit_s
-    verdict = "PASS" if in_budget else "FAIL (over time budget)"
-    print(f"criterion {number:2d} [{label}]: {verdict} in {elapsed:.2f}s (limit {limit_s:g}s)")
-    assert in_budget, f"criterion {number} took {elapsed:.2f}s, budget {limit_s:g}s"
+    wall, cpu = spent()
+    in_budget = cpu < limit_s
+    verdict = "PASS" if in_budget else "FAIL (over CPU-time budget)"
+    print(
+        f"criterion {number:2d} [{label}]: {verdict} in {cpu:.2f}s CPU, "
+        f"{wall:.2f}s wall (limit {limit_s:g}s CPU)"
+    )
+    assert in_budget, f"criterion {number} took {cpu:.2f}s CPU, budget {limit_s:g}s"
 
 
 def _matern(variance, lengthscales, noise=None):

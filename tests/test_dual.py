@@ -478,27 +478,6 @@ class TestFactorOnce:
         predict(state, rng.uniform(-2, 2, (1, 1)))
         assert solves == []
 
-    def test_range_decomposition_is_lazy_and_cached(self, rng, monkeypatch):
-        """No ``eigh`` until ``b_range`` is read, then one per state."""
-        calls = []
-
-        def counting(matrix):
-            calls.append(np.shape(matrix))
-            return np.linalg.eigh(matrix)
-
-        monkeypatch.setattr(dualgp.dual, "eigh", counting)
-        x = rng.uniform(-2, 2, (7, 1))
-        state = ngd_step(_random_state(rng, m=5), Gaussian(0.5), x, np.sin(x[:, 0]), rho=0.6)
-        predict(state, x)
-        assert calls == []
-        w, u = state.b_range
-        assert state.b_range[0] is w and state.b_range[1] is u
-        assert calls == [(5, 5)]
-        fresh_w, fresh_u = np.linalg.eigh(0.5 * (state.b_u + state.b_u.T))
-        keep = fresh_w > dualgp.dual.RANK_TOL * fresh_w.max()
-        assert np.array_equal(w, fresh_w[keep])
-        assert np.array_equal(u, fresh_u[:, keep])
-
     def test_state_keeps_only_the_triangular_factor(self, rng):
         """Each factor holds its inverse triangle, built when it is factored, and no ``chol``."""
         state = _random_state(rng, m=5)

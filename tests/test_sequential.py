@@ -1,21 +1,20 @@
 """Streaming engine: prior adjustment, objectives, hyper steps, full runs.
 
 Frozen by hand for the single-point conjugate model (unit prior, unit
-noise, y = 1): the hyperparameter objective at the fitted state is
+noise, y = 1): the hyperparameter objective at the fitted state is the
+evidence bound, which is tight at the exact posterior, so it equals the log
+evidence
 
-    -1/2 log|K B^+ K + K| - 1/2 b (B+K)^{-1} b
-        = -1/2 log 2 - 1/4 = -0.5965735902799727
-
-which also equals the evidence bound plus half log 2 pi there.
+    log N(1 | 0, 2) = -1/2 log 4 pi - 1/4 = -1.5155121234846454
 """
 
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import hyper_objective_exact, hyper_objective_reference, seq_objective_vcl_form
+from oracles import hyper_objective_reference, seq_objective_vcl_form
 
 import dualgp.dual
 import dualgp.sequential
@@ -39,7 +38,7 @@ from dualgp.sequential import (
     seq_objective,
 )
 
-ONE_POINT_HYPER_OBJECTIVE = -0.5965735902799727
+ONE_POINT_HYPER_OBJECTIVE = -1.5155121234846454
 
 
 def _spec(ls=0.8, noise=0.3):
@@ -329,14 +328,14 @@ class TestHyperObjective:
         val = hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, spec.hyper)
         assert val == pytest.approx(ONE_POINT_HYPER_OBJECTIVE, rel=1e-12)
 
-    def test_one_point_sits_half_log_two_pi_above_bound(self):
+    def test_one_point_equals_bound(self):
         spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.8]), noise_variance=1.0))
         lik = Gaussian(1.0)
         x, y = np.array([[0.0]]), np.array([1.0])
         state = ngd_step(make_state(spec, x), lik, x, y, rho=1.0)
         val = hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, spec.hyper)
         bound = elbo(state, lik, x, y)
-        assert val - bound == pytest.approx(0.5 * np.log(2.0 * np.pi), rel=1e-12)
+        assert val == pytest.approx(bound, rel=1e-12)
 
     def test_memory_term_scales_linearly_with_n_old(self, rng):
         state, lik, x, y = _fitted_gaussian(rng)
@@ -365,6 +364,21 @@ class TestHyperObjective:
         explicit = Hyperparams(1.0, np.array([0.8]), noise_variance=0.3)
         assert fallback == hyper_objective(state, Gaussian(0.3), x, y, *no_mem, explicit)
 
+    def test_steps_do_not_depend_on_the_units_of_y(self, rng):
+        """``y * c`` with variance and noise ``* c**2`` moves the target by a theta-free constant."""
+        x = rng.uniform(-2, 2, (30, 2))
+        y = np.sin(x[:, 0]) * np.cos(x[:, 1]) + 0.1 * rng.standard_normal(30)
+        steps = []
+        for c in (1.0, 3.0, 10.0):
+            lik = Gaussian(0.3 * c**2)
+            spec = KernelSpec("matern52", Hyperparams(c**2, np.array([0.8, 1.1]), noise_variance=0.3 * c**2))
+            state = ngd_step(make_state(spec, x[:12]), lik, x, c * y, rho=1.0)
+            moved = Hyperparams(1.4 * c**2, np.array([0.6, 1.5]), noise_variance=0.2 * c**2)
+            args = (state, lik, x[5:], c * y[5:], x[:5], c * y[:5], 20)
+            steps.append(hyper_objective(*args, moved) - hyper_objective(*args, spec.hyper))
+        assert steps[1] == pytest.approx(steps[0], rel=1e-9)
+        assert steps[2] == pytest.approx(steps[0], rel=1e-9)
+
     def test_gradient_of_quadratic_is_exact(self):
         h = np.array([[2.0, 0.3], [0.3, 1.0]])
         lin = np.array([0.4, -1.1])
@@ -390,11 +404,10 @@ HYPER_CASES = [
 
 
 class TestHyperObjectiveClosedForm:
-    """The closed form against the term-by-term references in ``oracles``.
+    """The bound's closed form, ``elbo`` of the rebuilt state, against the moment form in ``oracles``.
 
-    The named cases use the float64 reference.  Drawn states use the same
-    definition at 50 digits: on ill-conditioned ``b_u`` the float64
-    reference is itself a few 1e-9 off, so it cannot referee a 1e-9 bound.
+    ``B`` is never inverted on either side, so drawn states need no
+    condition filter, rank-deficient and ill-conditioned ``b_u`` included.
     """
 
     @pytest.mark.parametrize("name", HYPER_CASES)
@@ -425,14 +438,13 @@ class TestHyperObjectiveClosedForm:
             lik, spec = Gaussian(rng.uniform(0.05, 1.0)), _spec(ls=ls)
             y = np.sin(2.0 * x[:, 0])
         state = ngd_step(make_state(spec, z), lik, x, y, rho=rng.uniform(0.3, 1.0))
-        assume(np.linalg.cond(state.b_u) <= 1e8)
         hyper = _moved(spec.hyper, scale=rng.uniform(0.75, 1.35))
         case = (state, lik, x, y, x[:n_mem], y[:n_mem], 7, hyper)
-        expected = hyper_objective_exact(*case)
+        expected = hyper_objective_reference(*case)
         assert hyper_objective(*case) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_one_eigh_and_no_moment_route(self, rng, monkeypatch):
-        """One evaluation: a single eigh, the factors of K and K + B, one r x r factor."""
+        """One evaluation: no eigh, the factors of K and K + B and nothing else."""
         calls = Counter()
 
         def counted(name, original):
@@ -454,19 +466,19 @@ class TestHyperObjectiveClosedForm:
         case = _hyper_case("with_memory", rng)
         calls.clear()
         hyper_objective(*case)
-        assert calls["eigh"] == 1
-        assert calls["stable_cholesky"] <= 3
+        assert calls["eigh"] == 0
+        assert calls["stable_cholesky"] <= 2
         assert calls["dual_factor"] == 0
         assert calls["recover_moments"] == 0
 
     def test_second_evaluation_on_a_state_runs_no_eigh(self, rng, monkeypatch):
-        """``B`` does not move with theta: its decomposition is the state's."""
+        """``B`` is never decomposed, on the first evaluation or on later ones."""
         calls = _count_eigh(monkeypatch)
         state, lik, x, y, x_mem, y_mem, n_old, hyper = _hyper_case("with_memory", rng)
         first = hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, hyper)
-        assert len(calls) == 1
+        assert calls == []
         again = hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, _moved(hyper))
-        assert len(calls) == 1
+        assert calls == []
         assert hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, hyper) == first
         assert again != first
 
@@ -551,13 +563,32 @@ class TestOptimizeHypers:
         assert new_lik.noise_variance != 0.5
 
     def test_one_eigh_per_call(self, rng, monkeypatch):
-        """Five Adam steps over three parameters evaluate 36 times on one decomposition."""
+        """Five Adam steps over three parameters evaluate 36 times and decompose nothing."""
         state, lik, x, y = _fitted_gaussian(rng)
         calls = _count_eigh(monkeypatch)
         config = SequentialConfig(num_inducing=6, hyper_steps=5, hyper_lr=0.05)
         _, _, trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
         assert len(trace) == 6
-        assert calls == [(6, 6)]
+        assert calls == []
+
+    def test_ascent_does_not_depend_on_the_units_of_y(self, rng):
+        """Lengthscales agree, and variance and noise scale by ``c**2``, for ``y * c``."""
+        x = np.sort(rng.uniform(-3, 3, 30))[:, None]
+        y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(30)
+        config = SequentialConfig(num_inducing=10, hyper_steps=10, hyper_lr=0.05)
+        fitted = []
+        for c in (1.0, 10.0):
+            lik = Gaussian(0.5 * c**2)
+            spec = KernelSpec("matern52", Hyperparams(c**2, np.array([2.0]), noise_variance=0.5 * c**2))
+            state = ngd_step(make_state(spec, x[::3]), lik, x, c * y, rho=1.0)
+            memory = _memory_of(x[:8], c * y[:8])
+            new_state, new_lik, _ = optimize_hypers(state, lik, config, x[8:], c * y[8:], memory, 20)
+            fitted.append((new_state.kernel.hyper, new_lik.noise_variance))
+        (one, noise_one), (ten, noise_ten) = fitted
+        assert one.lengthscales[0] != 2.0
+        np.testing.assert_allclose(ten.lengthscales, one.lengthscales, rtol=1e-7)
+        assert ten.variance == pytest.approx(100.0 * one.variance, rel=1e-7)
+        assert noise_ten == pytest.approx(100.0 * noise_one, rel=1e-7)
 
     def test_dual_parameters_frozen_through_ascent(self, rng):
         state, lik, x, y = _fitted_gaussian(rng)
