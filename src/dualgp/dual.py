@@ -32,6 +32,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .kernels import (
+    BLOCK_ENTRIES,
     CholeskyFactor,
     KernelSpec,
     as_points,
@@ -42,10 +43,6 @@ from .kernels import (
 from .likelihoods import Likelihood, SiteValues
 
 RANK_TOL = 1e-10
-
-# Entries of one M x rows block in predict: bounds its scratch at a few
-# blocks of this size, whatever M and the number of query rows.
-PREDICT_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -75,6 +72,30 @@ class DualState:
     @property
     def num_inducing(self) -> int:
         return self.z.shape[0]
+
+
+@dataclass(frozen=True)
+class CrossGram:
+    """``K(Z, x)`` of a state's inducing inputs against inputs ``x``.
+
+    ``kzx`` is the ``M x n`` cross-Gram and ``residual`` the Nyström term
+    ``k(x, x) - k_xz K_zz^{-1} k_zx`` of each point.  Both depend only on
+    the kernel, ``z`` and the factor of ``K_zz``, which :func:`ngd_step`
+    keeps, so one cross-Gram serves every step on the same inputs.  ``kzz``
+    is the factor it was built with: a state with another one rejects it.
+    """
+
+    kzx: np.ndarray
+    residual: np.ndarray
+    kzz: CholeskyFactor
+
+    def marginals(self, state: DualState) -> tuple[np.ndarray, np.ndarray]:
+        """Predictive mean and variance of ``f`` at the inputs under ``state``."""
+        if self.kzz is not state.kzz:
+            raise ValueError("cross-Gram built for another inducing set or kernel")
+        half = state.kq.half_solve(self.kzx)
+        var = self.residual + np.einsum("ij,ij->j", half, half)
+        return self.kzx.T @ state.kinv_alpha, var
 
 
 @dataclass
@@ -111,9 +132,15 @@ def make_state(
     b_u = np.asarray(b_u, dtype=np.float64)
     if alpha_u.shape != (m,) or b_u.shape != (m, m):
         raise ValueError("dual parameter shapes do not match the inducing set")
-    k = gram(kernel, z)
+    return _factor_state(kernel, z, alpha_u, b_u, gram(kernel, z))
+
+
+def _factor_state(
+    kernel: KernelSpec, z: np.ndarray, alpha_u: np.ndarray, b_u: np.ndarray, k: np.ndarray
+) -> DualState:
+    """The state of the dual pair on ``z``, given ``k``, the Gram matrix of ``z``."""
     kzz = stable_cholesky(k)
-    keff = k + kzz.jitter_used * np.eye(m) if kzz.jitter_used else k
+    keff = k + kzz.jitter_used * np.eye(len(z)) if kzz.jitter_used else k
     return DualState(
         kernel=kernel, z=z, alpha_u=alpha_u, b_u=b_u, keff=keff, kzz=kzz,
         kq=stable_cholesky(keff + b_u), kinv_alpha=kzz.solve(alpha_u),
@@ -139,16 +166,18 @@ def predict(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarra
         var  = k_** - k_*z [K_zz^{-1} - (K_zz + b_u)^{-1}] k_z*
 
     Both factors and the weights ``K_zz^{-1} alpha_u`` come from the state.
-    The query rows are processed in blocks of ``PREDICT_ENTRIES // M`` rows
+    The query rows are processed in blocks of ``BLOCK_ENTRIES // M`` rows
     (at least one), and at most two ``M x rows`` arrays are alive at once,
     so the scratch grows neither with ``M`` nor with the number of query
-    points.
+    points.  :meth:`CrossGram.marginals` computes the same on a held
+    cross-Gram; this loop builds no such object per block, which keeps the
+    many one-row calls of an acquisition search cheap.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
     weights = state.kinv_alpha
     mean = np.empty(len(x_star))
     var = gram_diag(state.kernel, x_star)
-    block = max(1, PREDICT_ENTRIES // state.num_inducing)
+    block = max(1, BLOCK_ENTRIES // state.num_inducing)
     for lo in range(0, len(x_star), block):
         rows = slice(lo, lo + block)
         k_star = gram(state.kernel, state.z, x_star[rows])
@@ -167,6 +196,16 @@ def compute_sites(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarra
     """Site expectations of every ``(x_i, y_i)`` at the current marginals."""
     mean, var = predict(state, x)
     return lik.site_expectations(y, mean, var)
+
+
+def cross_gram(state: DualState, x: np.ndarray) -> CrossGram:
+    """The :class:`CrossGram` of ``state``'s inducing inputs against ``x``."""
+    x = as_points(x)
+    kzx = gram(state.kernel, state.z, x)
+    half = state.kzz.half_solve(kzx)
+    residual = gram_diag(state.kernel, x)
+    residual -= np.einsum("ij,ij->j", half, half)
+    return CrossGram(kzx=kzx, residual=residual, kzz=state.kzz)
 
 
 def _prior_pair(
@@ -188,6 +227,8 @@ def ngd_step(
     rho: float,
     prior_alpha: np.ndarray | None = None,
     prior_b: np.ndarray | None = None,
+    *,
+    cross: CrossGram | None = None,
 ) -> DualState:
     """One natural-gradient step with step size ``rho`` on the given data.
 
@@ -200,13 +241,23 @@ def ngd_step(
 
     ``prior_alpha``/``prior_b`` default to the zero pair (the kernel prior).
     A prior is read like a state: ``prior_alpha`` is its mean.
+
+    ``cross`` is :func:`cross_gram` of ``state`` and ``x``, built here when
+    omitted; the sites are evaluated at its :meth:`CrossGram.marginals`.
+    Steps on the same inputs keep ``z``, the kernel and the factor of
+    ``K_zz``, so a caller that takes several of them builds it once and
+    passes it to each; a step then pays one triangular solve against the
+    ``K_zz + b_u`` factor for the marginals.  A cross-Gram built with
+    another ``K_zz`` factor raises :class:`ValueError`.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     prior_alpha, prior_b = _prior_pair(state.num_inducing, prior_alpha, prior_b)
-
-    sites = compute_sites(state, lik, x, y)
-    kzx = gram(state.kernel, state.z, x)
+    if cross is None:
+        cross = cross_gram(state, x)
+    sites = lik.site_expectations(y, *cross.marginals(state))
+    kzx = cross.kzx
+    del cross
     site_alpha = kzx @ sites.alpha_hat
     # b_new = (1 - rho) b_u + rho (prior_b + site_b), summed in place in that
     # order, which gives the same bits; kzx is not needed past site_b.
@@ -289,10 +340,12 @@ def elbo(
         lp = stable_cholesky(keff + prior_b)
 
     # KL(q || prior) written entirely in dual quantities:
-    # trace term tr(P_p V_q) collapses to tr((K + B_pr)(K + B_u)^{-1}).
-    trace = float(np.trace(lq.solve(keff + prior_b)))
+    # trace term tr(P_p V_q) collapses to tr((K + B_pr)(K + B_u)^{-1}),
+    # which is sum(L * (L @ A)) for A = K + B_pr and L = lq.inv.
+    a = keff + prior_b
+    trace = float(np.sum(lq.inv * (lq.inv @ a)))
     d = state.kzz.solve(prior_alpha - state.alpha_u)
-    quad = float(d @ ((keff + prior_b) @ d))
+    quad = float(d @ (a @ d))
     kl = 0.5 * (trace + quad - m - lp.logdet + lq.logdet)
     return ell - kl
 
@@ -328,6 +381,8 @@ __all__ = [
     "predict",
     "compute_sites",
     "ngd_step",
+    "CrossGram",
+    "cross_gram",
     "iterate_ngd",
     "elbo",
 ]

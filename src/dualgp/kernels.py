@@ -28,6 +28,11 @@ JITTER_LADDER = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 # A triangle of at most this many rows is inverted directly, not split.
 INV_LEAF = 32
 
+# Entries of one block of row-blocked scratch: predict's M x rows kernel
+# blocks and the quadrature's rows x order evaluations.  Their scratch stays
+# at a few blocks of this size, whatever M and the number of rows.
+BLOCK_ENTRIES = 2**17
+
 _SQRT5 = math.sqrt(5.0)
 
 

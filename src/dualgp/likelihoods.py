@@ -24,6 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .kernels import BLOCK_ENTRIES
+
 DEFAULT_QUAD_POINTS = 20
 
 BETA_FLOOR = 1e-8
@@ -50,21 +52,38 @@ class SiteValues:
 
 @lru_cache(maxsize=8)
 def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return nodes, weights / math.sqrt(math.pi)
+    """Gauss-Hermite nodes and weights for ``E[g(x)]``, ``x ~ N(0, 1/2)``.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Hermite polynomials (zero diagonal, off-diagonal ``sqrt(k / 2)``), and
+    the weights are the squared first components of its unit eigenvectors,
+    so they sum to one.  The rule is symmetrized about zero.
+    """
+    off = np.sqrt(np.arange(1, order) / 2.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = vectors[0] ** 2
+    return 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
 
 
-def gauss_hermite_expectation(func, mean: np.ndarray, var: np.ndarray, order: int) -> np.ndarray:
-    """``E[func(f)]`` for ``f ~ N(mean, var)`` elementwise via Gauss-Hermite.
+def gauss_hermite_expectation(func, mean: np.ndarray, var: np.ndarray, order: int, *columns) -> np.ndarray:
+    """``E[func(f, *columns)]`` for ``f ~ N(mean, var)`` pointwise via Gauss-Hermite.
 
-    ``func`` must accept an array of f-values of shape ``(n, order)``.
+    ``func`` gets the f-values of a block of points as an array of shape
+    ``(rows, order)`` and each per-point array in ``columns`` as its
+    ``(rows, 1)`` slice.  Blocks hold ``BLOCK_ENTRIES // order`` points (at
+    least one), so the scratch does not grow with the number of points.
     Zero variance degenerates gracefully to evaluation at the mean.
     """
     nodes, weights = _hermgauss(order)
     mean = np.asarray(mean, dtype=np.float64)
-    var = np.asarray(var, dtype=np.float64)
-    f = mean[..., None] + np.sqrt(2.0 * np.maximum(var, 0.0))[..., None] * nodes
-    return np.asarray(func(f)) @ weights
+    scale = np.sqrt(2.0 * np.maximum(np.asarray(var, dtype=np.float64), 0.0))
+    out = np.empty(len(mean))
+    block = max(1, BLOCK_ENTRIES // order)
+    for lo in range(0, len(mean), block):
+        rows = slice(lo, lo + block)
+        f = mean[rows, None] + scale[rows, None] * nodes
+        out[rows] = func(f, *(c[rows, None] for c in columns)) @ weights
+    return out
 
 
 class Gaussian:
@@ -126,7 +145,7 @@ class BernoulliLogit:
     def site_expectations(self, y, mean, var) -> SiteValues:
         y = self.canon_labels(y)
         alpha = y * gauss_hermite_expectation(
-            lambda f: expit(-y[..., None] * f), mean, var, self.quad_points
+            lambda f, yb: expit(-yb * f), mean, var, self.quad_points, y
         )
         beta = gauss_hermite_expectation(
             lambda f: expit(f) * expit(-f), mean, var, self.quad_points
@@ -136,13 +155,13 @@ class BernoulliLogit:
     def expected_log_lik(self, y, mean, var) -> np.ndarray:
         y = self.canon_labels(y)
         return gauss_hermite_expectation(
-            lambda f: -np.logaddexp(0.0, -y[..., None] * f), mean, var, self.quad_points
+            lambda f, yb: -np.logaddexp(0.0, -yb * f), mean, var, self.quad_points, y
         )
 
     def predictive_density(self, y, mean, var) -> np.ndarray:
         y = self.canon_labels(y)
         return gauss_hermite_expectation(
-            lambda f: expit(y[..., None] * f), mean, var, self.quad_points
+            lambda f, yb: expit(yb * f), mean, var, self.quad_points, y
         )
 
     def log_predictive_density(self, y, mean, var) -> np.ndarray:

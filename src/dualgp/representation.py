@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualState, make_state
-from .kernels import KernelSpec, as_points, gram
+from .dual import DualState, _factor_state
+from .kernels import KernelSpec, as_points, gram, gram_diag
 
 REL_TOL = 1e-10
 
@@ -31,24 +31,23 @@ class PivotSelection:
     residual_diag: np.ndarray
 
 
-def pivoted_cholesky_select(kernel: KernelSpec, candidates: np.ndarray, max_points: int) -> PivotSelection:
-    """Pick up to ``max_points`` candidates by greedy pivoted Cholesky.
+def _greedy_pivots(column, diag: np.ndarray, max_points: int) -> PivotSelection:
+    """The pivoted-Cholesky loop over a Gram matrix read one column at a time.
 
-    Stops early once the largest residual falls below ``REL_TOL`` times the
-    initial largest diagonal (near-duplicates add nothing).  Exact ties break
-    toward the lowest candidate index.
+    ``column(j)`` returns column ``j`` of the candidate Gram matrix as a
+    fresh array, and ``diag`` is its diagonal, which the loop overwrites
+    with the residuals.
     """
-    g = gram(kernel, as_points(candidates))
-    n, max_rank = g.shape[0], int(max_points)
-    d = np.diag(g).copy()
+    n, max_rank = diag.shape[0], int(max_points)
+    d = diag
     low = np.empty((n, max_rank))
     order: list[int] = []
     threshold = REL_TOL * max(float(d.max(initial=0.0)), 0.0)
     for t in range(min(max_rank, n)):
-        j = int(np.argmax(d))
+        j = int(d.argmax())
         if d[j] <= threshold or d[j] <= 0.0:
             break
-        col = g[:, j].copy()
+        col = column(j)
         if t:
             col -= low[:, :t] @ low[j, :t]
         col /= math.sqrt(d[j])
@@ -60,6 +59,61 @@ def pivoted_cholesky_select(kernel: KernelSpec, candidates: np.ndarray, max_poin
     return PivotSelection(indices=np.array(order, dtype=np.int64), residual_diag=d)
 
 
+def pivoted_cholesky_select(kernel: KernelSpec, candidates: np.ndarray, max_points: int) -> PivotSelection:
+    """Pick up to ``max_points`` candidates by greedy pivoted Cholesky.
+
+    Stops early once the largest residual falls below ``REL_TOL`` times the
+    initial largest diagonal (near-duplicates add nothing).  Exact ties break
+    toward the lowest candidate index.
+    """
+    g = gram(kernel, as_points(candidates))
+    return _greedy_pivots(lambda j: g[:, j].copy(), np.diag(g).copy(), max_points)
+
+
+class _CandidateGram:
+    """Columns of the Gram matrix of the candidates ``[z; x_batch]``, never formed whole.
+
+    The ``z`` block is the state's ``K_zz`` and the rest comes from one
+    ``(M + n) x n`` cross-Gram against the batch.  Diagonal entries are the
+    exact prior variances, so the jitter in ``keff`` does not show.
+    """
+
+    def __init__(self, state: DualState, candidates: np.ndarray, x_batch: np.ndarray):
+        self.m = state.num_inducing
+        self.kzz = state.keff
+        self.cross = gram(state.kernel, candidates, x_batch)
+        self.diag = gram_diag(state.kernel, candidates)
+
+    def column(self, j: int) -> np.ndarray:
+        """Column ``j`` as a fresh array, the pivot loop's accessor."""
+        if j >= self.m:
+            col = self.cross[:, j - self.m].copy()
+        else:
+            col = np.concatenate([self.kzz[:, j], self.cross[j]])
+        col[j] = self.diag[j]
+        return col
+
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """The ``(M + n) x len(cols)`` block of the columns ``cols``."""
+        out = np.empty((len(self.diag), len(cols)))
+        old = cols < self.m
+        out[: self.m, old] = self.kzz[:, cols[old]]
+        out[self.m :, old] = self.cross[cols[old]].T
+        out[:, ~old] = self.cross[:, cols[~old] - self.m]
+        out[cols, np.arange(len(cols))] = self.diag[cols]
+        return out
+
+
+def _project(state: DualState, z_new: np.ndarray, k_old_new: np.ndarray, k_new: np.ndarray) -> DualState:
+    """:func:`project_duals` given ``K(z, z_new)`` and ``K(z_new, z_new)``."""
+    p = state.kzz.solve(k_old_new).T
+    alpha_new = p @ state.alpha_u
+    b_new = p @ state.b_u @ p.T
+    del p
+    b_new = 0.5 * (b_new + b_new.T)
+    return _factor_state(state.kernel, z_new, alpha_new, b_new, k_new)
+
+
 def project_duals(state: DualState, z_new: np.ndarray) -> DualState:
     """Move the dual parameters onto a new inducing set.
 
@@ -67,17 +121,27 @@ def project_duals(state: DualState, z_new: np.ndarray) -> DualState:
     congruently to ``b_u``; the projected ``b_u`` stays PSD by construction.
     """
     z_new = as_points(z_new)
-    p = state.kzz.solve(gram(state.kernel, state.z, z_new)).T
-    alpha_new = p @ state.alpha_u
-    b_new = p @ state.b_u @ p.T
-    del p
-    b_new = 0.5 * (b_new + b_new.T)
-    return make_state(state.kernel, z_new, alpha_new, b_new)
+    return _project(state, z_new, gram(state.kernel, state.z, z_new), gram(state.kernel, z_new))
 
 
 def refresh_representation(state: DualState, x_batch: np.ndarray, max_points: int) -> DualState:
-    """Re-select inducing points over old Z plus the incoming batch, then project."""
+    """Re-select inducing points over old Z plus the incoming batch, then project.
+
+    The selection is :func:`pivoted_cholesky_select` over the candidates
+    ``[z; x_batch]``, and the projection :func:`project_duals` onto the
+    selected points, but both read their kernel blocks from the state's
+    ``K_zz`` and one cross-Gram of the candidates against the batch, so no
+    ``(M + n) x (M + n)`` array is built.
+    """
     x_batch = as_points(x_batch)
     candidates = np.vstack([state.z, x_batch]) if x_batch.size else state.z
-    selection = pivoted_cholesky_select(state.kernel, candidates, max_points)
-    return project_duals(state, candidates[selection.indices])
+    blocks = _CandidateGram(state, candidates, x_batch)
+    chosen = _greedy_pivots(blocks.column, blocks.diag.copy(), max_points).indices
+    k_chosen = blocks.columns(chosen)
+    del blocks
+    k_new = k_chosen[chosen]
+    # A copy, so the batch rows are freed before the projection allocates.
+    k_old_new = k_chosen[: state.num_inducing].copy()
+    del k_chosen
+    # Batch-by-batch entries come from a cross-Gram, symmetric only to rounding.
+    return _project(state, candidates[chosen], k_old_new, 0.5 * (k_new + k_new.T))

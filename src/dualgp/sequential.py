@@ -29,13 +29,13 @@ from numpy.linalg import eigh
 
 from .dual import (
     DualState,
-    compute_sites,
+    cross_gram,
     elbo,
     make_state,
     ngd_step,
     predict,
 )
-from .kernels import CholeskyFactor, Hyperparams, KernelSpec, as_points, gram, stable_cholesky
+from .kernels import CholeskyFactor, Hyperparams, KernelSpec, as_points, stable_cholesky
 from .likelihoods import Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
 from .representation import pivoted_cholesky_select, refresh_representation
@@ -118,8 +118,9 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
     if len(memory) == 0:
         return AdjustedPrior(alpha=state.alpha_u, b=state.b_u, keff=keff, factor=state.kq)
 
-    sites = compute_sites(state, lik, memory.inputs, memory.labels)
-    kzm = gram(state.kernel, state.z, memory.inputs)
+    cross = cross_gram(state, memory.inputs)
+    sites = lik.site_expectations(memory.labels, *cross.marginals(state))
+    kzm = cross.kzx
     b_pr = state.b_u - (kzm * sites.beta_hat) @ kzm.T
     b_pr = 0.5 * (b_pr + b_pr.T)
     w, u = eigh(b_pr)
@@ -153,14 +154,16 @@ def process_batch(
 ) -> tuple[DualState, AdjustedPrior]:
     """NGD updates for one batch against the memory-adjusted prior.
 
-    The update data is batch plus memory.  Returns the updated state and the
-    prior that was used (the caller needs it to evaluate the sequential
-    objective).
+    The update data is batch plus memory, and its cross-Gram with the
+    inducing inputs is built once for all the steps.  Returns the updated
+    state and the prior that was used (the caller needs it to evaluate the
+    sequential objective).
     """
     prior = remove_memory(state, lik, memory)
     x_fit, y_fit = _with_memory(x_batch, y_batch, memory)
+    cross = cross_gram(state, x_fit)
     for _ in range(config.ngd_steps):
-        state = ngd_step(state, lik, x_fit, y_fit, config.ngd_rho, prior.alpha, prior.b)
+        state = ngd_step(state, lik, x_fit, y_fit, config.ngd_rho, prior.alpha, prior.b, cross=cross)
     return state, prior
 
 

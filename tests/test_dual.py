@@ -27,8 +27,8 @@ from oracles import (
 )
 
 from dualgp.dual import (
-    PREDICT_ENTRIES,
     compute_sites,
+    cross_gram,
     dual_factor,
     elbo,
     iterate_ngd,
@@ -40,7 +40,7 @@ from dualgp.dual import (
 import dualgp.dual
 import dualgp.sequential
 from dualgp.harness import load_checkpoint, save_checkpoint
-from dualgp.kernels import CholeskyFactor, Hyperparams, KernelSpec, gram, stable_cholesky
+from dualgp.kernels import BLOCK_ENTRIES, CholeskyFactor, Hyperparams, KernelSpec, gram, stable_cholesky
 from dualgp.likelihoods import BernoulliLogit, Gaussian
 from dualgp.representation import project_duals
 from dualgp.sequential import hyper_objective
@@ -246,7 +246,7 @@ class TestPredict:
     @pytest.mark.parametrize("flat", [False, True])
     def test_blocked_rows_match_moment_route(self, rng, flat):
         state = _random_state(rng, m=6)
-        n = 2 * (PREDICT_ENTRIES // 6) + 1
+        n = 2 * (BLOCK_ENTRIES // 6) + 1
         x_test = rng.uniform(-3, 3, n if flat else (n, 1))
         mean_a, var_a = predict(state, x_test)
         mean_b, var_b = predict_moments_route(state, x_test)
@@ -264,7 +264,7 @@ class TestPredict:
         state = _wide_state(rng, m)
         x = rng.uniform(-2, 2, (10_000, 2))
         peak = _traced(lambda: predict(state, x))[2]
-        assert peak <= 3 * PREDICT_ENTRIES * 8
+        assert peak <= 3 * BLOCK_ENTRIES * 8
 
     def test_small_inducing_sets_take_whole_candidate_batches(self, rng, monkeypatch):
         """At M <= 50 a block holds at least 2048 rows, so BO's candidate predicts are one block."""
@@ -434,6 +434,44 @@ class TestFactorOnce:
         elbo(state, Gaussian(0.5), x, rng.standard_normal(7))
         elbo(state, BernoulliLogit(), x, np.sign(rng.standard_normal(7)))
         assert factorizations == []
+
+    def test_passed_cross_gram_gives_the_same_bits(self, rng):
+        state = _random_state(rng, m=5)
+        x = rng.uniform(-2, 2, (7, 1))
+        y = np.sign(x[:, 0])
+        cross = cross_gram(state, x)
+        for lik in (Gaussian(0.5), BernoulliLogit()):
+            own = ngd_step(state, lik, x, y, 0.6)
+            shared = ngd_step(state, lik, x, y, 0.6, cross=cross)
+            again = ngd_step(shared, lik, x, y, 0.6, cross=cross)
+            assert np.array_equal(own.alpha_u, shared.alpha_u)
+            assert np.array_equal(own.b_u, shared.b_u)
+            assert np.array_equal(again.b_u, ngd_step(shared, lik, x, y, 0.6).b_u)
+
+    def test_step_with_cross_gram_builds_no_kernel_block(self, rng, monkeypatch):
+        state = _random_state(rng, m=5)
+        x = rng.uniform(-2, 2, (7, 1))
+        cross = cross_gram(state, x)
+        built = []
+        original = dualgp.dual.gram
+
+        def counting(*args):
+            k = original(*args)
+            built.append(k.shape)
+            return k
+
+        monkeypatch.setattr(dualgp.dual, "gram", counting)
+        ngd_step(state, BernoulliLogit(), x, np.sign(x[:, 0]), 0.6, cross=cross)
+        assert built == []
+        ngd_step(state, BernoulliLogit(), x, np.sign(x[:, 0]), 0.6)
+        assert built == [(5, 7)]
+
+    def test_cross_gram_of_another_state_is_rejected(self, rng):
+        state = _random_state(rng, m=5)
+        x = rng.uniform(-2, 2, (7, 1))
+        other = make_state(state.kernel, state.z + 0.1)
+        with pytest.raises(ValueError, match="cross-Gram"):
+            ngd_step(state, Gaussian(0.5), x, np.zeros(7), 0.6, cross=cross_gram(other, x))
 
     def test_ngd_step_factorizes_once(self, rng, factorizations):
         state = _random_state(rng, m=5)

@@ -6,6 +6,7 @@ Monte Carlo error, roughly 3e-4 for order-one quantities.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import expit_reference
 
+from dualgp.kernels import BLOCK_ENTRIES
 from dualgp.likelihoods import (
     BETA_FLOOR,
     DEFAULT_QUAD_POINTS,
     BernoulliLogit,
     Gaussian,
+    _hermgauss,
     expit,
     gauss_hermite_expectation,
 )
@@ -54,6 +57,41 @@ class TestGaussHermite:
         var = np.array([0.5, 1.0, 2.0])
         out = gauss_hermite_expectation(lambda f: f, mean, var, 20)
         np.testing.assert_allclose(out, mean, atol=1e-12)
+
+    @pytest.mark.parametrize("order", [2, 20, 40, 64])
+    def test_rule_matches_numpy_hermgauss(self, order):
+        """Golub-Welsch gives numpy's rule, compared in absolute terms: at order 64
+        the tail weights are about 1e-100, where a relative comparison means nothing."""
+        nodes, weights = _hermgauss(order)
+        ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(order)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(weights, ref_weights / math.sqrt(math.pi), rtol=0, atol=1e-15)
+
+    def test_blocks_give_the_unblocked_values(self, rng):
+        order = 20
+        n = 2 * (BLOCK_ENTRIES // order) + 3
+        mean, var = rng.standard_normal(n), rng.uniform(0.0, 2.0, n)
+        y = np.sign(rng.standard_normal(n))
+        nodes, weights = _hermgauss(order)
+        whole = expit(y[:, None] * (mean[:, None] + np.sqrt(2.0 * var)[:, None] * nodes)) @ weights
+        out = gauss_hermite_expectation(lambda f, yb: expit(yb * f), mean, var, order, y)
+        np.testing.assert_allclose(out, whole, rtol=1e-15, atol=0)
+
+    def test_scratch_is_bounded_by_blocks(self, rng):
+        """Each method's scratch is a few blocks of ``BLOCK_ENTRIES`` values plus O(n)."""
+        n = 4 * (BLOCK_ENTRIES // DEFAULT_QUAD_POINTS)
+        y, mean, var = np.sign(rng.standard_normal(n)), rng.standard_normal(n), rng.uniform(0, 2, n)
+        lik = BernoulliLogit()
+        for method in (lik.site_expectations, lik.expected_log_lik, lik.predictive_density):
+            method(y, mean, var)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                method(y, mean, var)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * BLOCK_ENTRIES * 8 + 8 * n * 8, method.__name__
 
     @given(
         mean=st.floats(-5.0, 5.0),

@@ -137,3 +137,52 @@ class TestProjection:
         state = make_state(_spec(), z)
         refreshed = refresh_representation(state, np.empty((0, 1)), max_points=4)
         assert refreshed.num_inducing == 4
+
+
+class TestRefreshFromBlocks:
+    """Refresh reads the state's K_zz and one cross-Gram, never the candidate Gram."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        m=st.integers(1, 10),
+        n=st.integers(0, 12),
+        dupes=st.integers(0, 4),
+        jittered=st.booleans(),
+        budget=st.integers(1, 20),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_select_and_project_over_the_explicit_gram(self, seed, m, n, dupes, jittered, budget):
+        """Same pivots as ``pivoted_cholesky_select`` over ``[Z; batch]``, same projected state.
+
+        The batch may repeat inducing inputs and be empty, and a repeated
+        inducing input makes ``K_zz`` need a jitter.  Where a batch point
+        repeats an inducing input the two copies tie up to rounding, so the
+        selected points are compared, not their positions.  The blocks
+        differ from a fresh Gram in the last bits, and the projection solves
+        with ``K_zz``, so the dual pair and ``K_zz`` agree to 1e-12 relative,
+        or to 100 roundings times the condition number of ``K_zz`` where that
+        is larger (a jittered ``K_zz`` has one of at least 1e6).
+        """
+        rng = np.random.default_rng(seed)
+        spec = KernelSpec("matern52", Hyperparams(1.3, np.array([0.6, 0.9])))
+        z = rng.uniform(-2, 2, (m, 2))
+        if jittered:
+            z = np.vstack([z, z[:1]])
+        a = 0.3 * rng.standard_normal((len(z), len(z)))
+        state = make_state(spec, z, rng.standard_normal(len(z)), a @ a.T)
+        assert (state.kzz.jitter_used > 0.0) == jittered
+        batch = np.vstack([rng.uniform(-2, 2, (n, 2)), z[rng.integers(0, len(z), dupes)]])
+        candidates = np.vstack([z, batch])
+
+        chosen = candidates[pivoted_cholesky_select(spec, candidates, budget).indices]
+        expected = project_duals(state, chosen)
+        refreshed = refresh_representation(state, batch, budget)
+
+        np.testing.assert_array_equal(refreshed.z, chosen)
+        rel = max(1e-12, 100 * np.finfo(float).eps * np.linalg.cond(state.keff))
+        for name in ("alpha_u", "b_u", "keff"):
+            want = getattr(expected, name)
+            np.testing.assert_allclose(
+                getattr(refreshed, name), want, rtol=0, atol=rel * max(1.0, np.abs(want).max()), err_msg=name
+            )
+        assert refreshed.kzz.jitter_used == expected.kzz.jitter_used

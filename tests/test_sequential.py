@@ -318,6 +318,37 @@ class TestProcessBatch:
             manual = ngd_step(manual, lik, x, y, 0.4, prior.alpha, prior.b)
         np.testing.assert_allclose(three.alpha_u, manual.alpha_u, atol=1e-12)
 
+    def test_shared_cross_gram_matches_public_steps(self, rng):
+        """The steps share one cross-Gram and agree with steps that each build their own."""
+        x = rng.uniform(-2, 2, (24, 2))
+        y = np.sign(x[:, 0] + 0.3 * rng.standard_normal(24))
+        spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.8, 1.1])))
+        lik = BernoulliLogit()
+        state = ngd_step(make_state(spec, x[::3]), lik, x, y, rho=0.6)
+        memory = _memory_of(x[:6], y[:6])
+        config = SequentialConfig(num_inducing=8, ngd_steps=4, ngd_rho=0.6)
+        new, prior = process_batch(state, lik, config, x[6:], y[6:], memory)
+        x_fit, y_fit = np.vstack([x[6:], x[:6]]), np.concatenate([y[6:], y[:6]])
+        manual = state
+        for _ in range(4):
+            manual = ngd_step(manual, lik, x_fit, y_fit, 0.6, prior.alpha, prior.b)
+        np.testing.assert_allclose(new.alpha_u, manual.alpha_u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new.b_u, manual.b_u, rtol=0, atol=1e-12)
+
+    def test_builds_one_cross_gram_per_batch(self, rng, monkeypatch):
+        state, lik, x, y = _fitted_gaussian(rng)
+        built = []
+        original = dualgp.sequential.cross_gram
+
+        def counting(state, x):
+            built.append(len(x))
+            return original(state, x)
+
+        monkeypatch.setattr(dualgp.sequential, "cross_gram", counting)
+        config = SequentialConfig(num_inducing=6, ngd_steps=5)
+        process_batch(state, lik, config, x[3:], y[3:], _memory_of(x[:3], y[:3]))
+        assert built == [3, 6]  # the memory for the removal, then batch plus memory
+
 
 class TestHyperObjective:
     def test_one_point_frozen_value(self):
