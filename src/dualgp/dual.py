@@ -312,15 +312,18 @@ def elbo(
     y: np.ndarray,
     prior_alpha: np.ndarray | None = None,
     prior_b: np.ndarray | None = None,
-    prior_factor: CholeskyFactor | None = None,
+    prior_logdet: float | None = None,
 ) -> float:
     """Evidence lower bound: expected log-likelihoods minus KL to the prior.
 
     The prior is the Gaussian encoded by ``(prior_alpha, prior_b)`` (the
     kernel prior when omitted): mean ``prior_alpha``, covariance
-    ``K_zz (K_zz + prior_b)^{-1} K_zz``.  ``prior_factor``, if given, is the
-    caller's Cholesky factor of ``state.keff + prior_b``; otherwise it is
-    computed here.  An empty data set with a zero state gives exactly zero.
+    ``K_zz (K_zz + prior_b)^{-1} K_zz``.  The KL reads only the log
+    determinant of ``state.keff + prior_b``: ``prior_logdet``, if given, is
+    the caller's, taken from its factor of that matrix; otherwise the matrix
+    is factored here.  The kernel prior's is ``state.kzz``'s, and then
+    ``prior_logdet`` is not read.  An empty data set with a zero state gives
+    exactly zero.
     """
     m = state.num_inducing
     kernel_prior = prior_b is None
@@ -332,21 +335,20 @@ def elbo(
         mean, var = predict(state, x)
         ell = float(np.sum(lik.expected_log_lik(y, mean, var)))
 
-    keff = state.keff
     lq = state.kq
-    # The kernel prior's factor is K_zz's own.
-    lp = state.kzz if kernel_prior else prior_factor
-    if lp is None:
-        lp = stable_cholesky(keff + prior_b)
+    a = state.keff + prior_b
+    if kernel_prior:
+        prior_logdet = state.kzz.logdet
+    elif prior_logdet is None:
+        prior_logdet = stable_cholesky(a).logdet
 
     # KL(q || prior) written entirely in dual quantities:
     # trace term tr(P_p V_q) collapses to tr((K + B_pr)(K + B_u)^{-1}),
     # which is sum(L * (L @ A)) for A = K + B_pr and L = lq.inv.
-    a = keff + prior_b
     trace = float(np.sum(lq.inv * (lq.inv @ a)))
     d = state.kzz.solve(prior_alpha - state.alpha_u)
     quad = float(d @ (a @ d))
-    kl = 0.5 * (trace + quad - m - lp.logdet + lq.logdet)
+    kl = 0.5 * (trace + quad - m - prior_logdet + lq.logdet)
     return ell - kl
 
 

@@ -107,10 +107,13 @@ def make_stream(
     ``order`` is one of ``as_is``, ``sorted`` (ascending by input dimension
     ``sort_dim``, stable), or ``shuffled`` (seeded permutation).  Sizes
     differ by at most one, with earlier batches taking the remainder
-    (n=10 into 3 batches gives 4, 3, 3).
+    (n=10 into 3 batches gives 4, 3, 3).  Inputs and labels of different
+    lengths raise :class:`ValueError`.
     """
     x = as_points(x)
     y = np.asarray(y, dtype=np.float64)
+    if len(x) != len(y):
+        raise ValueError(f"{len(x)} input rows but {len(y)} labels")
     if num_batches < 1:
         raise ValueError("num_batches must be at least 1")
     if num_batches > len(y):

@@ -110,20 +110,25 @@ class CholeskyFactor:
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by recursive 2x2 block inversion.
+    """Invert a lower-triangular matrix in place by recursive 2x2 block inversion.
 
     ``[[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]]``,
-    with ``np.linalg.inv`` on blocks of at most ``INV_LEAF`` rows.
+    with ``np.linalg.inv`` on blocks of at most ``INV_LEAF`` rows.  ``A`` and
+    ``D`` are overwritten by their inverses, then ``C`` by its block, so the
+    triangle of ``low`` (whose upper part must be zero) becomes its inverse
+    and is returned.  No second ``n x n`` array is allocated: the scratch is
+    the three blocks of the product for ``C``, about three quarters of
+    ``low``'s size.
     """
     n = low.shape[0]
     if n <= INV_LEAF:
-        return np.tril(np.linalg.inv(low))
+        low[...] = np.tril(np.linalg.inv(low))
+        return low
     h = n // 2
-    inv = np.zeros_like(low)
-    inv[:h, :h] = _lower_inverse(low[:h, :h])
-    inv[h:, h:] = _lower_inverse(low[h:, h:])
-    inv[h:, :h] = -inv[h:, h:] @ (low[h:, :h] @ inv[:h, :h])
-    return inv
+    _lower_inverse(low[:h, :h])
+    _lower_inverse(low[h:, h:])
+    low[h:, :h] = -low[h:, h:] @ (low[h:, :h] @ low[:h, :h])
+    return low
 
 
 def _inv_lengthscales(hyper: Hyperparams, dim: int) -> np.ndarray:
@@ -198,9 +203,10 @@ def stable_cholesky(matrix: np.ndarray) -> CholeskyFactor:
     """Cholesky with an escalating diagonal jitter ladder, returned as its inverse.
 
     Tries each jitter in ``JITTER_LADDER`` in order.  At the first success it
-    inverts the Cholesky factor, takes the log determinant and returns both,
-    and the factor is dropped.  Raises :class:`FactorizationFailed` if the
-    whole ladder fails or the matrix contains non-finite entries.
+    takes the log determinant, inverts the Cholesky factor in place and
+    returns both, so the factor itself is not kept.  Raises
+    :class:`FactorizationFailed` if the whole ladder fails or the matrix
+    contains non-finite entries.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if not np.all(np.isfinite(matrix)):

@@ -35,7 +35,7 @@ from .dual import (
     ngd_step,
     predict,
 )
-from .kernels import CholeskyFactor, Hyperparams, KernelSpec, as_points, stable_cholesky
+from .kernels import Hyperparams, KernelSpec, as_points, stable_cholesky
 from .likelihoods import Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
 from .representation import pivoted_cholesky_select, refresh_representation
@@ -91,15 +91,17 @@ class AdjustedPrior:
     ``alpha``/``b`` is a dual pair read like a state's: ``alpha`` is the
     prior mean.  ``b`` is PSD-repaired if the literal subtraction left it
     indefinite, and ``clip_magnitude`` is the largest eigenvalue clipped.
-    ``factor`` is the Cholesky factor of ``keff + b``, where ``keff`` is the
+    ``logdet`` is the log determinant of ``keff + b``, where ``keff`` is the
     factorized K_zz of the state the prior was formed from (the same array
-    object); a state with that ``keff`` reuses the factor.
+    object); the objective of a state with that ``keff`` reuses it.  It is
+    the only part of the factor of ``keff + b`` that is read after the prior
+    mean is solved, so the factor itself is not kept.
     """
 
     alpha: np.ndarray
     b: np.ndarray
     keff: np.ndarray
-    factor: CholeskyFactor
+    logdet: float
     clip_magnitude: float = 0.0
 
 
@@ -111,12 +113,14 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
     eigenvalues clipped to zero if the subtraction left it indefinite.  The
     mean is ``alpha_u - K (K + b)^{-1} sum_i k_zi alpha_i`` (``K = K_zz``),
     the pair whose natural parameters are the posterior's minus the sites'.
-    With no memory the prior is the posterior: it shares the state's arrays
-    (states are immutable), and its factor is ``kq``.
+    ``K + b`` is factored once, for that one solve and its log determinant,
+    and only the log determinant is kept.  With no memory the prior is the
+    posterior: it shares the state's arrays (states are immutable), and its
+    log determinant is ``kq``'s.
     """
     keff = state.keff
     if len(memory) == 0:
-        return AdjustedPrior(alpha=state.alpha_u, b=state.b_u, keff=keff, factor=state.kq)
+        return AdjustedPrior(alpha=state.alpha_u, b=state.b_u, keff=keff, logdet=state.kq.logdet)
 
     cross = cross_gram(state, memory.inputs)
     sites = lik.site_expectations(memory.labels, *cross.marginals(state))
@@ -130,7 +134,9 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
         b_pr = 0.5 * (b_pr + b_pr.T)
     factor = stable_cholesky(keff + b_pr)
     alpha_pr = state.alpha_u - keff @ factor.solve(kzm @ sites.alpha_hat)
-    return AdjustedPrior(alpha=alpha_pr, b=b_pr, keff=keff, factor=factor, clip_magnitude=clip)
+    return AdjustedPrior(
+        alpha=alpha_pr, b=b_pr, keff=keff, logdet=factor.logdet, clip_magnitude=clip
+    )
 
 
 def _with_memory(
@@ -179,12 +185,13 @@ def seq_objective(
 
     The prior enters as a normalized Gaussian, so with the memory covering
     all past data and a converged old state this equals the batch bound on
-    the union.  The prior's factor is reused while ``state`` has the ``keff``
-    it was built with; after hyperparameter steps ``elbo`` refactors.
+    the union.  The prior's log determinant is reused while ``state`` has
+    the ``keff`` it was built with; after hyperparameter steps ``elbo``
+    factors ``keff + b`` again.
     """
     x_all, y_all = _with_memory(x_batch, y_batch, memory)
-    factor = prior.factor if state.keff is prior.keff else None
-    return elbo(state, lik, x_all, y_all, prior.alpha, prior.b, factor)
+    logdet = prior.logdet if state.keff is prior.keff else None
+    return elbo(state, lik, x_all, y_all, prior.alpha, prior.b, logdet)
 
 
 def hyper_objective(
@@ -342,9 +349,13 @@ def run_stream(
     batch and its dict is merged into that batch's record.  Each record
     carries the batch's ``clip_magnitude``; batches whose clip exceeds
     ``CLIP_RTOL`` times the Frobenius norm of the repaired prior precision
-    (at least 1) are summed up in one warning at the end of the run.  A
-    Gaussian likelihood owns the noise: a kernel ``noise_variance`` that is
-    set and differs from it raises :class:`ValueError` before any batch.
+    (at least 1) are summed up in one warning at the end of the run.  The
+    adjusted prior is released once the objective and the clip are read, so
+    its ``b`` and the ``keff`` it holds live neither through memory curation
+    nor into the next batch.  A Gaussian likelihood owns the noise: a kernel
+    ``noise_variance`` that is set and differs from it raises
+    :class:`ValueError` before any batch, and a batch whose inputs and labels
+    differ in length raises :class:`ValueError` naming the batch.
     """
     noise = kernel.hyper.noise_variance
     if isinstance(lik, Gaussian) and noise is not None and noise != lik.noise_variance:
@@ -361,6 +372,10 @@ def run_stream(
         start = time.perf_counter()
         x_batch = as_points(x_batch)
         y_batch = np.asarray(y_batch, dtype=np.float64)
+        if len(x_batch) != len(y_batch):
+            raise ValueError(
+                f"batch {batch_index} has {len(x_batch)} inputs but {len(y_batch)} labels"
+            )
         if state is None:
             memory = empty_memory(x_batch.shape[1])
             selection = pivoted_cholesky_select(kernel, x_batch, config.num_inducing)
@@ -372,6 +387,10 @@ def run_stream(
         if config.hyper_steps > 0:
             state, lik, _ = optimize_hypers(state, lik, config, x_batch, y_batch, memory, n_old)
         objective = seq_objective(state, lik, x_batch, y_batch, memory, prior)
+        clip = prior.clip_magnitude
+        if clip > CLIP_RTOL * max(float(np.linalg.norm(prior.b)), 1.0):
+            clips.append(clip)
+        del prior
 
         memory = update_memory(
             memory,
@@ -383,8 +402,6 @@ def run_stream(
             rng_seed=[seed, batch_index],
         )
         n_old += len(y_batch)
-        if prior.clip_magnitude > CLIP_RTOL * max(float(np.linalg.norm(prior.b)), 1.0):
-            clips.append(prior.clip_magnitude)
 
         record = {
             "batch_index": batch_index,
@@ -393,7 +410,7 @@ def run_stream(
             "theta": _theta_record(state.kernel.hyper, lik),
             "wall_ms": 1000.0 * (time.perf_counter() - start),
             "seed": seed,
-            "clip_magnitude": prior.clip_magnitude,
+            "clip_magnitude": clip,
         }
         if evaluate is not None:
             record.update(evaluate(state, lik))

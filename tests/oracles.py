@@ -5,7 +5,9 @@ implementations existed; the frozen constants in the test files were produced
 by the functions here with the seeds recorded at each use site.  Rerunning
 them reproduces the constants to Monte Carlo accuracy (~3e-4 at 10^7
 samples).  :func:`gram_einsum` is the direct-difference Gram assembly that
-``dualgp.kernels.gram`` replaced.
+``dualgp.kernels.gram`` replaced, and :func:`lower_inverse_out_of_place` the
+block triangular inverse that ``dualgp.kernels._lower_inverse`` now builds
+in place.
 
 The rest are reference routes the engine does not run, each an independent
 assembly of a quantity the package computes another way: exact dense GP
@@ -45,6 +47,7 @@ from dualgp.dual import (
     recover_moments,
 )
 from dualgp.kernels import (
+    INV_LEAF,
     CholeskyFactor,
     Hyperparams,
     KernelSpec,
@@ -90,6 +93,23 @@ def _lower_factor(matrix: np.ndarray, jitter: float) -> np.ndarray:
     the inverse is compared with substitution; so both start from one factor.
     """
     return np.linalg.cholesky(matrix + jitter * np.eye(len(matrix)) if jitter else matrix)
+
+
+def lower_inverse_out_of_place(low: np.ndarray) -> np.ndarray:
+    """The recursive block inverse of a lower triangle, built in a fresh array.
+
+    The same products in the same order as ``dualgp.kernels._lower_inverse``,
+    which overwrites its operand instead, so the two agree bit for bit.
+    """
+    n = low.shape[0]
+    if n <= INV_LEAF:
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    inv = np.zeros_like(low)
+    inv[:h, :h] = lower_inverse_out_of_place(low[:h, :h])
+    inv[h:, h:] = lower_inverse_out_of_place(low[h:, h:])
+    inv[h:, :h] = -inv[h:, h:] @ (low[h:, :h] @ inv[:h, :h])
+    return inv
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -322,6 +322,14 @@ class TestElbo:
         exact = log_marginal(fit_exact(_spec(), x, y, noise_variance=noise))
         assert elbo(state, lik, x, y) == pytest.approx(exact, rel=1e-8)
 
+    def test_given_prior_logdet_gives_the_same_bits(self, rng):
+        state = _random_state(rng)
+        x = rng.uniform(-2, 2, (5, 1))
+        a = rng.standard_normal((4, 4)) * 0.5
+        args = (state, BernoulliLogit(), x, np.sign(x[:, 0]), rng.standard_normal(4), a @ a.T)
+        logdet = stable_cholesky(state.keff + a @ a.T).logdet
+        assert elbo(*args, prior_logdet=logdet) == elbo(*args)
+
     def test_half_prior_pair_raises(self, rng):
         state = _random_state(rng)
         with pytest.raises(ValueError, match="both"):

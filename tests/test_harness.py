@@ -167,6 +167,11 @@ class TestMakeStream:
         with pytest.raises(ValueError, match="unknown order"):
             make_stream(np.zeros((3, 1)), np.zeros(3), 2, order="random")
 
+    @pytest.mark.parametrize("rows, labels", [(5, 4), (4, 5)])
+    def test_inputs_and_labels_of_different_lengths_raise(self, rows, labels):
+        with pytest.raises(ValueError, match=f"{rows} input rows but {labels} labels"):
+            make_stream(np.zeros((rows, 1)), np.arange(float(labels)), 2)
+
     def test_too_many_batches_raises(self):
         with pytest.raises(ValueError, match="more batches"):
             make_stream(np.zeros((2, 1)), np.zeros(2), 3)

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gram_einsum, half_solve_by_substitution, solve_by_substitution
+from oracles import (
+    gram_einsum,
+    half_solve_by_substitution,
+    lower_inverse_out_of_place,
+    solve_by_substitution,
+)
 
 from dualgp.kernels import (
     FAMILIES,
@@ -296,6 +301,32 @@ class TestCachedInverse:
         factor = stable_cholesky(matrix)
         assert not np.any(np.triu(factor.inv, 1))
         np.testing.assert_allclose(factor.inv @ matrix @ factor.inv.T, np.eye(m), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, INV_LEAF - 1, INV_LEAF, INV_LEAF + 1, 65, 130, 300])
+    def test_in_place_inverse_matches_the_out_of_place_recursion(self, rng, m):
+        a = rng.standard_normal((m, m + 2))
+        matrix = a @ a.T / m + np.eye(m)
+        factor = stable_cholesky(matrix)
+        assert factor.jitter_used == 0.0
+        assert np.array_equal(factor.inv, lower_inverse_out_of_place(np.linalg.cholesky(matrix)))
+
+    def test_factorization_allocates_no_second_triangle(self, rng):
+        """The triangle is inverted where it lies: one M x M array plus the block products.
+
+        That peaks at 1.75 M x M arrays; a fresh array for the inverse takes it to 2.75.
+        """
+        m = 300
+        a = rng.standard_normal((m, m + 2))
+        matrix = a @ a.T / m + np.eye(m)
+        stable_cholesky(matrix)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stable_cholesky(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 * m * m * 8
 
     def test_inverse_is_built_at_factorization_and_kept(self, rng):
         matrix = gram(_spec(), rng.standard_normal((6, 1))) + 0.1 * np.eye(6)
