@@ -159,10 +159,12 @@ class BernoulliLogit:
         )
 
     def predictive_density(self, y, mean, var) -> np.ndarray:
+        """``E[p(y | f)]``, clipped into [0, 1]: the weights sum to 1 only up to rounding."""
         y = self.canon_labels(y)
-        return gauss_hermite_expectation(
+        prob = gauss_hermite_expectation(
             lambda f, yb: expit(yb * f), mean, var, self.quad_points, y
         )
+        return np.clip(prob, 0.0, 1.0, out=prob)
 
     def log_predictive_density(self, y, mean, var) -> np.ndarray:
         return np.log(self.predictive_density(y, mean, var))

@@ -9,6 +9,10 @@ import numpy as np
 import pytest
 
 from dualgp.cli import run_cli
+from dualgp.dual import make_state
+from dualgp.harness import save_checkpoint
+from dualgp.kernels import Hyperparams, KernelSpec
+from dualgp.likelihoods import BernoulliLogit
 from test_harness import DAMAGED_CHECKPOINTS, REJECTED_CONFIGS
 
 
@@ -140,6 +144,22 @@ class TestStreamPredictEval:
         scored = json.loads(capsys.readouterr().out)
         assert scored["rmse_or_error"] <= 0.2
         assert scored["nlpd"] < math.log(2.0)
+
+    def test_confident_classifier_scores(self, tmp_path, capsys):
+        """A quadrature sum a rounding step above 1 is written as probability 1, which eval accepts."""
+        state = make_state(
+            KernelSpec("matern52", Hyperparams(1.0, [1.0])), [[0.0]], alpha_u=[40.0], b_u=[[1e12]]
+        )
+        checkpoint = str(tmp_path / "checkpoint.json")
+        save_checkpoint(checkpoint, state, BernoulliLogit())
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n0.0,1\n")
+        preds = str(tmp_path / "preds.csv")
+        assert run_cli(["predict", "--checkpoint", checkpoint, "--data", str(data), "--label", "y", "--out", preds]) == 0
+        with open(preds) as handle:
+            assert [row[2] for row in csv.reader(handle)] == ["p_positive", "1.0"]
+        assert run_cli(["eval", "--predictions", preds, "--data", str(data), "--label", "y"]) == 0
+        assert json.loads(capsys.readouterr().out)["nlpd"] >= 0.0
 
 
 class TestBo:

@@ -222,6 +222,15 @@ class TestBernoulliLogit:
         out = lik.predictive_density(np.array([1.0]), np.array([1.0]), np.array([2.0]))
         assert out[0] == pytest.approx(BERN_PRED_ORACLE, abs=1e-3)
 
+    def test_predictive_density_stays_in_the_unit_interval(self, rng):
+        """A confident point sums a rounding step above 1; the clip keeps in-range values' bits."""
+        lik = BernoulliLogit()
+        one = np.ones(1)
+        assert lik.predictive_density(one, 40.0 * one, 1e-12 * one)[0] == 1.0
+        mean, var = rng.standard_normal(6), rng.uniform(0.1, 3.0, 6)
+        raw = gauss_hermite_expectation(lambda f: expit(f), mean, var, lik.quad_points)
+        assert np.array_equal(lik.predictive_density(np.ones(6), mean, var), raw)
+
     def test_predictive_probabilities_sum_to_one(self, rng):
         lik = BernoulliLogit()
         mean = rng.standard_normal(6)
