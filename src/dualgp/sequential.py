@@ -354,8 +354,9 @@ def run_stream(
     its ``b`` and the ``keff`` it holds live neither through memory curation
     nor into the next batch.  A Gaussian likelihood owns the noise: a kernel
     ``noise_variance`` that is set and differs from it raises
-    :class:`ValueError` before any batch, and a batch whose inputs and labels
-    differ in length raises :class:`ValueError` naming the batch.
+    :class:`ValueError` before any batch.  Unequal input and label counts, a
+    non-finite value, an input dimension other than the first batch's and an
+    empty first batch raise :class:`ValueError` naming the batch.
     """
     noise = kernel.hyper.noise_variance
     if isinstance(lik, Gaussian) and noise is not None and noise != lik.noise_variance:
@@ -376,6 +377,13 @@ def run_stream(
             raise ValueError(
                 f"batch {batch_index} has {len(x_batch)} inputs but {len(y_batch)} labels"
             )
+        if not (np.isfinite(x_batch).all() and np.isfinite(y_batch).all()):
+            raise ValueError(f"batch {batch_index} has a non-finite input or label")
+        if state is None and not len(x_batch):
+            raise ValueError(f"batch {batch_index} is empty; the first batch needs data")
+        if state is not None and x_batch.shape[1] != state.z.shape[1]:
+            dims = f"{x_batch.shape[1]} input dimensions but the first batch has {state.z.shape[1]}"
+            raise ValueError(f"batch {batch_index} has {dims}")
         if state is None:
             memory = empty_memory(x_batch.shape[1])
             selection = pivoted_cholesky_select(kernel, x_batch, config.num_inducing)

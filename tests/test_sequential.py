@@ -714,6 +714,42 @@ class TestRunStream:
         with pytest.raises(ValueError, match=f"batch 2 has 30 inputs but {labels} labels"):
             run_stream(batches, _spec(), Gaussian(0.3), config)
 
+    @pytest.mark.parametrize(
+        "where, bad, hyper_steps",
+        [("label", np.nan, 0), ("label", np.nan, 2), ("input", np.inf, 0)],
+        ids=["nan_label", "nan_label_hyper", "inf_input"],
+    )
+    def test_non_finite_batch_is_named(self, rng, where, bad, hyper_steps):
+        batches = self._batches(rng)
+        xs, ys = (a.copy() for a in batches[1])
+        (ys if where == "label" else xs[:, 0])[4] = bad
+        batches[1] = (xs, ys)
+        config = SequentialConfig(num_inducing=10, memory_capacity=5, hyper_steps=hyper_steps)
+        with pytest.raises(ValueError, match="batch 1 has a non-finite input or label"):
+            run_stream(batches, _spec(), Gaussian(0.3), config)
+
+    def test_empty_first_batch_is_named(self, rng):
+        batches = [(np.empty((0, 1)), np.empty(0)), *self._batches(rng)]
+        config = SequentialConfig(num_inducing=10, memory_capacity=5)
+        with pytest.raises(ValueError, match="batch 0 is empty"):
+            run_stream(batches, _spec(), Gaussian(0.3), config)
+
+    def test_empty_later_batch_runs(self, rng):
+        batches = self._batches(rng)
+        batches.insert(2, (np.empty((0, 1)), np.empty(0)))
+        config = SequentialConfig(num_inducing=10, memory_capacity=5)
+        result = run_stream(batches, _spec(), Gaussian(0.3), config)
+        assert [r["n_seen"] for r in result.records] == [30, 60, 60, 90, 120]
+        assert np.isfinite(result.state.alpha_u).all()
+
+    def test_batch_of_another_dimension_is_named(self, rng):
+        batches = self._batches(rng)
+        xs, ys = batches[2]
+        batches[2] = (np.column_stack([xs, xs]), ys)
+        config = SequentialConfig(num_inducing=10, memory_capacity=5)
+        with pytest.raises(ValueError, match="batch 2 has 2 input dimensions but the first batch has 1"):
+            run_stream(batches, _spec(), Gaussian(0.3), config)
+
     def test_inducing_budget_respected(self, rng):
         batches = self._batches(rng)
         config = SequentialConfig(num_inducing=8)
