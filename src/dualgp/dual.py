@@ -293,8 +293,9 @@ def iterate_ngd(
     Stops when ``max(|d alpha|, |d b|)`` falls below ``tol`` or after
     ``max_steps`` iterations; returns ``(state, steps_taken, converged)``.
     """
+    cross = cross_gram(state, x)
     for step in range(1, max_steps + 1):
-        new = ngd_step(state, lik, x, y, rho)
+        new = ngd_step(state, lik, x, y, rho, cross=cross)
         delta = max(
             float(np.max(np.abs(new.alpha_u - state.alpha_u), initial=0.0)),
             float(np.max(np.abs(new.b_u - state.b_u), initial=0.0)),

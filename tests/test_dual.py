@@ -474,6 +474,30 @@ class TestFactorOnce:
         ngd_step(state, BernoulliLogit(), x, np.sign(x[:, 0]), 0.6)
         assert built == [(5, 7)]
 
+    @pytest.mark.parametrize("lik", [Gaussian(0.5), BernoulliLogit()], ids=["gaussian", "bernoulli"])
+    def test_iterate_ngd_shares_one_cross_gram(self, rng, monkeypatch, lik):
+        """The steps give the bits of chained plain steps and build one ``M x n`` block in all."""
+        state = _random_state(rng, m=5)
+        x = rng.uniform(-2, 2, (7, 1))
+        y = np.sign(x[:, 0])
+        chained = state
+        for _ in range(4):
+            chained = ngd_step(chained, lik, x, y, 0.6)
+        built = []
+        original = dualgp.dual.gram
+
+        def counting(*args):
+            k = original(*args)
+            built.append(k.shape)
+            return k
+
+        monkeypatch.setattr(dualgp.dual, "gram", counting)
+        iterated, steps, _ = iterate_ngd(state, lik, x, y, 0.6, max_steps=4, tol=0.0)
+        assert steps == 4
+        assert np.array_equal(iterated.alpha_u, chained.alpha_u)
+        assert np.array_equal(iterated.b_u, chained.b_u)
+        assert built == [(5, 7)]
+
     def test_cross_gram_of_another_state_is_rejected(self, rng):
         state = _random_state(rng, m=5)
         x = rng.uniform(-2, 2, (7, 1))
