@@ -22,10 +22,9 @@ import numpy as np
 
 from . import __version__
 from .acquisition import ExpectedImprovement, fantasize_batch
-from .dual import iterate_ngd, make_state, ngd_step, predict
+from .dual import iterate_ngd, make_state, ngd_step
 from .harness import (
     ConfigError,
-    DataError,
     Standardizer,
     evaluate_state,
     load_csv,
@@ -35,11 +34,13 @@ from .harness import (
     make_seq_config,
     make_stream,
     parse_config,
+    prediction_table,
     save_checkpoint,
     load_checkpoint,
+    score_table,
     write_jsonl,
 )
-from .likelihoods import BernoulliLogit, Gaussian
+from .likelihoods import Gaussian
 from .representation import pivoted_cholesky_select, refresh_representation
 from .sequential import fit_offline, run_stream
 
@@ -186,57 +187,18 @@ def _cmd_predict(args) -> int:
         x = np.delete(x, header.index(args.label), axis=1)
     if standardizer is not None:
         x = standardizer.transform(x)
-    mean, var = predict(state, x)
+    table = prediction_table(state, lik, x)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
-        if isinstance(lik, Gaussian):
-            writer.writerow(["mean", "variance", "predictive_variance"])
-            for m, v in zip(mean, var):
-                writer.writerow([repr(float(m)), repr(float(v)), repr(float(v + lik.noise_variance))])
-        else:
-            prob = lik.predictive_density(np.ones_like(mean), mean, var)
-            writer.writerow(["mean", "variance", "p_positive"])
-            for m, v, p in zip(mean, var, prob):
-                writer.writerow([repr(float(m)), repr(float(v)), repr(float(p))])
+        writer.writerow(table)
+        writer.writerows(zip(*(map(repr, column.tolist()) for column in table.values())))
     return 0
-
-
-def _require(ok: np.ndarray, column: str, problem: str) -> None:
-    """Raise :class:`DataError` at the first data row (0-based) where ``ok`` is False."""
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise DataError(f"{problem} at data row {bad[0]}, column {column!r}")
 
 
 def _cmd_eval(args) -> int:
     preds, names = load_matrix(args.predictions)
     _, y, _ = load_csv(args.data, args.label)
-    if len(preds) != len(y):
-        raise DataError(
-            f"predictions have {len(preds)} rows but data has {len(y)} labels"
-        )
-    columns = {name: preds[:, i] for i, name in enumerate(names)}
-    if "p_positive" in columns:
-        prob_pos = columns["p_positive"]
-        _require((prob_pos >= 0.0) & (prob_pos <= 1.0), "p_positive", "probability outside [0, 1]")
-        labels = BernoulliLogit.canon_labels(y)
-        prob_label = np.where(labels > 0, prob_pos, 1.0 - prob_pos)
-        out = {
-            "nlpd": float(-np.mean(np.log(np.clip(prob_label, 1e-300, None)))),
-            "rmse_or_error": float(np.mean(np.where(prob_pos >= 0.5, 1.0, -1.0) != labels)),
-        }
-    else:
-        if "mean" not in columns or "predictive_variance" not in columns:
-            raise DataError("predictions need 'mean' and 'predictive_variance' columns")
-        mean = columns["mean"]
-        total_var = columns["predictive_variance"]
-        _require(total_var > 0.0, "predictive_variance", "nonpositive variance")
-        logp = -0.5 * (np.log(2.0 * np.pi * total_var) + (y - mean) ** 2 / total_var)
-        out = {
-            "nlpd": float(-np.mean(logp)),
-            "rmse_or_error": float(np.sqrt(np.mean((y - mean) ** 2))),
-        }
-    print(json.dumps(out))
+    print(json.dumps(score_table(dict(zip(names, preds.T)), y)))
     return 0
 
 

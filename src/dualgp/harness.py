@@ -1,4 +1,4 @@
-"""Experiment plumbing: CSV data, streams, metrics, configs, checkpoints.
+"""Experiment plumbing: CSV data, streams, scores, configs, checkpoints.
 
 Everything the CLI needs that is not model math lives here.  Data files are
 plain RFC-4180 CSV with a header row; run configuration is an INI-style file
@@ -131,25 +131,62 @@ def make_stream(
     return [(x[part], y[part]) for part in np.array_split(idx, num_batches)]
 
 
-def nlpd(lik: Likelihood, y: np.ndarray, mean: np.ndarray, var: np.ndarray) -> float:
-    """Mean negative log predictive density."""
-    return float(-np.mean(lik.log_predictive_density(y, mean, var)))
+def prediction_table(state: DualState, lik: Likelihood, x: np.ndarray) -> dict[str, np.ndarray]:
+    """The columns ``dualgp predict`` writes for inputs ``x``, by name.
 
-
-def evaluate_state(
-    state: DualState, lik: Likelihood, x_test: np.ndarray, y_test: np.ndarray
-) -> dict:
-    """Held-out metrics: NLPD plus RMSE (regression) or error rate (classification)."""
-    mean, var = predict(state, x_test)
-    out = {"nlpd": nlpd(lik, y_test, mean, var)}
+    ``mean`` and ``variance`` are the moments of ``f``, followed by
+    ``predictive_variance`` (plus the noise) for a Gaussian or ``p_positive``
+    (the positive class's probability) for a Bernoulli likelihood.
+    """
+    mean, var = predict(state, x)
     if isinstance(lik, Gaussian):
-        out["rmse_or_error"] = float(np.sqrt(np.mean((np.asarray(y_test) - mean) ** 2)))
+        return {"mean": mean, "variance": var, "predictive_variance": var + lik.noise_variance}
+    return {"mean": mean, "variance": var, "p_positive": lik.predictive_density(np.ones_like(mean), mean, var)}
+
+
+def _require(ok: np.ndarray, column: str, problem: str) -> None:
+    """Raise :class:`DataError` at the first data row (0-based) where ``ok`` is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise DataError(f"{problem} at data row {bad[0]}, column {column!r}")
+
+
+def score_table(table: dict[str, np.ndarray], y: np.ndarray) -> dict:
+    """``nlpd`` and ``rmse_or_error`` of a :func:`prediction_table` against labels ``y``.
+
+    With ``p_positive`` a point's NLPD is ``-log`` of its label's probability
+    floored at 1e-300, so it saturates at 690.8 where ``p_positive`` rounds
+    to 0 or 1 against the label; ``p_positive >= 0.5`` predicts the positive
+    class.  Otherwise ``mean`` and ``predictive_variance`` give a Gaussian
+    NLPD and the RMSE.  Bad tables raise :class:`DataError`.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    rows = len(next(iter(table.values())))
+    if rows != len(y):
+        raise DataError(f"predictions have {rows} rows but data has {len(y)} labels")
+    if "p_positive" in table:
+        prob_pos = table["p_positive"]
+        _require((prob_pos >= 0.0) & (prob_pos <= 1.0), "p_positive", "probability outside [0, 1]")
+        labels = BernoulliLogit.canon_labels(y)
+        logp = np.log(np.clip(np.where(labels > 0, prob_pos, 1.0 - prob_pos), 1e-300, None))
+        error = float(np.mean(np.where(prob_pos >= 0.5, 1.0, -1.0) != labels))
+    elif "mean" in table and "predictive_variance" in table:
+        mean, total_var = table["mean"], table["predictive_variance"]
+        _require(total_var > 0.0, "predictive_variance", "nonpositive variance")
+        logp = -0.5 * (np.log(2.0 * np.pi * total_var) + (y - mean) ** 2 / total_var)
+        error = float(np.sqrt(np.mean((y - mean) ** 2)))
     else:
-        prob_pos = lik.predictive_density(np.ones_like(mean), mean, var)
-        predicted = np.where(prob_pos >= 0.5, 1.0, -1.0)
-        actual = BernoulliLogit.canon_labels(y_test)
-        out["rmse_or_error"] = float(np.mean(predicted != actual))
-    return out
+        raise DataError("predictions need 'mean' and 'predictive_variance' columns")
+    return {"nlpd": float(-np.mean(logp)), "rmse_or_error": error}
+
+
+def evaluate_state(state: DualState, lik: Likelihood, x_test: np.ndarray, y_test: np.ndarray) -> dict:
+    """Held-out metrics: :func:`score_table` of the :func:`prediction_table` at ``x_test``.
+
+    ``dualgp eval`` prints the same numbers, bit for bit, for the file
+    ``dualgp predict`` writes from the same state and inputs.
+    """
+    return score_table(prediction_table(state, lik, x_test), y_test)
 
 
 @dataclass
@@ -437,7 +474,8 @@ __all__ = [
     "load_csv",
     "load_matrix",
     "make_stream",
-    "nlpd",
+    "prediction_table",
+    "score_table",
     "evaluate_state",
     "parse_config",
     "make_kernel",

@@ -1,15 +1,15 @@
 """Observation models and their Gaussian-expectation primitives.
 
-Every likelihood exposes three expectations under a Gaussian marginal
+Every likelihood exposes two expectations under a Gaussian marginal
 ``f ~ N(mean, var)``, vectorized over points:
 
 * ``site_expectations``: the expected first derivative and expected negative
   second derivative of ``log p(y | f)``, the quantities the dual updates
   consume.
 * ``expected_log_lik``: ``E[log p(y | f)]``, the data term of the bound.
-* ``predictive_density``: ``E[p(y | f)]``, used for NLPD-style metrics.
 
-The Gaussian likelihood evaluates all three in closed form; the Bernoulli
+The Bernoulli likelihood adds ``predictive_density``, ``E[p(y | f)]``, its
+class probability.  The Gaussian likelihood is closed form; the Bernoulli
 likelihood with a logistic link uses Gauss-Hermite quadrature (20 points by
 default).  At that order the rule matches a 40-point rule to under 1e-8 for
 |mean| <= 5 and var <= 1, degrading smoothly to about 6e-5 at var = 5; raise
@@ -110,15 +110,6 @@ class Gaussian:
         s2 = self.noise_variance
         return -0.5 * math.log(2.0 * math.pi * s2) - ((y - mean) ** 2 + var) / (2.0 * s2)
 
-    def log_predictive_density(self, y, mean, var) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        mean = np.asarray(mean, dtype=np.float64)
-        total = np.asarray(var, dtype=np.float64) + self.noise_variance
-        return -0.5 * (np.log(2.0 * math.pi * total) + (y - mean) ** 2 / total)
-
-    def predictive_density(self, y, mean, var) -> np.ndarray:
-        return np.exp(self.log_predictive_density(y, mean, var))
-
 
 class BernoulliLogit:
     """Binary labels through a logistic link.
@@ -165,9 +156,6 @@ class BernoulliLogit:
             lambda f, yb: expit(yb * f), mean, var, self.quad_points, y
         )
         return np.clip(prob, 0.0, 1.0, out=prob)
-
-    def log_predictive_density(self, y, mean, var) -> np.ndarray:
-        return np.log(self.predictive_density(y, mean, var))
 
 
 Likelihood = Gaussian | BernoulliLogit

@@ -68,31 +68,46 @@ class TestFit:
         assert json.loads(lines[-1]) == record
 
 
+def _stream_predict_eval(tmp_path, capsys, data, config, batches):
+    """``(stream --test record, predictions header, eval output)`` of one run on ``data``."""
+    out = str(tmp_path / "run")
+    assert run_cli([
+        "stream", "--data", data, "--label", "y", "--batches", batches,
+        "--order", "sorted", "--config", config, "--test", data,
+        "--out", out,
+    ]) == 0
+    stream_eval = json.loads(capsys.readouterr().out)
+
+    preds = str(tmp_path / "preds.csv")
+    assert run_cli([
+        "predict", "--checkpoint", os.path.join(out, "checkpoint.json"),
+        "--data", data, "--label", "y", "--out", preds,
+    ]) == 0
+    with open(preds) as handle:
+        header = next(csv.reader(handle))
+
+    assert run_cli(["eval", "--predictions", preds, "--data", data, "--label", "y"]) == 0
+    return stream_eval, header, json.loads(capsys.readouterr().out)
+
+
 class TestStreamPredictEval:
     def test_metrics_agree_across_subcommands(self, tmp_path, fast_config, capsys):
-        """eval on predict output reproduces the stream --test metrics."""
+        """eval on predict output reproduces the stream --test metrics, bit for bit."""
         data = _write_regression_csv(tmp_path / "train.csv")
-        out = str(tmp_path / "run")
-        assert run_cli([
-            "stream", "--data", data, "--label", "y", "--batches", "3",
-            "--order", "sorted", "--config", fast_config, "--test", data,
-            "--out", out,
-        ]) == 0
-        stream_eval = json.loads(capsys.readouterr().out)
-
-        preds = str(tmp_path / "preds.csv")
-        assert run_cli([
-            "predict", "--checkpoint", os.path.join(out, "checkpoint.json"),
-            "--data", data, "--label", "y", "--out", preds,
-        ]) == 0
-        with open(preds) as handle:
-            header = next(csv.reader(handle))
+        stream_eval, header, scored = _stream_predict_eval(tmp_path, capsys, data, fast_config, "3")
         assert header == ["mean", "variance", "predictive_variance"]
+        assert scored == {key: stream_eval[key] for key in ("nlpd", "rmse_or_error")}
 
-        assert run_cli(["eval", "--predictions", preds, "--data", data, "--label", "y"]) == 0
-        scored = json.loads(capsys.readouterr().out)
-        assert scored["nlpd"] == pytest.approx(stream_eval["nlpd"], rel=1e-9)
-        assert scored["rmse_or_error"] == pytest.approx(stream_eval["rmse_or_error"], rel=1e-9)
+    def test_bernoulli_metrics_agree_across_subcommands(self, tmp_path, capsys):
+        data = _write_classification_csv(tmp_path / "train.csv")
+        config = _write_config(
+            tmp_path / "clf.ini",
+            "[model]\nlikelihood = bernoulli_logit\n\n"
+            "[stream]\nnum_inducing = 20\nhyper_steps = 0\nngd_steps = 4\nmemory_capacity = 12\n",
+        )
+        stream_eval, header, scored = _stream_predict_eval(tmp_path, capsys, data, config, "4")
+        assert header == ["mean", "variance", "p_positive"]
+        assert scored == {key: stream_eval[key] for key in ("nlpd", "rmse_or_error")}
 
     def test_predict_label_flag_is_optional_in_the_data(self, tmp_path, fast_config, capsys):
         """``--label`` drops the column where it is present and reads every column where not."""

@@ -27,9 +27,10 @@ from dualgp.harness import (
     make_likelihood,
     make_seq_config,
     make_stream,
-    nlpd,
     parse_config,
+    prediction_table,
     save_checkpoint,
+    score_table,
     write_jsonl,
 )
 from dualgp.kernels import Hyperparams, KernelSpec
@@ -185,16 +186,46 @@ class TestMakeStream:
 class TestMetrics:
     def test_gaussian_nlpd_perfect_prediction(self):
         """Exact mean and unit total variance give half log 2 pi per point."""
-        lik = Gaussian(noise_variance=0.4)
         y = np.array([1.0, -2.0, 0.3])
-        val = nlpd(lik, y, y, np.full(3, 0.6))
+        val = score_table({"mean": y, "predictive_variance": np.ones(3)}, y)["nlpd"]
         assert val == pytest.approx(0.5 * math.log(2.0 * math.pi), rel=1e-12)
 
     def test_bernoulli_nlpd_coin_flip(self):
-        lik = BernoulliLogit()
-        y = np.array([1.0, -1.0])
-        val = nlpd(lik, y, np.zeros(2), np.zeros(2))
+        val = score_table({"p_positive": np.full(2, 0.5)}, np.array([1.0, -1.0]))["nlpd"]
         assert val == pytest.approx(math.log(2.0), rel=1e-10)
+
+    def test_nlpd_uses_total_variance(self):
+        """The Gaussian table adds the noise to the latent variance, and the NLPD reads the sum."""
+        state = make_state(KernelSpec("matern52", Hyperparams(1.0, np.array([0.8]))), [[0.0]], alpha_u=[0.2])
+        table = prediction_table(state, Gaussian(noise_variance=0.7), np.array([[0.0]]))
+        assert list(table) == ["mean", "variance", "predictive_variance"]
+        total = table["variance"][0] + 0.7
+        assert table["predictive_variance"][0] == total
+        expected = 0.5 * (math.log(2 * math.pi * total) + (1.0 - table["mean"][0]) ** 2 / total)
+        assert score_table(table, np.array([1.0]))["nlpd"] == pytest.approx(expected, rel=1e-13)
+
+    def test_bernoulli_table_holds_the_class_probability(self, rng):
+        state = make_state(
+            KernelSpec("matern52", Hyperparams(1.0, np.array([0.8]))), rng.uniform(-2, 2, (4, 1)),
+            alpha_u=rng.standard_normal(4),
+        )
+        x = rng.uniform(-2, 2, (5, 1))
+        lik = BernoulliLogit()
+        table = prediction_table(state, lik, x)
+        mean, var = predict(state, x)
+        assert list(table) == ["mean", "variance", "p_positive"]
+        assert np.array_equal(table["mean"], mean) and np.array_equal(table["variance"], var)
+        assert np.array_equal(table["p_positive"], lik.predictive_density(np.ones(5), mean, var))
+
+    def test_bernoulli_nlpd_saturates(self):
+        """A probability that rounds to 0 against the label scores -log 1e-300, not infinity."""
+        out = score_table({"p_positive": np.array([1.0, 0.5])}, np.array([0.0, 1.0]))
+        assert out["nlpd"] == pytest.approx(0.5 * (-math.log(1e-300) + math.log(2.0)), rel=1e-15)
+        assert out["rmse_or_error"] == 0.5
+
+    def test_score_table_needs_mean_and_predictive_variance(self):
+        with pytest.raises(DataError, match="'mean' and 'predictive_variance'"):
+            score_table({"mean": np.zeros(2), "variance": np.ones(2)}, np.ones(2))
 
     def test_evaluate_state_regression(self, rng):
         spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.8])))

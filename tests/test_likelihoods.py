@@ -157,19 +157,6 @@ class TestGaussian:
         expected = -0.5 * math.log(2 * math.pi * 0.5) - (1.5**2 + 0.3) / 1.0
         assert out[0] == pytest.approx(expected, rel=1e-14)
 
-    def test_log_predictive_uses_total_variance(self):
-        lik = Gaussian(noise_variance=0.7)
-        out = lik.log_predictive_density(np.array([1.0]), np.array([0.2]), np.array([0.3]))
-        expected = -0.5 * (math.log(2 * math.pi * 1.0) + 0.8**2)
-        assert out[0] == pytest.approx(expected, rel=1e-13)
-
-    def test_predictive_density_exp_of_log(self):
-        lik = Gaussian(noise_variance=0.4)
-        y, m, v = np.array([0.3]), np.array([-0.1]), np.array([0.2])
-        assert lik.predictive_density(y, m, v)[0] == pytest.approx(
-            math.exp(lik.log_predictive_density(y, m, v)[0])
-        )
-
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError, match="noise_variance"):
             Gaussian(noise_variance=0.0)
