@@ -158,7 +158,6 @@ def _cmd_bo(args) -> int:
             fantasy_sample=config.fantasy_sample,
         )
         values = objective(points)
-        x_obs = np.vstack([x_obs, points])
         y_obs = np.concatenate([y_obs, values])
         state = refresh_representation(state, points, config.num_inducing)
         state = ngd_step(state, lik, points, values, 1.0, state.alpha_u, state.b_u)

@@ -22,6 +22,9 @@ relies on states being immutable: every function here returns new states
 and never writes to a state's arrays, and states may share them.  ``keff``
 is the effective ``K_zz`` throughout, so the identities between the dual
 and moment forms hold exactly even when a jitter was needed.
+
+Every reader of the posterior marginals of ``f`` (prediction, NGD sites,
+memory removal, the bound) gets them from :meth:`CrossGram.marginals`.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ class CrossGram:
     the kernel, ``z`` and the factor of ``K_zz``, which :func:`ngd_step`
     keeps, so one cross-Gram serves every step on the same inputs.  ``kzz``
     is the factor it was built with: a state with another one rejects it.
+    :func:`predict` builds one per block of query rows.
     """
 
     kzx: np.ndarray
@@ -90,7 +94,8 @@ class CrossGram:
     kzz: CholeskyFactor
 
     def marginals(self, state: DualState) -> tuple[np.ndarray, np.ndarray]:
-        """Predictive mean and variance of ``f`` at the inputs under ``state``."""
+        """Predictive mean ``k_xz K_zz^{-1} alpha_u`` and variance
+        ``k_xx - k_xz [K_zz^{-1} - (K_zz + b_u)^{-1}] k_zx`` of ``f`` under ``state``."""
         if self.kzz is not state.kzz:
             raise ValueError("cross-Gram built for another inducing set or kernel")
         half = state.kq.half_solve(self.kzx)
@@ -160,35 +165,17 @@ def recover_moments(state: DualState) -> tuple[np.ndarray, np.ndarray]:
 def predict(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Marginal predictive mean and variance of ``f`` at ``x_star``.
 
-    Works directly on the dual parameters::
-
-        mean = k_*z K_zz^{-1} alpha_u
-        var  = k_** - k_*z [K_zz^{-1} - (K_zz + b_u)^{-1}] k_z*
-
-    Both factors and the weights ``K_zz^{-1} alpha_u`` come from the state.
-    The query rows are processed in blocks of ``BLOCK_ENTRIES // M`` rows
-    (at least one), and at most two ``M x rows`` arrays are alive at once,
-    so the scratch grows neither with ``M`` nor with the number of query
-    points.  :meth:`CrossGram.marginals` computes the same on a held
-    cross-Gram; this loop builds no such object per block, which keeps the
-    many one-row calls of an acquisition search cheap.
+    :meth:`CrossGram.marginals` of the :func:`cross_gram` of each block of
+    ``BLOCK_ENTRIES // M`` query rows (at least one).  A block holds at most
+    two ``M x rows`` arrays at once, its cross-Gram and one half-solve, so
+    the scratch grows neither with ``M`` nor with the number of query points.
     """
-    x_star = np.asarray(x_star, dtype=np.float64)
-    weights = state.kinv_alpha
-    mean = np.empty(len(x_star))
-    var = gram_diag(state.kernel, x_star)
+    x_star = as_points(x_star)
+    mean, var = np.empty(len(x_star)), np.empty(len(x_star))
     block = max(1, BLOCK_ENTRIES // state.num_inducing)
     for lo in range(0, len(x_star), block):
         rows = slice(lo, lo + block)
-        k_star = gram(state.kernel, state.z, x_star[rows])
-        mean[rows] = k_star.T @ weights
-        half = state.kzz.half_solve(k_star)
-        var[rows] -= np.einsum("ij,ij->j", half, half)
-        del half
-        half = state.kq.half_solve(k_star)
-        del k_star
-        var[rows] += np.einsum("ij,ij->j", half, half)
-        del half
+        mean[rows], var[rows] = cross_gram(state, x_star[rows]).marginals(state)
     return mean, var
 
 

@@ -396,11 +396,9 @@ class _Entry(dict):
 
 
 def _entries(path: str, value, where: str = ""):
-    """``value`` with every JSON object wrapped as an :class:`_Entry`."""
+    """``value`` with every JSON object wrapped as an :class:`_Entry`; version 1 has none in a list."""
     if isinstance(value, dict):
         return _Entry(path, where, {k: _entries(path, v, f"{where}{k}.") for k, v in value.items()})
-    if isinstance(value, list):
-        return [_entries(path, v, where) for v in value]
     return value
 
 

@@ -59,11 +59,8 @@ def update_memory(
     """
     x_batch = as_points(x_batch)
     y_batch = np.asarray(y_batch, dtype=np.float64)
-    if len(memory):
-        pool_x = np.vstack([memory.inputs, x_batch])
-        pool_y = np.concatenate([memory.labels, y_batch])
-    else:
-        pool_x, pool_y = x_batch, y_batch
+    pool_x = np.vstack([memory.inputs, x_batch])
+    pool_y = np.concatenate([memory.labels, y_batch])
 
     if capacity <= 0:
         return empty_memory(pool_x.shape[1])

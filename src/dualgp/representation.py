@@ -96,11 +96,8 @@ class _CandidateGram:
     def columns(self, cols: np.ndarray) -> np.ndarray:
         """The ``(M + n) x len(cols)`` block of the columns ``cols``."""
         out = np.empty((len(self.diag), len(cols)))
-        old = cols < self.m
-        out[: self.m, old] = self.kzz[:, cols[old]]
-        out[self.m :, old] = self.cross[cols[old]].T
-        out[:, ~old] = self.cross[:, cols[~old] - self.m]
-        out[cols, np.arange(len(cols))] = self.diag[cols]
+        for t, j in enumerate(cols):
+            out[:, t] = self.column(j)
         return out
 
 

@@ -35,8 +35,8 @@ from .dual import (
     ngd_step,
     predict,
 )
-from .kernels import Hyperparams, KernelSpec, as_points, stable_cholesky
-from .likelihoods import Gaussian, Likelihood
+from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_points, stable_cholesky
+from .likelihoods import BernoulliLogit, Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
 from .representation import pivoted_cholesky_select, refresh_representation
 
@@ -142,11 +142,9 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
 def _with_memory(
     x_batch: np.ndarray, y_batch: np.ndarray, memory: MemorySet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The batch followed by the memory points (if any)."""
+    """The batch followed by the memory points."""
     x = as_points(x_batch)
     y = np.asarray(y_batch, dtype=np.float64)
-    if not len(memory):
-        return x, y
     return np.vstack([x, memory.inputs]), np.concatenate([y, memory.labels])
 
 
@@ -283,9 +281,13 @@ def optimize_hypers(
     likelihood the kernel's ``noise_variance`` passes through unchanged.
     Gradients come from central finite differences (step ``FD_STEP``).
     A candidate step is rejected, and the learning rate halved, whenever it
-    would decrease the objective by more than 1e-6 or make it non-finite.
-    Returns the state rebuilt at the accepted hyperparameters, the matching
-    likelihood, and the trace of accepted objective values.
+    would decrease the objective by more than 1e-6 or cannot be evaluated:
+    ``exp`` of the candidate is not positive and finite (it is then not
+    evaluated), or its evaluation raises :class:`FactorizationFailed` or
+    gives a non-finite value.  Returns the state rebuilt at the accepted
+    hyperparameters, the matching likelihood, and the objective trace, which
+    repeats the previous value for a rejected step.  With no accepted step
+    the returned state and likelihood are the inputs themselves.
     """
     hyper = state.kernel.hyper
     log_theta = _log_theta(hyper, lik)
@@ -294,8 +296,20 @@ def optimize_hypers(
         h = _hyper_at(lt, hyper, lik)
         return hyper_objective(state, lik, x_batch, y_batch, memory.inputs, memory.labels, n_old, h)
 
+    def candidate_objective(lt: np.ndarray) -> float:
+        """``objective(lt)``, or NaN where it cannot be evaluated."""
+        with np.errstate(all="ignore"):
+            theta = np.exp(lt)
+            if not np.all((theta > 0.0) & (theta < np.inf)):
+                return np.nan
+            try:
+                return objective(lt)
+            except FactorizationFailed:
+                return np.nan
+
     current = objective(log_theta)
     trace = [current]
+    accepted = False
     lr = config.hyper_lr
     m1 = np.zeros_like(log_theta)
     m2 = np.zeros_like(log_theta)
@@ -307,15 +321,15 @@ def optimize_hypers(
         m1_hat = m1 / (1.0 - beta1**step)
         m2_hat = m2 / (1.0 - beta2**step)
         candidate = log_theta + lr * m1_hat / (np.sqrt(m2_hat) + eps)
-        value = objective(candidate)
-        if not np.isfinite(value) or value < current - 1e-6:
+        value = candidate_objective(candidate)
+        if np.isfinite(value) and value >= current - 1e-6:
+            log_theta, current, accepted = candidate, value, True
+        else:
             lr *= 0.5
-            trace.append(current)
-            continue
-        log_theta = candidate
-        current = value
         trace.append(current)
 
+    if not accepted:
+        return state, lik, trace
     final_hyper = _hyper_at(log_theta, hyper, lik)
     new_state = make_state(state.kernel.with_hyper(final_hyper), state.z, state.alpha_u, state.b_u)
     if isinstance(lik, Gaussian):
@@ -355,8 +369,9 @@ def run_stream(
     nor into the next batch.  A Gaussian likelihood owns the noise: a kernel
     ``noise_variance`` that is set and differs from it raises
     :class:`ValueError` before any batch.  Unequal input and label counts, a
-    non-finite value, an input dimension other than the first batch's and an
-    empty first batch raise :class:`ValueError` naming the batch.
+    non-finite value, a Bernoulli label outside ``{0, 1}`` and ``{-1, +1}``,
+    an input dimension other than the first batch's and an empty first batch
+    raise :class:`ValueError` naming the batch.
     """
     noise = kernel.hyper.noise_variance
     if isinstance(lik, Gaussian) and noise is not None and noise != lik.noise_variance:
@@ -379,6 +394,11 @@ def run_stream(
             )
         if not (np.isfinite(x_batch).all() and np.isfinite(y_batch).all()):
             raise ValueError(f"batch {batch_index} has a non-finite input or label")
+        if isinstance(lik, BernoulliLogit):
+            try:
+                lik.canon_labels(y_batch)
+            except ValueError as exc:
+                raise ValueError(f"batch {batch_index}: {exc}") from None
         if state is None and not len(x_batch):
             raise ValueError(f"batch {batch_index} is empty; the first batch needs data")
         if state is not None and x_batch.shape[1] != state.z.shape[1]:

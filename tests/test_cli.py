@@ -109,6 +109,19 @@ class TestStreamPredictEval:
         assert header == ["mean", "variance", "p_positive"]
         assert scored == {key: stream_eval[key] for key in ("nlpd", "rmse_or_error")}
 
+    def test_overshooting_hyper_lr_runs_to_finite_theta(self, tmp_path, capsys):
+        """At ``hyper_lr = 1000`` a step overflows theta; it is rejected, not raised."""
+        data = tmp_path / "train.csv"
+        x = np.linspace(-3, 3, 40)
+        np.savetxt(data, np.column_stack([x, np.sin(2 * x)]), delimiter=",", header="x,y", comments="")
+        config = _write_config(tmp_path / "lr.ini", "[stream]\nhyper_lr = 1000\n")
+        out = tmp_path / "run"
+        argv = ["stream", "--batches", "4", "--data", str(data), "--label", "y", "--config", config]
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        kernel = json.loads((out / "checkpoint.json").read_text())["state"]["kernel"]
+        theta = [kernel["variance"], *kernel["lengthscales"], kernel["noise_variance"]]
+        assert all(math.isfinite(v) and v > 0.0 for v in theta)
+
     def test_predict_label_flag_is_optional_in_the_data(self, tmp_path, fast_config, capsys):
         """``--label`` drops the column where it is present and reads every column where not."""
         data = _write_regression_csv(tmp_path / "train.csv")

@@ -89,6 +89,16 @@ def _traced(build):
     return result, current - before, peak - before
 
 
+def _assert_blocked_marginals(state, x, block):
+    """``predict`` gives, bit for bit, ``CrossGram.marginals`` of each ``block`` rows of ``x``."""
+    parts = [cross_gram(state, x[lo : lo + block]).marginals(state) for lo in range(0, len(x), block)]
+    mean, var = predict(state, x)
+    assert mean.shape == var.shape == (len(x),)
+    if parts:
+        assert np.array_equal(mean, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(var, np.concatenate([p[1] for p in parts]))
+
+
 class TestConstruction:
     def test_defaults_to_prior(self):
         state = make_state(_spec(), np.array([[0.0], [1.0]]))
@@ -272,6 +282,37 @@ class TestPredict:
         monkeypatch.setattr(dualgp.dual, "gram", lambda *args: blocks.append(len(args[2])) or gram(*args))
         predict(state, rng.uniform(-2, 2, (2048, 2)))
         assert blocks == [2048]
+
+    @pytest.mark.parametrize("m", [50, 300])
+    def test_is_cross_gram_marginals_per_block(self, rng, m):
+        """One row, one full block and one row past it: the marginals of each block's cross-Gram."""
+        state = _wide_state(rng, m)
+        block = BLOCK_ENTRIES // m
+        for n in (1, block, block + 1):
+            x = rng.uniform(-2, 2, (n, 2))
+            _assert_blocked_marginals(state, x, block)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        m=st.integers(1, 59),
+        d=st.integers(1, 4),
+        rows=st.sampled_from(["none", "one", "block", "past_block", "any"]),
+        family=st.sampled_from(["matern52", "squared_exponential"]),
+        constant=st.sampled_from([0.0, 0.3]),
+        flat=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_is_cross_gram_marginals_on_drawn_states(self, seed, m, d, rows, family, constant, flat):
+        rng = np.random.default_rng(seed)
+        block = BLOCK_ENTRIES // m
+        n = {"none": 0, "one": 1, "block": block, "past_block": block + 1}.get(rows)
+        n = int(rng.integers(0, 3000)) if n is None else n
+        hyper = Hyperparams(rng.uniform(0.5, 2.0), rng.uniform(0.3, 2.0, d), constant_variance=constant)
+        a = rng.standard_normal((m, m)) * rng.uniform(0.1, 2.0)
+        z = rng.uniform(-2, 2, (m, d))
+        state = make_state(KernelSpec(family, hyper), z, rng.standard_normal(m), a @ a.T)
+        x = rng.uniform(-3, 3, (n, d))
+        _assert_blocked_marginals(state, x[:, 0] if flat and d == 1 else x, block)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)

@@ -129,6 +129,12 @@ class TestUpdateMemory:
         mem = update_memory(empty_memory(1), state, lik, x, y, capacity=5, rng_seed=[3, 1])
         assert len(mem) == 5
 
+    def test_empty_memory_pool_is_the_batch(self, rng):
+        state, lik, x, y = _converged_gaussian_state(rng)
+        memory = update_memory(empty_memory(1), state, lik, x, y, capacity=len(y), rng_seed=0)
+        assert np.array_equal(memory.inputs, x) and np.array_equal(memory.labels, y)
+        assert np.array_equal(memory.scores, bls(state, lik, x, y))
+
     def test_pool_includes_old_memory(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng, n=6)
         old = MemorySet(

@@ -9,6 +9,7 @@ from dualgp.dual import make_state, ngd_step, predict
 from dualgp.kernels import Hyperparams, KernelSpec, gram
 from dualgp.likelihoods import Gaussian
 from dualgp.representation import (
+    _CandidateGram,
     pivoted_cholesky_select,
     project_duals,
     refresh_representation,
@@ -186,3 +187,19 @@ class TestRefreshFromBlocks:
                 getattr(refreshed, name), want, rtol=0, atol=rel * max(1.0, np.abs(want).max()), err_msg=name
             )
         assert refreshed.kzz.jitter_used == expected.kzz.jitter_used
+
+
+class TestCandidateGram:
+    def test_block_is_the_single_columns(self, rng):
+        """``columns`` gives ``column(j)`` bit for bit, old and new indices mixed, jitter hidden."""
+        z = rng.uniform(-2, 2, (6, 2))
+        z[5] = z[0]
+        x = rng.uniform(-2, 2, (5, 2))
+        state = make_state(KernelSpec("matern52", Hyperparams(1.0, np.array([0.7, 1.3]))), z)
+        assert state.kzz.jitter_used > 0.0
+        blocks = _CandidateGram(state, np.vstack([z, x]), x)
+        cols = np.array([8, 1, 10, 0, 6, 4, 9])
+        want = np.column_stack([blocks.column(j) for j in cols])
+        assert np.array_equal(blocks.columns(cols), want)
+        assert np.array_equal(want[cols, np.arange(len(cols))], np.ones(len(cols)))
+        assert np.array_equal(blocks.columns(cols[:0]), np.empty((11, 0)))

@@ -8,6 +8,7 @@ evidence
     log N(1 | 0, 2) = -1/2 log 4 pi - 1/4 = -1.5155121234846454
 """
 
+import re
 import tracemalloc
 from collections import Counter
 
@@ -29,6 +30,7 @@ from dualgp.sequential import (
     SequentialConfig,
     _hyper_at,
     _log_theta,
+    _with_memory,
     fit_offline,
     hyper_gradient,
     hyper_objective,
@@ -192,6 +194,14 @@ class TestRemoveMemory:
         back = ngd_step(state, lik, x[:3], y[:3], 1.0, prior.alpha, prior.b)
         np.testing.assert_allclose(back.alpha_u, state.alpha_u, rtol=0, atol=1e-9)
         np.testing.assert_allclose(back.b_u, state.b_u, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_with_empty_memory_is_the_batch(rng, flat):
+    x = rng.uniform(-2, 2, (5, 1))
+    y = np.sin(x[:, 0])
+    x_all, y_all = _with_memory(x[:, 0] if flat else x, y, empty_memory(1))
+    assert np.array_equal(x_all, x) and np.array_equal(y_all, y)
 
 
 class TestSeqObjective:
@@ -628,6 +638,42 @@ class TestOptimizeHypers:
         np.testing.assert_array_equal(new_state.alpha_u, state.alpha_u)
         np.testing.assert_array_equal(new_state.b_u, state.b_u)
 
+    def test_unfactorable_candidate_is_a_rejected_step(self, monkeypatch):
+        """At ``hyper_lr = 50`` some candidates' Grams cannot be factored; the run goes on."""
+        failed = []
+        original = dualgp.sequential.hyper_objective
+
+        def recording(*args):
+            try:
+                return original(*args)
+            except FactorizationFailed:
+                failed.append(args[-1])
+                raise
+
+        monkeypatch.setattr(dualgp.sequential, "hyper_objective", recording)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-3, 3, 120)
+        y = np.sin(25.0 * x) + 0.05 * rng.standard_normal(120)
+        kernel = KernelSpec("matern52", Hyperparams(1.0, np.array([3.0])))
+        config = SequentialConfig(num_inducing=20, memory_capacity=20, hyper_steps=5, hyper_lr=50)
+        result = run_stream(make_stream(x, y, 4), kernel, Gaussian(0.1), config)
+        assert failed
+        theta = result.records[-1]["theta"]
+        assert np.isfinite([theta["variance"], *theta["lengthscales"], theta["noise_variance"]]).all()
+
+    def test_no_accepted_step_returns_the_inputs(self):
+        """Every step of ``hyper_lr = 50`` is rejected, and theta keeps its bits."""
+        rng = np.random.default_rng(0)
+        x = np.sort(rng.uniform(-3, 3, 30))[:, None]
+        y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(30)
+        lik = Gaussian(0.1)
+        state = ngd_step(make_state(_spec(ls=1.0, noise=0.1), x[::3]), lik, x, y, rho=1.0)
+        config = SequentialConfig(num_inducing=10, hyper_steps=5, hyper_lr=50)
+        new_state, new_lik, trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        assert trace == [trace[0]] * 6
+        assert new_state is state and new_lik is lik
+        assert new_lik.noise_variance == 0.1
+
     def test_bernoulli_keeps_likelihood_object(self, rng):
         x = rng.uniform(-2, 2, (10, 1))
         y = np.where(x[:, 0] > 0, 1.0, -1.0)
@@ -749,6 +795,16 @@ class TestRunStream:
         config = SequentialConfig(num_inducing=10, memory_capacity=5)
         with pytest.raises(ValueError, match="batch 2 has 2 input dimensions but the first batch has 1"):
             run_stream(batches, _spec(), Gaussian(0.3), config)
+
+    @pytest.mark.parametrize("bad_batch", [0, 1])
+    def test_bad_bernoulli_label_is_named(self, rng, bad_batch):
+        x = rng.uniform(-2, 2, (40, 1))
+        y = np.where(x[:, 0] > 0, 1.0, 0.0)
+        batches = [(x[:20], y[:20].copy()), (x[20:], y[20:].copy())]
+        batches[bad_batch][1][3] = 2.0
+        message = f"batch {bad_batch}: Bernoulli labels must lie in {{0, 1}} or {{-1, +1}}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_stream(batches, _spec(), BernoulliLogit(), SequentialConfig(num_inducing=8))
 
     def test_inducing_budget_respected(self, rng):
         batches = self._batches(rng)
