@@ -25,6 +25,7 @@ from .acquisition import ExpectedImprovement, fantasize_batch
 from .dual import iterate_ngd, make_state, ngd_step
 from .harness import (
     ConfigError,
+    DataError,
     Standardizer,
     evaluate_state,
     load_csv,
@@ -64,6 +65,12 @@ OBJECTIVES = {
 }
 
 
+def _check_features(path: str, x: np.ndarray, model_features: int) -> None:
+    """Raise :class:`DataError` unless ``x``, read from ``path``, has the model's feature count."""
+    if x.shape[1] != model_features:
+        raise DataError(f"{path} has {x.shape[1]} feature columns but the model has {model_features}")
+
+
 def _fit_and_write(args, split, engine) -> int:
     """The body of ``fit`` and ``stream``.
 
@@ -83,6 +90,7 @@ def _fit_and_write(args, split, engine) -> int:
     x_test = y_test = None
     if args.test:
         x_test, y_test, _ = load_csv(args.test, args.label)
+        _check_features(args.test, x_test, x.shape[1])
         if standardizer is not None:
             x_test = standardizer.transform(x_test)
 
@@ -184,6 +192,7 @@ def _cmd_predict(args) -> int:
     x, header = load_matrix(args.data)
     if args.label in header:
         x = np.delete(x, header.index(args.label), axis=1)
+    _check_features(args.data, x, state.z.shape[1])
     if standardizer is not None:
         x = standardizer.transform(x)
     table = prediction_table(state, lik, x)

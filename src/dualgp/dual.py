@@ -60,7 +60,9 @@ class DualState:
     triangle, built when it is factored, so the state's ``M x M`` arrays are
     ``b_u``, ``keff``, ``kzz.inv`` and ``kq.inv``.  :func:`make_state`
     computes them and :func:`ngd_step` hands over the ``kq`` it solved with
-    and shares ``keff`` and ``kzz``.
+    and shares ``keff`` and ``kzz``.  The invariant: every state is
+    ``make_state(kernel, z, alpha_u, b_u)`` bit for bit, so a checkpoint,
+    which keeps only those four, reloads it exactly.
     """
 
     kernel: KernelSpec
@@ -126,7 +128,8 @@ def make_state(
     alpha_u: np.ndarray | None = None,
     b_u: np.ndarray | None = None,
 ) -> DualState:
-    """Build a state from inducing inputs and (optionally) dual parameters."""
+    """Build a state from inducing inputs and (optionally) dual parameters;
+    the only code that factors a state's ``K_zz``."""
     z = as_points(z)
     m = z.shape[0]
     if alpha_u is None:
@@ -137,15 +140,9 @@ def make_state(
     b_u = np.asarray(b_u, dtype=np.float64)
     if alpha_u.shape != (m,) or b_u.shape != (m, m):
         raise ValueError("dual parameter shapes do not match the inducing set")
-    return _factor_state(kernel, z, alpha_u, b_u, gram(kernel, z))
-
-
-def _factor_state(
-    kernel: KernelSpec, z: np.ndarray, alpha_u: np.ndarray, b_u: np.ndarray, k: np.ndarray
-) -> DualState:
-    """The state of the dual pair on ``z``, given ``k``, the Gram matrix of ``z``."""
+    k = gram(kernel, z)
     kzz = stable_cholesky(k)
-    keff = k + kzz.jitter_used * np.eye(len(z)) if kzz.jitter_used else k
+    keff = k + kzz.jitter_used * np.eye(m) if kzz.jitter_used else k
     return DualState(
         kernel=kernel, z=z, alpha_u=alpha_u, b_u=b_u, keff=keff, kzz=kzz,
         kq=stable_cholesky(keff + b_u), kinv_alpha=kzz.solve(alpha_u),

@@ -204,7 +204,10 @@ class Standardizer:
         return cls(mean=x.mean(axis=0), scale=scale)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        return (as_points(x) - self.mean) / self.scale
+        x = as_points(x)
+        if x.shape[1] != len(self.mean):
+            raise DataError(f"{x.shape[1]} feature columns, but the standardizer was fit on {len(self.mean)}")
+        return (x - self.mean) / self.scale
 
 
 def _setting(section: str, default):

@@ -7,6 +7,8 @@ trace-greedy Nyström rule.  When the inducing set changes, the dual
 parameters are carried over by the kernel-interpolation projection
 ``P = K_{new,old} K_{old,old}^{-1}`` (``alpha -> P alpha``,
 ``B -> P B P^T``), which is exact when the new set spans the old one.
+The projected pair goes to :func:`~dualgp.dual.make_state`, like every
+other state's, so a refreshed state is the one its checkpoint reloads.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualState, _factor_state
+from .dual import DualState, make_state
 from .kernels import KernelSpec, as_points, gram, gram_diag
 
 REL_TOL = 1e-10
@@ -75,7 +77,8 @@ class _CandidateGram:
 
     The ``z`` block is the state's ``K_zz`` and the rest comes from one
     ``(M + n) x n`` cross-Gram against the batch.  Diagonal entries are the
-    exact prior variances, so the jitter in ``keff`` does not show.
+    exact prior variances, so the jitter in ``keff`` does not show.  Only
+    the pivot selection reads it; :func:`project_duals` builds its own.
     """
 
     def __init__(self, state: DualState, candidates: np.ndarray, x_batch: np.ndarray):
@@ -93,52 +96,35 @@ class _CandidateGram:
         col[j] = self.diag[j]
         return col
 
-    def columns(self, cols: np.ndarray) -> np.ndarray:
-        """The ``(M + n) x len(cols)`` block of the columns ``cols``."""
-        out = np.empty((len(self.diag), len(cols)))
-        for t, j in enumerate(cols):
-            out[:, t] = self.column(j)
-        return out
-
-
-def _project(state: DualState, z_new: np.ndarray, k_old_new: np.ndarray, k_new: np.ndarray) -> DualState:
-    """:func:`project_duals` given ``K(z, z_new)`` and ``K(z_new, z_new)``."""
-    p = state.kzz.solve(k_old_new).T
-    alpha_new = p @ state.alpha_u
-    b_new = p @ state.b_u @ p.T
-    del p
-    b_new = 0.5 * (b_new + b_new.T)
-    return _factor_state(state.kernel, z_new, alpha_new, b_new, k_new)
-
 
 def project_duals(state: DualState, z_new: np.ndarray) -> DualState:
     """Move the dual parameters onto a new inducing set.
 
     Applies ``P = K_{new,old} K_{old,old}^{-1}`` to ``alpha_u`` and
     congruently to ``b_u``; the projected ``b_u`` stays PSD by construction.
+    The new state is :func:`make_state` of the projected pair.
     """
     z_new = as_points(z_new)
-    return _project(state, z_new, gram(state.kernel, state.z, z_new), gram(state.kernel, z_new))
+    p = state.kzz.solve(gram(state.kernel, state.z, z_new)).T
+    alpha_new = p @ state.alpha_u
+    b_new = p @ state.b_u @ p.T
+    del p
+    b_new = 0.5 * (b_new + b_new.T)
+    return make_state(state.kernel, z_new, alpha_new, b_new)
 
 
 def refresh_representation(state: DualState, x_batch: np.ndarray, max_points: int) -> DualState:
     """Re-select inducing points over old Z plus the incoming batch, then project.
 
     The selection is :func:`pivoted_cholesky_select` over the candidates
-    ``[z; x_batch]``, and the projection :func:`project_duals` onto the
-    selected points, but both read their kernel blocks from the state's
-    ``K_zz`` and one cross-Gram of the candidates against the batch, so no
-    ``(M + n) x (M + n)`` array is built.
+    ``[z; x_batch]``, read column by column from the state's ``K_zz`` and
+    one cross-Gram of the candidates against the batch, so no
+    ``(M + n) x (M + n)`` array is built.  The projection is
+    :func:`project_duals` onto the selected points.
     """
     x_batch = as_points(x_batch)
     candidates = np.vstack([state.z, x_batch]) if x_batch.size else state.z
     blocks = _CandidateGram(state, candidates, x_batch)
     chosen = _greedy_pivots(blocks.column, blocks.diag.copy(), max_points).indices
-    k_chosen = blocks.columns(chosen)
     del blocks
-    k_new = k_chosen[chosen]
-    # A copy, so the batch rows are freed before the projection allocates.
-    k_old_new = k_chosen[: state.num_inducing].copy()
-    del k_chosen
-    # Batch-by-batch entries come from a cross-Gram, symmetric only to rounding.
-    return _project(state, candidates[chosen], k_old_new, 0.5 * (k_new + k_new.T))
+    return project_duals(state, candidates[chosen])

@@ -61,7 +61,7 @@ class SequentialConfig:
     curated together with the new batch.  A value outside its range raises
     :class:`ValueError`: ``num_inducing >= 1``, ``0 < ngd_rho <= 1`` and
     ``ngd_steps >= 1`` (a stream must learn from each batch),
-    ``hyper_lr > 0``, ``hyper_steps >= 0`` and ``memory_capacity >= 0``.
+    ``0 < hyper_lr < inf``, ``hyper_steps >= 0`` and ``memory_capacity >= 0``.
     """
 
     num_inducing: int
@@ -80,8 +80,8 @@ class SequentialConfig:
             raise ValueError("ngd_steps must be at least 1")
         if min(self.memory_capacity, self.hyper_steps) < 0:
             raise ValueError("memory_capacity and hyper_steps must be nonnegative")
-        if not self.hyper_lr > 0.0:
-            raise ValueError("hyper_lr must be positive")
+        if not 0.0 < self.hyper_lr < np.inf:
+            raise ValueError("hyper_lr must be positive and finite")
 
 
 @dataclass

@@ -92,11 +92,20 @@ def _stream_predict_eval(tmp_path, capsys, data, config, batches):
 
 class TestStreamPredictEval:
     def test_metrics_agree_across_subcommands(self, tmp_path, fast_config, capsys):
-        """eval on predict output reproduces the stream --test metrics, bit for bit."""
+        """eval on predict output reproduces the stream --test metrics, bit for bit.
+
+        Without hyper steps the last state got its ``K_zz`` from a refresh,
+        which the checkpoint must rebuild exactly.
+        """
         data = _write_regression_csv(tmp_path / "train.csv")
-        stream_eval, header, scored = _stream_predict_eval(tmp_path, capsys, data, fast_config, "3")
-        assert header == ["mean", "variance", "predictive_variance"]
-        assert scored == {key: stream_eval[key] for key in ("nlpd", "rmse_or_error")}
+        no_hyper = _write_config(
+            tmp_path / "nohyper.ini",
+            "[stream]\nnum_inducing = 15\nhyper_steps = 0\nngd_steps = 2\nmemory_capacity = 10\n",
+        )
+        for config, batches in ((fast_config, "3"), (no_hyper, "4")):
+            stream_eval, header, scored = _stream_predict_eval(tmp_path, capsys, data, config, batches)
+            assert header == ["mean", "variance", "predictive_variance"]
+            assert scored == {key: stream_eval[key] for key in ("nlpd", "rmse_or_error")}, config
 
     def test_bernoulli_metrics_agree_across_subcommands(self, tmp_path, capsys):
         data = _write_classification_csv(tmp_path / "train.csv")
@@ -214,6 +223,17 @@ class TestBo:
                 assert -3.0 <= point[0] <= 3.0
 
 
+def _one_and_two_feature_files(tmp_path, standardize):
+    """A 2-feature training CSV, a 1-feature CSV and a config setting ``standardize_inputs``."""
+    train = _write_classification_csv(tmp_path / "two.csv", n=30)
+    one = _write_regression_csv(tmp_path / "one.csv", n=10)
+    config = _write_config(
+        tmp_path / "c.ini",
+        f"[stream]\nnum_inducing = 8\nhyper_steps = 0\n\n[data]\nstandardize_inputs = {standardize}\n",
+    )
+    return train, one, config
+
+
 class TestExitCodes:
     def test_missing_data_file_is_runtime_error(self, tmp_path, capsys):
         code = run_cli([
@@ -237,6 +257,33 @@ class TestExitCodes:
         ])
         assert code == 1
         assert f"error: {checkpoint}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("standardize", ["true", "false"])
+    def test_predict_on_another_feature_count_names_the_file(self, tmp_path, capsys, standardize):
+        train, one, config = _one_and_two_feature_files(tmp_path, standardize)
+        out = tmp_path / "fit"
+        assert run_cli(["fit", "--data", train, "--label", "y", "--config", config, "--out", str(out)]) == 0
+        capsys.readouterr()
+        preds = tmp_path / "preds.csv"
+        code = run_cli([
+            "predict", "--checkpoint", str(out / "checkpoint.json"), "--data", one, "--label", "y",
+            "--out", str(preds),
+        ])
+        assert code == 1
+        assert f"error: {one} has 1 feature columns but the model has 2" in capsys.readouterr().err
+        assert not preds.exists()
+
+    @pytest.mark.parametrize("command", [["fit"], ["stream", "--batches", "2"]], ids=["fit", "stream"])
+    @pytest.mark.parametrize("standardize", ["true", "false"])
+    def test_test_file_of_another_feature_count_names_the_file(self, tmp_path, capsys, command, standardize):
+        train, one, config = _one_and_two_feature_files(tmp_path, standardize)
+        out = tmp_path / "run"
+        code = run_cli([
+            *command, "--data", train, "--label", "y", "--config", config, "--test", one, "--out", str(out),
+        ])
+        assert code == 1
+        assert f"error: {one} has 1 feature columns but the model has 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_is_config_error(self, tmp_path, capsys):
         data = _write_regression_csv(tmp_path / "train.csv", n=10)

@@ -39,11 +39,12 @@ from dualgp.dual import (
 )
 import dualgp.dual
 import dualgp.sequential
-from dualgp.harness import load_checkpoint, save_checkpoint
+from dualgp.acquisition import ExpectedImprovement, fantasize_batch
+from dualgp.harness import load_checkpoint, make_stream, save_checkpoint
 from dualgp.kernels import BLOCK_ENTRIES, CholeskyFactor, Hyperparams, KernelSpec, gram, stable_cholesky
 from dualgp.likelihoods import BernoulliLogit, Gaussian
-from dualgp.representation import project_duals
-from dualgp.sequential import hyper_objective
+from dualgp.representation import project_duals, refresh_representation
+from dualgp.sequential import SequentialConfig, hyper_objective, run_stream
 
 ONE_POINT_ELBO = -1.5155121234846454  # log N(1 | 0, 2)
 
@@ -597,6 +598,82 @@ class TestFactorOnce:
             assert not np.any(np.triu(factor.inv, 1))
         jittered = state.keff + state.b_u + state.kq.jitter_used * np.eye(5)
         np.testing.assert_allclose(state.kq.inv @ jittered @ state.kq.inv.T, np.eye(5), atol=1e-12)
+
+
+def _assert_is_make_state(state, label):
+    """``state`` is ``make_state`` of its own kernel, inducing inputs and dual pair, bit for bit."""
+    rebuilt = make_state(state.kernel, state.z, state.alpha_u, state.b_u)
+    assert np.array_equal(state.keff, rebuilt.keff), label
+    assert np.array_equal(state.kzz.inv, rebuilt.kzz.inv), label
+    assert np.array_equal(state.kq.inv, rebuilt.kq.inv), label
+    assert np.array_equal(state.kinv_alpha, rebuilt.kinv_alpha), label
+
+
+def _stream_states(rng, lik, hyper_steps):
+    """Every batch's state of a 6-batch stream on 2-d inputs, with memory."""
+    x = rng.uniform(-2, 2, (90, 2))
+    f = np.sin(2.0 * x[:, 0]) + 0.5 * np.cos(3.0 * x[:, 1])
+    y = (f > 0).astype(float) if isinstance(lik, BernoulliLogit) else f + 0.1 * rng.standard_normal(90)
+    kernel = KernelSpec("matern52", Hyperparams(1.0, np.array([0.7, 0.9])))
+    config = SequentialConfig(num_inducing=12, memory_capacity=10, hyper_steps=hyper_steps, hyper_lr=0.05)
+    states = []
+
+    def capture(state, lik):
+        states.append(state)
+        return {}
+
+    result = run_stream(make_stream(x, y, 6, order="sorted"), kernel, lik, config, evaluate=capture)
+    assert states[-1] is result.state
+    return states
+
+
+class TestEveryStateIsMakeState:
+    """Whatever route built a state, it is ``make_state`` of its kernel, ``z`` and dual pair.
+
+    A checkpoint keeps only those four, so this is what makes a reloaded
+    state predict exactly what the saved one did.
+    """
+
+    @pytest.mark.parametrize(
+        "lik, hyper_steps",
+        [(Gaussian(0.1), 0), (Gaussian(0.1), 3), (BernoulliLogit(), 0)],
+        ids=["gaussian", "gaussian_hyper", "bernoulli"],
+    )
+    def test_every_batch_of_a_stream(self, rng, lik, hyper_steps):
+        for batch, state in enumerate(_stream_states(rng, lik, hyper_steps)):
+            _assert_is_make_state(state, f"batch {batch}")
+
+    def test_every_step_of_a_bo_loop(self, rng):
+        """The steps of ``dualgp bo``: fit, then fantasize, refresh and condition."""
+        bounds = np.array([[-3.0, 3.0], [-2.0, 2.0]])
+        lik = Gaussian(0.01)
+        x = rng.uniform(bounds[:, 0], bounds[:, 1], (6, 2))
+        y = np.sin(x[:, 0]) * np.cos(x[:, 1])
+        kernel = KernelSpec("matern52", Hyperparams(1.0, np.array([0.8, 0.8])))
+        state, _, _ = iterate_ngd(make_state(kernel, x), lik, x, y, rho=1.0, max_steps=5)
+        _assert_is_make_state(state, "iterate_ngd")
+        for step in range(4):
+            acq = ExpectedImprovement(best=float(y.max()), bounds=bounds)
+            points, fantasy = fantasize_batch(state, lik, acq, k=3, search_budget=64, seed=step, refine_steps=2)
+            _assert_is_make_state(fantasy, f"fantasize_batch {step}")
+            values = np.sin(points[:, 0]) * np.cos(points[:, 1])
+            y = np.concatenate([y, values])
+            state = refresh_representation(state, points, 10)
+            _assert_is_make_state(state, f"refresh_representation {step}")
+            state = ngd_step(state, lik, points, values, 1.0, state.alpha_u, state.b_u)
+            _assert_is_make_state(state, f"ngd_step {step}")
+
+    def test_checkpoint_of_a_refreshed_stream_predicts_the_same_bits(self, rng, tmp_path):
+        """The last state of a stream without hyper steps got its ``K_zz`` from a refresh."""
+        state = _stream_states(rng, Gaussian(0.1), 0)[-1]
+        path = str(tmp_path / "checkpoint.json")
+        save_checkpoint(path, state, Gaussian(0.1))
+        back = load_checkpoint(path)[0]
+        x_test = rng.uniform(-2, 2, (25, 2))
+        mean, var = predict(state, x_test)
+        back_mean, back_var = predict(back, x_test)
+        assert np.array_equal(back_mean, mean)
+        assert np.array_equal(back_var, var)
 
 
 class TestMemory:

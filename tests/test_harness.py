@@ -66,6 +66,7 @@ REJECTED_CONFIGS = [
     pytest.param("[stream]\nngd_rho = 0\n", r"ngd_rho must lie in \(0, 1\]", id="ngd_rho_zero"),
     pytest.param("[stream]\nngd_steps = 0\n", "ngd_steps must be at least 1", id="ngd_steps"),
     pytest.param("[stream]\nhyper_lr = 0\n", "hyper_lr must be positive", id="hyper_lr"),
+    pytest.param("[stream]\nhyper_lr = inf\n", "hyper_lr must be positive and finite", id="hyper_lr_inf"),
     pytest.param("[bo]\nsearch_budget = 0\n", "search_budget must be at least 1", id="search_budget"),
     pytest.param("[bo]\ninit_points = 0\n", "init_points must be at least 2", id="init_points"),
     pytest.param("[bo]\nrefine_steps = -3\n", "refine_steps must be at least 0", id="refine_steps"),
@@ -262,6 +263,11 @@ class TestStandardizer:
         x = np.column_stack([np.ones(10), np.arange(10.0)])
         std = Standardizer.fit(x)
         assert std.scale[0] == 1.0
+
+    def test_another_feature_count_is_rejected(self, rng):
+        std = Standardizer.fit(rng.standard_normal((10, 2)))
+        with pytest.raises(DataError, match="1 feature columns, but the standardizer was fit on 2"):
+            std.transform(rng.standard_normal((5, 1)))
 
 
 class TestParseConfig:
@@ -532,7 +538,7 @@ class TestCheckpoint:
         assert seed2 == 11
         np.testing.assert_array_equal(std2.mean, std.mean)
         probe = rng.uniform(-2, 2, (5, 1))
-        np.testing.assert_allclose(predict(state2, probe)[0], predict(state, probe)[0], atol=1e-14)
+        np.testing.assert_array_equal(predict(state2, probe)[0], predict(state, probe)[0])
 
     def test_minimal_checkpoint(self, rng, tmp_path):
         state, lik = self._fitted(rng)

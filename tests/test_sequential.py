@@ -135,6 +135,7 @@ class TestSequentialConfig:
             {"hyper_steps": -1},
             {"hyper_lr": 0.0},
             {"hyper_lr": float("nan")},
+            {"hyper_lr": float("inf")},
         ],
         ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
     )
