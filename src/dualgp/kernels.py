@@ -30,8 +30,12 @@ INV_LEAF = 32
 
 # Entries of one block of row-blocked scratch: predict's M x rows kernel
 # blocks and the quadrature's rows x order evaluations.  Their scratch stays
-# at a few blocks of this size, whatever M and the number of rows.
-BLOCK_ENTRIES = 2**17
+# at a few blocks of this size, whatever M and the number of rows.  At 2**15
+# float64 entries a block is 256 KiB, so predict's two live blocks (the
+# cross-Gram and one half-solve) fit in a 2 MiB per-core L2 cache next to an
+# M x M factor up to M = 300.  At 2**17, scoring held-out data set a
+# stream's peak memory.
+BLOCK_ENTRIES = 2**15
 
 _SQRT5 = math.sqrt(5.0)
 

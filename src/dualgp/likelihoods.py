@@ -71,7 +71,8 @@ def gauss_hermite_expectation(func, mean: np.ndarray, var: np.ndarray, order: in
     ``func`` gets the f-values of a block of points as an array of shape
     ``(rows, order)`` and each per-point array in ``columns`` as its
     ``(rows, 1)`` slice.  Blocks hold ``BLOCK_ENTRIES // order`` points (at
-    least one), so the scratch does not grow with the number of points.
+    least one; 1638 at the default 20 nodes), so the scratch does not grow
+    with the number of points.
     Zero variance degenerates gracefully to evaluation at the mean.
     """
     nodes, weights = _hermgauss(order)

@@ -277,12 +277,15 @@ class TestPredict:
         peak = _traced(lambda: predict(state, x))[2]
         assert peak <= 3 * BLOCK_ENTRIES * 8
 
-    def test_small_inducing_sets_take_whole_candidate_batches(self, rng, monkeypatch):
-        """At M <= 50 a block holds at least 2048 rows, so BO's candidate predicts are one block."""
-        state, blocks = _wide_state(rng, 50), []
+    @pytest.mark.parametrize("m", [50, 100, 300])
+    def test_blocks_tile_the_rows(self, rng, m, monkeypatch):
+        """Consecutive blocks of ``BLOCK_ENTRIES // M`` rows, then the rest: [655, 655, 655, 83] at M = 50."""
+        state, blocks = _wide_state(rng, m), []
         monkeypatch.setattr(dualgp.dual, "gram", lambda *args: blocks.append(len(args[2])) or gram(*args))
         predict(state, rng.uniform(-2, 2, (2048, 2)))
-        assert blocks == [2048]
+        full, rest = divmod(2048, BLOCK_ENTRIES // m)
+        assert blocks == [BLOCK_ENTRIES // m] * full + [rest] * (rest > 0)
+        assert max(blocks) * m <= BLOCK_ENTRIES
 
     @pytest.mark.parametrize("m", [50, 300])
     def test_is_cross_gram_marginals_per_block(self, rng, m):

@@ -4,6 +4,7 @@ import configparser
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -237,6 +238,30 @@ class TestMetrics:
         out = evaluate_state(state, lik, x, y)
         assert set(out) == {"nlpd", "rmse_or_error"}
         assert out["rmse_or_error"] < 0.3
+
+    @pytest.mark.parametrize("m, grid", [(100, False), (50, True)], ids=["m100-5000x4", "m50-grid10000x2"])
+    def test_evaluate_state_scratch_within_one_mib(self, rng, m, grid):
+        """Scoring walks the rows in blocks, so its scratch stays under 1 MiB at thousands of rows."""
+        if grid:
+            axis = np.linspace(-2, 2, 100)
+            x = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        else:
+            x = rng.uniform(-2, 2, (5000, 4))
+        d, a = x.shape[1], rng.standard_normal((m, m)) * 0.1
+        state = make_state(
+            KernelSpec("matern52", Hyperparams(1.0, np.full(d, 0.5))), rng.uniform(-2, 2, (m, d)),
+            alpha_u=rng.standard_normal(m), b_u=a @ a.T,
+        )
+        lik, y = Gaussian(0.1), rng.standard_normal(len(x))
+        evaluate_state(state, lik, x, y)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate_state(state, lik, x, y)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_evaluate_state_classification_error_rate(self, rng):
         spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.8])))
