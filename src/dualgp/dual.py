@@ -21,7 +21,13 @@ four ``M x M`` arrays: ``b_u``, ``keff`` and the two inverse factors.  This
 relies on states being immutable: every function here returns new states
 and never writes to a state's arrays, and states may share them.  ``keff``
 is the effective ``K_zz`` throughout, so the identities between the dual
-and moment forms hold exactly even when a jitter was needed.
+and moment forms hold exactly even when a jitter was needed.  A caller that
+keeps a name bound to a state keeps its four ``M x M`` arrays alive.  So a
+stage that replaces a state is handed it, popped from a one-element list in
+the call (``held, state = [state], None``, then ``f(held.pop(), ...)``),
+and drops it at its last read: from CPython 3.11 on, a called function owns
+its positional arguments.  On 3.10 the caller's stack keeps the state until
+the call returns, so nothing is freed early and the results are the same.
 
 Every reader of the posterior marginals of ``f`` (prediction, NGD sites,
 memory removal, the bound) gets them from :meth:`CrossGram.marginals`.
@@ -29,7 +35,7 @@ memory removal, the bound) gets them from :meth:`CrossGram.marginals`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import eigh
@@ -62,7 +68,8 @@ class DualState:
     computes them and :func:`ngd_step` hands over the ``kq`` it solved with
     and shares ``keff`` and ``kzz``.  The invariant: every state is
     ``make_state(kernel, z, alpha_u, b_u)`` bit for bit, so a checkpoint,
-    which keeps only those four, reloads it exactly.
+    which keeps only those four, reloads it exactly.  A name bound to a
+    state keeps all four of its ``M x M`` arrays alive.
     """
 
     kernel: KernelSpec
@@ -244,6 +251,11 @@ def ngd_step(
     sites = lik.site_expectations(y, *cross.marginals(state))
     kzx = cross.kzx
     del cross
+    # The marginals were the predecessor's last use: keep what the combination
+    # reads of it and drop its b_u and kq before the site precision is formed.
+    kept_alpha, kept_b = (1.0 - rho) * state.alpha_u, (1.0 - rho) * state.b_u
+    kernel, z, keff, kzz, kinv_alpha = state.kernel, state.z, state.keff, state.kzz, state.kinv_alpha
+    del state
     site_alpha = kzx @ sites.alpha_hat
     # b_new = (1 - rho) b_u + rho (prior_b + site_b), summed in place in that
     # order, which gives the same bits; kzx is not needed past site_b.
@@ -251,17 +263,19 @@ def ngd_step(
     del kzx
     b_new += prior_b
     b_new *= rho
-    b_new += (1.0 - rho) * state.b_u
+    b_new += kept_b
+    del kept_b
     b_new = b_new + b_new.T
     b_new *= 0.5
-    alpha_raw = (1.0 - rho) * state.alpha_u + rho * (prior_alpha + site_alpha)
+    alpha_raw = kept_alpha + rho * (prior_alpha + site_alpha)
 
-    carry = (b_new - rho * prior_b) @ state.kinv_alpha
-    anchor = rho * (prior_b @ state.kzz.solve(prior_alpha))
-    kq = stable_cholesky(state.keff + b_new)
-    alpha_new = state.keff @ kq.solve(alpha_raw + carry + anchor)
-    return replace(
-        state, alpha_u=alpha_new, b_u=b_new, kq=kq, kinv_alpha=state.kzz.solve(alpha_new)
+    carry = (b_new - rho * prior_b) @ kinv_alpha
+    anchor = rho * (prior_b @ kzz.solve(prior_alpha))
+    kq = stable_cholesky(keff + b_new)
+    alpha_new = keff @ kq.solve(alpha_raw + carry + anchor)
+    return DualState(
+        kernel=kernel, z=z, alpha_u=alpha_new, b_u=b_new, keff=keff, kzz=kzz,
+        kq=kq, kinv_alpha=kzz.solve(alpha_new),
     )
 
 

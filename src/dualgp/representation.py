@@ -108,9 +108,10 @@ def project_duals(state: DualState, z_new: np.ndarray) -> DualState:
     p = state.kzz.solve(gram(state.kernel, state.z, z_new)).T
     alpha_new = p @ state.alpha_u
     b_new = p @ state.b_u @ p.T
-    del p
+    kernel = state.kernel
+    del p, state
     b_new = 0.5 * (b_new + b_new.T)
-    return make_state(state.kernel, z_new, alpha_new, b_new)
+    return make_state(kernel, z_new, alpha_new, b_new)
 
 
 def refresh_representation(state: DualState, x_batch: np.ndarray, max_points: int) -> DualState:
@@ -127,4 +128,5 @@ def refresh_representation(state: DualState, x_batch: np.ndarray, max_points: in
     blocks = _CandidateGram(state, candidates, x_batch)
     chosen = _greedy_pivots(blocks.column, blocks.diag.copy(), max_points).indices
     del blocks
-    return project_duals(state, candidates[chosen])
+    held, state = [state], None
+    return project_duals(held.pop(), candidates[chosen])

@@ -126,6 +126,8 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
     sites = lik.site_expectations(memory.labels, *cross.marginals(state))
     kzm = cross.kzx
     b_pr = state.b_u - (kzm * sites.beta_hat) @ kzm.T
+    site_alpha = kzm @ sites.alpha_hat
+    del cross, kzm  # before the eigh workspace
     b_pr = 0.5 * (b_pr + b_pr.T)
     w, u = eigh(b_pr)
     clip = max(-float(w.min(initial=0.0)), 0.0)
@@ -133,7 +135,7 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
         b_pr = (u * np.maximum(w, 0.0)) @ u.T
         b_pr = 0.5 * (b_pr + b_pr.T)
     factor = stable_cholesky(keff + b_pr)
-    alpha_pr = state.alpha_u - keff @ factor.solve(kzm @ sites.alpha_hat)
+    alpha_pr = state.alpha_u - keff @ factor.solve(site_alpha)
     return AdjustedPrior(
         alpha=alpha_pr, b=b_pr, keff=keff, logdet=factor.logdet, clip_magnitude=clip
     )
@@ -161,13 +163,16 @@ def process_batch(
     The update data is batch plus memory, and its cross-Gram with the
     inducing inputs is built once for all the steps.  Returns the updated
     state and the prior that was used (the caller needs it to evaluate the
-    sequential objective).
+    sequential objective).  Each step is handed its input state (see
+    :mod:`dualgp.dual`), which it drops once it has read the marginals; on
+    CPython 3.10 this loop keeps the input until the step returns.
     """
     prior = remove_memory(state, lik, memory)
     x_fit, y_fit = _with_memory(x_batch, y_batch, memory)
     cross = cross_gram(state, x_fit)
     for _ in range(config.ngd_steps):
-        state = ngd_step(state, lik, x_fit, y_fit, config.ngd_rho, prior.alpha, prior.b, cross=cross)
+        held, state = [state], None
+        state = ngd_step(held.pop(), lik, x_fit, y_fit, config.ngd_rho, prior.alpha, prior.b, cross=cross)
     return state, prior
 
 
@@ -371,7 +376,9 @@ def run_stream(
     :class:`ValueError` before any batch.  Unequal input and label counts, a
     non-finite value, a Bernoulli label outside ``{0, 1}`` and ``{-1, +1}``,
     an input dimension other than the first batch's and an empty first batch
-    raise :class:`ValueError` naming the batch.
+    raise :class:`ValueError` naming the batch.  The state is handed to the
+    refresh and to :func:`process_batch`, which free it (on CPython 3.10,
+    only once they return).
     """
     noise = kernel.hyper.noise_variance
     if isinstance(lik, Gaussian) and noise is not None and noise != lik.noise_variance:
@@ -409,9 +416,11 @@ def run_stream(
             selection = pivoted_cholesky_select(kernel, x_batch, config.num_inducing)
             state = make_state(kernel, x_batch[selection.indices])
         else:
-            state = refresh_representation(state, x_batch, config.num_inducing)
+            held, state = [state], None
+            state = refresh_representation(held.pop(), x_batch, config.num_inducing)
 
-        state, prior = process_batch(state, lik, config, x_batch, y_batch, memory)
+        held, state = [state], None
+        state, prior = process_batch(held.pop(), lik, config, x_batch, y_batch, memory)
         if config.hyper_steps > 0:
             state, lik, _ = optimize_hypers(state, lik, config, x_batch, y_batch, memory, n_old)
         objective = seq_objective(state, lik, x_batch, y_batch, memory, prior)

@@ -14,8 +14,8 @@ assembly of a quantity the package computes another way: exact dense GP
 regression, predictive marginals through the moment form, the pseudo-data
 view of a state, a site-by-site rebuild of a state, dense-route and classical
 ridge leverage scores, the expected log of a dual-pair factor, the four-term
-rewrite of the streaming objective, and the hyperparameter objective in
-moment form.
+rewrite of the streaming objective, the hyperparameter objective in
+moment form, and a stream loop that keeps every intermediate state alive.
 
 The engine runs on numpy alone.  scipy is the reference for what it computes
 with numpy: Cholesky solves by LAPACK substitution on the triangle the
@@ -40,9 +40,11 @@ from dualgp.dual import (
     DualState,
     GaussianFactor,
     compute_sites,
+    cross_gram,
     dual_factor,
     elbo,
     make_state,
+    ngd_step,
     predict,
     recover_moments,
 )
@@ -57,7 +59,17 @@ from dualgp.kernels import (
     stable_cholesky,
 )
 from dualgp.likelihoods import Gaussian, Likelihood, SiteValues
-from dualgp.memory import MemorySet
+from dualgp.memory import MemorySet, empty_memory, update_memory
+from dualgp.representation import pivoted_cholesky_select, refresh_representation
+from dualgp.sequential import (
+    SequentialConfig,
+    StreamResult,
+    _theta_record,
+    _with_memory,
+    optimize_hypers,
+    remove_memory,
+    seq_objective,
+)
 
 
 def gram_einsum(spec, xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarray:
@@ -442,3 +454,56 @@ def hyper_objective_reference(
     if len(y_mem):
         value += n_old / len(y_mem) * data_term(x_mem, y_mem)
     return value
+
+
+def run_stream_keeping_states(
+    batches, kernel: KernelSpec, lik: Likelihood, config: SequentialConfig, seed: int = 0, evaluate=None
+) -> tuple[StreamResult, list[DualState]]:
+    """``run_stream``'s pipeline with every intermediate state kept alive.
+
+    The same stage functions in the same order, but no state is handed
+    over: each one stays in the returned list, so no stage can free its
+    input early.  The records are ``run_stream``'s, ``wall_ms`` aside (it
+    reads 0 here); the batch checks are left out.
+    """
+    states: list[DualState] = []
+    memory = None
+    records = []
+    n_old = 0
+    for batch_index, (x_batch, y_batch) in enumerate(batches):
+        x_batch = as_points(x_batch)
+        y_batch = np.asarray(y_batch, dtype=np.float64)
+        if not states:
+            memory = empty_memory(x_batch.shape[1])
+            selection = pivoted_cholesky_select(kernel, x_batch, config.num_inducing)
+            states.append(make_state(kernel, x_batch[selection.indices]))
+        else:
+            states.append(refresh_representation(states[-1], x_batch, config.num_inducing))
+        prior = remove_memory(states[-1], lik, memory)
+        x_fit, y_fit = _with_memory(x_batch, y_batch, memory)
+        cross = cross_gram(states[-1], x_fit)
+        for _ in range(config.ngd_steps):
+            states.append(
+                ngd_step(states[-1], lik, x_fit, y_fit, config.ngd_rho, prior.alpha, prior.b, cross=cross)
+            )
+        if config.hyper_steps > 0:
+            state, lik, _ = optimize_hypers(states[-1], lik, config, x_batch, y_batch, memory, n_old)
+            states.append(state)
+        objective = seq_objective(states[-1], lik, x_batch, y_batch, memory, prior)
+        memory = update_memory(
+            memory, states[-1], lik, x_batch, y_batch, config.memory_capacity, rng_seed=[seed, batch_index]
+        )
+        n_old += len(y_batch)
+        record = {
+            "batch_index": batch_index,
+            "n_seen": n_old,
+            "elbo_like_objective": float(objective),
+            "theta": _theta_record(states[-1].kernel.hyper, lik),
+            "wall_ms": 0.0,
+            "seed": seed,
+            "clip_magnitude": prior.clip_magnitude,
+        }
+        if evaluate is not None:
+            record.update(evaluate(states[-1], lik))
+        records.append(record)
+    return StreamResult(state=states[-1], memory=memory, records=records, lik=lik), states
