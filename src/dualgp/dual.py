@@ -25,9 +25,10 @@ and moment forms hold exactly even when a jitter was needed.  A caller that
 keeps a name bound to a state keeps its four ``M x M`` arrays alive.  So a
 stage that replaces a state is handed it, popped from a one-element list in
 the call (``held, state = [state], None``, then ``f(held.pop(), ...)``),
-and drops it at its last read: from CPython 3.11 on, a called function owns
-its positional arguments.  On 3.10 the caller's stack keeps the state until
-the call returns, so nothing is freed early and the results are the same.
+and drops it at its last read: a called function owns its positional
+arguments.  The handed value must be a plain positional argument:
+``f(held.pop(), *rest)`` packs its arguments into a tuple that lives until
+the call returns.  A stream holds a state and is handed over to its step.
 
 Every reader of the posterior marginals of ``f`` (prediction, NGD sites,
 memory removal, the bound) gets them from :meth:`CrossGram.marginals`.

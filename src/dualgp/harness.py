@@ -343,8 +343,10 @@ def save_checkpoint(
     It holds the state, the likelihood, the memory, the seed and the input
     standardizer; ``dualgp predict`` reads the state, likelihood and
     standardizer back to apply the model to new inputs.  It is not a
-    resumable run snapshot: the data count that scales the memory term, the
-    :class:`SequentialConfig` and the batch index are not saved.  The keys
+    resumable run snapshot: of a :class:`~dualgp.sequential.Stream` it
+    leaves out ``config``, ``n_old`` (which scales the memory term),
+    ``records`` (whose length is the next batch index), ``clip_count`` and
+    ``clip_max``.  The keys
     of version 1, arrays as nested lists (a change needs a new version)::
 
         format ("dualgp-checkpoint"), version (1), seed

@@ -18,7 +18,7 @@ from .kernels import as_points
 from .likelihoods import Likelihood
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemorySet:
     """Curated replay points with the scores they were last selected under."""
 

@@ -1,10 +1,14 @@
 """Streaming engine: memory removal, replay updates, and hyperparameter steps.
 
-Each incoming batch is processed in a fixed order: refresh the inducing set
-over old-Z-plus-batch and project the duals, subtract the replay memory's
-site contributions from the posterior to form an adjusted prior, run NGD
-steps on batch-plus-memory against that prior, take guarded hyperparameter
-ascent steps, and finally re-curate the memory under the updated state.
+Each incoming batch is processed by :func:`step` in a fixed order: refresh
+the inducing set over old-Z-plus-batch and project the duals, subtract the
+replay memory's site contributions from the posterior to form an adjusted
+prior, run NGD steps on batch-plus-memory against that prior, take guarded
+hyperparameter ascent steps, and finally re-curate the memory under the
+updated state.  A :class:`Stream` holds what survives a batch; the first is
+the kernel prior on an empty inducing set, so the first batch's inducing
+points come from the same refresh as later ones'.  :func:`run_stream`
+folds :func:`step` over the batches.
 
 The sequential objective evaluated after each batch is the evidence bound of
 the batch-plus-memory data against the *normalized* adjusted prior (the
@@ -20,9 +24,10 @@ state-independent constant.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import eigh
@@ -38,7 +43,7 @@ from .dual import (
 from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_points, stable_cholesky
 from .likelihoods import BernoulliLogit, Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
-from .representation import pivoted_cholesky_select, refresh_representation
+from .representation import refresh_representation
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +55,7 @@ FD_STEP = 1e-4
 CLIP_RTOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequentialConfig:
     """Knobs of the streaming engine.
 
@@ -164,8 +169,7 @@ def process_batch(
     inducing inputs is built once for all the steps.  Returns the updated
     state and the prior that was used (the caller needs it to evaluate the
     sequential objective).  Each step is handed its input state (see
-    :mod:`dualgp.dual`), which it drops once it has read the marginals; on
-    CPython 3.10 this loop keeps the input until the step returns.
+    :mod:`dualgp.dual`), which it drops once it has read the marginals.
     """
     prior = remove_memory(state, lik, memory)
     x_fit, y_fit = _with_memory(x_batch, y_batch, memory)
@@ -319,12 +323,12 @@ def optimize_hypers(
     m1 = np.zeros_like(log_theta)
     m2 = np.zeros_like(log_theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    for step in range(1, config.hyper_steps + 1):
+    for t in range(1, config.hyper_steps + 1):
         grad = hyper_gradient(objective, log_theta, FD_STEP)
         m1 = beta1 * m1 + (1.0 - beta1) * grad
         m2 = beta2 * m2 + (1.0 - beta2) * grad * grad
-        m1_hat = m1 / (1.0 - beta1**step)
-        m2_hat = m2 / (1.0 - beta2**step)
+        m1_hat = m1 / (1.0 - beta1**t)
+        m2_hat = m2 / (1.0 - beta2**t)
         candidate = log_theta + lr * m1_hat / (np.sqrt(m2_hat) + eps)
         value = candidate_objective(candidate)
         if np.isfinite(value) and value >= current - 1e-6:
@@ -342,43 +346,99 @@ def optimize_hypers(
     return new_state, lik, trace
 
 
-@dataclass
-class StreamResult:
-    """Final state, curated memory, per-batch records, and the final likelihood."""
+@dataclass(frozen=True)
+class Stream:
+    """What survives a batch, and the run so far.
 
+    ``n_old``, the number of labels seen, scales the memory term of the
+    hyperparameter objective, and the next batch's index, which seeds its
+    curation, is ``len(records)``.  ``clip_count`` and ``clip_max`` count
+    and bound the clips above ``CLIP_RTOL`` (see :func:`run_stream`).
+    """
+
+    config: SequentialConfig
+    seed: int
+    lik: Likelihood
     state: DualState
     memory: MemorySet
-    records: list[dict] = field(default_factory=list)
-    lik: Likelihood | None = None
+    n_old: int = 0
+    records: tuple[dict, ...] = ()
+    clip_count: int = 0
+    clip_max: float = 0.0
+
+    @classmethod
+    def start(cls, kernel: KernelSpec, lik: Likelihood, config: SequentialConfig, dim: int, seed: int = 0) -> Stream:
+        """The stream before its first batch: the kernel prior on an empty ``dim``-dimensional inducing set."""
+        return cls(config, seed, lik, make_state(kernel, np.empty((0, dim))), empty_memory(dim))
+
+
+def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
+    """The stream after one more batch, with the batch's record appended.
+
+    Unequal input and label counts, a non-finite value, a Bernoulli label
+    outside ``{0, 1}`` and ``{-1, +1}``, an input dimension other than the
+    stream's and an empty first batch raise :class:`ValueError` naming the
+    batch.  ``stream`` is handed over (see :mod:`dualgp.dual`): its state
+    goes to the refresh, which frees it, and the adjusted prior is released
+    once the objective and the clip are read, before memory curation.
+    """
+    start = time.perf_counter()
+    config, seed, lik, memory, n_old = stream.config, stream.seed, stream.lik, stream.memory, stream.n_old
+    records, clip_count, clip_max = stream.records, stream.clip_count, stream.clip_max
+    index, dim = len(records), stream.state.z.shape[1]
+    held, stream = [stream.state], None
+    x_batch, y_batch = as_points(x_batch), np.asarray(y_batch, dtype=np.float64)
+    if len(x_batch) != len(y_batch):
+        raise ValueError(f"batch {index} has {len(x_batch)} inputs but {len(y_batch)} labels")
+    if not (np.isfinite(x_batch).all() and np.isfinite(y_batch).all()):
+        raise ValueError(f"batch {index} has a non-finite input or label")
+    if isinstance(lik, BernoulliLogit):
+        try:
+            lik.canon_labels(y_batch)
+        except ValueError as exc:
+            raise ValueError(f"batch {index}: {exc}") from None
+    if index == 0 and not len(x_batch):
+        raise ValueError(f"batch {index} is empty; the first batch needs data")
+    if x_batch.shape[1] != dim:
+        raise ValueError(f"batch {index} has {x_batch.shape[1]} input dimensions but the first batch has {dim}")
+
+    state = refresh_representation(held.pop(), x_batch, config.num_inducing)
+    held, state = [state], None
+    state, prior = process_batch(held.pop(), lik, config, x_batch, y_batch, memory)
+    if config.hyper_steps > 0:
+        state, lik, _ = optimize_hypers(state, lik, config, x_batch, y_batch, memory, n_old)
+    objective = seq_objective(state, lik, x_batch, y_batch, memory, prior)
+    clip = prior.clip_magnitude
+    if clip > CLIP_RTOL * max(float(np.linalg.norm(prior.b)), 1.0):
+        clip_count, clip_max = clip_count + 1, max(clip_max, clip)
+    del prior
+
+    memory = update_memory(memory, state, lik, x_batch, y_batch, config.memory_capacity, rng_seed=[seed, index])
+    n_old += len(y_batch)
+    record = {
+        "batch_index": index,
+        "n_seen": n_old,
+        "elbo_like_objective": float(objective),
+        "theta": _theta_record(state.kernel.hyper, lik),
+        "wall_ms": 1000.0 * (time.perf_counter() - start),
+        "seed": seed,
+        "clip_magnitude": clip,
+    }
+    return Stream(config, seed, lik, state, memory, n_old, (*records, record), clip_count, clip_max)
 
 
 def run_stream(
-    batches,
-    kernel: KernelSpec,
-    lik: Likelihood,
-    config: SequentialConfig,
-    seed: int = 0,
-    evaluate=None,
-) -> StreamResult:
-    """Drive the full per-batch pipeline over an iterable of ``(x, y)`` batches.
+    batches, kernel: KernelSpec, lik: Likelihood, config: SequentialConfig, seed: int = 0, evaluate=None
+) -> Stream:
+    """Fold :func:`step` over an iterable of ``(x, y)`` batches; returns the last stream.
 
-    Per batch: refresh/project the inducing set, NGD against the
-    memory-adjusted prior, hyperparameter steps, memory re-curation.
-    ``evaluate`` (optional) is called as ``evaluate(state, lik)`` after each
-    batch and its dict is merged into that batch's record.  Each record
-    carries the batch's ``clip_magnitude``; batches whose clip exceeds
-    ``CLIP_RTOL`` times the Frobenius norm of the repaired prior precision
-    (at least 1) are summed up in one warning at the end of the run.  The
-    adjusted prior is released once the objective and the clip are read, so
-    its ``b`` and the ``keff`` it holds live neither through memory curation
-    nor into the next batch.  A Gaussian likelihood owns the noise: a kernel
-    ``noise_variance`` that is set and differs from it raises
-    :class:`ValueError` before any batch.  Unequal input and label counts, a
-    non-finite value, a Bernoulli label outside ``{0, 1}`` and ``{-1, +1}``,
-    an input dimension other than the first batch's and an empty first batch
-    raise :class:`ValueError` naming the batch.  The state is handed to the
-    refresh and to :func:`process_batch`, which free it (on CPython 3.10,
-    only once they return).
+    The stream starts on the first batch's input dimension.  ``evaluate``
+    (optional) is called as ``evaluate(state, lik)`` after each batch and
+    its dict is merged into that batch's record.  Batches whose clip
+    exceeds ``CLIP_RTOL`` times the Frobenius norm of the repaired prior
+    precision (at least 1) are summed up in one warning at the end.  A
+    Gaussian likelihood owns the noise: a kernel ``noise_variance`` that is
+    set and differs from it raises :class:`ValueError` before any batch.
     """
     noise = kernel.hyper.noise_variance
     if isinstance(lik, Gaussian) and noise is not None and noise != lik.noise_variance:
@@ -386,80 +446,22 @@ def run_stream(
             f"kernel noise_variance {noise} differs from the Gaussian likelihood's "
             f"{lik.noise_variance}; make them equal or leave the kernel's unset"
         )
-    state: DualState | None = None
-    memory: MemorySet | None = None
-    records: list[dict] = []
-    clips: list[float] = []
-    n_old = 0
-    for batch_index, (x_batch, y_batch) in enumerate(batches):
-        start = time.perf_counter()
-        x_batch = as_points(x_batch)
-        y_batch = np.asarray(y_batch, dtype=np.float64)
-        if len(x_batch) != len(y_batch):
-            raise ValueError(
-                f"batch {batch_index} has {len(x_batch)} inputs but {len(y_batch)} labels"
-            )
-        if not (np.isfinite(x_batch).all() and np.isfinite(y_batch).all()):
-            raise ValueError(f"batch {batch_index} has a non-finite input or label")
-        if isinstance(lik, BernoulliLogit):
-            try:
-                lik.canon_labels(y_batch)
-            except ValueError as exc:
-                raise ValueError(f"batch {batch_index}: {exc}") from None
-        if state is None and not len(x_batch):
-            raise ValueError(f"batch {batch_index} is empty; the first batch needs data")
-        if state is not None and x_batch.shape[1] != state.z.shape[1]:
-            dims = f"{x_batch.shape[1]} input dimensions but the first batch has {state.z.shape[1]}"
-            raise ValueError(f"batch {batch_index} has {dims}")
-        if state is None:
-            memory = empty_memory(x_batch.shape[1])
-            selection = pivoted_cholesky_select(kernel, x_batch, config.num_inducing)
-            state = make_state(kernel, x_batch[selection.indices])
-        else:
-            held, state = [state], None
-            state = refresh_representation(held.pop(), x_batch, config.num_inducing)
-
-        held, state = [state], None
-        state, prior = process_batch(held.pop(), lik, config, x_batch, y_batch, memory)
-        if config.hyper_steps > 0:
-            state, lik, _ = optimize_hypers(state, lik, config, x_batch, y_batch, memory, n_old)
-        objective = seq_objective(state, lik, x_batch, y_batch, memory, prior)
-        clip = prior.clip_magnitude
-        if clip > CLIP_RTOL * max(float(np.linalg.norm(prior.b)), 1.0):
-            clips.append(clip)
-        del prior
-
-        memory = update_memory(
-            memory,
-            state,
-            lik,
-            x_batch,
-            y_batch,
-            config.memory_capacity,
-            rng_seed=[seed, batch_index],
-        )
-        n_old += len(y_batch)
-
-        record = {
-            "batch_index": batch_index,
-            "n_seen": n_old,
-            "elbo_like_objective": float(objective),
-            "theta": _theta_record(state.kernel.hyper, lik),
-            "wall_ms": 1000.0 * (time.perf_counter() - start),
-            "seed": seed,
-            "clip_magnitude": clip,
-        }
-        if evaluate is not None:
-            record.update(evaluate(state, lik))
-        records.append(record)
-    if state is None:
+    batches = iter(batches)
+    first = next(batches, None)
+    if first is None:
         raise ValueError("run_stream needs at least one batch")
-    if clips:
+    stream = Stream.start(kernel, lik, config, as_points(first[0]).shape[1], seed)
+    for x_batch, y_batch in itertools.chain([first], batches):
+        held, stream = [stream], None
+        stream = step(held.pop(), x_batch, y_batch)
+        if evaluate is not None:
+            stream.records[-1].update(evaluate(stream.state, stream.lik))
+    if stream.clip_count:
         logger.warning(
             "memory removal left the prior precision indefinite on %d of %d batches; "
-            "clipped eigenvalues by up to %.3e", len(clips), len(records), max(clips),
+            "clipped eigenvalues by up to %.3e", stream.clip_count, len(stream.records), stream.clip_max,
         )
-    return StreamResult(state=state, memory=memory, records=records, lik=lik)
+    return stream
 
 
 def _theta_record(hyper: Hyperparams, lik: Likelihood) -> dict:
@@ -474,15 +476,9 @@ def _theta_record(hyper: Hyperparams, lik: Likelihood) -> dict:
 
 
 def fit_offline(
-    kernel: KernelSpec,
-    lik: Likelihood,
-    config: SequentialConfig,
-    x: np.ndarray,
-    y: np.ndarray,
-    budget_batches: int = 1,
-    seed: int = 0,
-    evaluate=None,
-) -> StreamResult:
+    kernel: KernelSpec, lik: Likelihood, config: SequentialConfig, x: np.ndarray, y: np.ndarray,
+    budget_batches: int = 1, seed: int = 0, evaluate=None,
+) -> Stream:
     """Single-batch fit with the whole data, budget-matched to a stream.
 
     Runs ``budget_batches * ngd_steps`` NGD iterations and
@@ -502,7 +498,8 @@ def fit_offline(
 __all__ = [
     "SequentialConfig",
     "AdjustedPrior",
-    "StreamResult",
+    "Stream",
+    "step",
     "remove_memory",
     "process_batch",
     "seq_objective",

@@ -62,8 +62,9 @@ from dualgp.likelihoods import Gaussian, Likelihood, SiteValues
 from dualgp.memory import MemorySet, empty_memory, update_memory
 from dualgp.representation import pivoted_cholesky_select, refresh_representation
 from dualgp.sequential import (
+    CLIP_RTOL,
     SequentialConfig,
-    StreamResult,
+    Stream,
     _theta_record,
     _with_memory,
     optimize_hypers,
@@ -458,7 +459,7 @@ def hyper_objective_reference(
 
 def run_stream_keeping_states(
     batches, kernel: KernelSpec, lik: Likelihood, config: SequentialConfig, seed: int = 0, evaluate=None
-) -> tuple[StreamResult, list[DualState]]:
+) -> tuple[Stream, list[DualState]]:
     """``run_stream``'s pipeline with every intermediate state kept alive.
 
     The same stage functions in the same order, but no state is handed
@@ -469,6 +470,7 @@ def run_stream_keeping_states(
     states: list[DualState] = []
     memory = None
     records = []
+    clips = []
     n_old = 0
     for batch_index, (x_batch, y_batch) in enumerate(batches):
         x_batch = as_points(x_batch)
@@ -490,6 +492,8 @@ def run_stream_keeping_states(
             state, lik, _ = optimize_hypers(states[-1], lik, config, x_batch, y_batch, memory, n_old)
             states.append(state)
         objective = seq_objective(states[-1], lik, x_batch, y_batch, memory, prior)
+        if prior.clip_magnitude > CLIP_RTOL * max(float(np.linalg.norm(prior.b)), 1.0):
+            clips.append(prior.clip_magnitude)
         memory = update_memory(
             memory, states[-1], lik, x_batch, y_batch, config.memory_capacity, rng_seed=[seed, batch_index]
         )
@@ -506,4 +510,5 @@ def run_stream_keeping_states(
         if evaluate is not None:
             record.update(evaluate(states[-1], lik))
         records.append(record)
-    return StreamResult(state=states[-1], memory=memory, records=records, lik=lik), states
+    stream = Stream(config, seed, lik, states[-1], memory, n_old, tuple(records), len(clips), max(clips, default=0.0))
+    return stream, states

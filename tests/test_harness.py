@@ -1,5 +1,6 @@
 """Data loading, streaming splits, metrics, config parsing, checkpoints."""
 
+import ast
 import configparser
 import json
 import math
@@ -37,7 +38,7 @@ from dualgp.harness import (
 from dualgp.kernels import Hyperparams, KernelSpec
 from dualgp.likelihoods import DEFAULT_QUAD_POINTS, BernoulliLogit, Gaussian
 from dualgp.memory import MemorySet
-from dualgp.sequential import SequentialConfig
+from dualgp.sequential import SequentialConfig, Stream
 
 
 # Configs that parse_config rejects, each with the message it gives.
@@ -323,6 +324,16 @@ class TestParseConfig:
         documented.read_string(block)
         keys = [(section, key) for section in documented.sections() for key in documented[section]]
         assert sorted(keys) == sorted((f.metadata["section"], f.name) for f in fields(RunConfig))
+
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert isinstance(namespace["result"], Stream)
+        assert namespace["mean"].shape == namespace["var"].shape == (50,)
+        scores = ast.literal_eval(capsys.readouterr().out)
+        assert scores.keys() == {"nlpd", "rmse_or_error"} and scores["rmse_or_error"] < 0.3
 
     def test_documented_bernoulli_value_parses(self, tmp_path):
         path = _write(tmp_path / "run.ini", "[model]\nlikelihood = bernoulli_logit ; classification\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualgp.dual import make_state, ngd_step, predict
-from dualgp.kernels import Hyperparams, KernelSpec, gram
+from dualgp.kernels import FAMILIES, Hyperparams, KernelSpec, gram
 from dualgp.likelihoods import Gaussian
 from dualgp.representation import pivoted_cholesky_select, project_duals, refresh_representation
 
@@ -178,3 +178,40 @@ class TestRefreshFromBlocks:
         for name in ("kzz", "kq"):
             np.testing.assert_array_equal(getattr(refreshed, name).inv, getattr(expected, name).inv, err_msg=name)
         assert refreshed.kzz.jitter_used == expected.kzz.jitter_used
+
+
+class TestRefreshFromTheEmptySet:
+    """A stream's first batch is a refresh of no inducing points."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        dim=st.integers(1, 3),
+        ard=st.booleans(),
+        family=st.sampled_from(FAMILIES),
+        n=st.integers(1, 15),
+        dupes=st.integers(0, 6),
+        gridded=st.booleans(),
+        budget=st.integers(1, 25),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_make_state_of_the_pivoted_selection(self, seed, dim, ard, family, n, dupes, gridded, budget):
+        """Bit for bit, with ties from repeated rows and from inputs on a grid.
+
+        The budget ranges over both sides of the number of rows.
+        """
+        rng = np.random.default_rng(seed)
+        spec = KernelSpec(family, Hyperparams(rng.uniform(0.5, 2.0), rng.uniform(0.3, 2.0, dim if ard else 1)))
+        x = rng.uniform(-2, 2, (n, dim))
+        if gridded:
+            x = np.round(2.0 * x) / 2.0
+        x = np.vstack([x, x[rng.integers(0, n, dupes)]])
+
+        expected = make_state(spec, x[pivoted_cholesky_select(spec, x, budget).indices])
+        refreshed = refresh_representation(make_state(spec, np.empty((0, dim))), x, budget)
+
+        for name in ("z", "alpha_u", "b_u", "keff", "kinv_alpha"):
+            np.testing.assert_array_equal(getattr(refreshed, name), getattr(expected, name), err_msg=name)
+        for name in ("kzz", "kq"):
+            got, want = getattr(refreshed, name), getattr(expected, name)
+            np.testing.assert_array_equal(got.inv, want.inv, err_msg=name)
+            assert (got.logdet, got.jitter_used) == (want.logdet, want.jitter_used), name

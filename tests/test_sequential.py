@@ -9,9 +9,9 @@ evidence
 """
 
 import re
-import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from dualgp.memory import MemorySet, empty_memory
 from dualgp.representation import pivoted_cholesky_select, project_duals, refresh_representation
 from dualgp.sequential import (
     SequentialConfig,
+    Stream,
     _hyper_at,
     _log_theta,
     _with_memory,
@@ -40,6 +41,7 @@ from dualgp.sequential import (
     remove_memory,
     run_stream,
     seq_objective,
+    step,
 )
 
 ONE_POINT_HYPER_OBJECTIVE = -1.5155121234846454
@@ -815,12 +817,6 @@ class TestRunStream:
         assert result.state.num_inducing <= 8
 
 
-# A state handed over by popping it in the call is freed inside the callee
-# only where the callee owns its arguments (see the dualgp.dual docstring).
-HANDS_OVER = sys.version_info >= (3, 11)
-CALL_CONVENTION = "CPython < 3.11 keeps a handed-over state on the caller's stack"
-
-
 class TestWorkingSet:
     """What a Bernoulli stream holds live, at M = 200 with batches and memory of 200.
 
@@ -829,7 +825,7 @@ class TestWorkingSet:
     step's marginals and site precision: the input state, the adjusted
     prior's precision and the two M x (batch + memory) arrays of the
     cross-Gram and of its scaled copy or half-solve.  Each stage is called
-    the way ``run_stream`` calls it, with the state it replaces handed over.
+    the way ``step`` calls it, with the state it replaces handed over.
     A state kept bound while its successor is built adds its own M x M
     arrays on top.
     """
@@ -869,12 +865,19 @@ class TestWorkingSet:
         return (tracemalloc.get_traced_memory()[1] - before) / (self.M * self.M * 8)
 
     def test_run_stream_peak(self, stream):
-        """12.92 M^2 with states kept bound, 9.14 handed over; 15 on 3.10."""
+        """12.92 M^2 with states kept bound, 9.14 handed over."""
         spec, config, batches = stream
         peak = self._peak(lambda: run_stream(batches, spec, BernoulliLogit(), config))
-        assert peak <= (10.5 if HANDS_OVER else 15)
+        assert peak <= 10.5
 
-    @pytest.mark.skipif(not HANDS_OVER, reason=CALL_CONVENTION)
+    def test_step_peak(self, stream):
+        """9.1 M^2 with the caller keeping the stream, 5.08 handed over."""
+        spec, config, batches = stream
+        held = [run_stream(batches[:2], spec, BernoulliLogit(), config)]
+        x, y = batches[2]
+        peak = self._peak(lambda: step(held.pop(), x, y))
+        assert peak <= 6.0
+
     def test_refresh_peak(self, third_batch):
         """5.80 M^2 with the old state bound through ``make_state``, 4.08 without."""
         held, _, config, (x, _) = third_batch
@@ -882,16 +885,12 @@ class TestWorkingSet:
         assert peak <= 5.0
 
     def test_remove_memory_peak(self, third_batch):
-        """5.78 M^2 with the memory cross-Gram under the ``eigh``, 4.78 without.
-
-        Nothing is handed over here, so the bound holds on 3.10 too.
-        """
+        """5.78 M^2 with the memory cross-Gram under the ``eigh``, 4.78 without."""
         held, memory, config, (x, _) = third_batch
         state = refresh_representation(held.pop(), x, config.num_inducing)
         peak = self._peak(lambda: remove_memory(state, BernoulliLogit(), memory))
         assert peak <= 5.3
 
-    @pytest.mark.skipif(not HANDS_OVER, reason=CALL_CONVENTION)
     def test_process_batch_peak(self, third_batch):
         """6.84 M^2 with each step's input bound, 5.08 handed over."""
         held, memory, config, (x, y) = third_batch
@@ -989,6 +988,56 @@ class TestHandOver:
         }
         calls[stage]()
         _assert_same_arrays(_state_arrays(state), before)
+
+
+class TestStep:
+    """A stream is a value, and ``run_stream`` is a fold of ``step``."""
+
+    @given(stream=_small_streams())
+    @settings(max_examples=40, deadline=None)
+    def test_stepping_from_outside_equals_run_stream(self, stream):
+        batches, spec, lik, config = stream
+
+        def stepped():
+            out = Stream.start(spec, lik, config, batches[0][0].shape[1], seed=3)
+            for x, y in batches:
+                out = step(out, x, y)
+            return out
+
+        try:
+            result = run_stream(batches, spec, lik, config, seed=3)
+        except FactorizationFailed:
+            with pytest.raises(FactorizationFailed):
+                stepped()
+            return
+        out = stepped()
+        for record, expected in zip(out.records, result.records, strict=True):
+            record.pop("wall_ms"), expected.pop("wall_ms")
+            assert record == expected
+        _assert_same_arrays(_state_arrays(out.state), _state_arrays(result.state))
+        assert type(out.lik) is type(result.lik) and vars(out.lik) == vars(result.lik)
+        for name in ("inputs", "labels", "scores"):
+            assert np.array_equal(getattr(out.memory, name), getattr(result.memory, name))
+        assert (out.n_old, out.clip_count, out.clip_max) == (result.n_old, result.clip_count, result.clip_max)
+
+    def test_a_stream_starts_on_no_inducing_points(self):
+        start = Stream.start(_spec(), Gaussian(0.3), SequentialConfig(num_inducing=5), 3)
+        assert start.state.z.shape == (0, 3) and start.memory.inputs.shape == (0, 3)
+        assert (start.n_old, start.records, start.clip_count) == (0, (), 0)
+
+    @pytest.mark.parametrize(
+        "value, name, new",
+        [
+            (lambda: SequentialConfig(num_inducing=5), "ngd_steps", 0),
+            (lambda: empty_memory(1), "inputs", np.zeros((1, 1))),
+            (lambda: Stream.start(_spec(), Gaussian(0.3), SequentialConfig(num_inducing=5), 1), "n_old", 7),
+        ],
+        ids=["config", "memory", "stream"],
+    )
+    def test_fields_cannot_be_assigned(self, value, name, new):
+        """A value checked when it was built stays as it was checked."""
+        with pytest.raises(FrozenInstanceError):
+            setattr(value(), name, new)
 
 
 class TestNoiseOwnership:
