@@ -100,12 +100,13 @@ def fantasize_batch(
     state on the invented observation (predictive mean unless
     ``fantasy_sample``), and continues.  Conditioning is one ``rho = 1``
     :func:`ngd_step` against the fantasy state as prior, which is exact
-    rank-one conditioning; a non-Gaussian likelihood raises ``ValueError``.
-    Returns the points and the final fantasy state; the input state is never
-    modified.
+    rank-one conditioning; a non-Gaussian likelihood or a count below its
+    minimum raises ``ValueError``.  Returns the points and the final fantasy
+    state; the input state is never modified.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    for name, count, least in (("k", k, 1), ("search_budget", search_budget, 1), ("refine_steps", refine_steps, 0)):
+        if count < least:
+            raise ValueError(f"{name} must be at least {least}")
     if not isinstance(lik, Gaussian):
         raise ValueError(f"fantasize_batch needs a {Gaussian.name} likelihood, not {lik.name!r}")
     bounds = np.asarray(acq.bounds, dtype=np.float64)

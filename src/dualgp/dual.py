@@ -30,8 +30,10 @@ arguments.  The handed value must be a plain positional argument:
 ``f(held.pop(), *rest)`` packs its arguments into a tuple that lives until
 the call returns.  A stream holds a state and is handed over to its step.
 
-Every reader of the posterior marginals of ``f`` (prediction, NGD sites,
-memory removal, the bound) gets them from :meth:`CrossGram.marginals`.
+Every reader of the posterior marginals of ``f`` gets them from
+:meth:`CrossGram.marginals` of one block over all the inputs it reads (NGD
+sites, memory removal, and a stream step's objective and curation, which
+share theirs); :func:`predict`, for scoring and acquisition, blocks by rows.
 """
 
 from __future__ import annotations
@@ -310,32 +312,30 @@ def iterate_ngd(
 def elbo(
     state: DualState,
     lik: Likelihood,
-    x: np.ndarray,
     y: np.ndarray,
+    mean: np.ndarray,
+    var: np.ndarray,
     prior_alpha: np.ndarray | None = None,
     prior_b: np.ndarray | None = None,
     prior_logdet: float | None = None,
 ) -> float:
     """Evidence lower bound: expected log-likelihoods minus KL to the prior.
 
-    The prior is the Gaussian encoded by ``(prior_alpha, prior_b)`` (the
-    kernel prior when omitted): mean ``prior_alpha``, covariance
-    ``K_zz (K_zz + prior_b)^{-1} K_zz``.  The KL reads only the log
-    determinant of ``state.keff + prior_b``: ``prior_logdet``, if given, is
-    the caller's, taken from its factor of that matrix; otherwise the matrix
-    is factored here.  The kernel prior's is ``state.kzz``'s, and then
-    ``prior_logdet`` is not read.  An empty data set with a zero state gives
-    exactly zero.
+    ``mean`` and ``var`` are the caller's marginals of ``f`` under ``state``
+    at the inputs of ``y``.  The prior is the Gaussian encoded by
+    ``(prior_alpha, prior_b)`` (the kernel prior when omitted): mean
+    ``prior_alpha``, covariance ``K_zz (K_zz + prior_b)^{-1} K_zz``.  The KL
+    reads only the log determinant of ``state.keff + prior_b``:
+    ``prior_logdet``, if given, is the caller's, taken from its factor of
+    that matrix; otherwise the matrix is factored here.  The kernel prior's
+    is ``state.kzz``'s, and then ``prior_logdet`` is not read.  An empty data
+    set with a zero state gives exactly zero.
     """
     m = state.num_inducing
     kernel_prior = prior_b is None
     prior_alpha, prior_b = _prior_pair(m, prior_alpha, prior_b)
 
-    x = np.asarray(x, dtype=np.float64)
-    ell = 0.0
-    if x.size:
-        mean, var = predict(state, x)
-        ell = float(np.sum(lik.expected_log_lik(y, mean, var)))
+    ell = float(np.sum(lik.expected_log_lik(y, mean, var)))
 
     lq = state.kq
     a = state.keff + prior_b

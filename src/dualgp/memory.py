@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualState, predict
 from .kernels import as_points
 from .likelihoods import Likelihood
 
@@ -34,38 +33,37 @@ def empty_memory(dim: int) -> MemorySet:
     return MemorySet(inputs=np.empty((0, dim)), labels=np.empty(0), scores=np.empty(0))
 
 
-def bls(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bayesian leverage scores: site precision times predictive variance."""
-    mean, var = predict(state, x)
+def bls(lik: Likelihood, y: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Bayesian leverage scores: site precision times predictive variance, at the caller's marginals."""
     return lik.site_expectations(y, mean, var).beta_hat * var
 
 
 def update_memory(
     memory: MemorySet,
-    state: DualState,
     lik: Likelihood,
     x_batch: np.ndarray,
     y_batch: np.ndarray,
+    mean: np.ndarray,
+    var: np.ndarray,
     capacity: int,
     rng_seed,
 ) -> MemorySet:
     """Re-curate the memory from the candidate pool by leverage-weighted sampling.
 
-    The pool is the current memory plus the incoming batch; scores are
-    recomputed for every pool member under the current state.  If the pool
-    fits the capacity it is kept whole; otherwise ``capacity`` points are
-    drawn without replacement with probability proportional to their score,
-    via exponential sorting keys, deterministically for a given ``rng_seed``.
+    The pool is the current memory plus the incoming batch; every member is
+    scored at ``mean`` and ``var``, the current marginals over the batch then
+    the memory (the objective's).  If the pool fits the capacity it is kept
+    whole; otherwise ``capacity`` points are drawn without replacement with
+    probability proportional to their score, via exponential sorting keys,
+    deterministically for a given ``rng_seed``.
     """
-    x_batch = as_points(x_batch)
-    y_batch = np.asarray(y_batch, dtype=np.float64)
-    pool_x = np.vstack([memory.inputs, x_batch])
-    pool_y = np.concatenate([memory.labels, y_batch])
+    pool_x = np.vstack([memory.inputs, as_points(x_batch)])
+    pool_y = np.concatenate([memory.labels, np.asarray(y_batch, dtype=np.float64)])
 
     if capacity <= 0:
         return empty_memory(pool_x.shape[1])
 
-    scores = bls(state, lik, pool_x, pool_y)
+    scores = bls(lik, pool_y, np.roll(mean, -len(x_batch)), np.roll(var, -len(x_batch)))
     if len(pool_x) <= capacity:
         keep = np.arange(len(pool_x))
     else:

@@ -32,14 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import eigh
 
-from .dual import (
-    DualState,
-    cross_gram,
-    elbo,
-    make_state,
-    ngd_step,
-    predict,
-)
+from .dual import DualState, cross_gram, elbo, make_state, ngd_step
 from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_points, stable_cholesky
 from .likelihoods import BernoulliLogit, Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
@@ -183,22 +176,22 @@ def process_batch(
 def seq_objective(
     state: DualState,
     lik: Likelihood,
-    x_batch: np.ndarray,
-    y_batch: np.ndarray,
-    memory: MemorySet,
+    y_fit: np.ndarray,
+    mean: np.ndarray,
+    var: np.ndarray,
     prior: AdjustedPrior,
 ) -> float:
     """Streaming evidence bound of batch-plus-memory against the adjusted prior.
 
-    The prior enters as a normalized Gaussian, so with the memory covering
-    all past data and a converged old state this equals the batch bound on
-    the union.  The prior's log determinant is reused while ``state`` has
-    the ``keff`` it was built with; after hyperparameter steps ``elbo``
-    factors ``keff + b`` again.
+    ``y_fit`` are the labels of the batch then the memory, and ``mean`` and
+    ``var`` the state's marginals there.  The prior enters as a normalized
+    Gaussian, so with the memory covering all past data and a converged old
+    state this equals the batch bound on the union.  The prior's log
+    determinant is reused while ``state`` has the ``keff`` it was built
+    with; after hyperparameter steps ``elbo`` factors ``keff + b`` again.
     """
-    x_all, y_all = _with_memory(x_batch, y_batch, memory)
     logdet = prior.logdet if state.keff is prior.keff else None
-    return elbo(state, lik, x_all, y_all, prior.alpha, prior.b, logdet)
+    return elbo(state, lik, y_fit, mean, var, prior.alpha, prior.b, logdet)
 
 
 def hyper_objective(
@@ -215,25 +208,25 @@ def hyper_objective(
 
     The state is rebuilt at ``theta`` with its dual pair ``(alpha_u, b_u)``
     fixed, and the target is its evidence bound, :func:`elbo` plus the
-    memory term: the batch data term, plus the memory data term times
-    ``n_old / n_mem``, minus the KL from the rebuilt posterior ``q`` to the
-    kernel prior ``p``.  ``q`` is ``p`` times the pseudo-likelihood ``t``
-    of the pair, over its normalizer ``Z``, so ``log Z - E_q[log t]`` is
-    ``-KL(q || p)``: the bound is the normalizer minus the expected log
-    pseudo-likelihood plus the data terms.  Scaling ``y`` by ``c`` and the
-    variance and the noise by ``c**2`` shifts the target by a
-    ``theta``-free constant, so its steps do not depend on the units of
-    ``y``.  A Gaussian likelihood takes its noise from
-    ``hyper.noise_variance`` unless that is None.
+    memory term, at the marginals of one cross-Gram over batch and memory:
+    the batch data term, plus the memory data term times ``n_old / n_mem``,
+    minus the KL from the rebuilt posterior ``q`` to the kernel prior ``p``.
+    ``q`` is ``p`` times the pseudo-likelihood ``t`` of the pair, over its
+    normalizer ``Z``, so ``log Z - E_q[log t]`` is ``-KL(q || p)``: the bound
+    is the normalizer minus the expected log pseudo-likelihood plus the data
+    terms.  Scaling ``y`` by ``c`` and the variance and the noise by
+    ``c**2`` shifts the target by a ``theta``-free constant, so its steps do
+    not depend on the units of ``y``.  A Gaussian likelihood takes its noise
+    from ``hyper.noise_variance`` unless that is None.
     """
     rebuilt = make_state(state.kernel.with_hyper(hyper), state.z, state.alpha_u, state.b_u)
     if isinstance(lik, Gaussian) and hyper.noise_variance is not None:
         lik = Gaussian(noise_variance=float(hyper.noise_variance))
-    value = elbo(rebuilt, lik, as_points(x_batch), y_batch)
-    x_mem = as_points(x_mem)
-    if len(x_mem):
-        mean_m, var_m = predict(rebuilt, x_mem)
-        value += n_old / len(x_mem) * float(np.sum(lik.expected_log_lik(y_mem, mean_m, var_m)))
+    mean, var = cross_gram(rebuilt, np.vstack([as_points(x_batch), as_points(x_mem)])).marginals(rebuilt)
+    n = len(y_batch)
+    value = elbo(rebuilt, lik, y_batch, mean[:n], var[:n])
+    if len(y_mem):
+        value += n_old / len(y_mem) * float(np.sum(lik.expected_log_lik(y_mem, mean[n:], var[n:])))
     return value
 
 
@@ -354,6 +347,7 @@ class Stream:
     hyperparameter objective, and the next batch's index, which seeds its
     curation, is ``len(records)``.  ``clip_count`` and ``clip_max`` count
     and bound the clips above ``CLIP_RTOL`` (see :func:`run_stream`).
+    :meth:`start` rejects a kernel noise other than the Gaussian likelihood's.
     """
 
     config: SequentialConfig
@@ -369,7 +363,15 @@ class Stream:
     @classmethod
     def start(cls, kernel: KernelSpec, lik: Likelihood, config: SequentialConfig, dim: int, seed: int = 0) -> Stream:
         """The stream before its first batch: the kernel prior on an empty ``dim``-dimensional inducing set."""
+        _check_noise(kernel, lik)
         return cls(config, seed, lik, make_state(kernel, np.empty((0, dim))), empty_memory(dim))
+
+
+def _check_noise(kernel: KernelSpec, lik: Likelihood) -> None:
+    noise = kernel.hyper.noise_variance
+    if isinstance(lik, Gaussian) and noise is not None and noise != lik.noise_variance:
+        raise ValueError(f"kernel noise_variance {noise} differs from the Gaussian likelihood's "
+                         f"{lik.noise_variance}; make them equal or leave the kernel's unset")
 
 
 def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
@@ -380,7 +382,8 @@ def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
     stream's and an empty first batch raise :class:`ValueError` naming the
     batch.  ``stream`` is handed over (see :mod:`dualgp.dual`): its state
     goes to the refresh, which frees it, and the adjusted prior is released
-    once the objective and the clip are read, before memory curation.
+    once the objective and the clip are read, before memory curation.  Both
+    read the final state's marginals over batch and memory, from one block.
     """
     start = time.perf_counter()
     config, seed, lik, memory, n_old = stream.config, stream.seed, stream.lik, stream.memory, stream.n_old
@@ -407,13 +410,15 @@ def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
     state, prior = process_batch(held.pop(), lik, config, x_batch, y_batch, memory)
     if config.hyper_steps > 0:
         state, lik, _ = optimize_hypers(state, lik, config, x_batch, y_batch, memory, n_old)
-    objective = seq_objective(state, lik, x_batch, y_batch, memory, prior)
+    x_fit, y_fit = _with_memory(x_batch, y_batch, memory)
+    mean, var = cross_gram(state, x_fit).marginals(state)
+    objective = seq_objective(state, lik, y_fit, mean, var, prior)
     clip = prior.clip_magnitude
     if clip > CLIP_RTOL * max(float(np.linalg.norm(prior.b)), 1.0):
         clip_count, clip_max = clip_count + 1, max(clip_max, clip)
     del prior
 
-    memory = update_memory(memory, state, lik, x_batch, y_batch, config.memory_capacity, rng_seed=[seed, index])
+    memory = update_memory(memory, lik, x_batch, y_batch, mean, var, config.memory_capacity, rng_seed=[seed, index])
     n_old += len(y_batch)
     record = {
         "batch_index": index,
@@ -440,12 +445,7 @@ def run_stream(
     Gaussian likelihood owns the noise: a kernel ``noise_variance`` that is
     set and differs from it raises :class:`ValueError` before any batch.
     """
-    noise = kernel.hyper.noise_variance
-    if isinstance(lik, Gaussian) and noise is not None and noise != lik.noise_variance:
-        raise ValueError(
-            f"kernel noise_variance {noise} differs from the Gaussian likelihood's "
-            f"{lik.noise_variance}; make them equal or leave the kernel's unset"
-        )
+    _check_noise(kernel, lik)
     batches = iter(batches)
     first = next(batches, None)
     if first is None:

@@ -395,7 +395,7 @@ def seq_objective_vcl_form(
     mean_q, cov_q = recover_moments(state)
 
     kl_old = -elbo(
-        state, lik, np.empty((0, state.z.shape[1])), np.empty(0), old_state.alpha_u, old_state.b_u
+        state, lik, np.empty(0), np.empty(0), np.empty(0), old_state.alpha_u, old_state.b_u
     )
 
     total = -kl_old
@@ -491,11 +491,12 @@ def run_stream_keeping_states(
         if config.hyper_steps > 0:
             state, lik, _ = optimize_hypers(states[-1], lik, config, x_batch, y_batch, memory, n_old)
             states.append(state)
-        objective = seq_objective(states[-1], lik, x_batch, y_batch, memory, prior)
+        mean, var = cross_gram(states[-1], x_fit).marginals(states[-1])
+        objective = seq_objective(states[-1], lik, y_fit, mean, var, prior)
         if prior.clip_magnitude > CLIP_RTOL * max(float(np.linalg.norm(prior.b)), 1.0):
             clips.append(prior.clip_magnitude)
         memory = update_memory(
-            memory, states[-1], lik, x_batch, y_batch, config.memory_capacity, rng_seed=[seed, batch_index]
+            memory, lik, x_batch, y_batch, mean, var, config.memory_capacity, rng_seed=[seed, batch_index]
         )
         n_old += len(y_batch)
         record = {

@@ -105,7 +105,7 @@ def test_criterion_02_single_point_fixed_point():
         pseudo = pseudo_data(state)
         assert pseudo.y_tilde[0] == pytest.approx(1.0, abs=1e-8)
         assert pseudo.sigma_tilde[0, 0] == pytest.approx(1.0, abs=1e-8)
-        bound = elbo(state, Gaussian(1.0), z, np.array([1.0]))
+        bound = elbo(state, Gaussian(1.0), np.array([1.0]), *predict(state, z))
         expected = -0.5 * (math.log(2.0 * math.pi * 2.0) + 0.5)
         assert bound == pytest.approx(expected, abs=1e-8)
 
@@ -130,7 +130,7 @@ def test_criterion_03_leverage_score_identities():
                 )
                 assert converged
                 np.testing.assert_allclose(
-                    bls(state, lik, x, y), bls_dense(state, lik, x, y), rtol=0, atol=1e-8
+                    bls(lik, y, *predict(state, x)), bls_dense(state, lik, x, y), rtol=0, atol=1e-8
                 )
             else:
                 n = int(rng.integers(2, 6))
@@ -144,7 +144,7 @@ def test_criterion_03_leverage_score_identities():
                 state, _, _ = iterate_ngd(
                     make_state(kernel, z), lik, x, y, rho=1.0, max_steps=5, tol=1e-12
                 )
-                product = bls(state, lik, x, y)
+                product = bls(lik, y, *predict(state, x))
                 np.testing.assert_allclose(
                     product, bls_dense(state, lik, x, y), rtol=0, atol=1e-8
                 )
@@ -193,8 +193,8 @@ def test_criterion_04_memory_limit_equivalence():
                     state.b_u + 0.5 * np.outer(bump, bump),
                 )
                 for candidate in (stepped, perturbed):
-                    streaming = seq_objective(candidate, lik, x_new, y_new, memory, prior)
-                    union = elbo(candidate, lik, x_union, y_union)
+                    streaming = seq_objective(candidate, lik, y_union, *predict(candidate, x_union), prior)
+                    union = elbo(candidate, lik, y_union, *predict(candidate, x_union))
                     assert streaming == pytest.approx(union, rel=1e-6, abs=1e-6)
 
 
@@ -403,7 +403,7 @@ def test_criterion_08_representation_pipeline():
             yb = np.sin(xb[:, 0]) + 0.2 * rng.standard_normal(12)
             state = refresh_representation(state, xb, config.num_inducing)
             state, _ = process_batch(state, lik, config, xb, yb, memory)
-            memory = update_memory(memory, state, lik, xb, yb,
+            memory = update_memory(memory, lik, xb, yb, *predict(state, np.vstack([xb, memory.inputs])),
                                    config.memory_capacity, rng_seed=[808, cycle])
             eigvals = np.linalg.eigvalsh(state.b_u)
             assert eigvals.min() >= -1e-8, f"cycle {cycle}: min eigenvalue {eigvals.min():.2e}"

@@ -155,6 +155,16 @@ class TestFantasizeBatch:
         with pytest.raises(ValueError, match="k"):
             fantasize_batch(state, lik, acq, k=0)
 
+    @pytest.mark.parametrize(
+        "name, value", [("search_budget", 0), ("search_budget", -5), ("refine_steps", -1)]
+    )
+    def test_rejects_a_search_setting_out_of_range(self, rng, name, value):
+        """As the config parser does, rather than failing inside numpy or skipping refinement."""
+        state, lik, _, _ = _gaussian_model(rng)
+        acq = ExpectedImprovement(best=0.0, bounds=np.array([[-3.0, 3.0]]))
+        with pytest.raises(ValueError, match=name):
+            fantasize_batch(state, lik, acq, k=2, **{name: value})
+
     def test_classifier_fantasy_is_rejected(self, rng):
         """Only a Gaussian surrogate is conditioned; a classifier raises, naming its likelihood."""
         state, lik = _classifier_model(rng)

@@ -25,7 +25,7 @@ def _converged_gaussian_state(rng, n=8):
 class TestScores:
     def test_gaussian_scores_proportional_to_variance(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng)
-        scores = bls(state, lik, x, y)
+        scores = bls(lik, y, *predict(state, x))
         _, var = predict(state, x)
         np.testing.assert_allclose(scores, var / 0.3, atol=1e-12)
 
@@ -34,13 +34,13 @@ class TestScores:
         state, lik, _, _ = _converged_gaussian_state(rng)
         probe_x = np.array([[0.0], [9.0]])
         probe_y = np.array([0.0, 0.0])
-        scores = bls(state, lik, probe_x, probe_y)
+        scores = bls(lik, probe_y, *predict(state, probe_x))
         assert scores[1] > scores[0]
 
     def test_dense_route_agrees_at_gaussian_fixed_point(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng)
         np.testing.assert_allclose(
-            bls(state, lik, x, y), bls_dense(state, lik, x, y), atol=1e-10
+            bls(lik, y, *predict(state, x)), bls_dense(state, lik, x, y), atol=1e-10
         )
 
     def test_dense_route_agrees_at_bernoulli_fixed_point(self, rng):
@@ -50,12 +50,12 @@ class TestScores:
         state, _, converged = iterate_ngd(make_state(_spec(), x), lik, x, y, rho=0.7, tol=1e-12)
         assert converged
         np.testing.assert_allclose(
-            bls(state, lik, x, y), bls_dense(state, lik, x, y), atol=1e-9
+            bls(lik, y, *predict(state, x)), bls_dense(state, lik, x, y), atol=1e-9
         )
 
     def test_scores_positive(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng)
-        assert np.all(bls(state, lik, x, y) > 0)
+        assert np.all(bls(lik, y, *predict(state, x)) > 0)
         assert np.all(bls_dense(state, lik, x, y) > 0)
 
 
@@ -98,20 +98,20 @@ class TestRidgeLeverage:
 class TestUpdateMemory:
     def test_empty_capacity_clears_memory(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng)
-        mem = update_memory(empty_memory(1), state, lik, x, y, capacity=0, rng_seed=0)
+        mem = update_memory(empty_memory(1), lik, x, y, *predict(state, x), capacity=0, rng_seed=0)
         assert len(mem) == 0
 
     def test_pool_within_capacity_kept_whole(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng)
-        mem = update_memory(empty_memory(1), state, lik, x, y, capacity=50, rng_seed=0)
+        mem = update_memory(empty_memory(1), lik, x, y, *predict(state, x), capacity=50, rng_seed=0)
         assert len(mem) == len(x)
         np.testing.assert_array_equal(mem.inputs, x)
         np.testing.assert_array_equal(mem.labels, y)
 
     def test_deterministic_for_fixed_seed(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng, n=12)
-        a = update_memory(empty_memory(1), state, lik, x, y, capacity=5, rng_seed=7)
-        b = update_memory(empty_memory(1), state, lik, x, y, capacity=5, rng_seed=7)
+        a = update_memory(empty_memory(1), lik, x, y, *predict(state, x), capacity=5, rng_seed=7)
+        b = update_memory(empty_memory(1), lik, x, y, *predict(state, x), capacity=5, rng_seed=7)
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.scores, b.scores)
@@ -119,41 +119,41 @@ class TestUpdateMemory:
     def test_different_seeds_differ_somewhere(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng, n=12)
         draws = {
-            tuple(update_memory(empty_memory(1), state, lik, x, y, 5, seed).inputs[:, 0])
+            tuple(update_memory(empty_memory(1), lik, x, y, *predict(state, x), 5, seed).inputs[:, 0])
             for seed in range(8)
         }
         assert len(draws) > 1
 
     def test_composite_seed_accepted(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng, n=12)
-        mem = update_memory(empty_memory(1), state, lik, x, y, capacity=5, rng_seed=[3, 1])
+        mem = update_memory(empty_memory(1), lik, x, y, *predict(state, x), capacity=5, rng_seed=[3, 1])
         assert len(mem) == 5
 
     def test_empty_memory_pool_is_the_batch(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng)
-        memory = update_memory(empty_memory(1), state, lik, x, y, capacity=len(y), rng_seed=0)
+        memory = update_memory(empty_memory(1), lik, x, y, *predict(state, x), capacity=len(y), rng_seed=0)
         assert np.array_equal(memory.inputs, x) and np.array_equal(memory.labels, y)
-        assert np.array_equal(memory.scores, bls(state, lik, x, y))
+        assert np.array_equal(memory.scores, bls(lik, y, *predict(state, x)))
 
     def test_pool_includes_old_memory(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng, n=6)
         old = MemorySet(
             inputs=np.array([[5.0], [6.0]]), labels=np.array([0.1, 0.2]), scores=np.ones(2)
         )
-        mem = update_memory(old, state, lik, x, y, capacity=20, rng_seed=0)
+        mem = update_memory(old, lik, x, y, *predict(state, np.vstack([x, old.inputs])), capacity=20, rng_seed=0)
         assert len(mem) == 8
         np.testing.assert_array_equal(mem.inputs[:2], old.inputs)
 
     def test_kept_indices_preserve_pool_order(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng, n=15)
-        mem = update_memory(empty_memory(1), state, lik, x, y, capacity=6, rng_seed=11)
+        mem = update_memory(empty_memory(1), lik, x, y, *predict(state, x), capacity=6, rng_seed=11)
         positions = [int(np.flatnonzero(x[:, 0] == v)[0]) for v in mem.inputs[:, 0]]
         assert positions == sorted(positions)
 
     def test_returned_scores_are_current(self, rng):
         state, lik, x, y = _converged_gaussian_state(rng, n=10)
-        mem = update_memory(empty_memory(1), state, lik, x, y, capacity=4, rng_seed=2)
-        np.testing.assert_allclose(mem.scores, bls(state, lik, mem.inputs, mem.labels), atol=1e-12)
+        mem = update_memory(empty_memory(1), lik, x, y, *predict(state, x), capacity=4, rng_seed=2)
+        np.testing.assert_allclose(mem.scores, bls(lik, mem.labels, *predict(state, mem.inputs)), atol=1e-12)
 
     def test_selection_frequency_tracks_scores(self, rng):
         """A point with nine times the leverage wins one-of-two draws ~90%.
@@ -168,10 +168,10 @@ class TestUpdateMemory:
         x = np.array([[0.0], [50.0]])
         y = np.array([0.0, 0.0])
         state = ngd_step(state, lik, np.array([[0.0]] * 9), np.zeros(9), rho=1.0)
-        scores = bls(state, lik, x, y)
+        scores = bls(lik, y, *predict(state, x))
         assert scores[1] / scores[0] > 5.0
         wins = sum(
-            float(update_memory(empty_memory(1), state, lik, x, y, 1, seed).inputs[0, 0]) == 50.0
+            float(update_memory(empty_memory(1), lik, x, y, *predict(state, x), 1, seed).inputs[0, 0]) == 50.0
             for seed in range(1000)
         )
         expected = 1000 * scores[1] / scores.sum()

@@ -11,7 +11,7 @@ evidence
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,9 @@ from hypothesis import strategies as st
 from oracles import hyper_objective_reference, run_stream_keeping_states, seq_objective_vcl_form
 
 import dualgp.dual
+import dualgp.kernels
+import dualgp.memory
+import dualgp.representation
 import dualgp.sequential
 from dualgp.dual import elbo, iterate_ngd, make_state, ngd_step, predict
 from dualgp.harness import make_stream
@@ -109,6 +112,21 @@ def _count_eigh(monkeypatch):
 
     for module in (dualgp.dual, dualgp.sequential):
         monkeypatch.setattr(module, "eigh", counting)
+    return calls
+
+
+def _count_calls(monkeypatch, module, name):
+    """A list that grows by one entry per call of ``module.name``, in every module that imported it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for engine_module in (dualgp.dual, dualgp.representation, dualgp.memory, dualgp.sequential):
+        if getattr(engine_module, name, None) is original:
+            monkeypatch.setattr(engine_module, name, counting)
     return calls
 
 
@@ -235,10 +253,9 @@ class TestSeqObjective:
             state, lik, x_new, y_new, rho=0.5, prior_alpha=prior.alpha, prior_b=prior.b
         )
         for probe in (state, candidate):
-            streaming = seq_objective(probe, lik, x_new, y_new, memory, prior)
-            union = elbo(
-                probe, lik, np.vstack([x_new, x_old]), np.concatenate([y_new, y_old])
-            )
+            x_union, y_union = np.vstack([x_new, x_old]), np.concatenate([y_new, y_old])
+            streaming = seq_objective(probe, lik, y_union, *predict(probe, x_union), prior)
+            union = elbo(probe, lik, y_union, *predict(probe, x_union))
             assert streaming == pytest.approx(union, abs=1e-9)
 
     def test_vcl_form_differs_by_state_independent_constant(self, rng):
@@ -257,7 +274,8 @@ class TestSeqObjective:
             probe = ngd_step(
                 probe, lik, x_new, y_new, rho=0.4, prior_alpha=prior.alpha, prior_b=prior.b
             )
-            a = seq_objective(probe, lik, x_new, y_new, memory, prior)
+            x_fit, y_fit = _with_memory(x_new, y_new, memory)
+            a = seq_objective(probe, lik, y_fit, *predict(probe, x_fit), prior)
             b = seq_objective_vcl_form(probe, lik, x_new, y_new, memory, state)
             offsets.append(a - b)
         assert max(offsets) - min(offsets) < 1e-9
@@ -266,8 +284,8 @@ class TestSeqObjective:
         state, lik, x, y = _fitted_gaussian(rng)
         memory = empty_memory(1)
         prior = remove_memory(state, lik, memory)
-        val = seq_objective(state, lik, x, y, memory, prior)
-        ref = elbo(state, lik, x, y, prior.alpha, prior.b)
+        val = seq_objective(state, lik, y, *predict(state, x), prior)
+        ref = elbo(state, lik, y, *predict(state, x), prior.alpha, prior.b)
         assert val == pytest.approx(ref, rel=1e-12)
 
 
@@ -288,11 +306,11 @@ class TestPriorFactor:
         memory = _memory_of(x[:n_mem], y[:n_mem])
         config = SequentialConfig(num_inducing=6, ngd_steps=2)
         new, prior = process_batch(state, lik, config, x[n_mem:], y[n_mem:], memory)
-        factorizations.clear()
-        value = seq_objective(new, lik, x[n_mem:], y[n_mem:], memory, prior)
-        assert factorizations == []
         x_all, y_all = np.vstack([x[n_mem:], x[:n_mem]]), np.concatenate([y[n_mem:], y[:n_mem]])
-        assert value == elbo(new, lik, x_all, y_all, prior.alpha, prior.b)
+        factorizations.clear()
+        value = seq_objective(new, lik, y_all, *predict(new, x_all), prior)
+        assert factorizations == []
+        assert value == elbo(new, lik, y_all, *predict(new, x_all), prior.alpha, prior.b)
 
     def test_objective_refactors_after_hyper_steps(self, rng, factorizations):
         state, lik, x, y = _fitted_gaussian(rng)
@@ -301,11 +319,11 @@ class TestPriorFactor:
         new, prior = process_batch(state, lik, config, x[3:], y[3:], memory)
         new, lik, _ = optimize_hypers(new, lik, config, x[3:], y[3:], memory, n_old=3)
         assert new.keff is not prior.keff
-        factorizations.clear()
-        value = seq_objective(new, lik, x[3:], y[3:], memory, prior)
-        assert factorizations == [(6, 6)]
         x_all, y_all = np.vstack([x[3:], x[:3]]), np.concatenate([y[3:], y[:3]])
-        assert value == elbo(new, lik, x_all, y_all, prior.alpha, prior.b)
+        factorizations.clear()
+        value = seq_objective(new, lik, y_all, *predict(new, x_all), prior)
+        assert factorizations == [(6, 6)]
+        assert value == elbo(new, lik, y_all, *predict(new, x_all), prior.alpha, prior.b)
 
 
 class TestProcessBatch:
@@ -379,7 +397,7 @@ class TestHyperObjective:
         x, y = np.array([[0.0]]), np.array([1.0])
         state = ngd_step(make_state(spec, x), lik, x, y, rho=1.0)
         val = hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, spec.hyper)
-        bound = elbo(state, lik, x, y)
+        bound = elbo(state, lik, y, *predict(state, x))
         assert val == pytest.approx(bound, rel=1e-12)
 
     def test_memory_term_scales_linearly_with_n_old(self, rng):
@@ -817,6 +835,37 @@ class TestRunStream:
         assert result.state.num_inducing <= 8
 
 
+class TestBlockCounts:
+    """The kernel blocks a batch and a hyperparameter evaluation build, counted."""
+
+    def test_step_builds_each_block_once(self, monkeypatch):
+        """Refresh, removal, NGD and the final state's marginals, none through ``predict``.
+
+        The fit set of 800 rows is more than one 655-row ``predict`` block at
+        M = 50, so re-predicting it for the objective and for the curation
+        would build four Gram blocks where one does.
+        """
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-3, 3, (800, 2))
+        y = np.where(np.sin(2.0 * x[:, 0]) * np.cos(x[:, 1]) > 0, 1.0, -1.0)
+        spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.7])))
+        config = SequentialConfig(num_inducing=50, memory_capacity=400)
+        stream = run_stream([(x[:400], y[:400])], spec, BernoulliLogit(), config)
+        assert len(stream.memory) == 400
+        grams = _count_calls(monkeypatch, dualgp.kernels, "gram")
+        predicts = _count_calls(monkeypatch, dualgp.dual, "predict")
+        step(stream, x[400:], y[400:])
+        assert (len(grams), len(predicts)) == (6, 0)
+
+    def test_hyper_objective_builds_one_cross_gram(self, monkeypatch):
+        """``K_zz`` of the rebuilt state and one block over the batch and the memory."""
+        case = _hyper_case("with_memory", np.random.default_rng(6))
+        assert len(case[4]) > 0
+        grams = _count_calls(monkeypatch, dualgp.kernels, "gram")
+        hyper_objective(*case)
+        assert len(grams) == 2
+
+
 class TestWorkingSet:
     """What a Bernoulli stream holds live, at M = 200 with batches and memory of 200.
 
@@ -1058,6 +1107,10 @@ class TestNoiseOwnership:
             run_stream(self._batches(rng, consumed), _spec(noise=0.5), Gaussian(0.1), config)
         assert consumed == []
 
+    def test_stream_start_raises_for_a_caller_that_steps_itself(self):
+        with pytest.raises(ValueError, match="noise_variance 0.5 differs .* 0.1"):
+            Stream.start(_spec(noise=0.5), Gaussian(0.1), SequentialConfig(num_inducing=8), 1)
+
     def test_fit_offline_inherits_the_check(self, rng):
         x = rng.uniform(-3, 3, (20, 1))
         config = SequentialConfig(num_inducing=8)
@@ -1185,6 +1238,66 @@ class TestRunStreamProperties:
             assert np.isfinite(record["clip_magnitude"])
             assert np.all(np.isfinite(record["theta"]["lengthscales"]))
         assert np.all(np.isfinite(predict(state, batches[0][0])))
+
+
+@st.composite
+def _symmetry_cases(draw):
+    """``(x, f, noise, x_test, num_batches, config, seed)``: a short 2-d stream whose memory samples."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(16, 40))
+    x = rng.uniform(-2, 2, (n, 2))
+    config = SequentialConfig(
+        num_inducing=draw(st.integers(3, 8)), memory_capacity=draw(st.sampled_from([4, 8])),
+        hyper_steps=2, hyper_lr=0.05,
+    )
+    f = np.sin(2.0 * x[:, 0]) * np.cos(x[:, 1])
+    return x, f, rng.standard_normal(n), rng.uniform(-2, 2, (20, 2)), draw(st.integers(2, 4)), config, seed
+
+
+class TestSymmetries:
+    """Whole runs with memory, against the runs a symmetry of the model maps them to."""
+
+    @given(case=_symmetry_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_flipped_labels_flip_the_mean(self, case):
+        """The logit likelihood is odd in ``y f``: flipping every label negates ``f``."""
+        x, f, noise, x_test, num_batches, config, seed = case
+        y = np.where(f + 0.3 * noise > 0, 1.0, -1.0)
+        spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.7, 0.9])))
+        config = replace(config, hyper_steps=0)
+        runs = [
+            run_stream(make_stream(x, labels, num_batches, order="sorted"), spec, BernoulliLogit(), config, seed=seed)
+            for labels in (y, -y)
+        ]
+        (mean, var), (mean_flip, var_flip) = (predict(run.state, x_test) for run in runs)
+        # measured: 1.0e-15 and 5.6e-16 at most over 300 examples
+        np.testing.assert_allclose(mean_flip, -mean, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(var_flip, var, rtol=0, atol=5.6e-15)
+        assert np.array_equal(runs[1].memory.inputs, runs[0].memory.inputs)
+
+    @given(case=_symmetry_cases(), scale=st.floats(0.1, 10.0))
+    @settings(max_examples=20, deadline=None)
+    def test_scaled_labels_scale_the_posterior(self, case, scale):
+        """``y`` times ``a``, with the variances and the noise times ``a**2``, hyper steps on."""
+        x, f, noise, x_test, num_batches, config, seed = case
+        y = f + 0.1 * noise
+        runs = []
+        for a in (1.0, scale):
+            spec = KernelSpec("matern52", Hyperparams(a**2, np.array([0.7, 0.9]), constant_variance=0.3 * a**2))
+            batches = make_stream(x, a * y, num_batches, order="sorted")
+            runs.append(run_stream(batches, spec, Gaussian(0.1 * a**2), config, seed=seed))
+        (mean, var), (mean_a, var_a) = (predict(run.state, x_test) for run in runs)
+        # measured: 2.0e-10, 2.0e-10 and, for theta, 5.4e-10 at most over 300 examples
+        np.testing.assert_allclose(mean_a / scale, mean, rtol=0, atol=2e-9)
+        np.testing.assert_allclose(var_a / scale**2, var, rtol=0, atol=2e-9)
+
+        def theta(run, c):
+            h = run.state.kernel.hyper
+            return np.array([h.variance / c, *h.lengthscales, h.constant_variance / c, run.lik.noise_variance / c])
+
+        np.testing.assert_allclose(theta(runs[1], scale**2), theta(runs[0], 1.0), rtol=5.4e-9)
+        assert np.array_equal(runs[1].memory.inputs, runs[0].memory.inputs)
 
 
 class TestOneDimensionalInputs:
