@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualState, ngd_step, predict
+from .dual import DualState, cross_gram, ngd_step, predict
 from .likelihoods import Gaussian
 
 DEFAULT_SEARCH_BUDGET = 2048
@@ -95,14 +95,14 @@ def fantasize_batch(
 ) -> tuple[np.ndarray, DualState]:
     """Assemble ``k`` query points by greedy fantasy conditioning.
 
-    Each round maximizes ``acq`` over ``search_budget`` seeded uniform
-    samples plus coordinate refinement, conditions a fantasy copy of the
-    state on the invented observation (predictive mean unless
-    ``fantasy_sample``), and continues.  Conditioning is one ``rho = 1``
-    :func:`ngd_step` against the fantasy state as prior, which is exact
-    rank-one conditioning; a non-Gaussian likelihood or a count below its
-    minimum raises ``ValueError``.  Returns the points and the final fantasy
-    state; the input state is never modified.
+    Each round maximizes ``acq`` over ``search_budget`` seeded uniform samples
+    plus coordinate refinement, conditions a fantasy copy of the state on the
+    invented observation (predictive mean unless ``fantasy_sample``), and
+    continues.  Conditioning is one ``rho = 1`` :func:`ngd_step` against the
+    fantasy state as prior, which is exact rank-one conditioning, on the
+    :func:`cross_gram` the label was read from.  A non-Gaussian likelihood or
+    a count below its minimum raises ``ValueError``.  Returns the points and
+    the final fantasy state; the input state is never modified.
     """
     for name, count, least in (("k", k, 1), ("search_budget", search_budget, 1), ("refine_steps", refine_steps, 0)):
         if count < least:
@@ -121,12 +121,13 @@ def fantasize_batch(
         x_best = _refine(acq, fantasy, candidates[best_idx], scores[best_idx], refine_steps)
         points.append(x_best)
 
-        mean, var = predict(fantasy, x_best[None, :])
+        cross = cross_gram(fantasy, x_best[None, :])
+        mean, var = cross.marginals(fantasy)
         y_fantasy = float(mean[0])
         if fantasy_sample:
             spread = np.sqrt(max(float(var[0]), 0.0) + lik.noise_variance)
             y_fantasy = float(rng.normal(y_fantasy, spread))
         fantasy = ngd_step(
-            fantasy, lik, x_best[None, :], np.array([y_fantasy]), 1.0, fantasy.alpha_u, fantasy.b_u
+            fantasy, lik, x_best[None, :], np.array([y_fantasy]), 1.0, fantasy.alpha_u, fantasy.b_u, cross=cross
         )
     return np.asarray(points), fantasy

@@ -31,9 +31,9 @@ arguments.  The handed value must be a plain positional argument:
 the call returns.  A stream holds a state and is handed over to its step.
 
 Every reader of the posterior marginals of ``f`` gets them from
-:meth:`CrossGram.marginals` of one block over all the inputs it reads (NGD
-sites, memory removal, and a stream step's objective and curation, which
-share theirs); :func:`predict`, for scoring and acquisition, blocks by rows.
+:meth:`CrossGram.marginals` of one block per ``K_zz`` factor over the inputs
+it reads: NGD, the objective and the curation share one, and so do a BO
+fantasy's label and conditioning.  :func:`predict` blocks by rows.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import numpy as np
 
 from .acquisition import DEFAULT_REFINE_STEPS, DEFAULT_SEARCH_BUDGET
 from .dual import DualState, make_state, predict
-from .kernels import Hyperparams, KernelSpec, as_points
+from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_points
 from .likelihoods import DEFAULT_QUAD_POINTS, BernoulliLogit, Gaussian, Likelihood
 from .memory import MemorySet
 from .sequential import SequentialConfig
@@ -342,11 +342,11 @@ def save_checkpoint(
 
     It holds the state, the likelihood, the memory, the seed and the input
     standardizer; ``dualgp predict`` reads the state, likelihood and
-    standardizer back to apply the model to new inputs.  It is not a
-    resumable run snapshot: of a :class:`~dualgp.sequential.Stream` it
-    leaves out ``config``, ``n_old`` (which scales the memory term),
-    ``records`` (whose length is the next batch index), ``clip_count`` and
-    ``clip_max``.  The keys
+    standardizer back to apply the model to new inputs.  It is not a resumable
+    run snapshot: of a :class:`~dualgp.sequential.Stream` it leaves out
+    ``config``, ``n_old`` (which scales the memory term), ``records`` (whose
+    length is the next batch index), ``clip_count`` and ``clip_max``.  A
+    non-finite number raises :class:`ValueError` and writes no file.  The keys
     of version 1, arrays as nested lists (a change needs a new version)::
 
         format ("dualgp-checkpoint"), version (1), seed
@@ -385,8 +385,9 @@ def save_checkpoint(
             "scale": standardizer.scale.tolist(),
         },
     }
+    text = json.dumps(payload, allow_nan=False)
     with open(path, "w") as handle:
-        json.dump(payload, handle)
+        handle.write(text)
 
 
 class _Entry(dict):
@@ -417,9 +418,11 @@ def load_checkpoint(
     the wrong type or shape raises :class:`DataError` naming the file, and
     the key path (``likelihood.noise_variance``) where a key is missing.
     """
+    def non_finite(token: str):
+        raise DataError(f"{path}: not valid JSON ({token} is not a number)")
     with open(path) as handle:
         try:
-            payload = _entries(path, json.load(handle))
+            payload = _entries(path, json.load(handle, parse_constant=non_finite))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
@@ -454,7 +457,7 @@ def load_checkpoint(
         seed = int(payload.get("seed", 0))
     except DataError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, FactorizationFailed) as exc:
         raise DataError(f"{path}: {exc}") from exc
     return state, lik, memory, seed, standardizer
 

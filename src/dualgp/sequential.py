@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import eigh
 
-from .dual import DualState, cross_gram, elbo, make_state, ngd_step
+from .dual import CrossGram, DualState, cross_gram, elbo, make_state, ngd_step
 from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_points, stable_cholesky
 from .likelihoods import BernoulliLogit, Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
@@ -155,13 +155,13 @@ def process_batch(
     x_batch: np.ndarray,
     y_batch: np.ndarray,
     memory: MemorySet,
-) -> tuple[DualState, AdjustedPrior]:
+) -> tuple[DualState, AdjustedPrior, CrossGram]:
     """NGD updates for one batch against the memory-adjusted prior.
 
     The update data is batch plus memory, and its cross-Gram with the
     inducing inputs is built once for all the steps.  Returns the updated
-    state and the prior that was used (the caller needs it to evaluate the
-    sequential objective).  Each step is handed its input state (see
+    state, the prior (for the objective) and that cross-Gram, which serves
+    any state with its ``kzz``.  Each step is handed its input state (see
     :mod:`dualgp.dual`), which it drops once it has read the marginals.
     """
     prior = remove_memory(state, lik, memory)
@@ -170,7 +170,7 @@ def process_batch(
     for _ in range(config.ngd_steps):
         held, state = [state], None
         state = ngd_step(held.pop(), lik, x_fit, y_fit, config.ngd_rho, prior.alpha, prior.b, cross=cross)
-    return state, prior
+    return state, prior, cross
 
 
 def seq_objective(
@@ -380,10 +380,10 @@ def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
     Unequal input and label counts, a non-finite value, a Bernoulli label
     outside ``{0, 1}`` and ``{-1, +1}``, an input dimension other than the
     stream's and an empty first batch raise :class:`ValueError` naming the
-    batch.  ``stream`` is handed over (see :mod:`dualgp.dual`): its state
-    goes to the refresh, which frees it, and the adjusted prior is released
-    once the objective and the clip are read, before memory curation.  Both
-    read the final state's marginals over batch and memory, from one block.
+    batch.  ``stream`` is handed over (see :mod:`dualgp.dual`): its state goes
+    to the refresh, which frees it, and the adjusted prior is released once
+    the objective and the clip are read, before memory curation.  Both read
+    the final marginals from NGD's block, or a new one if ``K_zz`` moved.
     """
     start = time.perf_counter()
     config, seed, lik, memory, n_old = stream.config, stream.seed, stream.lik, stream.memory, stream.n_old
@@ -407,16 +407,18 @@ def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
 
     state = refresh_representation(held.pop(), x_batch, config.num_inducing)
     held, state = [state], None
-    state, prior = process_batch(held.pop(), lik, config, x_batch, y_batch, memory)
+    state, prior, cross = process_batch(held.pop(), lik, config, x_batch, y_batch, memory)
     if config.hyper_steps > 0:
         state, lik, _ = optimize_hypers(state, lik, config, x_batch, y_batch, memory, n_old)
     x_fit, y_fit = _with_memory(x_batch, y_batch, memory)
-    mean, var = cross_gram(state, x_fit).marginals(state)
+    if state.kzz is not cross.kzz:
+        cross = cross_gram(state, x_fit)
+    mean, var = cross.marginals(state)
     objective = seq_objective(state, lik, y_fit, mean, var, prior)
     clip = prior.clip_magnitude
     if clip > CLIP_RTOL * max(float(np.linalg.norm(prior.b)), 1.0):
         clip_count, clip_max = clip_count + 1, max(clip_max, clip)
-    del prior
+    del prior, cross
 
     memory = update_memory(memory, lik, x_batch, y_batch, mean, var, config.memory_capacity, rng_seed=[seed, index])
     n_old += len(y_batch)

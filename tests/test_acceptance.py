@@ -262,7 +262,7 @@ def _stream_with_random_memory(batches, kernel, lik, config, seed):
             state = make_state(kernel, x_batch[selection.indices])
         else:
             state = refresh_representation(state, x_batch, config.num_inducing)
-        state, _ = process_batch(state, lik, config, x_batch, y_batch, memory)
+        state, _, _ = process_batch(state, lik, config, x_batch, y_batch, memory)
         if config.hyper_steps > 0:
             from dualgp.sequential import optimize_hypers
 
@@ -402,7 +402,7 @@ def test_criterion_08_representation_pipeline():
             xb = rng.uniform(-3.0, 3.0, (12, 2))
             yb = np.sin(xb[:, 0]) + 0.2 * rng.standard_normal(12)
             state = refresh_representation(state, xb, config.num_inducing)
-            state, _ = process_batch(state, lik, config, xb, yb, memory)
+            state, _, _ = process_batch(state, lik, config, xb, yb, memory)
             memory = update_memory(memory, lik, xb, yb, *predict(state, np.vstack([xb, memory.inputs])),
                                    config.memory_capacity, rng_seed=[808, cycle])
             eigvals = np.linalg.eigvalsh(state.b_u)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from oracles import ndtr_reference
 
+import dualgp.acquisition
 from dualgp.acquisition import ExpectedImprovement, expected_improvement, fantasize_batch, ndtr
 from dualgp.dual import iterate_ngd, make_state, ngd_step, predict
 from dualgp.kernels import Hyperparams, KernelSpec
@@ -188,3 +189,44 @@ class TestFantasizeBatch:
         mean_before, _ = predict(state, points)
         mean_after, _ = predict(fantasy, points)
         assert abs(mean_after[0] - mean_before[0]) > 1e-4
+
+    @pytest.mark.parametrize("sample", [False, True], ids=["mean", "sampled"])
+    def test_label_and_conditioning_share_one_block(self, rng, monkeypatch, sample):
+        """One cross-Gram per fantasy point: the label reads its marginals, the step its sites."""
+        state, lik, _, y = _gaussian_model(rng)
+        acq = ExpectedImprovement(best=float(y.max()), bounds=np.array([[-3.0, 3.0]]))
+        built, handed = [], []
+        cross_gram, ngd_step = dualgp.acquisition.cross_gram, dualgp.acquisition.ngd_step
+
+        def building(state, x):
+            built.append(cross_gram(state, x))
+            return built[-1]
+
+        def conditioning(*args, cross):
+            handed.append(cross)
+            return ngd_step(*args, cross=cross)
+
+        monkeypatch.setattr(dualgp.acquisition, "cross_gram", building)
+        monkeypatch.setattr(dualgp.acquisition, "ngd_step", conditioning)
+        predicted, evaluated = [], []
+        monkeypatch.setattr(dualgp.acquisition, "predict", lambda s, x: predicted.append(1) or predict(s, x))
+        evaluate = acq.evaluate
+        monkeypatch.setattr(acq, "evaluate", lambda s, x: evaluated.append(1) or evaluate(s, x))
+        fantasize_batch(state, lik, acq, k=3, search_budget=64, seed=10, fantasy_sample=sample)
+        assert len(built) == 3 and all(b is h for b, h in zip(built, handed, strict=True))
+        assert [b.kzx.shape[1] for b in built] == [1, 1, 1]
+        assert len(predicted) == len(evaluated)  # the acquisition's only; none for a label
+
+    @pytest.mark.parametrize("sample", [False, True], ids=["mean", "sampled"])
+    def test_shared_block_changes_no_bit(self, rng, monkeypatch, sample):
+        """Against conditioning steps that build their own block, as ``ngd_step`` does without one."""
+        state, lik, _, y = _gaussian_model(rng)
+        acq = ExpectedImprovement(best=float(y.max()), bounds=np.array([[-3.0, 3.0]]))
+        points, fantasy = fantasize_batch(state, lik, acq, k=3, search_budget=64, seed=12, fantasy_sample=sample)
+        ngd_step = dualgp.acquisition.ngd_step
+        monkeypatch.setattr(dualgp.acquisition, "ngd_step", lambda *args, cross=None: ngd_step(*args))
+        own_points, own = fantasize_batch(state, lik, acq, k=3, search_budget=64, seed=12, fantasy_sample=sample)
+        np.testing.assert_array_equal(points, own_points)
+        for name in ("alpha_u", "b_u", "kinv_alpha"):
+            np.testing.assert_array_equal(getattr(fantasy, name), getattr(own, name))
+        np.testing.assert_array_equal(fantasy.kq.inv, own.kq.inv)

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from dualgp.cli import run_cli
+from dualgp.cli import OBJECTIVES, run_cli
 from dualgp.dual import make_state
 from dualgp.harness import save_checkpoint
 from dualgp.kernels import Hyperparams, KernelSpec
@@ -197,6 +197,15 @@ class TestStreamPredictEval:
             assert [row[2] for row in csv.reader(handle)] == ["p_positive", "1.0"]
         assert run_cli(["eval", "--predictions", preds, "--data", str(data), "--label", "y"]) == 0
         assert json.loads(capsys.readouterr().out)["nlpd"] >= 0.0
+
+
+class TestObjectives:
+    def test_branin_maxima(self):
+        """Branin's three global minima, 0.397887, negated for maximization."""
+        objective, bounds = OBJECTIVES["branin"]
+        x = np.array([[-np.pi, 12.275], [np.pi, 2.275], [9.42478, 2.475]])
+        assert np.all((bounds[:, 0] <= x) & (x <= bounds[:, 1]))
+        np.testing.assert_allclose(objective(x), -0.397887, rtol=0, atol=1e-5)
 
 
 class TestBo:

@@ -6,7 +6,7 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,12 @@ REJECTED_CONFIGS = [
     pytest.param("[bo]\ninit_points = 0\n", "init_points must be at least 2", id="init_points"),
     pytest.param("[bo]\nrefine_steps = -3\n", "refine_steps must be at least 0", id="refine_steps"),
     pytest.param("[bo]\nbatch_size = 4\n", r"unknown key 'batch_size' in section \[bo\]", id="batch_size"),
+    pytest.param("num_inducing = 3\n", "File contains no section headers", id="no_section"),
+    pytest.param(
+        "[stream]\nnum_inducing = 3\nnum_inducing = 4\n",
+        "option 'num_inducing' in section 'stream' already exists",
+        id="duplicate_key",
+    ),
 ]
 
 
@@ -175,6 +181,10 @@ class TestMakeStream:
     def test_inputs_and_labels_of_different_lengths_raise(self, rows, labels):
         with pytest.raises(ValueError, match=f"{rows} input rows but {labels} labels"):
             make_stream(np.zeros((rows, 1)), np.arange(float(labels)), 2)
+
+    def test_no_batches_raises(self):
+        with pytest.raises(ValueError, match="num_batches must be at least 1"):
+            make_stream(np.zeros((2, 1)), np.zeros(2), 0)
 
     def test_too_many_batches_raises(self):
         with pytest.raises(ValueError, match="more batches"):
@@ -439,6 +449,17 @@ def _truncated_b_u(text):
     return json.dumps(payload)
 
 
+def _edit_state(name, value):
+    """A damage that sets ``state.<name>`` of a checkpoint to ``value(old)``; NaN is written as ``NaN``."""
+
+    def damage(text):
+        payload = json.loads(text)
+        payload["state"][name] = value(payload["state"][name])
+        return json.dumps(payload)
+
+    return damage
+
+
 # Damaged Gaussian checkpoints that load_checkpoint rejects, each with the
 # message that follows the file name.
 DAMAGED_CHECKPOINTS = [
@@ -450,6 +471,13 @@ DAMAGED_CHECKPOINTS = [
     pytest.param(
         lambda text: json.dumps({**json.loads(text), "state": "z"}), "string indices must be integers",
         id="state_type",
+    ),
+    pytest.param(
+        _edit_state("alpha_u", lambda a: [math.nan, *a[1:]]), "not valid JSON (NaN is not a number)", id="nan"
+    ),
+    pytest.param(
+        _edit_state("b_u", lambda b: (-1e6 * np.eye(len(b))).tolist()), "cholesky failed at every jitter level",
+        id="b_u_indefinite",
     ),
 ]
 
@@ -603,6 +631,15 @@ class TestCheckpoint:
         path = _edited(tmp_path, state, lik, lambda payload: payload.update(version=2))
         with pytest.raises(DataError, match="checkpoint version 2, not 1"):
             load_checkpoint(path)
+
+    def test_non_finite_state_is_not_saved(self, rng, tmp_path):
+        state, lik = self._fitted(rng)
+        alpha = state.alpha_u.copy()
+        alpha[0] = np.inf
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_checkpoint(str(path), replace(state, alpha_u=alpha), lik)
+        assert not path.exists()
 
     @pytest.mark.parametrize("damage, message", DAMAGED_CHECKPOINTS)
     def test_damaged_checkpoint_is_data_error(self, rng, tmp_path, damage, message):

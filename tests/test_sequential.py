@@ -305,7 +305,7 @@ class TestPriorFactor:
         state, lik, x, y = _fitted_gaussian(rng)
         memory = _memory_of(x[:n_mem], y[:n_mem])
         config = SequentialConfig(num_inducing=6, ngd_steps=2)
-        new, prior = process_batch(state, lik, config, x[n_mem:], y[n_mem:], memory)
+        new, prior, _ = process_batch(state, lik, config, x[n_mem:], y[n_mem:], memory)
         x_all, y_all = np.vstack([x[n_mem:], x[:n_mem]]), np.concatenate([y[n_mem:], y[:n_mem]])
         factorizations.clear()
         value = seq_objective(new, lik, y_all, *predict(new, x_all), prior)
@@ -316,7 +316,7 @@ class TestPriorFactor:
         state, lik, x, y = _fitted_gaussian(rng)
         memory = _memory_of(x[:3], y[:3])
         config = SequentialConfig(num_inducing=6, ngd_steps=1, hyper_steps=2)
-        new, prior = process_batch(state, lik, config, x[3:], y[3:], memory)
+        new, prior, _ = process_batch(state, lik, config, x[3:], y[3:], memory)
         new, lik, _ = optimize_hypers(new, lik, config, x[3:], y[3:], memory, n_old=3)
         assert new.keff is not prior.keff
         x_all, y_all = np.vstack([x[3:], x[:3]]), np.concatenate([y[3:], y[:3]])
@@ -331,7 +331,7 @@ class TestProcessBatch:
         state, lik, x, y = _fitted_gaussian(rng)
         memory = _memory_of(x[:3], y[:3])
         config = SequentialConfig(num_inducing=6, ngd_steps=1, ngd_rho=0.5)
-        with_replay, prior = process_batch(state, lik, config, x[3:], y[3:], memory)
+        with_replay, prior, _ = process_batch(state, lik, config, x[3:], y[3:], memory)
         manual = ngd_step(
             state, lik, np.vstack([x[3:], x[:3]]), np.concatenate([y[3:], y[:3]]),
             0.5, prior.alpha, prior.b,
@@ -343,8 +343,8 @@ class TestProcessBatch:
         state, lik, x, y = _fitted_gaussian(rng)
         config1 = SequentialConfig(num_inducing=6, ngd_steps=1, ngd_rho=0.4)
         config3 = SequentialConfig(num_inducing=6, ngd_steps=3, ngd_rho=0.4)
-        one, prior = process_batch(state, lik, config1, x, y, empty_memory(1))
-        three, _ = process_batch(state, lik, config3, x, y, empty_memory(1))
+        one, prior, _ = process_batch(state, lik, config1, x, y, empty_memory(1))
+        three, _, _ = process_batch(state, lik, config3, x, y, empty_memory(1))
         manual = one
         for _ in range(2):
             manual = ngd_step(manual, lik, x, y, 0.4, prior.alpha, prior.b)
@@ -359,7 +359,7 @@ class TestProcessBatch:
         state = ngd_step(make_state(spec, x[::3]), lik, x, y, rho=0.6)
         memory = _memory_of(x[:6], y[:6])
         config = SequentialConfig(num_inducing=8, ngd_steps=4, ngd_rho=0.6)
-        new, prior = process_batch(state, lik, config, x[6:], y[6:], memory)
+        new, prior, _ = process_batch(state, lik, config, x[6:], y[6:], memory)
         x_fit, y_fit = np.vstack([x[6:], x[:6]]), np.concatenate([y[6:], y[:6]])
         manual = state
         for _ in range(4):
@@ -839,11 +839,12 @@ class TestBlockCounts:
     """The kernel blocks a batch and a hyperparameter evaluation build, counted."""
 
     def test_step_builds_each_block_once(self, monkeypatch):
-        """Refresh, removal, NGD and the final state's marginals, none through ``predict``.
+        """Refresh, removal and NGD; the final state's marginals read NGD's block.
 
-        The fit set of 800 rows is more than one 655-row ``predict`` block at
-        M = 50, so re-predicting it for the objective and for the curation
-        would build four Gram blocks where one does.
+        With no hyperparameter step the final state keeps NGD's ``K_zz``
+        factor, so its marginals need no block of their own.  The fit set of
+        800 rows is more than one 655-row ``predict`` block at M = 50, so
+        ``predict`` would build two Gram blocks for it.
         """
         rng = np.random.default_rng(5)
         x = rng.uniform(-3, 3, (800, 2))
@@ -855,7 +856,29 @@ class TestBlockCounts:
         grams = _count_calls(monkeypatch, dualgp.kernels, "gram")
         predicts = _count_calls(monkeypatch, dualgp.dual, "predict")
         step(stream, x[400:], y[400:])
-        assert (len(grams), len(predicts)) == (6, 0)
+        assert (len(grams), len(predicts)) == (5, 0)
+
+    @pytest.mark.parametrize("hyper_steps", [0, 3])
+    def test_final_marginals_build_a_block_only_when_k_zz_moved(self, monkeypatch, hyper_steps):
+        """One fit-set block per ``K_zz`` factor the batch ends with: NGD's, or the hyper steps' rebuild."""
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-3, 3, (60, 1))
+        y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(60)
+        config = SequentialConfig(num_inducing=10, memory_capacity=10, hyper_steps=hyper_steps, hyper_lr=0.05)
+        stream = run_stream([(x[:30], y[:30])], _spec(noise=None), Gaussian(0.1), config)
+        built = []
+        original = dualgp.sequential.cross_gram
+
+        def building(state, x):
+            built.append((state.kzz, len(x)))
+            return original(state, x)
+
+        monkeypatch.setattr(dualgp.sequential, "cross_gram", building)
+        out = step(stream, x[30:], y[30:])
+        fit_blocks = [kzz for kzz, rows in built if rows == 40]
+        assert [kzz is out.state.kzz for kzz in fit_blocks].count(True) == 1
+        # NGD's block is the first over the fit set; accepted hyper steps leave its K_zz behind
+        assert (fit_blocks[0] is out.state.kzz) == (hyper_steps == 0)
 
     def test_hyper_objective_builds_one_cross_gram(self, monkeypatch):
         """``K_zz`` of the rebuilt state and one block over the batch and the memory."""
@@ -1255,6 +1278,35 @@ def _symmetry_cases(draw):
     return x, f, rng.standard_normal(n), rng.uniform(-2, 2, (20, 2)), draw(st.integers(2, 4)), config, seed
 
 
+def _symmetry_run(batches, bernoulli, lengthscales, config, seed):
+    """``run_stream`` of ``batches`` with the Matern kernel at ``lengthscales``."""
+    spec = KernelSpec("matern52", Hyperparams(1.0, np.asarray(lengthscales), constant_variance=0.3))
+    return run_stream(batches, spec, BernoulliLogit() if bernoulli else Gaussian(0.1), config, seed=seed)
+
+
+def _symmetry_gaps(runs, x_tests, ls_scale=1.0):
+    """Largest differences of two runs: predictive mean, variance, and theta relative to the first run's.
+
+    The second run predicts at ``x_tests[1]``, and its lengthscales are divided by ``ls_scale`` first.
+    """
+    (mean, var), (mean_b, var_b) = (predict(run.state, x) for run, x in zip(runs, x_tests, strict=True))
+
+    def theta(run, scale):
+        h = run.state.kernel.hyper
+        noise = [run.lik.noise_variance] if isinstance(run.lik, Gaussian) else []
+        return np.array([h.variance, *(h.lengthscales / scale), h.constant_variance, *noise])
+
+    first, second = theta(runs[0], 1.0), theta(runs[1], np.asarray(ls_scale))
+    gaps = (np.abs(mean_b - mean), np.abs(var_b - var), np.abs(second - first) / first)
+    return np.array([np.max(gap) for gap in gaps])
+
+
+def _rows_in(points, x):
+    """The index in ``x`` of each row of ``points``, whose rows are rows of ``x``."""
+    index = {row.tobytes(): i for i, row in enumerate(x)}
+    return [index[row.tobytes()] for row in points]
+
+
 class TestSymmetries:
     """Whole runs with memory, against the runs a symmetry of the model maps them to."""
 
@@ -1298,6 +1350,64 @@ class TestSymmetries:
 
         np.testing.assert_allclose(theta(runs[1], scale**2), theta(runs[0], 1.0), rtol=5.4e-9)
         assert np.array_equal(runs[1].memory.inputs, runs[0].memory.inputs)
+
+    @given(case=_symmetry_cases(), bernoulli=st.booleans(), shift=st.tuples(*[st.floats(-1e4, 1e4)] * 2))
+    @settings(max_examples=20, deadline=None)
+    def test_translated_inputs_leave_the_run_unchanged(self, case, bernoulli, shift):
+        """A stationary kernel reads differences of inputs: every input, train and test, moved by ``shift``."""
+        x, f, noise, x_test, num_batches, config, seed = case
+        y = np.where(f + 0.3 * noise > 0, 1.0, -1.0) if bernoulli else f + 0.1 * noise
+        x_moved = x + np.asarray(shift)
+        runs = [
+            _symmetry_run(make_stream(inputs, y, num_batches, order="sorted"), bernoulli, [0.7, 0.9], config, seed)
+            for inputs in (x, x_moved)
+        ]
+        gaps = _symmetry_gaps(runs, (x_test, x_test + np.asarray(shift)))
+        # measured: 1.8e-10 (mean and variance) and 1.0e-9 (theta) at most over 1000 examples
+        assert np.all(gaps <= np.array([1.8e-9, 1.8e-9, 1e-8])), gaps
+        assert _rows_in(runs[1].memory.inputs, x_moved) == _rows_in(runs[0].memory.inputs, x)
+
+    @given(case=_symmetry_cases(), bernoulli=st.booleans(), scale=st.tuples(*[st.floats(0.1, 10.0)] * 2))
+    @settings(max_examples=20, deadline=None)
+    def test_scaled_inputs_and_lengthscales_leave_the_run_unchanged(self, case, bernoulli, scale):
+        """Every input, train and test, and every lengthscale times ``scale`` (one factor per dimension)."""
+        x, f, noise, x_test, num_batches, config, seed = case
+        y = np.where(f + 0.3 * noise > 0, 1.0, -1.0) if bernoulli else f + 0.1 * noise
+        scale = np.asarray(scale)
+        x_scaled = x * scale
+        runs = [
+            _symmetry_run(make_stream(inputs, y, num_batches, order="sorted"), bernoulli, ls, config, seed)
+            for inputs, ls in ((x, np.array([0.7, 0.9])), (x_scaled, np.array([0.7, 0.9]) * scale))
+        ]
+        gaps = _symmetry_gaps(runs, (x_test, x_test * scale), ls_scale=scale)
+        # measured: 1.6e-10 (mean and variance) and 3.5e-10 (theta) at most over 1000 examples
+        assert np.all(gaps <= np.array([1.6e-9, 1.6e-9, 3.5e-9])), gaps
+        assert _rows_in(runs[1].memory.inputs, x_scaled) == _rows_in(runs[0].memory.inputs, x)
+
+    @given(case=_symmetry_cases(), bernoulli=st.booleans(), order_seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_permuted_rows_leave_the_run_unchanged(self, case, bernoulli, order_seed):
+        """Rows permuted within each batch, with a memory that holds every point, so curation keeps the pool.
+
+        Every prior variance is equal, so a refresh's first pivot is a tie
+        broken by candidate order, which on the first batch is its row order:
+        each batch keeps its first row in place.
+        """
+        x, f, noise, x_test, num_batches, config, seed = case
+        y = np.where(f + 0.3 * noise > 0, 1.0, -1.0) if bernoulli else f + 0.1 * noise
+        config = replace(config, memory_capacity=len(y))
+        batches = make_stream(x, y, num_batches, order="sorted")
+        rng = np.random.default_rng(order_seed)
+        permuted = []
+        for xb, yb in batches:
+            rows = np.concatenate([[0], 1 + rng.permutation(len(yb) - 1)])
+            permuted.append((xb[rows], yb[rows]))
+        runs = [_symmetry_run(b, bernoulli, [0.7, 0.9], config, seed) for b in (batches, permuted)]
+        gaps = _symmetry_gaps(runs, (x_test, x_test))
+        # measured: 7.1e-11 (mean and variance) and 6.1e-10 (theta) at most over 1000 examples
+        assert np.all(gaps <= np.array([7.1e-10, 7.1e-10, 6.1e-9])), gaps
+        assert sorted(_rows_in(runs[1].memory.inputs, x)) == sorted(_rows_in(runs[0].memory.inputs, x))
+        assert len(runs[0].memory) == len(y)
 
 
 class TestOneDimensionalInputs:
