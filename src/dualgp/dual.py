@@ -11,24 +11,21 @@ PSD matrix ``b_u``, related to the moments by::
 (``sum_i k_zi beta_i k_zi^T`` at stationarity) and ``alpha_u`` plays the same
 role for the site means, which is what makes streaming updates and memory
 removal cheap: contributions of individual observations add and subtract in
-this parameterization.
+this parameterization.  Every ``b_u`` equals its transpose exactly
+(:func:`make_state` checks): site sums are :func:`weighted_gram`'s, and
+only :func:`~dualgp.representation.project_duals` symmetrizes.
 
-A :class:`DualState` carries ``(kernel, z, alpha_u, b_u)`` and what is
-derived from them, once, when the state is built: the factorized Gram
-matrix ``keff`` (jitter included), the inverse Cholesky factors of
-``keff`` and ``keff + b_u`` and ``keff^{-1} alpha_u``.  So a state holds
-four ``M x M`` arrays: ``b_u``, ``keff`` and the two inverse factors.  This
-relies on states being immutable: every function here returns new states
+A :class:`DualState` is immutable: every function here returns new states
 and never writes to a state's arrays, and states may share them.  ``keff``
 is the effective ``K_zz`` throughout, so the identities between the dual
-and moment forms hold exactly even when a jitter was needed.  A caller that
-keeps a name bound to a state keeps its four ``M x M`` arrays alive.  So a
-stage that replaces a state is handed it, popped from a one-element list in
-the call (``held, state = [state], None``, then ``f(held.pop(), ...)``),
-and drops it at its last read: a called function owns its positional
-arguments.  The handed value must be a plain positional argument:
-``f(held.pop(), *rest)`` packs its arguments into a tuple that lives until
-the call returns.  A stream holds a state and is handed over to its step.
+and moment forms hold exactly even when a jitter was needed.  A name bound
+to a state keeps its four ``M x M`` arrays alive, so a stage that replaces
+a state is handed it, popped from a one-element list in the call
+(``held, state = [state], None``, then ``f(held.pop(), ...)``), and drops
+it at its last read: a called function owns its positional arguments.  The
+handed value must be a plain positional argument: ``f(held.pop(), *rest)``
+packs its arguments into a tuple that lives until the call returns.  A
+stream holds a state and is handed over to its step.
 
 Every reader of the posterior marginals of ``f`` gets them from
 :meth:`CrossGram.marginals` of one block per ``K_zz`` factor over the inputs
@@ -71,8 +68,7 @@ class DualState:
     computes them and :func:`ngd_step` hands over the ``kq`` it solved with
     and shares ``keff`` and ``kzz``.  The invariant: every state is
     ``make_state(kernel, z, alpha_u, b_u)`` bit for bit, so a checkpoint,
-    which keeps only those four, reloads it exactly.  A name bound to a
-    state keeps all four of its ``M x M`` arrays alive.
+    which keeps only those four, reloads it exactly.
     """
 
     kernel: KernelSpec
@@ -139,7 +135,8 @@ def make_state(
     b_u: np.ndarray | None = None,
 ) -> DualState:
     """Build a state from inducing inputs and (optionally) dual parameters;
-    the only code that factors a state's ``K_zz``."""
+    the only code that factors a state's ``K_zz``.  A ``b_u`` other than its
+    transpose raises :class:`ValueError`."""
     z = as_points(z)
     m = z.shape[0]
     if alpha_u is None:
@@ -150,6 +147,8 @@ def make_state(
     b_u = np.asarray(b_u, dtype=np.float64)
     if alpha_u.shape != (m,) or b_u.shape != (m, m):
         raise ValueError("dual parameter shapes do not match the inducing set")
+    if not np.array_equal(b_u, b_u.T):
+        raise ValueError("b_u is not symmetric: it must equal its transpose exactly")
     k = gram(kernel, z)
     kzz = stable_cholesky(k)
     keff = k + kzz.jitter_used * np.eye(m) if kzz.jitter_used else k
@@ -165,8 +164,8 @@ def recover_moments(state: DualState) -> tuple[np.ndarray, np.ndarray]:
     The mean is ``alpha_u`` itself (returned as a copy, bit for bit); the
     covariance is ``K_zz (K_zz + b_u)^{-1} K_zz``.
     """
-    cov = state.keff @ state.kq.solve(state.keff)
-    return state.alpha_u.copy(), 0.5 * (cov + cov.T)
+    half = state.kq.half_solve(state.keff)
+    return state.alpha_u.copy(), half.T @ half
 
 
 def predict(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,6 +203,12 @@ def cross_gram(state: DualState, x: np.ndarray) -> CrossGram:
     return CrossGram(kzx=kzx, residual=residual, kzz=state.kzz)
 
 
+def weighted_gram(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``C diag(w) C^T`` for ``w >= 0`` as ``s @ s.T``, which numpy's SYRK path makes exactly symmetric."""
+    s = c * np.sqrt(w)
+    return s @ s.T
+
+
 def _prior_pair(
     m: int, prior_alpha: np.ndarray | None, prior_b: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +241,8 @@ def ngd_step(
     step double as exact rank-one conditioning.
 
     ``prior_alpha``/``prior_b`` default to the zero pair (the kernel prior).
-    A prior is read like a state: ``prior_alpha`` is its mean.
+    A prior is read like a state: ``prior_alpha`` is its mean.  ``b_u``,
+    ``prior_b`` and :func:`weighted_gram`'s site precision add entrywise.
 
     ``cross`` is :func:`cross_gram` of ``state`` and ``x``, built here when
     omitted; the sites are evaluated at its :meth:`CrossGram.marginals`.
@@ -262,14 +268,12 @@ def ngd_step(
     site_alpha = kzx @ sites.alpha_hat
     # b_new = (1 - rho) b_u + rho (prior_b + site_b), summed in place in that
     # order, which gives the same bits; kzx is not needed past site_b.
-    b_new = (kzx * sites.beta_hat) @ kzx.T
+    b_new = weighted_gram(kzx, sites.beta_hat)
     del kzx
     b_new += prior_b
     b_new *= rho
     b_new += kept_b
     del kept_b
-    b_new = b_new + b_new.T
-    b_new *= 0.5
     alpha_raw = kept_alpha + rho * (prior_alpha + site_alpha)
 
     carry = (b_new - rho * prior_b) @ kinv_alpha
@@ -361,7 +365,7 @@ def dual_factor(kzz: CholeskyFactor, alpha: np.ndarray, b: np.ndarray, mean_ref:
     ``K^{-1} alpha + precision @ mean_ref``; the factor is the product of the
     sites the pair aggregates, normalized on its support.
     """
-    precision = kzz.solve(kzz.solve(0.5 * (b + b.T)).T)
+    precision = kzz.solve(kzz.solve(b).T)
     precision = 0.5 * (precision + precision.T)
     linear = kzz.solve(alpha) + precision @ mean_ref
     w, u = eigh(precision)

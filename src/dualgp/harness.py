@@ -414,15 +414,17 @@ def load_checkpoint(
     """Inverse of :func:`save_checkpoint`.
 
     Absent ``constant_variance`` and ``noise_variance`` read as 0 and None.
-    A file that is not valid JSON, lacks a required key or holds values of
-    the wrong type or shape raises :class:`DataError` naming the file, and
-    the key path (``likelihood.noise_variance``) where a key is missing.
+    A file that is not valid JSON, lacks a key (named by its path), holds a
+    value of the wrong type or shape, a number no float holds (``1e999``) or
+    an asymmetric ``b_u`` raises :class:`DataError` naming the file.
     """
-    def non_finite(token: str):
-        raise DataError(f"{path}: not valid JSON ({token} is not a number)")
+    def finite(token: str):
+        if not math.isfinite(float(token)):
+            raise DataError(f"{path}: {token} is not a finite number")
+        return int(token) if token.lstrip("-").isdigit() else float(token)
     with open(path) as handle:
         try:
-            payload = _entries(path, json.load(handle, parse_constant=non_finite))
+            payload = _entries(path, json.load(handle, parse_constant=finite, parse_float=finite, parse_int=finite))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:

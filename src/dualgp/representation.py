@@ -101,8 +101,8 @@ def project_duals(state: DualState, z_new: np.ndarray) -> DualState:
     """Move the dual parameters onto a new inducing set.
 
     Applies ``P = K_{new,old} K_{old,old}^{-1}`` to ``alpha_u`` and
-    congruently to ``b_u``; the projected ``b_u`` stays PSD by construction.
-    The new state is :func:`make_state` of the projected pair.
+    congruently to ``b_u``: ``P b_u P^T`` is PSD but rounds asymmetrically,
+    the one ``b_u`` that is symmetrized before :func:`make_state`.
     """
     z_new = as_points(z_new)
     p = state.kzz.solve(gram(state.kernel, state.z, z_new)).T

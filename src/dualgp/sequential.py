@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import eigh
 
-from .dual import CrossGram, DualState, cross_gram, elbo, make_state, ngd_step
+from .dual import CrossGram, DualState, cross_gram, elbo, make_state, ngd_step, weighted_gram
 from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_points, stable_cholesky
 from .likelihoods import BernoulliLogit, Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
@@ -107,14 +107,15 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
     """Subtract the memory's sites from the posterior to form the prior.
 
     Sites ``(alpha_i, beta_i)`` are evaluated at the current marginals.  The
-    precision is ``b = b_u - sum_i k_zi beta_i k_zi^T``, with negative
-    eigenvalues clipped to zero if the subtraction left it indefinite.  The
-    mean is ``alpha_u - K (K + b)^{-1} sum_i k_zi alpha_i`` (``K = K_zz``),
-    the pair whose natural parameters are the posterior's minus the sites'.
-    ``K + b`` is factored once, for that one solve and its log determinant,
-    and only the log determinant is kept.  With no memory the prior is the
-    posterior: it shares the state's arrays (states are immutable), and its
-    log determinant is ``kq``'s.
+    precision is ``b = b_u - sum_i k_zi beta_i k_zi^T``, or ``U max(w, 0) U^T``
+    of its eigenpairs ``(w, U)`` if the subtraction left it indefinite, both
+    by :func:`~dualgp.dual.weighted_gram`.  The mean is
+    ``alpha_u - K (K + b)^{-1} sum_i k_zi alpha_i`` (``K = K_zz``), the pair
+    whose natural parameters are the posterior's minus the sites'.  ``K + b``
+    is factored once, for that one solve and its log determinant, and only
+    the log determinant is kept.  With no memory the prior is the posterior:
+    it shares the state's arrays (states are immutable), and its log
+    determinant is ``kq``'s.
     """
     keff = state.keff
     if len(memory) == 0:
@@ -122,16 +123,14 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
 
     cross = cross_gram(state, memory.inputs)
     sites = lik.site_expectations(memory.labels, *cross.marginals(state))
-    kzm = cross.kzx
-    b_pr = state.b_u - (kzm * sites.beta_hat) @ kzm.T
-    site_alpha = kzm @ sites.alpha_hat
-    del cross, kzm  # before the eigh workspace
-    b_pr = 0.5 * (b_pr + b_pr.T)
+    b_pr = state.b_u - weighted_gram(cross.kzx, sites.beta_hat)
+    site_alpha = cross.kzx @ sites.alpha_hat
+    del cross  # before the eigh workspace
     w, u = eigh(b_pr)
     clip = max(-float(w.min(initial=0.0)), 0.0)
     if clip > 0.0:
-        b_pr = (u * np.maximum(w, 0.0)) @ u.T
-        b_pr = 0.5 * (b_pr + b_pr.T)
+        b_pr = weighted_gram(u, np.maximum(w, 0.0))
+    del w, u  # before the factorization
     factor = stable_cholesky(keff + b_pr)
     alpha_pr = state.alpha_u - keff @ factor.solve(site_alpha)
     return AdjustedPrior(

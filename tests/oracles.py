@@ -47,6 +47,7 @@ from dualgp.dual import (
     ngd_step,
     predict,
     recover_moments,
+    weighted_gram,
 )
 from dualgp.kernels import (
     INV_LEAF,
@@ -408,7 +409,7 @@ def seq_objective_vcl_form(
         total += float(np.sum(lik.expected_log_lik(memory.labels, mean_m, var_m)))
         sites = compute_sites(old_state, lik, memory.inputs, memory.labels)
         kzm = gram(old_state.kernel, old_state.z, memory.inputs)
-        removed_b = (kzm * sites.beta_hat) @ kzm.T
+        removed_b = weighted_gram(kzm, sites.beta_hat)
         factor = dual_factor(state.kzz, kzm @ sites.alpha_hat, removed_b, old_state.alpha_u)
         total -= expected_log_factor(factor, mean_q, cov_q)
     return total

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     expected_log_factor,
@@ -36,6 +36,7 @@ from dualgp.dual import (
     ngd_step,
     predict,
     recover_moments,
+    weighted_gram,
 )
 import dualgp.dual
 import dualgp.sequential
@@ -111,10 +112,41 @@ class TestConstruction:
         with pytest.raises(ValueError, match="shapes"):
             make_state(_spec(), np.array([[0.0], [1.0]]), alpha_u=np.zeros(3))
 
+    def test_asymmetric_b_u_raises(self):
+        """A ``b_u`` that differs from its transpose in one tiny entry is refused, not repaired."""
+        b_u = np.eye(2)
+        b_u[0, 1] = 1e-300
+        with pytest.raises(ValueError, match="b_u is not symmetric"):
+            make_state(_spec(), np.array([[0.0], [1.0]]), np.zeros(2), b_u)
+
     def test_state_is_frozen(self):
         state = make_state(_spec(), np.array([[0.0]]))
         with pytest.raises(AttributeError):
             state.alpha_u = np.ones(1)
+
+
+class TestWeightedGram:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        m=st.integers(0, 40),
+        n=st.integers(0, 60),
+        zero_share=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @example(seed=0, m=0, n=5, zero_share=0.0)
+    @example(seed=0, m=4, n=0, zero_share=0.0)
+    @example(seed=0, m=4, n=6, zero_share=1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_is_c_diag_w_ct_and_exactly_symmetric(self, seed, m, n, zero_share):
+        """Within 1e-12 of ``(C * w) @ C.T``, relative to ``|C| w |C|^T``, the
+        scale of the rounding of either product, so cancelled entries count too."""
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((m, n)) * rng.uniform(0.1, 10.0)
+        w = rng.uniform(0.0, 3.0, n) * (rng.uniform(size=n) >= zero_share)
+        got = weighted_gram(c, w)
+        assert got.shape == (m, m)
+        assert np.array_equal(got, got.T)
+        scale = (np.abs(c) * w) @ np.abs(c).T
+        assert np.all(np.abs(got - (c * w) @ c.T) <= 1e-12 * scale)
 
 
 class TestOnePointConjugate:
@@ -723,6 +755,7 @@ class TestMemory:
         new = ngd_step(state, lik, x, y, rho, prior_alpha, prior_b)
         sites = compute_sites(state, lik, x, y)
         kzx = gram(state.kernel, state.z, x)
-        site_b = (kzx * sites.beta_hat) @ kzx.T
+        s = kzx * np.sqrt(sites.beta_hat)
+        site_b = s @ s.T
         expected = (1.0 - rho) * state.b_u + rho * (prior_b + site_b)
-        assert np.array_equal(new.b_u, 0.5 * (expected + expected.T))
+        assert np.array_equal(new.b_u, expected)

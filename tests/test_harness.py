@@ -460,6 +460,20 @@ def _edit_state(name, value):
     return damage
 
 
+def _alpha_literal(literal):
+    """A damage that writes ``state.alpha_u[0]`` of a checkpoint as the JSON number ``literal``."""
+
+    def damage(text):
+        return _edit_state("alpha_u", lambda a: ["first", *a[1:]])(text).replace('"first"', literal, 1)
+
+    return damage
+
+
+def _asymmetric_b_u(b):
+    """``b`` with its ``[0][1]`` entry moved, so it no longer equals its transpose."""
+    return [[b[0][0], b[0][1] + 1e-3, *b[0][2:]], *b[1:]]
+
+
 # Damaged Gaussian checkpoints that load_checkpoint rejects, each with the
 # message that follows the file name.
 DAMAGED_CHECKPOINTS = [
@@ -473,12 +487,15 @@ DAMAGED_CHECKPOINTS = [
         id="state_type",
     ),
     pytest.param(
-        _edit_state("alpha_u", lambda a: [math.nan, *a[1:]]), "not valid JSON (NaN is not a number)", id="nan"
+        _edit_state("alpha_u", lambda a: [math.nan, *a[1:]]), "NaN is not a finite number", id="nan"
     ),
     pytest.param(
         _edit_state("b_u", lambda b: (-1e6 * np.eye(len(b))).tolist()), "cholesky failed at every jitter level",
         id="b_u_indefinite",
     ),
+    pytest.param(_alpha_literal("1e999"), "1e999 is not a finite number", id="float_overflow"),
+    pytest.param(_alpha_literal("9" * 400), f"{'9' * 400} is not a finite number", id="int_overflow"),
+    pytest.param(_edit_state("b_u", _asymmetric_b_u), "b_u is not symmetric", id="b_u_asymmetric"),
 ]
 
 
