@@ -176,11 +176,11 @@ def predict(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarra
     327 at M = 100, 109 at M = 300.  A block holds at most two ``M x rows``
     arrays at once, its cross-Gram and one half-solve (at most 256 KiB
     each), so the scratch grows neither with ``M`` nor with the number of
-    query points.
+    query points.  With no inducing points it is the kernel prior.
     """
     x_star = as_points(x_star)
     mean, var = np.empty(len(x_star)), np.empty(len(x_star))
-    block = max(1, BLOCK_ENTRIES // state.num_inducing)
+    block = max(1, BLOCK_ENTRIES // max(state.num_inducing, 1))
     for lo in range(0, len(x_star), block):
         rows = slice(lo, lo + block)
         mean[rows], var[rows] = cross_gram(state, x_star[rows]).marginals(state)

@@ -138,15 +138,6 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
     )
 
 
-def _with_memory(
-    x_batch: np.ndarray, y_batch: np.ndarray, memory: MemorySet
-) -> tuple[np.ndarray, np.ndarray]:
-    """The batch followed by the memory points."""
-    x = as_points(x_batch)
-    y = np.asarray(y_batch, dtype=np.float64)
-    return np.vstack([x, memory.inputs]), np.concatenate([y, memory.labels])
-
-
 def process_batch(
     state: DualState,
     lik: Likelihood,
@@ -164,7 +155,8 @@ def process_batch(
     :mod:`dualgp.dual`), which it drops once it has read the marginals.
     """
     prior = remove_memory(state, lik, memory)
-    x_fit, y_fit = _with_memory(x_batch, y_batch, memory)
+    x_fit = np.vstack([as_points(x_batch), memory.inputs])
+    y_fit = np.concatenate([np.asarray(y_batch, dtype=np.float64), memory.labels])
     cross = cross_gram(state, x_fit)
     for _ in range(config.ngd_steps):
         held, state = [state], None
@@ -202,7 +194,7 @@ def hyper_objective(
     y_mem: np.ndarray,
     n_old: int,
     hyper: Hyperparams,
-) -> float:
+) -> tuple[float, DualState, Likelihood, tuple[np.ndarray, np.ndarray]]:
     """Hyperparameter ascent target with the dual parameters frozen.
 
     The state is rebuilt at ``theta`` with its dual pair ``(alpha_u, b_u)``
@@ -216,7 +208,9 @@ def hyper_objective(
     terms.  Scaling ``y`` by ``c`` and the variance and the noise by
     ``c**2`` shifts the target by a ``theta``-free constant, so its steps do
     not depend on the units of ``y``.  A Gaussian likelihood takes its noise
-    from ``hyper.noise_variance`` unless that is None.
+    from ``hyper.noise_variance`` unless that is None.  Returns the target,
+    the rebuilt state, the likelihood and the state's ``(mean, var)`` over
+    the batch then the memory, which an accepted candidate keeps.
     """
     rebuilt = make_state(state.kernel.with_hyper(hyper), state.z, state.alpha_u, state.b_u)
     if isinstance(lik, Gaussian) and hyper.noise_variance is not None:
@@ -226,7 +220,7 @@ def hyper_objective(
     value = elbo(rebuilt, lik, y_batch, mean[:n], var[:n])
     if len(y_mem):
         value += n_old / len(y_mem) * float(np.sum(lik.expected_log_lik(y_mem, mean[n:], var[n:])))
-    return value
+    return value, rebuilt, lik, (mean, var)
 
 
 def _log_theta(hyper: Hyperparams, lik: Likelihood) -> np.ndarray:
@@ -273,7 +267,8 @@ def optimize_hypers(
     y_batch: np.ndarray,
     memory: MemorySet,
     n_old: int,
-) -> tuple[DualState, Likelihood, list[float]]:
+    marginals: tuple[np.ndarray, np.ndarray],
+) -> tuple[DualState, Likelihood, list[float], tuple[np.ndarray, np.ndarray]]:
     """Guarded Adam-style ascent on :func:`hyper_objective` in log space.
 
     ``theta`` is positional: the signal variance, the lengthscales in order,
@@ -285,32 +280,38 @@ def optimize_hypers(
     would decrease the objective by more than 1e-6 or cannot be evaluated:
     ``exp`` of the candidate is not positive and finite (it is then not
     evaluated), or its evaluation raises :class:`FactorizationFailed` or
-    gives a non-finite value.  Returns the state rebuilt at the accepted
-    hyperparameters, the matching likelihood, and the objective trace, which
-    repeats the previous value for a rejected step.  With no accepted step
-    the returned state and likelihood are the inputs themselves.
+    gives a non-finite value.  ``marginals`` are ``state``'s ``(mean, var)``
+    over the batch then the memory.  Returns the last accepted candidate's
+    state, likelihood and marginals as its evaluation built them, with the
+    objective trace third (it repeats the previous value for a rejected
+    step); with no accepted step they are the inputs themselves.  ``state``
+    may be handed over (see :mod:`dualgp.dual`): an accepted candidate
+    replaces it, and a rejected one is dropped before the next gradient.
     """
     hyper = state.kernel.hyper
     log_theta = _log_theta(hyper, lik)
 
-    def objective(lt: np.ndarray) -> float:
+    def evaluate(lt: np.ndarray):
+        # The kept state and likelihood rebuild the same bits as the inputs.
         h = _hyper_at(lt, hyper, lik)
         return hyper_objective(state, lik, x_batch, y_batch, memory.inputs, memory.labels, n_old, h)
 
-    def candidate_objective(lt: np.ndarray) -> float:
-        """``objective(lt)``, or NaN where it cannot be evaluated."""
+    def objective(lt: np.ndarray) -> float:
+        return evaluate(lt)[0]
+
+    def evaluate_candidate(lt: np.ndarray):
+        """``evaluate(lt)``, or None where it cannot be evaluated."""
         with np.errstate(all="ignore"):
             theta = np.exp(lt)
             if not np.all((theta > 0.0) & (theta < np.inf)):
-                return np.nan
+                return None
             try:
-                return objective(lt)
+                return evaluate(lt)
             except FactorizationFailed:
-                return np.nan
+                return None
 
     current = objective(log_theta)
     trace = [current]
-    accepted = False
     lr = config.hyper_lr
     m1 = np.zeros_like(log_theta)
     m2 = np.zeros_like(log_theta)
@@ -322,20 +323,14 @@ def optimize_hypers(
         m1_hat = m1 / (1.0 - beta1**t)
         m2_hat = m2 / (1.0 - beta2**t)
         candidate = log_theta + lr * m1_hat / (np.sqrt(m2_hat) + eps)
-        value = candidate_objective(candidate)
-        if np.isfinite(value) and value >= current - 1e-6:
-            log_theta, current, accepted = candidate, value, True
+        evaluated = evaluate_candidate(candidate)
+        if evaluated is not None and np.isfinite(evaluated[0]) and evaluated[0] >= current - 1e-6:
+            log_theta, (current, state, lik, marginals) = candidate, evaluated
         else:
             lr *= 0.5
+        del evaluated
         trace.append(current)
-
-    if not accepted:
-        return state, lik, trace
-    final_hyper = _hyper_at(log_theta, hyper, lik)
-    new_state = make_state(state.kernel.with_hyper(final_hyper), state.z, state.alpha_u, state.b_u)
-    if isinstance(lik, Gaussian):
-        lik = Gaussian(noise_variance=final_hyper.noise_variance)
-    return new_state, lik, trace
+    return state, lik, trace, marginals
 
 
 @dataclass(frozen=True)
@@ -382,7 +377,9 @@ def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
     batch.  ``stream`` is handed over (see :mod:`dualgp.dual`): its state goes
     to the refresh, which frees it, and the adjusted prior is released once
     the objective and the clip are read, before memory curation.  Both read
-    the final marginals from NGD's block, or a new one if ``K_zz`` moved.
+    the final marginals over the batch then the memory: NGD's block gives
+    them, and is dropped before the hyperparameter ascent, whose last
+    accepted candidate brings its own state and marginals.
     """
     start = time.perf_counter()
     config, seed, lik, memory, n_old = stream.config, stream.seed, stream.lik, stream.memory, stream.n_old
@@ -407,17 +404,17 @@ def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
     state = refresh_representation(held.pop(), x_batch, config.num_inducing)
     held, state = [state], None
     state, prior, cross = process_batch(held.pop(), lik, config, x_batch, y_batch, memory)
+    marginals = cross.marginals(state)
+    del cross
     if config.hyper_steps > 0:
-        state, lik, _ = optimize_hypers(state, lik, config, x_batch, y_batch, memory, n_old)
-    x_fit, y_fit = _with_memory(x_batch, y_batch, memory)
-    if state.kzz is not cross.kzz:
-        cross = cross_gram(state, x_fit)
-    mean, var = cross.marginals(state)
-    objective = seq_objective(state, lik, y_fit, mean, var, prior)
+        held, state = [state], None
+        state, lik, _, marginals = optimize_hypers(held.pop(), lik, config, x_batch, y_batch, memory, n_old, marginals)
+    mean, var = marginals
+    objective = seq_objective(state, lik, np.concatenate([y_batch, memory.labels]), mean, var, prior)
     clip = prior.clip_magnitude
     if clip > CLIP_RTOL * max(float(np.linalg.norm(prior.b)), 1.0):
         clip_count, clip_max = clip_count + 1, max(clip_max, clip)
-    del prior, cross
+    del prior
 
     memory = update_memory(memory, lik, x_batch, y_batch, mean, var, config.memory_capacity, rng_seed=[seed, index])
     n_old += len(y_batch)

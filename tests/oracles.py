@@ -67,7 +67,6 @@ from dualgp.sequential import (
     SequentialConfig,
     Stream,
     _theta_record,
-    _with_memory,
     optimize_hypers,
     remove_memory,
     seq_objective,
@@ -465,8 +464,10 @@ def run_stream_keeping_states(
 
     The same stage functions in the same order, but no state is handed
     over: each one stays in the returned list, so no stage can free its
-    input early.  The records are ``run_stream``'s, ``wall_ms`` aside (it
-    reads 0 here); the batch checks are left out.
+    input early.  The final marginals come from a block of their own, not
+    from NGD's or the accepted hyperparameter evaluation's, so they check
+    the ones ``step`` keeps.  The records are ``run_stream``'s, ``wall_ms``
+    aside (it reads 0 here); the batch checks are left out.
     """
     states: list[DualState] = []
     memory = None
@@ -483,14 +484,15 @@ def run_stream_keeping_states(
         else:
             states.append(refresh_representation(states[-1], x_batch, config.num_inducing))
         prior = remove_memory(states[-1], lik, memory)
-        x_fit, y_fit = _with_memory(x_batch, y_batch, memory)
+        x_fit, y_fit = np.vstack([x_batch, memory.inputs]), np.concatenate([y_batch, memory.labels])
         cross = cross_gram(states[-1], x_fit)
         for _ in range(config.ngd_steps):
             states.append(
                 ngd_step(states[-1], lik, x_fit, y_fit, config.ngd_rho, prior.alpha, prior.b, cross=cross)
             )
         if config.hyper_steps > 0:
-            state, lik, _ = optimize_hypers(states[-1], lik, config, x_batch, y_batch, memory, n_old)
+            marginals = cross.marginals(states[-1])
+            state, lik, _, _ = optimize_hypers(states[-1], lik, config, x_batch, y_batch, memory, n_old, marginals)
             states.append(state)
         mean, var = cross_gram(states[-1], x_fit).marginals(states[-1])
         objective = seq_objective(states[-1], lik, y_fit, mean, var, prior)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from oracles import bls_dense, fit_exact, predict_exact, pseudo_data, rls
 
+import dualgp.sequential
 from dualgp.acquisition import ExpectedImprovement, expected_improvement, fantasize_batch
 from dualgp.dual import (
     elbo,
@@ -248,36 +249,14 @@ def _banana(n, seed):
     return x, np.where(which == 1, 1.0, -1.0)
 
 
-def _stream_with_random_memory(batches, kernel, lik, config, seed):
-    """run_stream's loop with uniform memory curation instead of leverage."""
-    state = None
-    memory = None
-    n_old = 0
-    for batch_index, (x_batch, y_batch) in enumerate(batches):
-        x_batch = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
-        y_batch = np.asarray(y_batch, dtype=np.float64)
-        if state is None:
-            memory = empty_memory(x_batch.shape[1])
-            selection = pivoted_cholesky_select(kernel, x_batch, config.num_inducing)
-            state = make_state(kernel, x_batch[selection.indices])
-        else:
-            state = refresh_representation(state, x_batch, config.num_inducing)
-        state, _, _ = process_batch(state, lik, config, x_batch, y_batch, memory)
-        if config.hyper_steps > 0:
-            from dualgp.sequential import optimize_hypers
-
-            state, lik, _ = optimize_hypers(state, lik, config, x_batch, y_batch, memory, n_old)
-        pool_x = np.vstack([memory.inputs, x_batch]) if len(memory) else x_batch
-        pool_y = np.concatenate([memory.labels, y_batch]) if len(memory) else y_batch
-        rng = np.random.default_rng([seed, batch_index])
-        if len(pool_x) <= config.memory_capacity:
-            keep = np.arange(len(pool_x))
-        else:
-            keep = np.sort(rng.choice(len(pool_x), size=config.memory_capacity, replace=False))
-        memory = MemorySet(inputs=pool_x[keep], labels=pool_y[keep],
-                           scores=np.ones(len(keep)))
-        n_old += len(y_batch)
-    return state, lik
+def _uniform_curation(memory, lik, x_batch, y_batch, mean, var, capacity, rng_seed):
+    """``update_memory``'s pool, kept whole if it fits, else a seeded uniform draw instead of leverage."""
+    pool_x = np.vstack([memory.inputs, x_batch])
+    pool_y = np.concatenate([memory.labels, y_batch])
+    keep = np.arange(len(pool_x))
+    if len(pool_x) > capacity:
+        keep = np.sort(np.random.default_rng(rng_seed).choice(len(pool_x), size=capacity, replace=False))
+    return MemorySet(inputs=pool_x[keep], labels=pool_y[keep], scores=np.ones(len(keep)))
 
 
 def test_criterion_06_streaming_matches_offline_classification():
@@ -303,10 +282,10 @@ def test_criterion_06_streaming_matches_offline_classification():
             ev_off = evaluate_state(off.state, off.lik, x_test, y_test)
             acc_offline.append(1.0 - ev_off["rmse_or_error"])
 
-            state_u, lik_u = _stream_with_random_memory(
-                batches, kernel, BernoulliLogit(), config, seed
-            )
-            nlpd_uniform.append(evaluate_state(state_u, lik_u, x_test, y_test)["nlpd"])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dualgp.sequential, "update_memory", _uniform_curation)
+                uniform = run_stream(batches, kernel, BernoulliLogit(), config, seed=seed)
+            nlpd_uniform.append(evaluate_state(uniform.state, uniform.lik, x_test, y_test)["nlpd"])
 
         assert abs(np.mean(acc_stream) - np.mean(acc_offline)) <= 0.03, (
             f"stream accuracy {np.mean(acc_stream):.4f} vs offline {np.mean(acc_offline):.4f}"
@@ -480,7 +459,7 @@ def test_criterion_10_derivative_consistency():
                 math.exp(log_theta[0]), np.array([math.exp(log_theta[1])]),
                 noise_variance=math.exp(log_theta[2]),
             )
-            return hyper_objective(state, lik, x, y_batch, x_mem, y_mem, 0, hyper)
+            return hyper_objective(state, lik, x, y_batch, x_mem, y_mem, 0, hyper)[0]
 
         log_theta = np.log([0.8, 0.6, 0.25])
         coarse = hyper_gradient(objective, log_theta, h)

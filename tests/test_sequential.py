@@ -24,9 +24,9 @@ import dualgp.kernels
 import dualgp.memory
 import dualgp.representation
 import dualgp.sequential
-from dualgp.dual import elbo, iterate_ngd, make_state, ngd_step, predict
-from dualgp.harness import make_stream
-from dualgp.kernels import FactorizationFailed, Hyperparams, KernelSpec, stable_cholesky
+from dualgp.dual import cross_gram, elbo, iterate_ngd, make_state, ngd_step, predict
+from dualgp.harness import evaluate_state, make_stream
+from dualgp.kernels import FactorizationFailed, Hyperparams, KernelSpec, gram_diag, stable_cholesky
 from dualgp.likelihoods import BernoulliLogit, Gaussian
 from dualgp.memory import MemorySet, empty_memory
 from dualgp.representation import pivoted_cholesky_select, project_duals, refresh_representation
@@ -35,7 +35,6 @@ from dualgp.sequential import (
     Stream,
     _hyper_at,
     _log_theta,
-    _with_memory,
     fit_offline,
     hyper_gradient,
     hyper_objective,
@@ -220,10 +219,15 @@ class TestRemoveMemory:
 
 @pytest.mark.parametrize("flat", [False, True])
 def test_with_empty_memory_is_the_batch(rng, flat):
+    """With no memory the NGD data is the batch, given as points or as a flat array."""
     x = rng.uniform(-2, 2, (5, 1))
     y = np.sin(x[:, 0])
-    x_all, y_all = _with_memory(x[:, 0] if flat else x, y, empty_memory(1))
-    assert np.array_equal(x_all, x) and np.array_equal(y_all, y)
+    lik, state = Gaussian(0.3), make_state(_spec(), x[:3])
+    config = SequentialConfig(num_inducing=3, ngd_steps=1)
+    new, _, cross = process_batch(state, lik, config, x[:, 0] if flat else x, y, empty_memory(1))
+    expected = ngd_step(state, lik, x, y, config.ngd_rho, state.alpha_u, state.b_u)
+    assert np.array_equal(new.alpha_u, expected.alpha_u) and np.array_equal(new.b_u, expected.b_u)
+    assert cross.kzx.shape == (3, 5)
 
 
 class TestSeqObjective:
@@ -274,7 +278,7 @@ class TestSeqObjective:
             probe = ngd_step(
                 probe, lik, x_new, y_new, rho=0.4, prior_alpha=prior.alpha, prior_b=prior.b
             )
-            x_fit, y_fit = _with_memory(x_new, y_new, memory)
+            x_fit, y_fit = np.vstack([x_new, memory.inputs]), np.concatenate([y_new, memory.labels])
             a = seq_objective(probe, lik, y_fit, *predict(probe, x_fit), prior)
             b = seq_objective_vcl_form(probe, lik, x_new, y_new, memory, state)
             offsets.append(a - b)
@@ -316,8 +320,8 @@ class TestPriorFactor:
         state, lik, x, y = _fitted_gaussian(rng)
         memory = _memory_of(x[:3], y[:3])
         config = SequentialConfig(num_inducing=6, ngd_steps=1, hyper_steps=2)
-        new, prior, _ = process_batch(state, lik, config, x[3:], y[3:], memory)
-        new, lik, _ = optimize_hypers(new, lik, config, x[3:], y[3:], memory, n_old=3)
+        new, prior, cross = process_batch(state, lik, config, x[3:], y[3:], memory)
+        new, lik, _, _ = optimize_hypers(new, lik, config, x[3:], y[3:], memory, 3, cross.marginals(new))
         assert new.keff is not prior.keff
         x_all, y_all = np.vstack([x[3:], x[:3]]), np.concatenate([y[3:], y[:3]])
         factorizations.clear()
@@ -388,7 +392,7 @@ class TestHyperObjective:
         lik = Gaussian(1.0)
         x, y = np.array([[0.0]]), np.array([1.0])
         state = ngd_step(make_state(spec, x), lik, x, y, rho=1.0)
-        val = hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, spec.hyper)
+        val = hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, spec.hyper)[0]
         assert val == pytest.approx(ONE_POINT_HYPER_OBJECTIVE, rel=1e-12)
 
     def test_one_point_equals_bound(self):
@@ -396,16 +400,16 @@ class TestHyperObjective:
         lik = Gaussian(1.0)
         x, y = np.array([[0.0]]), np.array([1.0])
         state = ngd_step(make_state(spec, x), lik, x, y, rho=1.0)
-        val = hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, spec.hyper)
+        val = hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, spec.hyper)[0]
         bound = elbo(state, lik, y, *predict(state, x))
         assert val == pytest.approx(bound, rel=1e-12)
 
     def test_memory_term_scales_linearly_with_n_old(self, rng):
         state, lik, x, y = _fitted_gaussian(rng)
         x_mem, y_mem = x[:3], y[:3]
-        base = hyper_objective(state, lik, x[3:], y[3:], x_mem, y_mem, 0, state.kernel.hyper)
-        one = hyper_objective(state, lik, x[3:], y[3:], x_mem, y_mem, 3, state.kernel.hyper)
-        two = hyper_objective(state, lik, x[3:], y[3:], x_mem, y_mem, 6, state.kernel.hyper)
+        base = hyper_objective(state, lik, x[3:], y[3:], x_mem, y_mem, 0, state.kernel.hyper)[0]
+        one = hyper_objective(state, lik, x[3:], y[3:], x_mem, y_mem, 3, state.kernel.hyper)[0]
+        two = hyper_objective(state, lik, x[3:], y[3:], x_mem, y_mem, 6, state.kernel.hyper)[0]
         assert two - one == pytest.approx(one - base, rel=1e-9)
 
     def test_noise_variance_flows_from_hyper(self, rng):
@@ -415,7 +419,7 @@ class TestHyperObjective:
         quiet = Hyperparams(1.0, np.array([0.8]), noise_variance=0.3)
         assert hyper_objective(
             state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, loud
-        ) != hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, quiet)
+        )[0] != hyper_objective(state, lik, x, y, np.empty((0, 1)), np.empty(0), 0, quiet)[0]
 
     def test_missing_hyper_noise_falls_back_to_likelihood(self, rng):
         x = rng.uniform(-2, 2, (6, 1))
@@ -423,9 +427,9 @@ class TestHyperObjective:
         bare = Hyperparams(1.0, np.array([0.8]))
         state = ngd_step(make_state(KernelSpec("matern52", bare), x), Gaussian(0.3), x, y, 1.0)
         no_mem = (np.empty((0, 1)), np.empty(0), 0)
-        fallback = hyper_objective(state, Gaussian(0.3), x, y, *no_mem, bare)
+        fallback = hyper_objective(state, Gaussian(0.3), x, y, *no_mem, bare)[0]
         explicit = Hyperparams(1.0, np.array([0.8]), noise_variance=0.3)
-        assert fallback == hyper_objective(state, Gaussian(0.3), x, y, *no_mem, explicit)
+        assert fallback == hyper_objective(state, Gaussian(0.3), x, y, *no_mem, explicit)[0]
 
     def test_steps_do_not_depend_on_the_units_of_y(self, rng):
         """``y * c`` with variance and noise ``* c**2`` moves the target by a theta-free constant."""
@@ -438,7 +442,7 @@ class TestHyperObjective:
             state = ngd_step(make_state(spec, x[:12]), lik, x, c * y, rho=1.0)
             moved = Hyperparams(1.4 * c**2, np.array([0.6, 1.5]), noise_variance=0.2 * c**2)
             args = (state, lik, x[5:], c * y[5:], x[:5], c * y[:5], 20)
-            steps.append(hyper_objective(*args, moved) - hyper_objective(*args, spec.hyper))
+            steps.append(hyper_objective(*args, moved)[0] - hyper_objective(*args, spec.hyper)[0])
         assert steps[1] == pytest.approx(steps[0], rel=1e-9)
         assert steps[2] == pytest.approx(steps[0], rel=1e-9)
 
@@ -477,7 +481,7 @@ class TestHyperObjectiveClosedForm:
     def test_matches_reference(self, name, rng):
         case = _hyper_case(name, rng)
         expected = hyper_objective_reference(*case)
-        assert hyper_objective(*case) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert hyper_objective(*case)[0] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -504,7 +508,7 @@ class TestHyperObjectiveClosedForm:
         hyper = _moved(spec.hyper, scale=rng.uniform(0.75, 1.35))
         case = (state, lik, x, y, x[:n_mem], y[:n_mem], 7, hyper)
         expected = hyper_objective_reference(*case)
-        assert hyper_objective(*case) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert hyper_objective(*case)[0] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_one_eigh_and_no_moment_route(self, rng, monkeypatch):
         """One evaluation: no eigh, the factors of K and K + B and nothing else."""
@@ -538,11 +542,11 @@ class TestHyperObjectiveClosedForm:
         """``B`` is never decomposed, on the first evaluation or on later ones."""
         calls = _count_eigh(monkeypatch)
         state, lik, x, y, x_mem, y_mem, n_old, hyper = _hyper_case("with_memory", rng)
-        first = hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, hyper)
+        first = hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, hyper)[0]
         assert calls == []
-        again = hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, _moved(hyper))
+        again = hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, _moved(hyper))[0]
         assert calls == []
-        assert hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, hyper) == first
+        assert hyper_objective(state, lik, x, y, x_mem, y_mem, n_old, hyper)[0] == first
         assert again != first
 
 
@@ -575,8 +579,8 @@ class TestOptimizeHypers:
         state, lik, x, y = _fitted_gaussian(rng, noise=0.5)
         config = SequentialConfig(num_inducing=6, hyper_steps=5, hyper_lr=0.05)
         bare = make_state(_spec(noise=None), state.z, state.alpha_u, state.b_u)
-        new_state, new_lik, trace = optimize_hypers(bare, lik, config, x, y, empty_memory(1), 0)
-        _, same_lik, same_trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        new_state, new_lik, trace, _ = optimize_hypers(bare, lik, config, x, y, empty_memory(1), 0, predict(bare, x))
+        _, same_lik, same_trace, _ = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0, predict(state, x))
         assert new_lik.noise_variance != 0.5
         assert new_state.kernel.hyper.noise_variance == new_lik.noise_variance
         assert trace == same_trace
@@ -596,7 +600,7 @@ class TestOptimizeHypers:
 
         monkeypatch.setattr(dualgp.sequential, "hyper_objective", counted)
         config = SequentialConfig(num_inducing=10, hyper_steps=3, hyper_lr=0.05)
-        new_state, _, _ = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        new_state, _, _, _ = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0, predict(state, x))
         # two components (variance, lengthscale): 1 + 3 * (2 * 2 + 1) evaluations
         assert len(evals) == 16
         assert all(h.noise_variance == 0.7 for h in evals)
@@ -609,7 +613,7 @@ class TestOptimizeHypers:
         lik = Gaussian(0.5)
         state = ngd_step(make_state(spec, x[::3]), lik, x, y, rho=1.0)
         config = SequentialConfig(num_inducing=10, hyper_steps=10, hyper_lr=0.05)
-        _, _, trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        _, _, trace, _ = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0, predict(state, x))
         diffs = np.diff(np.asarray(trace))
         assert diffs.min() > -1e-6
 
@@ -620,7 +624,7 @@ class TestOptimizeHypers:
         lik = Gaussian(0.5)
         state = ngd_step(make_state(spec, x[::3]), lik, x, y, rho=1.0)
         config = SequentialConfig(num_inducing=10, hyper_steps=15, hyper_lr=0.08)
-        new_state, new_lik, trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        new_state, new_lik, trace, _ = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0, predict(state, x))
         assert trace[-1] > trace[0]
         assert new_state.kernel.hyper.lengthscales[0] != 2.0
         assert new_lik.noise_variance != 0.5
@@ -630,7 +634,7 @@ class TestOptimizeHypers:
         state, lik, x, y = _fitted_gaussian(rng)
         calls = _count_eigh(monkeypatch)
         config = SequentialConfig(num_inducing=6, hyper_steps=5, hyper_lr=0.05)
-        _, _, trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        _, _, trace, _ = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0, predict(state, x))
         assert len(trace) == 6
         assert calls == []
 
@@ -645,7 +649,8 @@ class TestOptimizeHypers:
             spec = KernelSpec("matern52", Hyperparams(c**2, np.array([2.0]), noise_variance=0.5 * c**2))
             state = ngd_step(make_state(spec, x[::3]), lik, x, c * y, rho=1.0)
             memory = _memory_of(x[:8], c * y[:8])
-            new_state, new_lik, _ = optimize_hypers(state, lik, config, x[8:], c * y[8:], memory, 20)
+            marginals = predict(state, np.vstack([x[8:], x[:8]]))
+            new_state, new_lik, _, _ = optimize_hypers(state, lik, config, x[8:], c * y[8:], memory, 20, marginals)
             fitted.append((new_state.kernel.hyper, new_lik.noise_variance))
         (one, noise_one), (ten, noise_ten) = fitted
         assert one.lengthscales[0] != 2.0
@@ -653,10 +658,22 @@ class TestOptimizeHypers:
         assert ten.variance == pytest.approx(100.0 * one.variance, rel=1e-7)
         assert noise_ten == pytest.approx(100.0 * noise_one, rel=1e-7)
 
+    def test_returns_the_marginals_of_the_state_it_returns(self, rng):
+        """An accepted ascent's marginals are its state's over the batch then the memory, bit for bit."""
+        state, lik, x, y = _fitted_gaussian(rng)
+        x_fit = np.vstack([x[3:], x[:3]])
+        config = SequentialConfig(num_inducing=6, hyper_steps=3, hyper_lr=0.05)
+        new_state, _, _, (mean, var) = optimize_hypers(
+            state, lik, config, x[3:], y[3:], _memory_of(x[:3], y[:3]), 3, predict(state, x_fit)
+        )
+        assert new_state.kernel.hyper.variance != state.kernel.hyper.variance
+        fresh_mean, fresh_var = cross_gram(new_state, x_fit).marginals(new_state)
+        assert np.array_equal(mean, fresh_mean) and np.array_equal(var, fresh_var)
+
     def test_dual_parameters_frozen_through_ascent(self, rng):
         state, lik, x, y = _fitted_gaussian(rng)
         config = SequentialConfig(num_inducing=6, hyper_steps=5, hyper_lr=0.05)
-        new_state, _, _ = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        new_state, _, _, _ = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0, predict(state, x))
         np.testing.assert_array_equal(new_state.alpha_u, state.alpha_u)
         np.testing.assert_array_equal(new_state.b_u, state.b_u)
 
@@ -691,9 +708,10 @@ class TestOptimizeHypers:
         lik = Gaussian(0.1)
         state = ngd_step(make_state(_spec(ls=1.0, noise=0.1), x[::3]), lik, x, y, rho=1.0)
         config = SequentialConfig(num_inducing=10, hyper_steps=5, hyper_lr=50)
-        new_state, new_lik, trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        marginals = predict(state, x)
+        new_state, new_lik, trace, kept = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0, marginals)
         assert trace == [trace[0]] * 6
-        assert new_state is state and new_lik is lik
+        assert new_state is state and new_lik is lik and kept is marginals
         assert new_lik.noise_variance == 0.1
 
     def test_bernoulli_keeps_likelihood_object(self, rng):
@@ -702,7 +720,7 @@ class TestOptimizeHypers:
         lik = BernoulliLogit()
         state, _, _ = iterate_ngd(make_state(_spec(), x), lik, x, y, rho=0.7, tol=1e-10)
         config = SequentialConfig(num_inducing=10, hyper_steps=3, hyper_lr=0.05)
-        _, new_lik, trace = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0)
+        _, new_lik, trace, _ = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0, predict(state, x))
         assert new_lik is lik
         assert len(trace) == 4
 
@@ -859,26 +877,53 @@ class TestBlockCounts:
         assert (len(grams), len(predicts)) == (5, 0)
 
     @pytest.mark.parametrize("hyper_steps", [0, 3])
-    def test_final_marginals_build_a_block_only_when_k_zz_moved(self, monkeypatch, hyper_steps):
-        """One fit-set block per ``K_zz`` factor the batch ends with: NGD's, or the hyper steps' rebuild."""
+    def test_no_fit_set_block_outside_ngd_and_hyper_objective(self, monkeypatch, hyper_steps):
+        """NGD builds one fit-set block and each hyperparameter evaluation one more.
+
+        The final marginals read NGD's block, or the last accepted
+        evaluation's, which was built with the ``K_zz`` factor the batch ends
+        with; nothing builds a block over the fit set after the ascent.
+        """
         rng = np.random.default_rng(7)
         x = rng.uniform(-3, 3, (60, 1))
         y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(60)
         config = SequentialConfig(num_inducing=10, memory_capacity=10, hyper_steps=hyper_steps, hyper_lr=0.05)
         stream = run_stream([(x[:30], y[:30])], _spec(noise=None), Gaussian(0.1), config)
         built = []
-        original = dualgp.sequential.cross_gram
+        original = dualgp.dual.cross_gram
 
         def building(state, x):
             built.append((state.kzz, len(x)))
             return original(state, x)
 
-        monkeypatch.setattr(dualgp.sequential, "cross_gram", building)
+        for module in (dualgp.dual, dualgp.sequential):
+            monkeypatch.setattr(module, "cross_gram", building)
+        evals = _count_calls(monkeypatch, dualgp.sequential, "hyper_objective")
         out = step(stream, x[30:], y[30:])
         fit_blocks = [kzz for kzz, rows in built if rows == 40]
+        assert len(evals) == (1 + hyper_steps * (2 * 3 + 1) if hyper_steps else 0)
+        assert len(fit_blocks) == 1 + len(evals)
         assert [kzz is out.state.kzz for kzz in fit_blocks].count(True) == 1
         # NGD's block is the first over the fit set; accepted hyper steps leave its K_zz behind
         assert (fit_blocks[0] is out.state.kzz) == (hyper_steps == 0)
+
+    def test_accepted_hyper_steps_factor_no_state_twice(self, monkeypatch):
+        """``make_state`` runs for the refresh and for each hyperparameter evaluation, and no more.
+
+        The last accepted candidate's state, as its evaluation built it, ends
+        the batch; the ascent does not rebuild it at the accepted theta.
+        """
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-3, 3, (60, 1))
+        y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(60)
+        config = SequentialConfig(num_inducing=10, memory_capacity=10, hyper_steps=3, hyper_lr=0.05)
+        stream = run_stream([(x[:30], y[:30])], _spec(noise=None), Gaussian(0.1), config)
+        states = _count_calls(monkeypatch, dualgp.dual, "make_state")
+        evals = _count_calls(monkeypatch, dualgp.sequential, "hyper_objective")
+        out = step(stream, x[30:], y[30:])
+        assert out.records[-1]["theta"] != stream.records[-1]["theta"]
+        assert len(evals) == 1 + 3 * (2 * 3 + 1)
+        assert len(states) == 1 + len(evals)
 
     def test_hyper_objective_builds_one_cross_gram(self, monkeypatch):
         """``K_zz`` of the rebuilt state and one block over the batch and the memory."""
@@ -971,6 +1016,31 @@ class TestWorkingSet:
         peak = self._peak(lambda: process_batch(held.pop(), BernoulliLogit(), config, x, y, memory))
         assert peak <= 6.0
 
+    def test_gaussian_step_with_accepted_hyper_steps_peak(self):
+        """10.09 M^2 with the accepted theta's state and fit-set block rebuilt after
+        the ascent, 9.13 with the last accepted evaluation's kept.
+
+        A Gaussian stream on the same inputs with two hyperparameter steps per
+        batch, traced through its third batch, whose steps move theta.
+        """
+        m = self.M
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-3, 3, (4 * m, 2))
+        y = np.sin(2.0 * x[:, 0]) * np.cos(x[:, 1]) + 0.1 * rng.standard_normal(4 * m)
+        spec = KernelSpec("matern52", Hyperparams(1.0, np.array([0.7])))
+        config = SequentialConfig(num_inducing=m, memory_capacity=m, hyper_steps=2, hyper_lr=0.05)
+        batches = make_stream(x, y, 4)
+        run_stream(batches[:1], spec, Gaussian(0.1), config)
+        tracemalloc.start()
+        try:
+            held = [run_stream(batches[:2], spec, Gaussian(0.1), config)]
+            theta, (x, y), out = held[0].records[-1]["theta"], batches[2], []
+            peak = self._peak(lambda: out.append(step(held.pop(), x, y)))
+        finally:
+            tracemalloc.stop()
+        assert out[0].records[-1]["theta"] != theta
+        assert peak <= 9.6
+
 
 def _state_arrays(state):
     """Every array and number a state holds, by name."""
@@ -1052,7 +1122,7 @@ class TestHandOver:
         x_b, y_b = batches[2]
         before = {name: np.copy(value) for name, value in _state_arrays(state).items()}
         prior = remove_memory(state, lik, memory)
-        x_fit, y_fit = _with_memory(x_b, y_b, memory)
+        x_fit, y_fit = np.vstack([x_b, memory.inputs]), np.concatenate([y_b, memory.labels])
         calls = {
             "ngd_step": lambda: ngd_step(state, lik, x_fit, y_fit, 0.6, prior.alpha, prior.b),
             "process_batch": lambda: process_batch(state, lik, config, x_b, y_b, memory),
@@ -1138,6 +1208,20 @@ class TestStep:
         start = Stream.start(_spec(), Gaussian(0.3), SequentialConfig(num_inducing=5), 3)
         assert start.state.z.shape == (0, 3) and start.memory.inputs.shape == (0, 3)
         assert (start.n_old, start.records, start.clip_count) == (0, (), 0)
+
+    def test_the_start_predicts_the_kernel_prior(self, rng):
+        """With no inducing points the mean is 0 and the variance ``k(x, x)``, and the
+        held-out metrics are those of ``N(0, k(x, x) + noise)``."""
+        spec = KernelSpec("matern52", Hyperparams(1.3, np.array([0.7, 0.9]), constant_variance=0.2))
+        start = Stream.start(spec, Gaussian(0.3), SequentialConfig(num_inducing=5), 2)
+        x = rng.uniform(-2, 2, (7, 2))
+        y = np.sin(x[:, 0]) * np.cos(x[:, 1])
+        mean, var = predict(start.state, x)
+        assert np.array_equal(mean, np.zeros(7)) and np.array_equal(var, gram_diag(spec, x))
+        total = var + 0.3
+        metrics = evaluate_state(start.state, start.lik, x, y)
+        assert metrics["nlpd"] == pytest.approx(float(np.mean(0.5 * np.log(2 * np.pi * total) + y**2 / (2 * total))))
+        assert metrics["rmse_or_error"] == pytest.approx(float(np.sqrt(np.mean(y**2))))
 
     @pytest.mark.parametrize(
         "value, name, new",
