@@ -336,21 +336,20 @@ def elbo(
     set with a zero state gives exactly zero.
     """
     m = state.num_inducing
-    kernel_prior = prior_b is None
-    prior_alpha, prior_b = _prior_pair(m, prior_alpha, prior_b)
+    if prior_alpha is None and prior_b is None:
+        prior_alpha, a, prior_logdet = np.zeros(m), state.keff, state.kzz.logdet
+    else:
+        prior_alpha, prior_b = _prior_pair(m, prior_alpha, prior_b)
+        a = state.keff + prior_b
+        if prior_logdet is None:
+            prior_logdet = stable_cholesky(a).logdet
 
     ell = float(np.sum(lik.expected_log_lik(y, mean, var)))
-
-    lq = state.kq
-    a = state.keff + prior_b
-    if kernel_prior:
-        prior_logdet = state.kzz.logdet
-    elif prior_logdet is None:
-        prior_logdet = stable_cholesky(a).logdet
 
     # KL(q || prior) written entirely in dual quantities:
     # trace term tr(P_p V_q) collapses to tr((K + B_pr)(K + B_u)^{-1}),
     # which is sum(L * (L @ A)) for A = K + B_pr and L = lq.inv.
+    lq = state.kq
     trace = float(np.sum(lq.inv * (lq.inv @ a)))
     d = state.kzz.solve(prior_alpha - state.alpha_u)
     quad = float(d @ (a @ d))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import logging
 import time
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,16 +90,16 @@ class AdjustedPrior:
     ``alpha``/``b`` is a dual pair read like a state's: ``alpha`` is the
     prior mean.  ``b`` is PSD-repaired if the literal subtraction left it
     indefinite, and ``clip_magnitude`` is the largest eigenvalue clipped.
-    ``logdet`` is the log determinant of ``keff + b``, where ``keff`` is the
-    factorized K_zz of the state the prior was formed from (the same array
-    object); the objective of a state with that ``keff`` reuses it.  It is
-    the only part of the factor of ``keff + b`` that is read after the prior
-    mean is solved, so the factor itself is not kept.
+    ``logdet`` is the log determinant of ``keff + b``, the only part of its
+    factor read after the prior mean is solved.  ``keff`` is the factorized
+    K_zz of the state the prior was formed from and ``keff_ref`` a weak
+    reference to it: the objective of a state with that ``keff`` object
+    reuses ``logdet``, and the prior does not keep K_zz alive.
     """
 
     alpha: np.ndarray
     b: np.ndarray
-    keff: np.ndarray
+    keff_ref: weakref.ref
     logdet: float
     clip_magnitude: float = 0.0
 
@@ -119,7 +120,7 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
     """
     keff = state.keff
     if len(memory) == 0:
-        return AdjustedPrior(alpha=state.alpha_u, b=state.b_u, keff=keff, logdet=state.kq.logdet)
+        return AdjustedPrior(alpha=state.alpha_u, b=state.b_u, keff_ref=weakref.ref(keff), logdet=state.kq.logdet)
 
     cross = cross_gram(state, memory.inputs)
     sites = lik.site_expectations(memory.labels, *cross.marginals(state))
@@ -134,7 +135,7 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
     factor = stable_cholesky(keff + b_pr)
     alpha_pr = state.alpha_u - keff @ factor.solve(site_alpha)
     return AdjustedPrior(
-        alpha=alpha_pr, b=b_pr, keff=keff, logdet=factor.logdet, clip_magnitude=clip
+        alpha=alpha_pr, b=b_pr, keff_ref=weakref.ref(keff), logdet=factor.logdet, clip_magnitude=clip
     )
 
 
@@ -181,7 +182,7 @@ def seq_objective(
     determinant is reused while ``state`` has the ``keff`` it was built
     with; after hyperparameter steps ``elbo`` factors ``keff + b`` again.
     """
-    logdet = prior.logdet if state.keff is prior.keff else None
+    logdet = prior.logdet if state.keff is prior.keff_ref() else None
     return elbo(state, lik, y_fit, mean, var, prior.alpha, prior.b, logdet)
 
 

@@ -42,6 +42,16 @@ BERN_PRED_ORACLE = 0.674984
 GAUSS_ELL_ORACLE = -3.123002
 
 
+@st.composite
+def _bernoulli_points(draw):
+    """``(y, mean, var)`` of 1 to 8 points: both labels, ``|mean| <= 30`` and ``0 <= var <= 5``."""
+    n = draw(st.integers(1, 8))
+    y = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    mean = draw(st.lists(st.floats(-30.0, 30.0), min_size=n, max_size=n))
+    var = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    return np.array(y), np.array(mean), np.array(var)
+
+
 class TestGaussHermite:
     def test_polynomial_is_exact(self):
         """A 20-point rule integrates low-degree polynomials exactly."""
@@ -71,10 +81,9 @@ class TestGaussHermite:
         order = 20
         n = 2 * (BLOCK_ENTRIES // order) + 3
         mean, var = rng.standard_normal(n), rng.uniform(0.0, 2.0, n)
-        y = np.sign(rng.standard_normal(n))
         nodes, weights = _hermgauss(order)
-        whole = expit(y[:, None] * (mean[:, None] + np.sqrt(2.0 * var)[:, None] * nodes)) @ weights
-        out = gauss_hermite_expectation(lambda f, yb: expit(yb * f), mean, var, order, y)
+        whole = expit(mean[:, None] + np.sqrt(2.0 * var)[:, None] * nodes) @ weights
+        out = gauss_hermite_expectation(expit, mean, var, order)
         np.testing.assert_allclose(out, whole, rtol=1e-15, atol=0)
 
     def test_scratch_is_bounded_by_blocks(self, rng):
@@ -241,13 +250,38 @@ class TestBernoulliLogit:
         with pytest.raises(ValueError, match="labels"):
             BernoulliLogit.canon_labels(np.array([1.0, 2.0]))
 
-    def test_label_sign_flips_alpha(self):
-        """Flipping the label and negating the mean negates alpha_hat."""
-        lik = BernoulliLogit()
-        a_pos = lik.site_expectations(np.array([1.0]), np.array([0.8]), np.array([0.6]))
-        a_neg = lik.site_expectations(np.array([-1.0]), np.array([-0.8]), np.array([0.6]))
-        assert a_neg.alpha_hat[0] == pytest.approx(-a_pos.alpha_hat[0], rel=1e-12)
-        assert a_neg.beta_hat[0] == pytest.approx(a_pos.beta_hat[0], rel=1e-12)
+    @given(points=_bernoulli_points(), order=st.sampled_from([2, 20, 64]))
+    @settings(max_examples=100, deadline=None)
+    def test_label_sign_flips_alpha(self, points, order):
+        """Flipping the label and negating the mean leave ``y * mean`` as it is:
+        alpha_hat negates exactly, and beta_hat, the expected log-likelihood
+        and the predictive density keep their bits."""
+        y, mean, var = points
+        lik = BernoulliLogit(quad_points=order)
+        sites, flipped = lik.site_expectations(y, mean, var), lik.site_expectations(-y, -mean, var)
+        assert np.array_equal(flipped.alpha_hat, -sites.alpha_hat)
+        assert np.array_equal(flipped.beta_hat, sites.beta_hat)
+        for method in (lik.expected_log_lik, lik.predictive_density):
+            assert np.array_equal(method(-y, -mean, var), method(y, mean, var)), method.__name__
+
+    @given(points=_bernoulli_points(), order=st.sampled_from([2, 20, 64]))
+    @settings(max_examples=100, deadline=None)
+    def test_signed_latent_gives_the_label_column_numbers(self, points, order):
+        """The expectations over ``y f`` against integrands of ``f`` that read the label, to 1e-14."""
+        y, mean, var = points
+        lik = BernoulliLogit(quad_points=order)
+        nodes, weights = _hermgauss(order)
+        f, yb = mean[:, None] + np.sqrt(2.0 * var)[:, None] * nodes, y[:, None]
+        sites = lik.site_expectations(y, mean, var)
+        np.testing.assert_allclose(sites.alpha_hat, y * (expit(-yb * f) @ weights), rtol=1e-14, atol=0)
+        beta = (expit(f) * expit(-f)) @ weights
+        above = beta > BETA_FLOOR
+        np.testing.assert_allclose(sites.beta_hat[above], beta[above], rtol=1e-14, atol=0)
+        assert np.all(sites.beta_hat[~above] == BETA_FLOOR)
+        ell = -np.logaddexp(0.0, -yb * f) @ weights
+        np.testing.assert_allclose(lik.expected_log_lik(y, mean, var), ell, rtol=1e-14, atol=0)
+        prob = np.clip(expit(yb * f) @ weights, 0.0, 1.0)
+        np.testing.assert_allclose(lik.predictive_density(y, mean, var), prob, rtol=1e-14, atol=0)
 
     def test_beta_floor_engages_far_from_boundary(self):
         lik = BernoulliLogit()
