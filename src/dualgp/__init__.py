@@ -24,7 +24,7 @@ from .kernels import FactorizationFailed, Hyperparams, KernelSpec, gram, stable_
 from .likelihoods import BernoulliLogit, Gaussian
 from .dual import DualState, iterate_ngd, make_state, ngd_step, predict
 from .representation import pivoted_cholesky_select, refresh_representation
-from .sequential import SequentialConfig, Stream, fit_offline, hyper_objective, run_stream
+from .sequential import SequentialConfig, Stream, hyper_objective, run_stream
 from .acquisition import ExpectedImprovement, fantasize_batch
 from .harness import (
     ConfigError,
@@ -58,7 +58,6 @@ __all__ = [
     "refresh_representation",
     "SequentialConfig",
     "Stream",
-    "fit_offline",
     "hyper_objective",
     "run_stream",
     "ExpectedImprovement",

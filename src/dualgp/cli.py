@@ -1,9 +1,10 @@
 """Command-line harness.
 
-Five subcommands: ``fit`` (offline fit on one CSV), ``stream`` (sequential
-fit over an ordered batch stream), ``bo`` (batch Bayesian optimization on a
-built-in synthetic objective), ``predict`` (apply a checkpoint to new
-inputs), and ``eval`` (score a predictions file against labels).
+Five subcommands: ``stream`` (sequential fit over an ordered batch stream),
+``fit`` (``stream`` with the whole CSV as one batch), ``bo`` (batch Bayesian
+optimization on a built-in synthetic objective), ``predict`` (apply a
+checkpoint to new inputs), and ``eval`` (score a predictions file against
+labels).
 
 Exit codes: 0 on success, 1 on runtime failures (bad data files, numerical
 errors), 2 on usage errors (bad flags, bad config).
@@ -43,7 +44,7 @@ from .harness import (
 )
 from .likelihoods import Gaussian
 from .representation import pivoted_cholesky_select, refresh_representation
-from .sequential import fit_offline, run_stream
+from .sequential import run_stream
 
 
 def _sinebump(x: np.ndarray) -> np.ndarray:
@@ -71,17 +72,16 @@ def _check_features(path: str, x: np.ndarray, model_features: int) -> None:
         raise DataError(f"{path} has {x.shape[1]} feature columns but the model has {model_features}")
 
 
-def _fit_and_write(args, split, engine) -> int:
+def _cmd_stream(args) -> int:
     """The body of ``fit`` and ``stream``.
 
-    Parses the config, turns the training rows into batches with
-    ``split(x, y)``, standardizes the inputs on the first batch, runs
-    ``engine(batches, kernel, lik, seq_config, seed=..., evaluate=...)``,
+    Parses the config, splits the training rows into ``args.batches``
+    batches, standardizes the inputs on the first batch, runs the stream,
     writes the run log and the checkpoint, and prints the last record.
     """
     config = parse_config(args.config)
     x, y, _ = load_csv(args.data, args.label)
-    batches = split(x, y)
+    batches = make_stream(x, y, args.batches, order=args.order, sort_dim=args.sort_dim, seed=args.seed)
     standardizer = None
     if config.standardize_inputs:
         standardizer = Standardizer.fit(batches[0][0])
@@ -99,14 +99,8 @@ def _fit_and_write(args, split, engine) -> int:
             return {"nlpd": None, "rmse_or_error": None}
         return evaluate_state(state, lik, x_test, y_test)
 
-    result = engine(
-        batches,
-        make_kernel(config),
-        make_likelihood(config),
-        make_seq_config(config),
-        seed=args.seed,
-        evaluate=evaluate,
-    )
+    kernel, lik = make_kernel(config), make_likelihood(config)
+    result = run_stream(batches, kernel, lik, make_seq_config(config), seed=args.seed, evaluate=evaluate)
     os.makedirs(args.out, exist_ok=True)
     write_jsonl(os.path.join(args.out, "run_log.jsonl"), result.records)
     save_checkpoint(
@@ -119,21 +113,6 @@ def _fit_and_write(args, split, engine) -> int:
     )
     print(json.dumps(result.records[-1]))
     return 0
-
-
-def _cmd_fit(args) -> int:
-    def offline(batches, kernel, lik, config, **run):
-        ((x, y),) = batches
-        return fit_offline(kernel, lik, config, x, y, **run)
-
-    return _fit_and_write(args, lambda x, y: [(x, y)], offline)
-
-
-def _cmd_stream(args) -> int:
-    def split(x, y):
-        return make_stream(x, y, args.batches, order=args.order, sort_dim=args.sort_dim, seed=args.seed)
-
-    return _fit_and_write(args, split, run_stream)
 
 
 def _cmd_bo(args) -> int:
@@ -232,25 +211,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="offline fit on a CSV data set")
-    fit.add_argument("--data", required=True, help="training CSV with a header row")
-    fit.add_argument("--label", required=True, help="name of the label column")
-    fit.add_argument("--config", default=None, help="INI config file")
-    fit.add_argument("--test", default=None, help="held-out CSV for metrics")
-    fit.add_argument("--seed", type=_nonnegative_int, default=0)
-    fit.add_argument("--out", required=True, help="output directory")
-    fit.set_defaults(func=_cmd_fit)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="training CSV with a header row")
+    data.add_argument("--label", required=True, help="name of the label column")
+    data.add_argument("--config", default=None, help="INI config file")
+    data.add_argument("--test", default=None, help="held-out CSV for metrics")
+    data.add_argument("--seed", type=_nonnegative_int, default=0)
+    data.add_argument("--out", required=True, help="output directory")
 
-    stream = sub.add_parser("stream", help="sequential fit over a batch stream")
-    stream.add_argument("--data", required=True)
-    stream.add_argument("--label", required=True)
-    stream.add_argument("--config", default=None)
-    stream.add_argument("--test", default=None)
+    fit = sub.add_parser("fit", parents=[data], help="offline fit on a CSV data set: a stream of one batch")
+    fit.set_defaults(func=_cmd_stream, batches=1, order="as_is", sort_dim=0)
+
+    stream = sub.add_parser("stream", parents=[data], help="sequential fit over a batch stream")
     stream.add_argument("--batches", type=_positive_int, required=True)
     stream.add_argument("--order", choices=["as_is", "sorted", "shuffled"], default="as_is")
     stream.add_argument("--sort-dim", type=_nonnegative_int, default=0, dest="sort_dim")
-    stream.add_argument("--seed", type=_nonnegative_int, default=0)
-    stream.add_argument("--out", required=True)
     stream.set_defaults(func=_cmd_stream)
 
     bo = sub.add_parser("bo", help="batch Bayesian optimization on a synthetic objective")

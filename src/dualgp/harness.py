@@ -56,7 +56,7 @@ class ConfigError(ValueError):
 
 
 def load_matrix(path: str) -> tuple[np.ndarray, list[str]]:
-    """Load a numeric CSV (header plus data rows) into a matrix.
+    """Load a numeric CSV (a header of distinct names, then data rows) into a matrix.
 
     All cells must parse as finite floats; NaN and infinities are rejected
     with :class:`NonNumericCell` (0-based data row index).
@@ -67,6 +67,8 @@ def load_matrix(path: str) -> tuple[np.ndarray, list[str]]:
     if len(rows) < 2:
         raise EmptyFile(f"{path} has no data rows")
     header = [name.strip() for name in rows[0]]
+    if len(set(header)) < len(header):
+        raise DataError(f"{path} repeats the column {next(n for n in header if header.count(n) > 1)!r}")
 
     parsed = np.empty((len(rows) - 1, len(header)))
     for i, row in enumerate(rows[1:]):
@@ -158,12 +160,14 @@ def score_table(table: dict[str, np.ndarray], y: np.ndarray) -> dict:
     floored at 1e-300, so it saturates at 690.8 where ``p_positive`` rounds
     to 0 or 1 against the label; ``p_positive >= 0.5`` predicts the positive
     class.  Otherwise ``mean`` and ``predictive_variance`` give a Gaussian
-    NLPD and the RMSE.  Bad tables raise :class:`DataError`.
+    NLPD and the RMSE.  Bad or empty tables raise :class:`DataError`.
     """
     y = np.asarray(y, dtype=np.float64)
     rows = len(next(iter(table.values())))
     if rows != len(y):
         raise DataError(f"predictions have {rows} rows but data has {len(y)} labels")
+    if not rows:
+        raise DataError("no rows to score")
     if "p_positive" in table:
         prob_pos = table["p_positive"]
         _require((prob_pos >= 0.0) & (prob_pos <= 1.0), "p_positive", "probability outside [0, 1]")

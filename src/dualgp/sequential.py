@@ -28,7 +28,7 @@ import itertools
 import logging
 import time
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import eigh
@@ -474,26 +474,6 @@ def _theta_record(hyper: Hyperparams, lik: Likelihood) -> dict:
     return record
 
 
-def fit_offline(
-    kernel: KernelSpec, lik: Likelihood, config: SequentialConfig, x: np.ndarray, y: np.ndarray,
-    budget_batches: int = 1, seed: int = 0, evaluate=None,
-) -> Stream:
-    """Single-batch fit with the whole data, budget-matched to a stream.
-
-    Runs ``budget_batches * ngd_steps`` NGD iterations and
-    ``budget_batches * hyper_steps`` hyperparameter steps on the full data
-    against the kernel prior, so streamed and offline runs spend the same
-    number of updates.
-    """
-    offline = replace(
-        config,
-        ngd_steps=config.ngd_steps * budget_batches,
-        hyper_steps=config.hyper_steps * budget_batches,
-        memory_capacity=0,
-    )
-    return run_stream([(x, y)], kernel, lik, offline, seed=seed, evaluate=evaluate)
-
-
 __all__ = [
     "SequentialConfig",
     "AdjustedPrior",
@@ -506,5 +486,4 @@ __all__ = [
     "hyper_gradient",
     "optimize_hypers",
     "run_stream",
-    "fit_offline",
 ]

@@ -15,7 +15,8 @@ regression, predictive marginals through the moment form, the pseudo-data
 view of a state, a site-by-site rebuild of a state, dense-route and classical
 ridge leverage scores, the expected log of a dual-pair factor, the four-term
 rewrite of the streaming objective, the hyperparameter objective in
-moment form, and a stream loop that keeps every intermediate state alive.
+moment form, a stream loop that keeps every intermediate state alive, and
+the budget-matched offline baseline a stream is scored against.
 
 The engine runs on numpy alone.  scipy is the reference for what it computes
 with numpy: Cholesky solves by LAPACK substitution on the triangle the
@@ -28,7 +29,7 @@ logistic sigmoid (``expit_reference``) and the standard normal CDF
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigh, solve_triangular
@@ -69,6 +70,7 @@ from dualgp.sequential import (
     _theta_record,
     optimize_hypers,
     remove_memory,
+    run_stream,
     seq_objective,
 )
 
@@ -516,3 +518,23 @@ def run_stream_keeping_states(
         records.append(record)
     stream = Stream(config, seed, lik, states[-1], memory, n_old, tuple(records), len(clips), max(clips, default=0.0))
     return stream, states
+
+
+def fit_offline(
+    kernel: KernelSpec, lik: Likelihood, config: SequentialConfig, x: np.ndarray, y: np.ndarray,
+    budget_batches: int = 1, seed: int = 0,
+) -> Stream:
+    """The offline baseline of a stream: one batch with all the data, budget-matched.
+
+    Runs ``budget_batches * ngd_steps`` NGD iterations and
+    ``budget_batches * hyper_steps`` hyperparameter steps on the full data
+    against the kernel prior, without memory, so streamed and offline runs
+    spend the same number of updates.
+    """
+    offline = replace(
+        config,
+        ngd_steps=config.ngd_steps * budget_batches,
+        hyper_steps=config.hyper_steps * budget_batches,
+        memory_capacity=0,
+    )
+    return run_stream([(x, y)], kernel, lik, offline, seed=seed)

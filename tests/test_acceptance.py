@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from oracles import bls_dense, fit_exact, predict_exact, pseudo_data, rls
+from oracles import bls_dense, fit_exact, fit_offline, predict_exact, pseudo_data, rls
 
 import dualgp.sequential
 from dualgp.acquisition import ExpectedImprovement, expected_improvement, fantasize_batch
@@ -32,7 +32,6 @@ from dualgp.memory import MemorySet, bls, empty_memory, update_memory
 from dualgp.representation import pivoted_cholesky_select, project_duals, refresh_representation
 from dualgp.sequential import (
     SequentialConfig,
-    fit_offline,
     hyper_gradient,
     hyper_objective,
     process_batch,

@@ -67,6 +67,30 @@ class TestFit:
         lines = open(os.path.join(out, "run_log.jsonl")).read().splitlines()
         assert json.loads(lines[-1]) == record
 
+    @pytest.mark.parametrize("likelihood", ["gaussian", "bernoulli"])
+    def test_fit_is_a_one_batch_stream(self, tmp_path, fast_config, likelihood):
+        """``fit`` logs what ``stream --batches 1`` logs, ``wall_ms`` aside, and saves the same checkpoint."""
+        if likelihood == "gaussian":
+            data, config = _write_regression_csv(tmp_path / "train.csv"), fast_config
+        else:
+            data = _write_classification_csv(tmp_path / "train.csv")
+            config = _write_config(
+                tmp_path / "clf.ini",
+                "[model]\nlikelihood = bernoulli_logit\n\n"
+                "[stream]\nnum_inducing = 20\nhyper_steps = 2\nngd_steps = 2\nmemory_capacity = 12\n",
+            )
+        logs, checkpoints = [], []
+        for command in (["fit"], ["stream", "--batches", "1"]):
+            out = tmp_path / command[0]
+            assert run_cli([*command, "--data", data, "--label", "y", "--config", config, "--test", data,
+                            "--out", str(out)]) == 0
+            records = [json.loads(line) for line in (out / "run_log.jsonl").read_text().splitlines()]
+            logs.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in records])
+            checkpoints.append((out / "checkpoint.json").read_bytes())
+        assert logs[0] == logs[1]
+        assert checkpoints[0] == checkpoints[1]
+        assert json.loads(checkpoints[0])["memory"]["labels"], "the checkpoint holds the curated memory"
+
 
 def _stream_predict_eval(tmp_path, capsys, data, config, batches):
     """``(stream --test record, predictions header, eval output)`` of one run on ``data``."""

@@ -133,6 +133,12 @@ class TestLoadCsv:
         with pytest.raises(NonNumericCell):
             load_csv(path, "y")
 
+    def test_repeated_column_raises_naming_the_file_and_column(self, tmp_path):
+        """A second ``y`` column would otherwise become a feature beside the label."""
+        path = _write(tmp_path / "d.csv", "x,y,y\n1,2,3\n")
+        with pytest.raises(DataError, match=f"^{re.escape(path)} repeats the column 'y'$"):
+            load_csv(path, "y")
+
     def test_load_matrix_keeps_header_order(self, tmp_path):
         path = _write(tmp_path / "d.csv", "c,a,b\n1,2,3\n")
         matrix, header = load_matrix(path)
@@ -235,6 +241,13 @@ class TestMetrics:
         out = score_table({"p_positive": np.array([1.0, 0.5])}, np.array([0.0, 1.0]))
         assert out["nlpd"] == pytest.approx(0.5 * (-math.log(1e-300) + math.log(2.0)), rel=1e-15)
         assert out["rmse_or_error"] == 0.5
+
+    @pytest.mark.parametrize("lik", [Gaussian(0.1), BernoulliLogit()], ids=["gaussian", "bernoulli"])
+    def test_zero_rows_raise(self, lik):
+        """Zero rows have no mean score: a run log would hold NaN, which is not JSON."""
+        state = make_state(KernelSpec("matern52", Hyperparams(1.0, np.array([0.8]))), [[0.0]], alpha_u=[0.2])
+        with pytest.raises(DataError, match="^no rows to score$"):
+            evaluate_state(state, lik, np.empty((0, 1)), np.empty(0))
 
     def test_score_table_needs_mean_and_predictive_variance(self):
         with pytest.raises(DataError, match="'mean' and 'predictive_variance'"):

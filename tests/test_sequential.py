@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import hyper_objective_reference, run_stream_keeping_states, seq_objective_vcl_form
+from oracles import fit_offline, hyper_objective_reference, run_stream_keeping_states, seq_objective_vcl_form
 
 import dualgp.dual
 import dualgp.kernels
@@ -35,7 +35,6 @@ from dualgp.sequential import (
     Stream,
     _hyper_at,
     _log_theta,
-    fit_offline,
     hyper_gradient,
     hyper_objective,
     optimize_hypers,
@@ -1269,12 +1268,6 @@ class TestNoiseOwnership:
     def test_stream_start_raises_for_a_caller_that_steps_itself(self):
         with pytest.raises(ValueError, match="noise_variance 0.5 differs .* 0.1"):
             Stream.start(_spec(noise=0.5), Gaussian(0.1), SequentialConfig(num_inducing=8), 1)
-
-    def test_fit_offline_inherits_the_check(self, rng):
-        x = rng.uniform(-3, 3, (20, 1))
-        config = SequentialConfig(num_inducing=8)
-        with pytest.raises(ValueError, match="noise_variance"):
-            fit_offline(_spec(noise=0.5), Gaussian(0.1), config, x, np.sin(x[:, 0]))
 
     @pytest.mark.parametrize("noise", [0.1, None], ids=["equal", "unset"])
     @pytest.mark.parametrize("hyper_steps", [0, 1])
