@@ -1,10 +1,10 @@
 """Experiment plumbing: CSV data, streams, scores, configs, checkpoints.
 
 Everything the CLI needs that is not model math lives here.  Data files are
-plain RFC-4180 CSV with a header row; run configuration is an INI-style file
-with one ``key = value`` line per :class:`RunConfig` field, validated
-fail-fast; checkpoints are JSON (Python's float repr round-trips, so a
-save/load cycle is lossless).
+plain RFC-4180 CSV in UTF-8 with a header row; run configuration is an
+INI-style file with one ``key = value`` line per :class:`RunConfig` field,
+validated fail-fast; checkpoints are JSON (Python's float repr round-trips,
+so a save/load cycle is lossless).
 """
 
 from __future__ import annotations
@@ -58,12 +58,16 @@ class ConfigError(ValueError):
 def load_matrix(path: str) -> tuple[np.ndarray, list[str]]:
     """Load a numeric CSV (a header of distinct names, then data rows) into a matrix.
 
-    All cells must parse as finite floats; NaN and infinities are rejected
-    with :class:`NonNumericCell` (0-based data row index).
+    The file is read as UTF-8, and a leading byte-order mark is dropped; text
+    in another encoding raises :class:`DataError` naming the file.  All cells
+    must parse as finite floats; NaN and infinities are rejected with
+    :class:`NonNumericCell` (0-based data row index).
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = [row for row in csv.reader(handle) if row]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
     if len(rows) < 2:
         raise EmptyFile(f"{path} has no data rows")
     header = [name.strip() for name in rows[0]]
@@ -107,10 +111,11 @@ def make_stream(
     """Split a data set into an ordered list of batches.
 
     ``order`` is one of ``as_is``, ``sorted`` (ascending by input dimension
-    ``sort_dim``, stable), or ``shuffled`` (seeded permutation).  Sizes
-    differ by at most one, with earlier batches taking the remainder
-    (n=10 into 3 batches gives 4, 3, 3).  Inputs and labels of different
-    lengths raise :class:`ValueError`.
+    ``sort_dim``, stable), or ``shuffled`` (a random permutation: a ``seed``
+    reproduces it, while ``seed=None`` draws fresh entropy, so two calls
+    give different orders).  Sizes differ by at most one, with earlier
+    batches taking the remainder (n=10 into 3 batches gives 4, 3, 3).
+    Inputs and labels of different lengths raise :class:`ValueError`.
     """
     x = as_points(x)
     y = np.asarray(y, dtype=np.float64)

@@ -11,8 +11,8 @@ import pytest
 from dualgp.cli import OBJECTIVES, run_cli
 from dualgp.dual import make_state
 from dualgp.harness import save_checkpoint
-from dualgp.kernels import Hyperparams, KernelSpec
-from dualgp.likelihoods import BernoulliLogit
+from dualgp.kernels import BLOCK_ENTRIES, Hyperparams, KernelSpec
+from dualgp.likelihoods import DEFAULT_QUAD_POINTS, BernoulliLogit
 from test_harness import DAMAGED_CHECKPOINTS, REJECTED_CONFIGS
 
 
@@ -38,9 +38,32 @@ def _write_classification_csv(path, n=80, seed=1):
     return str(path)
 
 
+def _write_sine_csv(path, n=40, scale=1.0):
+    """``n`` evenly spaced ``x`` on [-3, 3] with ``y = scale * sin(2x)``, no noise."""
+    x = np.linspace(-3, 3, n)
+    np.savetxt(path, np.column_stack([x, scale * np.sin(2 * x)]), delimiter=",", header="x,y", comments="")
+    return str(path)
+
+
 def _write_config(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _strict_json(text):
+    """``json.loads`` that fails on ``NaN``, ``Infinity`` and ``-Infinity``, which JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def _run_log(out):
+    """The records of ``out/run_log.jsonl``, each line strict JSON."""
+    return [_strict_json(line) for line in (out / "run_log.jsonl").read_text().splitlines()]
+
+
+def _without_wall_ms(records):
+    return [{k: v for k, v in record.items() if k != "wall_ms"} for record in records]
 
 
 @pytest.fixture
@@ -49,6 +72,34 @@ def fast_config(tmp_path):
         tmp_path / "fast.ini",
         "[stream]\nnum_inducing = 15\nhyper_steps = 2\nngd_steps = 2\nmemory_capacity = 10\n",
     )
+
+
+def _round_trip(tmp_path, capsys, data, command):
+    """``(last run-log record, predictions header, eval output)`` of ``command --test data`` on ``data``.
+
+    The run log's every line and eval's output must be strict JSON.
+    """
+    out = tmp_path / "run"
+    assert run_cli([*command, "--data", data, "--label", "y", "--test", data, "--out", str(out)]) == 0
+    record = _run_log(out)[-1]
+
+    preds = str(tmp_path / "preds.csv")
+    assert run_cli([
+        "predict", "--checkpoint", str(out / "checkpoint.json"),
+        "--data", data, "--label", "y", "--out", preds,
+    ]) == 0
+    with open(preds) as handle:
+        header = next(csv.reader(handle))
+
+    capsys.readouterr()
+    assert run_cli(["eval", "--predictions", preds, "--data", data, "--label", "y"]) == 0
+    return record, header, _strict_json(capsys.readouterr().out)
+
+
+def _stream_predict_eval(tmp_path, capsys, data, config, batches):
+    """:func:`_round_trip` of a sorted ``stream`` of ``batches`` batches."""
+    command = ["stream", "--batches", batches, "--order", "sorted", "--config", config]
+    return _round_trip(tmp_path, capsys, data, command)
 
 
 class TestFit:
@@ -84,34 +135,34 @@ class TestFit:
             out = tmp_path / command[0]
             assert run_cli([*command, "--data", data, "--label", "y", "--config", config, "--test", data,
                             "--out", str(out)]) == 0
-            records = [json.loads(line) for line in (out / "run_log.jsonl").read_text().splitlines()]
-            logs.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in records])
+            logs.append(_without_wall_ms(_run_log(out)))
             checkpoints.append((out / "checkpoint.json").read_bytes())
         assert logs[0] == logs[1]
         assert checkpoints[0] == checkpoints[1]
         assert json.loads(checkpoints[0])["memory"]["labels"], "the checkpoint holds the curated memory"
 
+    def test_byte_order_mark_headed_csv_fits_as_without(self, tmp_path, fast_config):
+        """A "CSV UTF-8" spreadsheet export starts with a byte-order mark, here before the label's name."""
+        plain = tmp_path / "plain.csv"
+        x = np.linspace(-3, 3, 30)
+        np.savetxt(plain, np.column_stack([np.sin(2 * x), x]), delimiter=",", header="y,x", comments="")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        checkpoints = []
+        for data in (plain, marked):
+            out = tmp_path / data.stem
+            argv = ["fit", "--data", str(data), "--label", "y", "--config", fast_config]
+            assert run_cli([*argv, "--out", str(out)]) == 0
+            checkpoints.append((out / "checkpoint.json").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
-def _stream_predict_eval(tmp_path, capsys, data, config, batches):
-    """``(stream --test record, predictions header, eval output)`` of one run on ``data``."""
-    out = str(tmp_path / "run")
-    assert run_cli([
-        "stream", "--data", data, "--label", "y", "--batches", batches,
-        "--order", "sorted", "--config", config, "--test", data,
-        "--out", out,
-    ]) == 0
-    stream_eval = json.loads(capsys.readouterr().out)
-
-    preds = str(tmp_path / "preds.csv")
-    assert run_cli([
-        "predict", "--checkpoint", os.path.join(out, "checkpoint.json"),
-        "--data", data, "--label", "y", "--out", preds,
-    ]) == 0
-    with open(preds) as handle:
-        header = next(csv.reader(handle))
-
-    assert run_cli(["eval", "--predictions", preds, "--data", data, "--label", "y"]) == 0
-    return stream_eval, header, json.loads(capsys.readouterr().out)
+    def test_predictions_over_several_blocks_agree(self, tmp_path, capsys):
+        """2000 rows at the default M = 50 are four ``predict`` blocks, and still score as the run log says."""
+        assert 2000 > 3 * (BLOCK_ENTRIES // 50)
+        data = _write_sine_csv(tmp_path / "train.csv", n=2000)
+        record, _, scored = _round_trip(tmp_path, capsys, data, ["fit"])
+        assert scored == {key: record[key] for key in ("nlpd", "rmse_or_error")}
+        assert scored["rmse_or_error"] < 0.05
 
 
 class TestStreamPredictEval:
@@ -132,24 +183,46 @@ class TestStreamPredictEval:
             assert scored == {key: stream_eval[key] for key in ("nlpd", "rmse_or_error")}, config
 
     def test_bernoulli_metrics_agree_across_subcommands(self, tmp_path, capsys):
+        """The default rule and a 64-node one, far from it, are saved, read back and score as logged."""
         data = _write_classification_csv(tmp_path / "train.csv")
-        config = _write_config(
-            tmp_path / "clf.ini",
-            "[model]\nlikelihood = bernoulli_logit\n\n"
-            "[stream]\nnum_inducing = 20\nhyper_steps = 0\nngd_steps = 4\nmemory_capacity = 12\n",
+        scores = {}
+        for nodes in (DEFAULT_QUAD_POINTS, 64):
+            config = _write_config(
+                tmp_path / f"clf{nodes}.ini",
+                f"[model]\nlikelihood = bernoulli_logit\nquad_points = {nodes}\n\n"
+                "[stream]\nnum_inducing = 20\nhyper_steps = 0\nngd_steps = 4\nmemory_capacity = 12\n",
+            )
+            stream_eval, header, scores[nodes] = _stream_predict_eval(tmp_path, capsys, data, config, "4")
+            assert header == ["mean", "variance", "p_positive"]
+            assert scores[nodes] == {key: stream_eval[key] for key in ("nlpd", "rmse_or_error")}
+            saved = json.loads((tmp_path / "run" / "checkpoint.json").read_text())["likelihood"]
+            assert saved == {"name": "bernoulli_logit", "quad_points": nodes}
+        assert scores[64]["nlpd"] != scores[DEFAULT_QUAD_POINTS]["nlpd"], "the rule reaches the engine"
+
+    def test_hyper_steps_do_not_depend_on_the_units_of_y(self, tmp_path, capsys):
+        """y × 10 with ``variance`` and ``noise_variance`` × 100: the same lengthscales, 100× the variances."""
+        kernels = []
+        for scale, variance, noise in ((1, 1, 0.1), (10, 100, 10)):
+            data = _write_sine_csv(tmp_path / f"train{scale}.csv", scale=scale)
+            config = _write_config(
+                tmp_path / f"units{scale}.ini", f"[model]\nvariance = {variance}\nnoise_variance = {noise}\n"
+            )
+            out = tmp_path / f"units{scale}"
+            assert run_cli(["stream", "--batches", "2", "--data", data, "--label", "y", "--config", config,
+                            "--out", str(out)]) == 0
+            kernels.append(json.loads((out / "checkpoint.json").read_text())["state"]["kernel"])
+        one, ten = kernels
+        np.testing.assert_allclose(ten["lengthscales"], one["lengthscales"], rtol=1e-6)
+        np.testing.assert_allclose(
+            [ten["variance"], ten["noise_variance"]], [100 * one["variance"], 100 * one["noise_variance"]], rtol=1e-6
         )
-        stream_eval, header, scored = _stream_predict_eval(tmp_path, capsys, data, config, "4")
-        assert header == ["mean", "variance", "p_positive"]
-        assert scored == {key: stream_eval[key] for key in ("nlpd", "rmse_or_error")}
 
     def test_overshooting_hyper_lr_runs_to_finite_theta(self, tmp_path, capsys):
         """At ``hyper_lr = 1000`` a step overflows theta; it is rejected, not raised."""
-        data = tmp_path / "train.csv"
-        x = np.linspace(-3, 3, 40)
-        np.savetxt(data, np.column_stack([x, np.sin(2 * x)]), delimiter=",", header="x,y", comments="")
+        data = _write_sine_csv(tmp_path / "train.csv")
         config = _write_config(tmp_path / "lr.ini", "[stream]\nhyper_lr = 1000\n")
         out = tmp_path / "run"
-        argv = ["stream", "--batches", "4", "--data", str(data), "--label", "y", "--config", config]
+        argv = ["stream", "--batches", "4", "--data", data, "--label", "y", "--config", config]
         assert run_cli([*argv, "--out", str(out)]) == 0
         kernel = json.loads((out / "checkpoint.json").read_text())["state"]["kernel"]
         theta = [kernel["variance"], *kernel["lengthscales"], kernel["noise_variance"]]
@@ -255,6 +328,22 @@ class TestBo:
             for point in record["proposed"]:
                 assert -3.0 <= point[0] <= 3.0
 
+    def test_sampled_fantasies_are_seeded(self, tmp_path, capsys):
+        """Two ``fantasy_sample = true`` runs of one seed log the same records, ``wall_ms`` aside, in Branin's box."""
+        config = _write_config(tmp_path / "sample.ini", "[bo]\nfantasy_sample = true\n")
+        logs = []
+        for run in ("one", "two"):
+            out = tmp_path / run
+            assert run_cli(["bo", "--objective", "branin", "--batch-size", "4", "--steps", "2", "--config", config,
+                            "--seed", "3", "--out", str(out)]) == 0
+            logs.append(_without_wall_ms(_run_log(out)))
+        assert logs[0] == logs[1]
+        _, bounds = OBJECTIVES["branin"]
+        for record in logs[0]:
+            proposed = np.array(record["proposed"])
+            assert proposed.shape == (4, 2)
+            assert np.all((bounds[:, 0] <= proposed) & (proposed <= bounds[:, 1]))
+
 
 def _one_and_two_feature_files(tmp_path, standardize):
     """A 2-feature training CSV, a 1-feature CSV and a config setting ``standardize_inputs``."""
@@ -275,6 +364,14 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_data_file_not_in_utf8_names_the_file(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        data.write_bytes("température,y\n1,2\n3,4\n".encode("latin-1"))
+        code = run_cli(["fit", "--data", str(data), "--label", "y", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"error: {data} is not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("damage, message", DAMAGED_CHECKPOINTS)
     def test_damaged_checkpoint_names_file_and_key(self, tmp_path, fast_config, capsys, damage, message):

@@ -139,6 +139,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"^{re.escape(path)} repeats the column 'y'$"):
             load_csv(path, "y")
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        """Spreadsheet "CSV UTF-8" exports start the file with a byte-order mark."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n")
+        x, y, names = load_csv(str(path), "x")
+        np.testing.assert_array_equal(x, [[2.0]])
+        np.testing.assert_array_equal(y, [1.0])
+        assert names == ["y"]
+
+    def test_latin1_file_raises_naming_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes("température,y\n1,2\n".encode("latin-1"))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))} is not UTF-8 text"):
+            load_csv(str(path), "y")
+
     def test_load_matrix_keeps_header_order(self, tmp_path):
         path = _write(tmp_path / "d.csv", "c,a,b\n1,2,3\n")
         matrix, header = load_matrix(path)
