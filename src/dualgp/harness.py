@@ -13,7 +13,6 @@ import configparser
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
@@ -260,21 +259,27 @@ _PARSERS = {
 
 
 def parse_config(path: str | None) -> RunConfig:
-    """Read an INI-style config into a :class:`RunConfig`, failing fast.
+    """Read a UTF-8 INI-style config into a :class:`RunConfig`, failing fast.
 
     Unknown sections or keys raise :class:`ConfigError`, as do values that do
-    not parse at the field's type and settings the run would reject (an
-    unknown kernel or likelihood, or a value outside its range).  Inline
-    comments start with ``;`` or ``#``.  ``path=None`` returns the defaults.
+    not parse at the field's type, settings the run would reject (an unknown
+    kernel or likelihood, or a value outside its range), a path that cannot
+    be read and text that is not UTF-8; a leading byte-order mark is dropped.
+    Inline comments start with ``;`` or ``#``.  ``path=None`` gives defaults.
     """
     config = RunConfig()
     if path is None:
         return config
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8-sig") as handle:
+            parser.read_file(handle, source=path)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 

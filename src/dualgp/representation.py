@@ -3,8 +3,10 @@
 Inducing inputs are chosen greedily by pivoted Cholesky on the candidate Gram
 matrix: each step picks the candidate with the largest residual prior
 variance given the points already chosen, which is the standard
-trace-greedy Nyström rule.  When the inducing set changes, the dual
-parameters are carried over by the kernel-interpolation projection
+trace-greedy Nyström rule.  Both callers run one loop that reads each
+candidate column from two blocks, a leading square Gram and a cross-Gram.
+When the inducing set changes, the dual parameters are carried over by the
+kernel-interpolation projection
 ``P = K_{new,old} K_{old,old}^{-1}`` (``alpha -> P alpha``,
 ``B -> P B P^T``), which is exact when the new set spans the old one.
 The projected pair goes to :func:`~dualgp.dual.make_state`, like every
@@ -33,14 +35,16 @@ class PivotSelection:
     residual_diag: np.ndarray
 
 
-def _greedy_pivots(column, diag: np.ndarray, max_points: int) -> PivotSelection:
-    """The pivoted-Cholesky loop over a Gram matrix read one column at a time.
+def _greedy_pivots(kzz: np.ndarray, cross: np.ndarray, diag: np.ndarray, max_points: int) -> PivotSelection:
+    """The pivoted-Cholesky loop over the Gram matrix of the candidates ``[z; x]``.
 
-    ``column(j)`` returns column ``j`` of the candidate Gram matrix as a
-    fresh array, and ``diag`` is its diagonal, which the loop overwrites
-    with the residuals.
+    Column ``j`` is ``kzz[:, j]`` stacked on ``cross[j]`` for the ``len(kzz)``
+    old points and ``cross[:, j - len(kzz)]`` after, ``cross`` being the Gram
+    of all candidates against ``x``.  ``diag`` holds the prior variances, and
+    the loop overwrites it with the residuals.  A pivot's own entry (say, a
+    jittered ``K_zz`` diagonal) reaches only its own zeroed residual.
     """
-    n, max_rank = diag.shape[0], int(max_points)
+    m, n, max_rank = kzz.shape[0], diag.shape[0], int(max_points)
     d = diag
     low = np.empty((n, max_rank))
     order: list[int] = []
@@ -49,7 +53,7 @@ def _greedy_pivots(column, diag: np.ndarray, max_points: int) -> PivotSelection:
         j = int(d.argmax())
         if d[j] <= threshold or d[j] <= 0.0:
             break
-        col = column(j)
+        col = np.concatenate([kzz[:, j], cross[j]]) if j < m else cross[:, j - m].copy()
         if t:
             col -= low[:, :t] @ low[j, :t]
         col /= math.sqrt(d[j])
@@ -66,35 +70,11 @@ def pivoted_cholesky_select(kernel: KernelSpec, candidates: np.ndarray, max_poin
 
     Stops early once the largest residual falls below ``REL_TOL`` times the
     initial largest diagonal (near-duplicates add nothing).  Exact ties break
-    toward the lowest candidate index.
+    toward the lowest candidate index.  The candidates' whole Gram is the
+    pivot loop's first block, with an empty cross block.
     """
     g = gram(kernel, as_points(candidates))
-    return _greedy_pivots(lambda j: g[:, j].copy(), np.diag(g).copy(), max_points)
-
-
-class _CandidateGram:
-    """Columns of the Gram matrix of the candidates ``[z; x_batch]``, never formed whole.
-
-    The ``z`` block is the state's ``K_zz`` and the rest comes from one
-    ``(M + n) x n`` cross-Gram against the batch.  Diagonal entries are the
-    exact prior variances, so the jitter in ``keff`` does not show.  Only
-    the pivot selection reads it; :func:`project_duals` builds its own.
-    """
-
-    def __init__(self, state: DualState, candidates: np.ndarray, x_batch: np.ndarray):
-        self.m = state.num_inducing
-        self.kzz = state.keff
-        self.cross = gram(state.kernel, candidates, x_batch)
-        self.diag = gram_diag(state.kernel, candidates)
-
-    def column(self, j: int) -> np.ndarray:
-        """Column ``j`` as a fresh array, the pivot loop's accessor."""
-        if j >= self.m:
-            col = self.cross[:, j - self.m].copy()
-        else:
-            col = np.concatenate([self.kzz[:, j], self.cross[j]])
-        col[j] = self.diag[j]
-        return col
+    return _greedy_pivots(g, np.empty((len(g), 0)), np.diag(g).copy(), max_points)
 
 
 def project_duals(state: DualState, z_new: np.ndarray) -> DualState:
@@ -117,16 +97,16 @@ def project_duals(state: DualState, z_new: np.ndarray) -> DualState:
 def refresh_representation(state: DualState, x_batch: np.ndarray, max_points: int) -> DualState:
     """Re-select inducing points over old Z plus the incoming batch, then project.
 
-    The selection is :func:`pivoted_cholesky_select` over the candidates
-    ``[z; x_batch]``, read column by column from the state's ``K_zz`` and
-    one cross-Gram of the candidates against the batch, so no
-    ``(M + n) x (M + n)`` array is built.  The projection is
-    :func:`project_duals` onto the selected points.
+    The selection is the pivot loop of :func:`pivoted_cholesky_select` over
+    the candidates ``[z; x_batch]``, read from two blocks: the state's
+    ``K_zz`` and one ``(M + n) x n`` cross-Gram of the candidates against
+    the batch, so no ``(M + n) x (M + n)`` array is built.  The projection
+    is :func:`project_duals` onto the selected points.
     """
     x_batch = as_points(x_batch)
     candidates = np.vstack([state.z, x_batch]) if x_batch.size else state.z
-    blocks = _CandidateGram(state, candidates, x_batch)
-    chosen = _greedy_pivots(blocks.column, blocks.diag.copy(), max_points).indices
-    del blocks
+    cross = gram(state.kernel, candidates, x_batch)
+    chosen = _greedy_pivots(state.keff, cross, gram_diag(state.kernel, candidates), max_points).indices
+    del cross
     held, state = [state], None
     return project_duals(held.pop(), candidates[chosen])

@@ -13,10 +13,11 @@ The rest are reference routes the engine does not run, each an independent
 assembly of a quantity the package computes another way: exact dense GP
 regression, predictive marginals through the moment form, the pseudo-data
 view of a state, a site-by-site rebuild of a state, dense-route and classical
-ridge leverage scores, the expected log of a dual-pair factor, the four-term
-rewrite of the streaming objective, the hyperparameter objective in
-moment form, a stream loop that keeps every intermediate state alive, and
-the budget-matched offline baseline a stream is scored against.
+ridge leverage scores, a greedy pivot choice over the full residual matrix,
+the expected log of a dual-pair factor, the four-term rewrite of the
+streaming objective, the hyperparameter objective in moment form, a stream
+loop that keeps every intermediate state alive, and the budget-matched
+offline baseline a stream is scored against.
 
 The engine runs on numpy alone.  scipy is the reference for what it computes
 with numpy: Cholesky solves by LAPACK substitution on the triangle the
@@ -355,6 +356,28 @@ def rls(kernel: KernelSpec, noise_variance: float, a: np.ndarray, kzz: np.ndarra
     low = cholesky(noise_variance * np.eye(n) + g, lower=True)
     half = np.linalg.solve(low, g)
     return np.diag(g) - np.sum(half * half, axis=0)
+
+
+def greedy_pivot_reference(g: np.ndarray, max_points: int, rel_tol: float = 1e-10) -> np.ndarray:
+    """Dense trace-greedy pivot choice, written independently of the package.
+
+    Keeps the full residual matrix ``R = G - C C^T`` instead of only its
+    diagonal, so each step is O(n^2) but easy to audit.  Stops at the budget,
+    once the largest residual is at most ``rel_tol`` times the largest prior
+    variance, or once it is not positive.
+    """
+    residual = np.asarray(g, dtype=np.float64).copy()
+    threshold = rel_tol * float(np.max(np.diag(residual), initial=0.0))
+    chosen = []
+    for _ in range(min(max_points, len(residual))):
+        diag = np.diag(residual).copy()
+        j = int(np.argmax(diag))
+        if diag[j] <= threshold or diag[j] <= 0.0:
+            break
+        col = residual[:, j] / math.sqrt(diag[j])
+        residual = residual - np.outer(col, col)
+        chosen.append(j)
+    return np.array(chosen, dtype=np.int64)
 
 
 def expected_log_factor(factor: GaussianFactor, mean: np.ndarray, cov: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from oracles import bls_dense, fit_exact, fit_offline, predict_exact, pseudo_data, rls
+from oracles import bls_dense, fit_exact, fit_offline, greedy_pivot_reference, predict_exact, pseudo_data, rls
 
 import dualgp.sequential
 from dualgp.acquisition import ExpectedImprovement, expected_improvement, fantasize_batch
@@ -331,22 +331,6 @@ def test_criterion_07_bank_benchmark():
         assert 0.20 <= nlpd <= 0.32
 
 
-def _greedy_pivot_reference(g, max_points, rel_tol):
-    """Dense greedy pivot choice maintaining the full residual matrix."""
-    residual = g.astype(np.float64).copy()
-    threshold = rel_tol * float(np.max(np.diag(residual), initial=0.0))
-    chosen = []
-    for _ in range(min(max_points, len(g))):
-        diag = np.diag(residual).copy()
-        j = int(np.argmax(diag))
-        if diag[j] <= threshold or diag[j] <= 0.0:
-            break
-        col = residual[:, j] / math.sqrt(diag[j])
-        residual = residual - np.outer(col, col)
-        chosen.append(j)
-    return np.array(chosen, dtype=np.int64)
-
-
 def test_criterion_08_representation_pipeline():
     """Projection to the same inducing set is the identity, pivot choice
     matches a dense reference, and the precision term stays PSD through 100
@@ -370,7 +354,7 @@ def test_criterion_08_representation_pipeline():
             spec = _matern(float(rng.uniform(0.5, 2.0)), rng.uniform(0.4, 1.5, dim))
             budget = int(rng.integers(1, len(pts) + 1))
             fast = pivoted_cholesky_select(spec, pts, budget).indices
-            dense = _greedy_pivot_reference(gram(spec, pts), budget, 1e-10)
+            dense = greedy_pivot_reference(gram(spec, pts), budget)
             np.testing.assert_array_equal(fast, dense)
 
         config = SequentialConfig(num_inducing=10, ngd_rho=0.7, ngd_steps=2,

@@ -425,6 +425,16 @@ class TestExitCodes:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_directory_config_is_config_error(self, tmp_path, capsys):
+        data = _write_regression_csv(tmp_path / "train.csv", n=10)
+        code = run_cli([
+            "fit", "--data", data, "--label", "y", "--config", str(tmp_path),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert f"config error: cannot read config {tmp_path}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text, message", REJECTED_CONFIGS)
     def test_rejected_config_is_config_error(self, tmp_path, capsys, text, message):
         data = _write_regression_csv(tmp_path / "train.csv", n=10)

@@ -353,7 +353,7 @@ class TestParseConfig:
         assert config.standardize_inputs is False
 
     def test_readme_config_block_parses(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         config = parse_config(_write(tmp_path / "run.ini", block))
         assert config.likelihood == "gaussian"
@@ -364,7 +364,7 @@ class TestParseConfig:
         assert sorted(keys) == sorted((f.metadata["section"], f.name) for f in fields(RunConfig))
 
     def test_readme_library_example_runs(self, capsys):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("```python\n", 1)[1].split("```", 1)[0]
         namespace = {}
         exec(compile(block, "README.md", "exec"), namespace)
@@ -423,6 +423,25 @@ class TestParseConfig:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(str(tmp_path / "nope.ini"))
+
+    def test_directory_raises_naming_it(self, tmp_path):
+        folder = tmp_path / "configs"
+        folder.mkdir()
+        with pytest.raises(ConfigError, match=f"cannot read config {folder}"):
+            parse_config(str(folder))
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "[model]\nkernel = squared_exponential\n[stream]\nnum_inducing = 30\n"
+        marked = tmp_path / "marked.ini"
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert parse_config(str(marked)) == parse_config(_write(tmp_path / "plain.ini", text))
+        assert parse_config(str(marked)).num_inducing == 30
+
+    def test_config_not_in_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes("[model]\nkernel = matern52 ; réglage\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=f"{path} is not UTF-8 text"):
+            parse_config(str(path))
 
 
 class TestFactories:

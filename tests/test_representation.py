@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import greedy_pivot_reference
 
 from dualgp.dual import make_state, ngd_step, predict
 from dualgp.kernels import FAMILIES, Hyperparams, KernelSpec, gram
@@ -15,34 +16,12 @@ def _spec(ls=0.8):
     return KernelSpec("matern52", Hyperparams(1.0, np.array([ls])))
 
 
-def _greedy_reference(g, max_points, rel_tol=1e-10):
-    """Dense trace-greedy selection, written independently of the backend.
-
-    Maintains the full residual matrix R = G - C C^T explicitly instead of
-    only its diagonal, so it is O(n^2) per step but easy to audit.
-    """
-    g = g.copy()
-    n = g.shape[0]
-    resid = g.copy()
-    order = []
-    threshold = rel_tol * float(np.max(np.diag(g)))
-    for _ in range(min(max_points, n)):
-        d = np.diag(resid).copy()
-        j = int(np.argmax(d))
-        if d[j] <= threshold:
-            break
-        order.append(j)
-        col = resid[:, j] / np.sqrt(d[j])
-        resid = resid - np.outer(col, col)
-    return np.asarray(order, dtype=np.int64)
-
-
 class TestPivotSelection:
     def test_matches_dense_reference(self, rng):
         x = rng.uniform(-3, 3, (30, 2))
         spec = KernelSpec("squared_exponential", Hyperparams(1.2, np.array([0.7, 1.1])))
         sel = pivoted_cholesky_select(spec, x, 10)
-        ref = _greedy_reference(gram(spec, x), 10)
+        ref = greedy_pivot_reference(gram(spec, x), 10)
         np.testing.assert_array_equal(sel.indices, ref)
 
     def test_many_random_instances_match_reference(self, rng):
@@ -51,7 +30,7 @@ class TestPivotSelection:
             x = rng.uniform(-2, 2, (n, int(rng.integers(1, 4))))
             k = int(rng.integers(1, n + 1))
             sel = pivoted_cholesky_select(_spec(), x, k)
-            ref = _greedy_reference(gram(_spec(), x), k)
+            ref = greedy_pivot_reference(gram(_spec(), x), k)
             np.testing.assert_array_equal(sel.indices, ref, err_msg=f"trial {trial}")
 
     def test_duplicates_trigger_early_stop(self):
@@ -87,7 +66,7 @@ class TestPivotSelection:
         x = rng.uniform(-3, 3, (n, 2))
         k = int(rng.integers(1, n + 1))
         sel = pivoted_cholesky_select(_spec(), x, k)
-        ref = _greedy_reference(gram(_spec(), x), k)
+        ref = greedy_pivot_reference(gram(_spec(), x), k)
         np.testing.assert_array_equal(sel.indices, ref)
 
 
@@ -178,6 +157,40 @@ class TestRefreshFromBlocks:
         for name in ("kzz", "kq"):
             np.testing.assert_array_equal(getattr(refreshed, name).inv, getattr(expected, name).inv, err_msg=name)
         assert refreshed.kzz.jitter_used == expected.kzz.jitter_used
+
+
+class TestJitteredKzz:
+    """A repeated inducing input puts a jitter on the state's ``K_zz``, which refresh reads."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        family=st.sampled_from(FAMILIES),
+        constant=st.booleans(),
+        m=st.integers(1, 8),
+        n=st.integers(1, 12),
+        budget=st.integers(1, 22),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_jitter_does_not_reach_the_selection(self, seed, family, constant, m, n, budget):
+        """Refresh picks what the dense reference picks over the exact Gram of ``[z; x]``.
+
+        The repeated input leads ``z`` and the prior variance is 1, so the
+        second pivot of ``K_zz``'s Cholesky is exactly 0 and needs the jitter.
+        Short lengthscales leave many candidates' residuals closer than the
+        jitter, so jittered prior variances would pick old points first.
+        """
+        rng = np.random.default_rng(seed)
+        hyper = Hyperparams(0.75 if constant else 1.0, np.array([0.15]), constant_variance=0.25 if constant else 0.0)
+        spec = KernelSpec(family, hyper)
+        z = rng.uniform(-2, 2, (m, 1))
+        z = np.vstack([z[:1], z])
+        state = make_state(spec, z)
+        assert state.kzz.jitter_used > 0.0 and not state.b_u.any()
+        batch = rng.uniform(-2, 2, (n, 1))
+        candidates = np.vstack([z, batch])
+
+        idx = greedy_pivot_reference(gram(spec, candidates), budget)
+        np.testing.assert_array_equal(refresh_representation(state, batch, budget).z, candidates[idx])
 
 
 class TestRefreshFromTheEmptySet:
