@@ -23,6 +23,7 @@ import numpy as np
 
 FAMILIES = ("matern52", "squared_exponential")
 
+# Diagonal jitter steps, in units of the factored matrix's mean diagonal.
 JITTER_LADDER = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 # A triangle of at most this many rows is inverted directly, not split.
@@ -81,9 +82,6 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
 
-    def with_hyper(self, hyper: Hyperparams) -> "KernelSpec":
-        return KernelSpec(self.family, hyper)
-
 
 @dataclass
 class CholeskyFactor:
@@ -134,15 +132,6 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     return low
 
 
-def _inv_lengthscales(hyper: Hyperparams, dim: int) -> np.ndarray:
-    ls = hyper.lengthscales
-    if ls.shape[0] == dim:
-        return 1.0 / ls
-    if ls.shape[0] == 1:
-        return np.full(dim, 1.0 / ls[0])
-    raise ValueError(f"lengthscales have {ls.shape[0]} entries for {dim}-dimensional inputs")
-
-
 def as_points(x: np.ndarray) -> np.ndarray:
     """Inputs as a contiguous ``(n, d)`` float array; a 1-D array is n points in 1-D."""
     x = np.asarray(x, dtype=np.float64)
@@ -164,7 +153,9 @@ def gram(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray | None = None) -> np.n
     xb_pts = xa if xb is None else as_points(xb)
     if xa.shape[1] != xb_pts.shape[1]:
         raise ValueError("input dimensions disagree")
-    inv_ls = _inv_lengthscales(spec.hyper, xa.shape[1])
+    inv_ls = 1.0 / spec.hyper.lengthscales  # one shared entry broadcasts over the dimensions
+    if inv_ls.shape[0] not in (1, xa.shape[1]):
+        raise ValueError(f"lengthscales have {inv_ls.shape[0]} entries for {xa.shape[1]}-dimensional inputs")
     # Measure from a point among the inputs: the distance form cancels badly
     # far from the origin.  The midpoint keeps gram(a, b) == gram(b, a).T.
     origin = 0.5 * (xa[0] + xb_pts[0]) if len(xa) and len(xb_pts) else 0.0
@@ -205,16 +196,18 @@ def gram_diag(spec: KernelSpec, xa: np.ndarray) -> np.ndarray:
 def stable_cholesky(matrix: np.ndarray) -> CholeskyFactor:
     """Cholesky with an escalating diagonal jitter ladder, returned as its inverse.
 
-    Tries each jitter in ``JITTER_LADDER`` in order.  At the first success it
-    takes the log determinant, inverts the Cholesky factor in place and
-    returns both, so the factor itself is not kept.  Raises
-    :class:`FactorizationFailed` if the whole ladder fails or the matrix
-    contains non-finite entries.
+    Tries each ``JITTER_LADDER`` step, times the matrix's mean diagonal, in
+    order; ``jitter_used`` is the absolute amount added.  At the first
+    success it takes the log determinant and inverts the Cholesky factor in
+    place.  Raises :class:`FactorizationFailed` if the whole ladder fails or
+    the matrix contains non-finite entries.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if not np.all(np.isfinite(matrix)):
         raise FactorizationFailed("matrix contains non-finite entries")
-    for jitter in JITTER_LADDER:
+    mean_diag = float(np.trace(matrix)) / max(matrix.shape[0], 1)
+    for step in JITTER_LADDER:
+        jitter = step * mean_diag
         shifted = matrix + jitter * np.eye(matrix.shape[0]) if jitter else matrix
         try:
             low = np.linalg.cholesky(shifted)
@@ -224,5 +217,5 @@ def stable_cholesky(matrix: np.ndarray) -> CholeskyFactor:
         logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
         return CholeskyFactor(inv=_lower_inverse(low), logdet=logdet, jitter_used=jitter)
     raise FactorizationFailed(
-        f"cholesky failed at every jitter level {JITTER_LADDER} for shape {matrix.shape}"
+        f"cholesky failed at every jitter level {JITTER_LADDER} x {mean_diag} for shape {matrix.shape}"
     )

@@ -28,11 +28,9 @@ REL_TOL = 1e-10
 
 @dataclass
 class PivotSelection:
-    """Greedy pivot choice: selected candidate indices (in selection order)
-    and the residual prior-variance diagonal after the last pivot."""
+    """Greedy pivot choice: the selected candidate indices, in selection order."""
 
     indices: np.ndarray
-    residual_diag: np.ndarray
 
 
 def _greedy_pivots(kzz: np.ndarray, cross: np.ndarray, diag: np.ndarray, max_points: int) -> PivotSelection:
@@ -42,27 +40,27 @@ def _greedy_pivots(kzz: np.ndarray, cross: np.ndarray, diag: np.ndarray, max_poi
     old points and ``cross[:, j - len(kzz)]`` after, ``cross`` being the Gram
     of all candidates against ``x``.  ``diag`` holds the prior variances, and
     the loop overwrites it with the residuals.  A pivot's own entry (say, a
-    jittered ``K_zz`` diagonal) reaches only its own zeroed residual.
+    ``K_zz`` diagonal jittered by a ladder step times its mean) reaches only
+    its own zeroed residual.
     """
     m, n, max_rank = kzz.shape[0], diag.shape[0], int(max_points)
-    d = diag
     low = np.empty((n, max_rank))
     order: list[int] = []
-    threshold = REL_TOL * max(float(d.max(initial=0.0)), 0.0)
+    threshold = REL_TOL * max(float(diag.max(initial=0.0)), 0.0)
     for t in range(min(max_rank, n)):
-        j = int(d.argmax())
-        if d[j] <= threshold or d[j] <= 0.0:
+        j = int(diag.argmax())
+        if diag[j] <= threshold or diag[j] <= 0.0:
             break
         col = np.concatenate([kzz[:, j], cross[j]]) if j < m else cross[:, j - m].copy()
         if t:
             col -= low[:, :t] @ low[j, :t]
-        col /= math.sqrt(d[j])
+        col /= math.sqrt(diag[j])
         low[:, t] = col
-        d -= col * col
-        np.maximum(d, 0.0, out=d)
-        d[j] = 0.0
+        diag -= col * col
+        np.maximum(diag, 0.0, out=diag)
+        diag[j] = 0.0
         order.append(j)
-    return PivotSelection(indices=np.array(order, dtype=np.int64), residual_diag=d)
+    return PivotSelection(indices=np.array(order, dtype=np.int64))
 
 
 def pivoted_cholesky_select(kernel: KernelSpec, candidates: np.ndarray, max_points: int) -> PivotSelection:
@@ -99,12 +97,13 @@ def refresh_representation(state: DualState, x_batch: np.ndarray, max_points: in
 
     The selection is the pivot loop of :func:`pivoted_cholesky_select` over
     the candidates ``[z; x_batch]``, read from two blocks: the state's
-    ``K_zz`` and one ``(M + n) x n`` cross-Gram of the candidates against
-    the batch, so no ``(M + n) x (M + n)`` array is built.  The projection
-    is :func:`project_duals` onto the selected points.
+    ``keff`` (``K_zz`` plus its relative jitter) and one ``(M + n) x n``
+    cross-Gram of the candidates against the batch, so no ``(M + n) x
+    (M + n)`` array is built.  The projection is :func:`project_duals` onto
+    the selected points.
     """
     x_batch = as_points(x_batch)
-    candidates = np.vstack([state.z, x_batch]) if x_batch.size else state.z
+    candidates = np.vstack([state.z, x_batch])
     cross = gram(state.kernel, candidates, x_batch)
     chosen = _greedy_pivots(state.keff, cross, gram_diag(state.kernel, candidates), max_points).indices
     del cross

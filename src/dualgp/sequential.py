@@ -213,7 +213,7 @@ def hyper_objective(
     the rebuilt state, the likelihood and the state's ``(mean, var)`` over
     the batch then the memory, which an accepted candidate keeps.
     """
-    rebuilt = make_state(state.kernel.with_hyper(hyper), state.z, state.alpha_u, state.b_u)
+    rebuilt = make_state(KernelSpec(state.kernel.family, hyper), state.z, state.alpha_u, state.b_u)
     if isinstance(lik, Gaussian) and hyper.noise_variance is not None:
         lik = Gaussian(noise_variance=float(hyper.noise_variance))
     mean, var = cross_gram(rebuilt, np.vstack([as_points(x_batch), as_points(x_mem)])).marginals(rebuilt)

@@ -458,7 +458,7 @@ def hyper_objective_reference(
     :func:`predict_moments_route`, minus ``KL(N(alpha_u, Sigma) || N(0, K))``
     from scipy Cholesky factors of ``K`` and ``Sigma``.
     """
-    rebuilt = make_state(state.kernel.with_hyper(hyper), state.z, state.alpha_u, state.b_u)
+    rebuilt = make_state(KernelSpec(state.kernel.family, hyper), state.z, state.alpha_u, state.b_u)
     if isinstance(lik, Gaussian) and hyper.noise_variance is not None:
         lik = Gaussian(noise_variance=float(hyper.noise_variance))
     k, alpha = rebuilt.keff, state.alpha_u
