@@ -427,18 +427,22 @@ def load_checkpoint(
 ) -> tuple[DualState, Likelihood, MemorySet | None, int, Standardizer | None]:
     """Inverse of :func:`save_checkpoint`.
 
-    Absent ``constant_variance`` and ``noise_variance`` read as 0 and None.
-    A file that is not valid JSON, lacks a key (named by its path), holds a
-    value of the wrong type or shape, a number no float holds (``1e999``) or
-    an asymmetric ``b_u`` raises :class:`DataError` naming the file.
+    The file is read as UTF-8; a leading byte-order mark is dropped.  Absent
+    ``constant_variance`` and ``noise_variance`` read as 0 and None.  A file
+    that is not UTF-8 text or not valid JSON, lacks a key (named by its
+    path), holds a value of the wrong type or shape, a number no float holds
+    (``1e999``) or an asymmetric ``b_u`` raises :class:`DataError` naming
+    the file.
     """
     def finite(token: str):
         if not math.isfinite(float(token)):
             raise DataError(f"{path}: {token} is not a finite number")
         return int(token) if token.lstrip("-").isdigit() else float(token)
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             payload = _entries(path, json.load(handle, parse_constant=finite, parse_float=finite, parse_int=finite))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:

@@ -21,6 +21,7 @@ that wide and tighter moments matter.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,15 +117,20 @@ class BernoulliLogit:
     """Binary labels through a logistic link.
 
     Labels may arrive as {0, 1} or {-1, +1}; they are canonicalized to
-    {-1, +1} at every entry point.
+    {-1, +1} at every entry point.  ``quad_points`` other than an integer of
+    at least 2 raises :class:`ValueError`.
     """
 
     name = "bernoulli_logit"
 
     def __init__(self, quad_points: int = DEFAULT_QUAD_POINTS):
+        try:
+            quad_points = operator.index(quad_points)
+        except TypeError:
+            raise ValueError(f"quad_points must be an integer, not {quad_points!r}") from None
         if quad_points < 2:
             raise ValueError("quad_points must be at least 2")
-        self.quad_points = int(quad_points)
+        self.quad_points = quad_points
 
     @staticmethod
     def canon_labels(y) -> np.ndarray:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 import time
 import weakref
 from dataclasses import dataclass
@@ -61,6 +62,7 @@ class SequentialConfig:
     :class:`ValueError`: ``num_inducing >= 1``, ``0 < ngd_rho <= 1`` and
     ``ngd_steps >= 1`` (a stream must learn from each batch),
     ``0 < hyper_lr < inf``, ``hyper_steps >= 0`` and ``memory_capacity >= 0``.
+    So does a count (the four ``int`` fields) that is not an integer.
     """
 
     num_inducing: int
@@ -71,6 +73,11 @@ class SequentialConfig:
     hyper_lr: float = 1e-2
 
     def __post_init__(self) -> None:
+        for name in ("num_inducing", "ngd_steps", "memory_capacity", "hyper_steps"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}") from None
         if self.num_inducing < 1:
             raise ValueError("num_inducing must be at least 1")
         if not 0.0 < self.ngd_rho <= 1.0:
@@ -217,11 +224,16 @@ def hyper_objective(
     if isinstance(lik, Gaussian) and hyper.noise_variance is not None:
         lik = Gaussian(noise_variance=float(hyper.noise_variance))
     mean, var = cross_gram(rebuilt, np.vstack([as_points(x_batch), as_points(x_mem)])).marginals(rebuilt)
+    return _hyper_bound(rebuilt, lik, y_batch, y_mem, n_old, mean, var), rebuilt, lik, (mean, var)
+
+
+def _hyper_bound(state, lik, y_batch, y_mem, n_old, mean, var) -> float:
+    """:func:`hyper_objective`'s target at ``state``'s ``(mean, var)`` over the batch then the memory."""
     n = len(y_batch)
-    value = elbo(rebuilt, lik, y_batch, mean[:n], var[:n])
+    value = elbo(state, lik, y_batch, mean[:n], var[:n])
     if len(y_mem):
         value += n_old / len(y_mem) * float(np.sum(lik.expected_log_lik(y_mem, mean[n:], var[n:])))
-    return value, rebuilt, lik, (mean, var)
+    return value
 
 
 def _log_theta(hyper: Hyperparams, lik: Likelihood) -> np.ndarray:
@@ -282,7 +294,8 @@ def optimize_hypers(
     ``exp`` of the candidate is not positive and finite (it is then not
     evaluated), or its evaluation raises :class:`FactorizationFailed` or
     gives a non-finite value.  ``marginals`` are ``state``'s ``(mean, var)``
-    over the batch then the memory.  Returns the last accepted candidate's
+    over the batch then the memory; the start value is read from them,
+    ``state`` and ``lik``, not rebuilt.  Returns the last accepted candidate's
     state, likelihood and marginals as its evaluation built them, with the
     objective trace third (it repeats the previous value for a rejected
     step); with no accepted step they are the inputs themselves.  ``state``
@@ -297,9 +310,6 @@ def optimize_hypers(
         h = _hyper_at(lt, hyper, lik)
         return hyper_objective(state, lik, x_batch, y_batch, memory.inputs, memory.labels, n_old, h)
 
-    def objective(lt: np.ndarray) -> float:
-        return evaluate(lt)[0]
-
     def evaluate_candidate(lt: np.ndarray):
         """``evaluate(lt)``, or None where it cannot be evaluated."""
         with np.errstate(all="ignore"):
@@ -311,14 +321,14 @@ def optimize_hypers(
             except FactorizationFailed:
                 return None
 
-    current = objective(log_theta)
+    current = _hyper_bound(state, lik, y_batch, memory.labels, n_old, *marginals)
     trace = [current]
     lr = config.hyper_lr
     m1 = np.zeros_like(log_theta)
     m2 = np.zeros_like(log_theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for t in range(1, config.hyper_steps + 1):
-        grad = hyper_gradient(objective, log_theta, FD_STEP)
+        grad = hyper_gradient(lambda lt: evaluate(lt)[0], log_theta, FD_STEP)
         m1 = beta1 * m1 + (1.0 - beta1) * grad
         m2 = beta2 * m2 + (1.0 - beta2) * grad * grad
         m1_hat = m1 / (1.0 - beta1**t)

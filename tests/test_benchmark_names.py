@@ -74,7 +74,7 @@ def _gaussian_batches():
 def test_optimize_hypers_returns_the_trace_its_hook_reads(monkeypatch):
     """``_hypers`` counts accepted steps in ``result[2]``, ``hyper_steps + 1`` floats,
     and ``sequential.hyper_evals`` counts ``dualgp.sequential.hyper_objective``:
-    one evaluation, then ``2p + 1`` per step for the ``p`` log-theta components."""
+    ``2p + 1`` per step for the ``p`` log-theta components, none for the start."""
     (x, y), _, _ = _gaussian_batches()
     lik = Gaussian(0.3)
     kernel = KernelSpec("matern52", Hyperparams(1.0, np.array([2.0])))
@@ -89,7 +89,7 @@ def test_optimize_hypers_returns_the_trace_its_hook_reads(monkeypatch):
     accepted, rejected = tracer.counts["sequential.hyper_accepted"], tracer.counts["sequential.hyper_rejected"]
     assert accepted > 0 and accepted + rejected == config.hyper_steps
     p = 3  # variance, lengthscale, noise
-    assert tracer.calls("sequential.hyper_objective") == 1 + config.hyper_steps * (2 * p + 1)
+    assert tracer.calls("sequential.hyper_objective") == config.hyper_steps * (2 * p + 1)
 
 
 def test_the_fields_the_other_hooks_read_exist(monkeypatch):

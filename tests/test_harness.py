@@ -714,6 +714,28 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             load_checkpoint(str(path))
 
+    def test_latin1_checkpoint_is_data_error(self, tmp_path):
+        """A byte that is not UTF-8 is a :class:`DataError` naming the file, whatever the locale."""
+        path = tmp_path / "ckpt.json"
+        path.write_bytes('{"format": "dualgp-checkpoint", "note": "café"}'.encode("latin-1"))
+        with pytest.raises(DataError, match=re.escape(f"{path} is not UTF-8 text")):
+            load_checkpoint(str(path))
+
+    def test_byte_order_mark_is_dropped(self, rng, tmp_path):
+        """A saved checkpoint behind a UTF-8 byte-order mark loads to the same state."""
+        state, lik = self._fitted(rng)
+        memory = MemorySet(inputs=np.array([[0.1]]), labels=np.array([1.0]), scores=np.ones(1))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), state, lik, memory=memory, seed=5)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back, back_lik, back_memory, seed, _ = load_checkpoint(str(path))
+        for name in ("z", "alpha_u", "b_u"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(state, name), err_msg=name)
+        assert back.kernel.hyper.variance == state.kernel.hyper.variance
+        assert back_lik.noise_variance == lik.noise_variance
+        np.testing.assert_array_equal(back_memory.inputs, memory.inputs)
+        assert seed == 5
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"format": "something-else"}))

@@ -292,6 +292,12 @@ class TestBernoulliLogit:
         with pytest.raises(ValueError, match="quad_points"):
             BernoulliLogit(quad_points=1)
 
+    def test_rejects_fractional_quadrature(self):
+        """2.5 nodes is an error, not 2; a numpy integer is a count."""
+        with pytest.raises(ValueError, match="quad_points must be an integer"):
+            BernoulliLogit(quad_points=2.5)
+        assert BernoulliLogit(quad_points=np.int64(3)).quad_points == 3
+
 
 class TestExpit:
     def test_matches_scipy_over_both_tails(self):

@@ -155,6 +155,10 @@ class TestSequentialConfig:
             {"hyper_lr": 0.0},
             {"hyper_lr": float("nan")},
             {"hyper_lr": float("inf")},
+            {"num_inducing": 2.5},
+            {"ngd_steps": 2.5},
+            {"memory_capacity": 2.5},
+            {"hyper_steps": 2.5},
         ],
         ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
     )
@@ -165,6 +169,8 @@ class TestSequentialConfig:
     def test_range_ends_are_accepted(self):
         SequentialConfig(num_inducing=1, ngd_rho=5e-324, ngd_steps=1, memory_capacity=0, hyper_steps=0)
         SequentialConfig(num_inducing=1, ngd_rho=1.0)
+        counts = ("num_inducing", "ngd_steps", "memory_capacity", "hyper_steps")
+        SequentialConfig(**{name: np.int64(1) for name in counts})
 
 
 class TestRemoveMemory:
@@ -594,6 +600,43 @@ class TestOptimizeHypers:
         assert trace == same_trace
         assert same_lik.noise_variance == new_lik.noise_variance
 
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        bernoulli=st.booleans(),
+        n_mem=st.sampled_from([0, 4]),
+        ard=st.booleans(),
+        constant=st.sampled_from([0.0, 0.3]),
+        kernel_noise=st.booleans(),
+        hyper_steps=st.integers(0, 2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_start_value_is_the_rebuilt_objective_at_the_input_theta(
+        self, seed, bernoulli, n_mem, ard, constant, kernel_noise, hyper_steps
+    ):
+        """The trace starts at ``hyper_objective`` of the input state at its own theta, bit for bit.
+
+        The state comes from NGD over the batch then the memory and the
+        marginals from that data's cross-Gram, as in :func:`step`.
+        """
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2, 2, (12 + n_mem, 2))
+        signal = np.sin(2.0 * x[:, 0]) * np.cos(x[:, 1])
+        if bernoulli:
+            lik, y = BernoulliLogit(), np.where(signal + 0.3 * rng.standard_normal(len(x)) > 0, 1.0, -1.0)
+        else:
+            lik, y = Gaussian(rng.uniform(0.05, 0.5)), signal + 0.1 * rng.standard_normal(len(x))
+        noise = (0.7 if bernoulli else lik.noise_variance) if kernel_noise else None
+        lengthscales = rng.uniform(0.5, 1.5, 2 if ard else 1)
+        spec = KernelSpec("matern52", Hyperparams(1.3, lengthscales, constant_variance=constant, noise_variance=noise))
+        state = ngd_step(make_state(spec, x[:6]), lik, x, y, rho=rng.uniform(0.3, 1.0))
+        marginals = cross_gram(state, x).marginals(state)
+        x_batch, y_batch, memory = x[:12], y[:12], _memory_of(x[12:], y[12:])
+        config = SequentialConfig(num_inducing=6, hyper_steps=hyper_steps, hyper_lr=0.05)
+        expected = hyper_objective(state, lik, x_batch, y_batch, memory.inputs, memory.labels, 9, state.kernel.hyper)[0]
+        trace = optimize_hypers(state, lik, config, x_batch, y_batch, memory, 9, marginals)[2]
+        assert len(trace) == hyper_steps + 1
+        assert trace[0] == expected
+
     def test_bernoulli_theta_has_no_noise_and_kernel_noise_passes_through(self, rng, monkeypatch):
         x = rng.uniform(-2, 2, (10, 1))
         y = np.where(x[:, 0] > 0, 1.0, -1.0)
@@ -609,8 +652,8 @@ class TestOptimizeHypers:
         monkeypatch.setattr(dualgp.sequential, "hyper_objective", counted)
         config = SequentialConfig(num_inducing=10, hyper_steps=3, hyper_lr=0.05)
         new_state, _, _, _ = optimize_hypers(state, lik, config, x, y, empty_memory(1), 0, predict(state, x))
-        # two components (variance, lengthscale): 1 + 3 * (2 * 2 + 1) evaluations
-        assert len(evals) == 16
+        # two components (variance, lengthscale): 3 * (2 * 2 + 1) evaluations
+        assert len(evals) == 15
         assert all(h.noise_variance == 0.7 for h in evals)
         assert new_state.kernel.hyper.noise_variance == 0.7
 
@@ -638,7 +681,7 @@ class TestOptimizeHypers:
         assert new_lik.noise_variance != 0.5
 
     def test_one_eigh_per_call(self, rng, monkeypatch):
-        """Five Adam steps over three parameters evaluate 36 times and decompose nothing."""
+        """Five Adam steps over three parameters evaluate 35 times and decompose nothing."""
         state, lik, x, y = _fitted_gaussian(rng)
         calls = _count_eigh(monkeypatch)
         config = SequentialConfig(num_inducing=6, hyper_steps=5, hyper_lr=0.05)
@@ -937,7 +980,7 @@ class TestBlockCounts:
         evals = _count_calls(monkeypatch, dualgp.sequential, "hyper_objective")
         out = step(stream, x[30:], y[30:])
         fit_blocks = [kzz for kzz, rows in built if rows == 40]
-        assert len(evals) == (1 + hyper_steps * (2 * 3 + 1) if hyper_steps else 0)
+        assert len(evals) == hyper_steps * (2 * 3 + 1)
         assert len(fit_blocks) == 1 + len(evals)
         assert [kzz is out.state.kzz for kzz in fit_blocks].count(True) == 1
         # NGD's block is the first over the fit set; accepted hyper steps leave its K_zz behind
@@ -958,7 +1001,7 @@ class TestBlockCounts:
         evals = _count_calls(monkeypatch, dualgp.sequential, "hyper_objective")
         out = step(stream, x[30:], y[30:])
         assert out.records[-1]["theta"] != stream.records[-1]["theta"]
-        assert len(evals) == 1 + 3 * (2 * 3 + 1)
+        assert len(evals) == 3 * (2 * 3 + 1)
         assert len(states) == 1 + len(evals)
 
     def test_hyper_objective_builds_one_cross_gram(self, monkeypatch):
