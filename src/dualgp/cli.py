@@ -77,10 +77,12 @@ def _cmd_stream(args) -> int:
 
     Parses the config, splits the training rows into ``args.batches``
     batches, standardizes the inputs on the first batch, runs the stream,
-    writes the run log and the checkpoint, and prints the last record.
+    writes the run log and the checkpoint, and prints the last record.  A
+    ``--test`` file must have the training file's feature names in the same
+    order; otherwise :class:`DataError` names both files and both lists.
     """
     config = parse_config(args.config)
-    x, y, _ = load_csv(args.data, args.label)
+    x, y, names = load_csv(args.data, args.label)
     batches = make_stream(x, y, args.batches, order=args.order, sort_dim=args.sort_dim, seed=args.seed)
     standardizer = None
     if config.standardize_inputs:
@@ -89,8 +91,11 @@ def _cmd_stream(args) -> int:
 
     x_test = y_test = None
     if args.test:
-        x_test, y_test, _ = load_csv(args.test, args.label)
+        x_test, y_test, test_names = load_csv(args.test, args.label)
         _check_features(args.test, x_test, x.shape[1])
+        if test_names != names:
+            raise DataError(f"{args.test} has the feature columns {test_names} but {args.data} has {names}; "
+                            "--test needs the same names in the same order")
         if standardizer is not None:
             x_test = standardizer.transform(x_test)
 

@@ -311,16 +311,12 @@ def parse_config(path: str | None) -> RunConfig:
 
 
 def make_kernel(config: RunConfig) -> KernelSpec:
+    """``config``'s kernel family, with :meth:`Hyperparams.from_entry` of its fields (the noise for a Gaussian only).
+
+    A family or value that :class:`KernelSpec` or :class:`Hyperparams` rejects raises :class:`ValueError`.
+    """
     noise = config.noise_variance if config.likelihood == Gaussian.name else None
-    return KernelSpec(
-        family=config.kernel,
-        hyper=Hyperparams(
-            variance=config.variance,
-            lengthscales=np.asarray(config.lengthscales, dtype=np.float64),
-            constant_variance=config.constant_variance,
-            noise_variance=noise,
-        ),
-    )
+    return KernelSpec(config.kernel, Hyperparams.from_entry({**vars(config), "noise_variance": noise}))
 
 
 def _likelihood(name: str, settings: dict) -> Likelihood:
@@ -370,19 +366,12 @@ def save_checkpoint(
         memory: null or {inputs, labels, scores}
         standardizer: null or {mean, scale}
     """
-    hyper = state.kernel.hyper
     setting = "noise_variance" if isinstance(lik, Gaussian) else "quad_points"
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "state": {
-            "kernel": {
-                "family": state.kernel.family,
-                "variance": float(hyper.variance),
-                "lengthscales": hyper.lengthscales.tolist(),
-                "constant_variance": float(hyper.constant_variance),
-                "noise_variance": None if hyper.noise_variance is None else float(hyper.noise_variance),
-            },
+            "kernel": {"family": state.kernel.family, **state.kernel.hyper.entry()},
             "z": state.z.tolist(),
             "alpha_u": state.alpha_u.tolist(),
             "b_u": state.b_u.tolist(),
@@ -427,12 +416,18 @@ def load_checkpoint(
 ) -> tuple[DualState, Likelihood, MemorySet | None, int, Standardizer | None]:
     """Inverse of :func:`save_checkpoint`.
 
-    The file is read as UTF-8; a leading byte-order mark is dropped.  Absent
-    ``constant_variance`` and ``noise_variance`` read as 0 and None.  A file
-    that is not UTF-8 text or not valid JSON, lacks a key (named by its
-    path), holds a value of the wrong type or shape, a number no float holds
-    (``1e999``) or an asymmetric ``b_u`` raises :class:`DataError` naming
-    the file.
+    The file is read as UTF-8; a leading byte-order mark is dropped.  The
+    kernel entry is read by :meth:`~dualgp.kernels.Hyperparams.from_entry`,
+    which holds the field list: absent ``constant_variance`` and
+    ``noise_variance`` read as 0 and None.  A file that is not UTF-8 text or
+    not valid JSON, lacks a key (named by its path), holds a value of the
+    wrong type or shape, a number no float holds (``1e999``) or an asymmetric
+    ``b_u`` raises :class:`DataError` naming the file.  So do memory
+    ``inputs``, ``labels`` and ``scores`` other than ``(n, d)``, ``(n,)``
+    and ``(n,)`` for the model's input dimension ``d``, a standardizer whose
+    ``mean`` and ``scale`` are not both 1-D of the model's input dimension or
+    whose ``scale`` is not positive, and a ``seed`` that is not a
+    non-negative integer (``true`` and ``1.5`` are not).
     """
     def finite(token: str):
         if not math.isfinite(float(token)):
@@ -451,30 +446,33 @@ def load_checkpoint(
         raise DataError(f"{path} has checkpoint version {payload.get('version')!r}, not {CHECKPOINT_VERSION}")
     try:
         saved = payload["state"]
-        kernel = saved["kernel"]
-        hyper = Hyperparams(
-            kernel["variance"],
-            kernel["lengthscales"],
-            kernel.get("constant_variance", 0.0),
-            kernel.get("noise_variance"),
-        )
-        state = make_state(KernelSpec(kernel["family"], hyper), saved["z"], saved["alpha_u"], saved["b_u"])
+        kernel = KernelSpec(saved["kernel"]["family"], Hyperparams.from_entry(saved["kernel"]))
+        state = make_state(kernel, saved["z"], saved["alpha_u"], saved["b_u"])
         lik = _likelihood(payload["likelihood"]["name"], payload["likelihood"])
         memory = standardizer = None
+        dim = state.z.shape[1]
         if payload.get("memory") is not None:
             raw = payload["memory"]
-            memory = MemorySet(
-                inputs=np.asarray(raw["inputs"], dtype=np.float64).reshape(len(raw["labels"]), state.z.shape[1]),
-                labels=np.asarray(raw["labels"], dtype=np.float64),
-                scores=np.asarray(raw["scores"], dtype=np.float64),
-            )
+            inputs, labels, scores = (np.asarray(raw[key], dtype=np.float64) for key in ("inputs", "labels", "scores"))
+            if not inputs.size:
+                inputs = inputs.reshape(0, dim)  # JSON writes an empty memory's inputs as []
+            if not (labels.ndim == 1 and scores.shape == labels.shape and inputs.shape == (len(labels), dim)):
+                raise ValueError(f"memory has inputs of shape {inputs.shape}, labels of shape {labels.shape} and "
+                                 f"scores of shape {scores.shape}; the model needs (n, {dim}), (n,) and (n,)")
+            memory = MemorySet(inputs, labels, scores)
         if payload.get("standardizer") is not None:
             raw = payload["standardizer"]
             standardizer = Standardizer(
                 mean=np.asarray(raw["mean"], dtype=np.float64),
                 scale=np.asarray(raw["scale"], dtype=np.float64),
             )
-        seed = int(payload.get("seed", 0))
+            if not standardizer.mean.shape == standardizer.scale.shape == (dim,):
+                raise ValueError(f"standardizer mean and scale need {dim} entries each, one per input dimension")
+            if not np.all(standardizer.scale > 0.0):
+                raise ValueError("standardizer scale must be positive")
+        seed = payload.get("seed", 0)
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed {seed!r} is not a nonnegative integer")
     except DataError:
         raise
     except (TypeError, ValueError, FactorizationFailed) as exc:

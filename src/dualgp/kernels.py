@@ -52,12 +52,26 @@ class Hyperparams:
     shared across dimensions.  ``constant_variance`` adds a constant kernel
     ``c(x, x') = constant_variance``; zero disables it.  ``noise_variance``
     may be None; a set value must equal a Gaussian likelihood's noise.
+    These names are the keys of configs, checkpoints and run records, which
+    read and write them through :meth:`from_entry` and :meth:`entry`.
     """
 
     variance: float
     lengthscales: np.ndarray
     constant_variance: float = 0.0
     noise_variance: float | None = None
+
+    @classmethod
+    def from_entry(cls, entry) -> Hyperparams:
+        """The fields read from ``entry`` by name; absent, ``constant_variance`` is 0 and ``noise_variance`` None."""
+        constant, noise = entry.get("constant_variance", 0.0), entry.get("noise_variance")
+        return cls(entry["variance"], entry["lengthscales"], constant, noise)
+
+    def entry(self) -> dict:
+        """The fields as JSON values, in declaration order: floats, a list of floats, and None for an unset noise."""
+        noise = None if self.noise_variance is None else float(self.noise_variance)
+        return {"variance": float(self.variance), "lengthscales": self.lengthscales.tolist(),
+                "constant_variance": float(self.constant_variance), "noise_variance": noise}
 
     def __post_init__(self) -> None:
         self.lengthscales = np.atleast_1d(np.asarray(self.lengthscales, dtype=np.float64))

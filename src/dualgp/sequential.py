@@ -379,25 +379,36 @@ def _check_noise(kernel: KernelSpec, lik: Likelihood) -> None:
                          f"{lik.noise_variance}; make them equal or leave the kernel's unset")
 
 
+def _batch_arrays(index: int, x_batch, y_batch) -> tuple[np.ndarray, np.ndarray]:
+    """Batch ``index`` as ``(n, d)`` inputs and ``(n,)`` labels; other shapes raise :class:`ValueError`."""
+    x_batch, y_batch = np.asarray(x_batch, dtype=np.float64), np.asarray(y_batch, dtype=np.float64)
+    if x_batch.ndim not in (1, 2) or y_batch.ndim != 1:
+        raise ValueError(f"batch {index} has inputs of shape {x_batch.shape} and labels of shape {y_batch.shape}; "
+                         "it needs (n, d) or (n,) inputs and (n,) labels")
+    return as_points(x_batch), y_batch
+
+
 def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
     """The stream after one more batch, with the batch's record appended.
 
-    Unequal input and label counts, a non-finite value, a Bernoulli label
-    outside ``{0, 1}`` and ``{-1, +1}``, an input dimension other than the
-    stream's and an empty first batch raise :class:`ValueError` naming the
-    batch.  ``stream`` is handed over (see :mod:`dualgp.dual`): its state goes
-    to the refresh, which frees it, and the adjusted prior is released once
-    the objective and the clip are read, before memory curation.  Both read
-    the final marginals over the batch then the memory: NGD's block gives
-    them, and is dropped before the hyperparameter ascent, whose last
-    accepted candidate brings its own state and marginals.
+    Inputs of a shape other than ``(n, d)`` or ``(n,)``, labels of a shape
+    other than ``(n,)``, unequal input and label counts, a non-finite value,
+    a Bernoulli label outside ``{0, 1}`` and ``{-1, +1}``, an input dimension
+    other than the stream's and an empty first batch raise
+    :class:`ValueError` naming the batch.  ``stream`` is handed over (see
+    :mod:`dualgp.dual`): its state goes to the refresh, which frees it, and
+    the adjusted prior is released once the objective and the clip are
+    read, before memory curation.  Both read the final marginals over the
+    batch then the memory: NGD's block gives them, and is dropped before the
+    hyperparameter ascent, whose last accepted candidate brings its own
+    state and marginals.
     """
     start = time.perf_counter()
     config, seed, lik, memory, n_old = stream.config, stream.seed, stream.lik, stream.memory, stream.n_old
     records, clip_count, clip_max = stream.records, stream.clip_count, stream.clip_max
     index, dim = len(records), stream.state.z.shape[1]
     held, stream = [stream.state], None
-    x_batch, y_batch = as_points(x_batch), np.asarray(y_batch, dtype=np.float64)
+    x_batch, y_batch = _batch_arrays(index, x_batch, y_batch)
     if len(x_batch) != len(y_batch):
         raise ValueError(f"batch {index} has {len(x_batch)} inputs but {len(y_batch)} labels")
     if not (np.isfinite(x_batch).all() and np.isfinite(y_batch).all()):
@@ -446,7 +457,8 @@ def run_stream(
 ) -> Stream:
     """Fold :func:`step` over an iterable of ``(x, y)`` batches; returns the last stream.
 
-    The stream starts on the first batch's input dimension.  ``evaluate``
+    The stream starts on the first batch's input dimension; a first batch
+    of a shape :func:`step` rejects raises its error before.  ``evaluate``
     (optional) is called as ``evaluate(state, lik)`` after each batch and
     its dict is merged into that batch's record.  Batches whose clip
     exceeds ``CLIP_RTOL`` times the Frobenius norm of the repaired prior
@@ -459,7 +471,7 @@ def run_stream(
     first = next(batches, None)
     if first is None:
         raise ValueError("run_stream needs at least one batch")
-    stream = Stream.start(kernel, lik, config, as_points(first[0]).shape[1], seed)
+    stream = Stream.start(kernel, lik, config, _batch_arrays(0, *first)[0].shape[1], seed)
     for x_batch, y_batch in itertools.chain([first], batches):
         held, stream = [stream], None
         stream = step(held.pop(), x_batch, y_batch)
@@ -474,11 +486,9 @@ def run_stream(
 
 
 def _theta_record(hyper: Hyperparams, lik: Likelihood) -> dict:
-    record = {
-        "variance": float(hyper.variance),
-        "lengthscales": [float(v) for v in hyper.lengthscales],
-        "constant_variance": float(hyper.constant_variance),
-    }
+    """The record's ``theta``: ``hyper``'s entry, with a Gaussian likelihood's noise in place of the kernel's."""
+    record = hyper.entry()
+    del record["noise_variance"]
     if isinstance(lik, Gaussian):
         record["noise_variance"] = float(lik.noise_variance)
     return record

@@ -415,6 +415,31 @@ class TestExitCodes:
         assert f"error: {one} has 1 feature columns but the model has 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["fit"], ["stream", "--batches", "3"]], ids=["fit", "stream"])
+    @pytest.mark.parametrize("standardize", ["true", "false"])
+    def test_test_file_with_reordered_features_names_both_files(self, tmp_path, capsys, command, standardize):
+        """Test columns are matched by name: ``x2, x1`` against training ``x1, x2`` exits 1 and writes nothing,
+        while the same features with the label moved to the front score as the training layout does."""
+        train, _, config = _one_and_two_feature_files(tmp_path, standardize)
+        table = np.loadtxt(train, delimiter=",", skiprows=1)
+        swapped, label_first = tmp_path / "swapped.csv", tmp_path / "label_first.csv"
+        np.savetxt(swapped, table[:, [1, 0, 2]], delimiter=",", header="x2,x1,y", comments="")
+        np.savetxt(label_first, table[:, [2, 0, 1]], delimiter=",", header="y,x1,x2", comments="")
+
+        def run(test, out):
+            return run_cli([
+                *command, "--data", train, "--label", "y", "--config", config, "--test", str(test), "--out", str(out),
+            ])
+
+        assert run(swapped, tmp_path / "swapped") == 1
+        message = (f"error: {swapped} has the feature columns ['x2', 'x1'] but {train} has ['x1', 'x2']; "
+                   "--test needs the same names in the same order")
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "swapped").exists()
+        assert run(train, tmp_path / "train") == run(label_first, tmp_path / "label_first") == 0
+        logs = [_without_wall_ms(_run_log(tmp_path / out)) for out in ("train", "label_first")]
+        assert logs[0] == logs[1] and logs[0][-1]["nlpd"] is not None
+
     def test_bad_config_is_config_error(self, tmp_path, capsys):
         data = _write_regression_csv(tmp_path / "train.csv", n=10)
         config = _write_config(tmp_path / "bad.ini", "[model]\nbogus_key = 1\n")

@@ -362,6 +362,9 @@ class TestParseConfig:
         documented.read_string(block)
         keys = [(section, key) for section in documented.sections() for key in documented[section]]
         assert sorted(keys) == sorted((f.metadata["section"], f.name) for f in fields(RunConfig))
+        # Every documented value is the default, except lengthscales (stated as 1.0).
+        assert RunConfig().lengthscales == (1.0,)
+        assert replace(config, lengthscales=(1.0,)) == RunConfig()
 
     def test_readme_library_example_runs(self, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -546,6 +549,41 @@ DAMAGED_CHECKPOINTS = [
 ]
 
 
+def _payload_edit(*keys, value):
+    """An edit that sets the entry at the path ``keys`` of a parsed checkpoint to ``value(old)``."""
+
+    def edit(payload):
+        entry = payload
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value(entry[keys[-1]])
+
+    return edit
+
+
+# Edits of a 2-feature Gaussian checkpoint with a memory of 3 points and a
+# standardizer, each an entry of the wrong shape or type, with the message
+# that load_checkpoint gives after the file name.
+INCONSISTENT_CHECKPOINTS = [
+    pytest.param(_payload_edit("standardizer", "scale", value=lambda s: s[:1]),
+                 "standardizer mean and scale need 2 entries each, one per input dimension", id="scale_length"),
+    pytest.param(_payload_edit("standardizer", "mean", value=lambda m: [*m, 0.0]),
+                 "standardizer mean and scale need 2 entries each, one per input dimension", id="mean_length"),
+    pytest.param(_payload_edit("standardizer", "mean", value=lambda m: [m]),
+                 "standardizer mean and scale need 2 entries each, one per input dimension", id="mean_2d"),
+    pytest.param(_payload_edit("standardizer", "scale", value=lambda s: [0.0, *s[1:]]),
+                 "standardizer scale must be positive", id="scale_zero"),
+    pytest.param(_payload_edit("memory", "scores", value=lambda s: s[:-1]),
+                 "memory has inputs of shape (3, 2), labels of shape (3,) and scores of shape (2,)", id="scores_short"),
+    pytest.param(_payload_edit("memory", "inputs", value=lambda x: np.transpose(x).tolist()),
+                 "memory has inputs of shape (2, 3), labels of shape (3,) and scores of shape (3,)",
+                 id="inputs_transposed"),
+    pytest.param(_payload_edit("seed", value=lambda s: 1.5), "seed 1.5 is not a nonnegative integer", id="seed_float"),
+    pytest.param(_payload_edit("seed", value=lambda s: True), "seed True is not a nonnegative integer", id="seed_bool"),
+    pytest.param(_payload_edit("seed", value=lambda s: -1), "seed -1 is not a nonnegative integer", id="seed_negative"),
+]
+
+
 def _round_trip(tmp_path, state, lik, **extras):
     """``save_checkpoint`` then ``load_checkpoint`` through a file."""
     path = str(tmp_path / "ckpt.json")
@@ -642,7 +680,7 @@ class TestCheckpoint:
         assert lik.quad_points == DEFAULT_QUAD_POINTS
 
     def test_standardizer_round_trip(self, rng, tmp_path):
-        state, lik = self._fitted(rng)
+        state, lik = self._fitted(rng, KernelSpec("matern52", Hyperparams(1.0, np.ones(3))))
         std = Standardizer.fit(rng.standard_normal((20, 3)))
         back = _round_trip(tmp_path, state, lik, standardizer=std)[4]
         np.testing.assert_array_equal(back.mean, std.mean)
@@ -711,6 +749,20 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(str(path), state, lik)
         path.write_text(damage(path.read_text()))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit, message", INCONSISTENT_CHECKPOINTS)
+    def test_inconsistent_entry_is_data_error(self, rng, tmp_path, edit, message):
+        state, lik = self._fitted(rng, KernelSpec("matern52", Hyperparams(1.0, np.ones(2))))
+        memory = MemorySet(inputs=rng.uniform(-2, 2, (3, 2)), labels=np.ones(3), scores=np.ones(3))
+        std = Standardizer.fit(rng.standard_normal((20, 2)))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), state, lik, memory=memory, seed=4, standardizer=std)
+        assert load_checkpoint(str(path))[3] == 4
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             load_checkpoint(str(path))
 

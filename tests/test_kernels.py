@@ -1,5 +1,6 @@
 """Covariance functions, hyperparameter containers, and stable factorization."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,51 @@ class TestHyperparams:
         values[name] = np.array([1.0, bad]) if name == "lengthscales" else bad
         with pytest.raises(ValueError, match=f"^{name} must be .* and finite"):
             Hyperparams(**values)
+
+
+_positive = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def _hyperparams(draw):
+    """One shared or per-dimension lengthscales, a zero or positive constant and an unset or set noise,
+    the scalars as Python or numpy floats."""
+    scalar = draw(st.sampled_from([float, np.float64]))
+    lengthscales = draw(st.lists(_positive, min_size=1, max_size=4))
+    constant = draw(st.one_of(st.just(0.0), _positive))
+    noise = draw(st.one_of(st.none(), _positive))
+    return Hyperparams(
+        scalar(draw(_positive)), np.array(lengthscales), scalar(constant), None if noise is None else scalar(noise)
+    )
+
+
+class TestEntry:
+    """``Hyperparams.entry`` and ``from_entry``, the one writer and reader of the fields."""
+
+    @given(hyper=_hyperparams())
+    @settings(max_examples=60, deadline=None)
+    def test_from_entry_inverts_entry(self, hyper):
+        back = Hyperparams.from_entry(hyper.entry())
+        assert back.variance == hyper.variance
+        np.testing.assert_array_equal(back.lengthscales, hyper.lengthscales)
+        assert back.lengthscales.dtype == np.float64
+        assert back.constant_variance == hyper.constant_variance
+        assert back.noise_variance == hyper.noise_variance
+
+    @given(hyper=_hyperparams())
+    @settings(max_examples=60, deadline=None)
+    def test_entry_is_plain_json_in_field_order(self, hyper):
+        entry = hyper.entry()
+        assert list(json.loads(json.dumps(entry, allow_nan=False))) == [
+            "variance", "lengthscales", "constant_variance", "noise_variance"
+        ]
+        assert type(entry["variance"]) is float and type(entry["constant_variance"]) is float
+        assert type(entry["lengthscales"]) is list and all(type(v) is float for v in entry["lengthscales"])
+        assert entry["noise_variance"] is None or type(entry["noise_variance"]) is float
+
+    def test_absent_constant_and_noise_read_as_zero_and_none(self):
+        hyper = Hyperparams.from_entry({"variance": 1.5, "lengthscales": [0.5, 2.0], "other": "ignored"})
+        assert (hyper.constant_variance, hyper.noise_variance) == (0.0, None)
 
 
 class TestKernelSpec:

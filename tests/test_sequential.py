@@ -1284,6 +1284,29 @@ class TestStep:
             assert np.array_equal(getattr(out.memory, name), getattr(result.memory, name))
         assert (out.n_old, out.clip_count, out.clip_max) == (result.n_old, result.clip_count, result.clip_max)
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (np.linspace(-1, 1, 6)[:, None], np.ones((6, 1))),
+            (np.linspace(-1, 1, 6)[:, None, None], np.ones(6)),
+            (np.linspace(-1, 1, 6)[:, None], np.float64(1.0)),
+            (np.float64(0.5), np.ones(1)),
+        ],
+        ids=["column_labels", "3d_inputs", "scalar_label", "scalar_input"],
+    )
+    @pytest.mark.parametrize("via", ["step", "run_stream_first", "run_stream_later"])
+    def test_mis_shaped_batch_is_named(self, x, y, via):
+        """Inputs must be ``(n, d)`` or ``(n,)`` and labels ``(n,)``, in ``step`` and before ``Stream.start``."""
+        config = SequentialConfig(num_inducing=5)
+        good = (np.linspace(-1, 1, 6)[:, None], np.zeros(6))
+        index = 1 if via == "run_stream_later" else 0
+        message = f"batch {index} has inputs of shape {np.shape(x)} and labels of shape {np.shape(y)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if via == "step":
+                step(Stream.start(_spec(), Gaussian(0.3), config, 1), x, y)
+            else:
+                run_stream([good, (x, y)] if index else [(x, y)], _spec(), Gaussian(0.3), config)
+
     def test_a_stream_starts_on_no_inducing_points(self):
         start = Stream.start(_spec(), Gaussian(0.3), SequentialConfig(num_inducing=5), 3)
         assert start.state.z.shape == (0, 3) and start.memory.inputs.shape == (0, 3)
