@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualState, cross_gram, ngd_step, predict
+from .kernels import as_count
 from .likelihoods import Gaussian
 
 DEFAULT_SEARCH_BUDGET = 2048
@@ -101,12 +102,12 @@ def fantasize_batch(
     continues.  Conditioning is one ``rho = 1`` :func:`ngd_step` against the
     fantasy state as prior, which is exact rank-one conditioning, on the
     :func:`cross_gram` the label was read from.  A non-Gaussian likelihood or
-    a count below its minimum raises ``ValueError``.  Returns the points and
-    the final fantasy state; the input state is never modified.
+    a count :func:`~dualgp.kernels.as_count` refuses (``k`` and ``search_budget``
+    below 1, ``refine_steps`` below 0) raises ``ValueError``.  Returns the
+    points and the final fantasy state; the input state is never modified.
     """
-    for name, count, least in (("k", k, 1), ("search_budget", search_budget, 1), ("refine_steps", refine_steps, 0)):
-        if count < least:
-            raise ValueError(f"{name} must be at least {least}")
+    k, search_budget = as_count("k", k, 1), as_count("search_budget", search_budget, 1)
+    refine_steps = as_count("refine_steps", refine_steps, 0)
     if not isinstance(lik, Gaussian):
         raise ValueError(f"fantasize_batch needs a {Gaussian.name} likelihood, not {lik.name!r}")
     bounds = np.asarray(acq.bounds, dtype=np.float64)

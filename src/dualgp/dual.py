@@ -44,6 +44,7 @@ from .kernels import (
     BLOCK_ENTRIES,
     CholeskyFactor,
     KernelSpec,
+    as_count,
     as_points,
     gram,
     gram_diag,
@@ -298,8 +299,10 @@ def iterate_ngd(
     """Run :func:`ngd_step` against the kernel prior until the duals stop moving.
 
     Stops when ``max(|d alpha|, |d b|)`` falls below ``tol`` or after
-    ``max_steps`` iterations; returns ``(state, steps_taken, converged)``.
+    ``max_steps`` iterations, a count of at least 0 (:func:`~dualgp.kernels.as_count`);
+    returns ``(state, steps_taken, converged)``.
     """
+    max_steps = as_count("max_steps", max_steps, 0)
     cross = cross_gram(state, x)
     for step in range(1, max_steps + 1):
         new = ngd_step(state, lik, x, y, rho, cross=cross)

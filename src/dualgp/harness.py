@@ -20,7 +20,7 @@ import numpy as np
 
 from .acquisition import DEFAULT_REFINE_STEPS, DEFAULT_SEARCH_BUDGET
 from .dual import DualState, make_state, predict
-from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_points
+from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_count, as_points
 from .likelihoods import DEFAULT_QUAD_POINTS, BernoulliLogit, Gaussian, Likelihood
 from .memory import MemorySet
 from .sequential import SequentialConfig
@@ -114,22 +114,22 @@ def make_stream(
     reproduces it, while ``seed=None`` draws fresh entropy, so two calls
     give different orders).  Sizes differ by at most one, with earlier
     batches taking the remainder (n=10 into 3 batches gives 4, 3, 3).
-    Inputs and labels of different lengths raise :class:`ValueError`.
+    Inputs and labels of different lengths raise :class:`ValueError`, as do
+    a ``num_batches`` outside 1 to ``len(y)`` and a ``sort_dim`` that is not an
+    input dimension; both are counts (:func:`~dualgp.kernels.as_count`).
     """
     x = as_points(x)
     y = np.asarray(y, dtype=np.float64)
     if len(x) != len(y):
         raise ValueError(f"{len(x)} input rows but {len(y)} labels")
-    if num_batches < 1:
-        raise ValueError("num_batches must be at least 1")
-    if num_batches > len(y):
+    if as_count("num_batches", num_batches, 1) > len(y):
         raise ValueError("more batches than data points")
     if order == "as_is":
         idx = np.arange(len(y))
     elif order == "sorted":
         if not 0 <= sort_dim < x.shape[1]:
             raise ValueError(f"sort_dim {sort_dim} is not an input dimension of {x.shape[1]}-dimensional data")
-        idx = np.argsort(x[:, sort_dim], kind="stable")
+        idx = np.argsort(x[:, as_count("sort_dim", sort_dim, 0)], kind="stable")
     elif order == "shuffled":
         idx = np.random.default_rng(seed).permutation(len(y))
     else:
@@ -297,13 +297,9 @@ def parse_config(path: str | None) -> RunConfig:
             except (ValueError, KeyError) as exc:
                 raise ConfigError(f"bad value {raw!r} for {key!r} in section [{section}]") from exc
     config = replace(config, **updates)
-    if config.search_budget < 1:
-        raise ConfigError("search_budget must be at least 1")
-    if config.init_points < 2:
-        raise ConfigError("init_points must be at least 2")
-    if config.refine_steps < 0:
-        raise ConfigError("refine_steps must be at least 0")
     try:
+        for name, least in (("search_budget", 1), ("init_points", 2), ("refine_steps", 0)):
+            as_count(name, getattr(config, name), least)
         make_kernel(config), make_likelihood(config), make_seq_config(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -426,8 +422,8 @@ def load_checkpoint(
     ``inputs``, ``labels`` and ``scores`` other than ``(n, d)``, ``(n,)``
     and ``(n,)`` for the model's input dimension ``d``, a standardizer whose
     ``mean`` and ``scale`` are not both 1-D of the model's input dimension or
-    whose ``scale`` is not positive, and a ``seed`` that is not a
-    non-negative integer (``true`` and ``1.5`` are not).
+    whose ``scale`` is not positive, and a ``seed`` that is not a count of at
+    least 0 (:func:`~dualgp.kernels.as_count`; ``true`` and ``1.5`` are not).
     """
     def finite(token: str):
         if not math.isfinite(float(token)):
@@ -470,9 +466,7 @@ def load_checkpoint(
                 raise ValueError(f"standardizer mean and scale need {dim} entries each, one per input dimension")
             if not np.all(standardizer.scale > 0.0):
                 raise ValueError("standardizer scale must be positive")
-        seed = payload.get("seed", 0)
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"seed {seed!r} is not a nonnegative integer")
+        seed = as_count("seed", payload.get("seed", 0), 0)
     except DataError:
         raise
     except (TypeError, ValueError, FactorizationFailed) as exc:

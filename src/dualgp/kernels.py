@@ -17,6 +17,7 @@ Usage::
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,8 @@ class Hyperparams:
     """Kernel hyperparameters plus the Gaussian observation-noise variance.
 
     ``lengthscales`` has one entry per input dimension, or a single entry
-    shared across dimensions.  ``constant_variance`` adds a constant kernel
+    shared across dimensions; other than a number or a non-empty flat list it
+    raises :class:`ValueError`.  ``constant_variance`` adds a constant kernel
     ``c(x, x') = constant_variance``; zero disables it.  ``noise_variance``
     may be None; a set value must equal a Gaussian likelihood's noise.
     These names are the keys of configs, checkpoints and run records, which
@@ -75,6 +77,9 @@ class Hyperparams:
 
     def __post_init__(self) -> None:
         self.lengthscales = np.atleast_1d(np.asarray(self.lengthscales, dtype=np.float64))
+        shape = self.lengthscales.shape
+        if len(shape) != 1 or not shape[0]:
+            raise ValueError(f"lengthscales must be a number or a non-empty flat list, not of shape {shape}")
         if not 0.0 < self.variance < math.inf:
             raise ValueError("variance must be positive and finite")
         if not np.all((self.lengthscales > 0.0) & (self.lengthscales < math.inf)):
@@ -144,6 +149,15 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     _lower_inverse(low[h:, h:])
     low[h:, :h] = -low[h:, h:] @ (low[h:, :h] @ low[:h, :h])
     return low
+
+
+def as_count(name: str, value, least: int) -> int:
+    """``value`` as an ``int``; a bool, a non-integer or a value below ``least`` raises a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return int(value)
 
 
 def as_points(x: np.ndarray) -> np.ndarray:

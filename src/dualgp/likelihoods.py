@@ -21,13 +21,12 @@ that wide and tighter moments matter.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .kernels import BLOCK_ENTRIES
+from .kernels import BLOCK_ENTRIES, as_count
 
 DEFAULT_QUAD_POINTS = 20
 
@@ -117,27 +116,25 @@ class BernoulliLogit:
     """Binary labels through a logistic link.
 
     Labels may arrive as {0, 1} or {-1, +1}; they are canonicalized to
-    {-1, +1} at every entry point.  ``quad_points`` other than an integer of
-    at least 2 raises :class:`ValueError`.
+    {-1, +1} at every entry point.  ``quad_points`` is a count of at least 2
+    (:func:`~dualgp.kernels.as_count`).
     """
 
     name = "bernoulli_logit"
 
     def __init__(self, quad_points: int = DEFAULT_QUAD_POINTS):
-        try:
-            quad_points = operator.index(quad_points)
-        except TypeError:
-            raise ValueError(f"quad_points must be an integer, not {quad_points!r}") from None
-        if quad_points < 2:
-            raise ValueError("quad_points must be at least 2")
-        self.quad_points = quad_points
+        self.quad_points = as_count("quad_points", quad_points, 2)
 
     @staticmethod
     def canon_labels(y) -> np.ndarray:
+        """``y`` in {-1, +1}; labels outside {0, 1} and {-1, +1}, or both 0 and -1, raise :class:`ValueError`."""
         y = np.asarray(y, dtype=np.float64)
-        out = np.where(y == 0.0, -1.0, y)
+        zero = y == 0.0
+        out = np.where(zero, -1.0, y)
         if not np.all(np.abs(out) == 1.0):
             raise ValueError("Bernoulli labels must lie in {0, 1} or {-1, +1}")
+        if zero.any() and (y == -1.0).any():
+            raise ValueError("Bernoulli labels mix 0 and -1; use {0, 1} or {-1, +1} throughout, not both")
         return out
 
     def site_expectations(self, y, mean, var) -> SiteValues:

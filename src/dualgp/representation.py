@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualState, make_state
-from .kernels import KernelSpec, as_points, gram, gram_diag
+from .kernels import KernelSpec, as_count, as_points, gram, gram_diag
 
 REL_TOL = 1e-10
 
@@ -43,7 +43,7 @@ def _greedy_pivots(kzz: np.ndarray, cross: np.ndarray, diag: np.ndarray, max_poi
     ``K_zz`` diagonal jittered by a ladder step times its mean) reaches only
     its own zeroed residual.
     """
-    m, n, max_rank = kzz.shape[0], diag.shape[0], int(max_points)
+    m, n, max_rank = kzz.shape[0], diag.shape[0], as_count("max_points", max_points, 0)
     low = np.empty((n, max_rank))
     order: list[int] = []
     threshold = REL_TOL * max(float(diag.max(initial=0.0)), 0.0)
@@ -68,8 +68,9 @@ def pivoted_cholesky_select(kernel: KernelSpec, candidates: np.ndarray, max_poin
 
     Stops early once the largest residual falls below ``REL_TOL`` times the
     initial largest diagonal (near-duplicates add nothing).  Exact ties break
-    toward the lowest candidate index.  The candidates' whole Gram is the
-    pivot loop's first block, with an empty cross block.
+    toward the lowest candidate index.  The candidates' whole Gram is the pivot
+    loop's first block, with an empty cross block.  The loop checks ``max_points``
+    by :func:`~dualgp.kernels.as_count` (at least 0).
     """
     g = gram(kernel, as_points(candidates))
     return _greedy_pivots(g, np.empty((len(g), 0)), np.diag(g).copy(), max_points)
@@ -99,8 +100,8 @@ def refresh_representation(state: DualState, x_batch: np.ndarray, max_points: in
     the candidates ``[z; x_batch]``, read from two blocks: the state's
     ``keff`` (``K_zz`` plus its relative jitter) and one ``(M + n) x n``
     cross-Gram of the candidates against the batch, so no ``(M + n) x
-    (M + n)`` array is built.  The projection is :func:`project_duals` onto
-    the selected points.
+    (M + n)`` array is built, and that loop checks ``max_points``.  The
+    projection is :func:`project_duals` onto the selected points.
     """
     x_batch = as_points(x_batch)
     candidates = np.vstack([state.z, x_batch])

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import operator
 import time
 import weakref
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .dual import CrossGram, DualState, cross_gram, elbo, make_state, ngd_step, weighted_gram
-from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_points, stable_cholesky
+from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_count, as_points, stable_cholesky
 from .likelihoods import BernoulliLogit, Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
 from .representation import refresh_representation
@@ -59,10 +58,10 @@ class SequentialConfig:
     ascent; ``memory_capacity`` the replay budget (0 disables memory).  The
     memory is always removed from the prior, replayed in the NGD data and
     curated together with the new batch.  A value outside its range raises
-    :class:`ValueError`: ``num_inducing >= 1``, ``0 < ngd_rho <= 1`` and
-    ``ngd_steps >= 1`` (a stream must learn from each batch),
-    ``0 < hyper_lr < inf``, ``hyper_steps >= 0`` and ``memory_capacity >= 0``.
-    So does a count (the four ``int`` fields) that is not an integer.
+    :class:`ValueError`: ``0 < ngd_rho <= 1``, ``0 < hyper_lr < inf``, and
+    the four counts by :func:`~dualgp.kernels.as_count`: ``num_inducing`` and
+    ``ngd_steps`` (a stream must learn from each batch) at least 1,
+    ``memory_capacity`` and ``hyper_steps`` at least 0.
     """
 
     num_inducing: int
@@ -73,19 +72,10 @@ class SequentialConfig:
     hyper_lr: float = 1e-2
 
     def __post_init__(self) -> None:
-        for name in ("num_inducing", "ngd_steps", "memory_capacity", "hyper_steps"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}") from None
-        if self.num_inducing < 1:
-            raise ValueError("num_inducing must be at least 1")
+        for name, least in (("num_inducing", 1), ("ngd_steps", 1), ("memory_capacity", 0), ("hyper_steps", 0)):
+            as_count(name, getattr(self, name), least)
         if not 0.0 < self.ngd_rho <= 1.0:
             raise ValueError("ngd_rho must lie in (0, 1]")
-        if self.ngd_steps < 1:
-            raise ValueError("ngd_steps must be at least 1")
-        if min(self.memory_capacity, self.hyper_steps) < 0:
-            raise ValueError("memory_capacity and hyper_steps must be nonnegative")
         if not 0.0 < self.hyper_lr < np.inf:
             raise ValueError("hyper_lr must be positive and finite")
 
@@ -393,8 +383,9 @@ def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
 
     Inputs of a shape other than ``(n, d)`` or ``(n,)``, labels of a shape
     other than ``(n,)``, unequal input and label counts, a non-finite value,
-    a Bernoulli label outside ``{0, 1}`` and ``{-1, +1}``, an input dimension
-    other than the stream's and an empty first batch raise
+    Bernoulli labels outside ``{0, 1}`` and ``{-1, +1}`` or holding, with
+    the memory's, both 0 and -1, an input dimension other than the
+    stream's and an empty first batch raise
     :class:`ValueError` naming the batch.  ``stream`` is handed over (see
     :mod:`dualgp.dual`): its state goes to the refresh, which frees it, and
     the adjusted prior is released once the objective and the clip are
@@ -415,7 +406,7 @@ def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
         raise ValueError(f"batch {index} has a non-finite input or label")
     if isinstance(lik, BernoulliLogit):
         try:
-            lik.canon_labels(y_batch)
+            lik.canon_labels(np.concatenate([y_batch, memory.labels]))
         except ValueError as exc:
             raise ValueError(f"batch {index}: {exc}") from None
     if index == 0 and not len(x_batch):

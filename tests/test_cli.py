@@ -535,6 +535,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"data row 1, column {column!r}" in captured.err
 
+    def test_eval_of_labels_that_mix_zero_and_minus_one_fails(self, tmp_path, capsys):
+        """{-1, 0, 1} labels are three classes; eval used to score them as two."""
+        data = tmp_path / "labels.csv"
+        data.write_text("x,y\n0.0,-1\n1.0,0\n2.0,1\n")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("mean,variance,p_positive\n0.0,1.0,0.2\n0.0,1.0,0.4\n0.0,1.0,0.9\n")
+        code = run_cli(["eval", "--predictions", str(preds), "--data", str(data), "--label", "y"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Bernoulli labels mix 0 and -1" in captured.err
+
     def test_bo_rejects_a_non_gaussian_likelihood(self, tmp_path, capsys):
         config = _write_config(tmp_path / "clf.ini", "[model]\nlikelihood = bernoulli_logit\n")
         code = run_cli([

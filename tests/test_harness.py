@@ -578,9 +578,12 @@ INCONSISTENT_CHECKPOINTS = [
     pytest.param(_payload_edit("memory", "inputs", value=lambda x: np.transpose(x).tolist()),
                  "memory has inputs of shape (2, 3), labels of shape (3,) and scores of shape (3,)",
                  id="inputs_transposed"),
-    pytest.param(_payload_edit("seed", value=lambda s: 1.5), "seed 1.5 is not a nonnegative integer", id="seed_float"),
-    pytest.param(_payload_edit("seed", value=lambda s: True), "seed True is not a nonnegative integer", id="seed_bool"),
-    pytest.param(_payload_edit("seed", value=lambda s: -1), "seed -1 is not a nonnegative integer", id="seed_negative"),
+    pytest.param(_payload_edit("seed", value=lambda s: 1.5), "seed must be an integer, not 1.5", id="seed_float"),
+    pytest.param(_payload_edit("seed", value=lambda s: True), "seed must be an integer, not True", id="seed_bool"),
+    pytest.param(_payload_edit("seed", value=lambda s: -1), "seed must be at least 0", id="seed_negative"),
+    pytest.param(_payload_edit("state", "kernel", "lengthscales", value=lambda ls: [ls]),
+                 "lengthscales must be a number or a non-empty flat list, not of shape (1, 2)",
+                 id="lengthscales_nested"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Covariance functions, hyperparameter containers, and stable factorization."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from dualgp.kernels import (
     FactorizationFailed,
     Hyperparams,
     KernelSpec,
+    as_count,
     gram,
     gram_diag,
     stable_cholesky,
@@ -61,6 +63,16 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="noise_variance"):
             Hyperparams(variance=1.0, lengthscales=np.array([1.0]), noise_variance=0.0)
 
+    @pytest.mark.parametrize(
+        "lengthscales, shape", [([[1.0, 1.0]], (1, 2)), (np.ones((2, 1)), (2, 1)), ([], (0,))],
+        ids=["nested", "column", "empty"],
+    )
+    def test_rejects_lengthscales_other_than_a_non_empty_flat_list(self, lengthscales, shape):
+        """A nested or column list used to build and fail later, in the ascent or in ``gram``."""
+        message = f"lengthscales must be a number or a non-empty flat list, not of shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Hyperparams(1.0, lengthscales)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "name", ["variance", "lengthscales", "constant_variance", "noise_variance"]
@@ -70,6 +82,23 @@ class TestHyperparams:
         values[name] = np.array([1.0, bad]) if name == "lengthscales" else bad
         with pytest.raises(ValueError, match=f"^{name} must be .* and finite"):
             Hyperparams(**values)
+
+
+class TestAsCount:
+    @pytest.mark.parametrize("value", [3, 7, np.int64(3), np.int32(7), np.uint8(3)], ids=repr)
+    def test_python_and_numpy_integers_pass_as_int(self, value):
+        count = as_count("n", value, 3)
+        assert count == value and type(count) is int
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 3.0, np.float64(3.0), 2.5, "3", None], ids=repr)
+    def test_bools_and_non_integers_are_refused(self, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n must be an integer, not {value!r}')}$"):
+            as_count("n", value, 0)
+
+    @pytest.mark.parametrize("value, least", [(2, 3), (-1, 0), (np.int64(0), 1)])
+    def test_a_smaller_value_is_refused(self, value, least):
+        with pytest.raises(ValueError, match=f"^n must be at least {least}$"):
+            as_count("n", value, least)
 
 
 _positive = st.floats(1e-6, 1e6)

@@ -6,6 +6,7 @@ Monte Carlo error, roughly 3e-4 for order-one quantities.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -249,6 +250,22 @@ class TestBernoulliLogit:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels"):
             BernoulliLogit.canon_labels(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("y", [[-1.0, 0.0, 1.0], [0.0, -1.0], [1.0, 1.0, -1.0, 0.0, 0.0]])
+    def test_rejects_labels_that_mix_zero_and_minus_one(self, y):
+        """One array uses one convention: {-1, 0, 1} is not made binary."""
+        with pytest.raises(ValueError, match=re.escape("Bernoulli labels mix 0 and -1")):
+            BernoulliLogit.canon_labels(np.array(y))
+
+    @pytest.mark.parametrize(
+        "y", [[0.0, 1.0, 1.0, 0.0], [-1.0, 1.0, 1.0, -1.0], [0.0, 0.0], [-1.0], [1.0, 1.0], []]
+    )
+    def test_either_convention_keeps_its_bits(self, y):
+        """0 reads as -1, and -1 and +1 as themselves."""
+        y = np.array(y)
+        out = BernoulliLogit.canon_labels(y)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.where(y == 0.0, -1.0, y))
 
     @given(points=_bernoulli_points(), order=st.sampled_from([2, 20, 64]))
     @settings(max_examples=100, deadline=None)

@@ -159,6 +159,10 @@ class TestSequentialConfig:
             {"ngd_steps": 2.5},
             {"memory_capacity": 2.5},
             {"hyper_steps": 2.5},
+            {"num_inducing": True},
+            {"ngd_steps": True},
+            {"memory_capacity": True},
+            {"hyper_steps": True},
         ],
         ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
     )
@@ -1306,6 +1310,40 @@ class TestStep:
                 step(Stream.start(_spec(), Gaussian(0.3), config, 1), x, y)
             else:
                 run_stream([good, (x, y)] if index else [(x, y)], _spec(), Gaussian(0.3), config)
+
+    @staticmethod
+    def _label_batches(rng):
+        """Two 20-point batches of one-dimensional inputs with {0, 1} labels."""
+        x = rng.uniform(-2, 2, (40, 1))
+        y = np.where(x[:, 0] > 0, 1.0, 0.0)
+        return [(x[:20], y[:20]), (x[20:], y[20:])]
+
+    @pytest.mark.parametrize("via", ["step", "run_stream"])
+    def test_a_batch_that_mixes_label_conventions_is_named(self, rng, via):
+        """{-1, 0, 1} is three classes, not two: it used to run with 0 read as -1."""
+        (x, y), later = self._label_batches(rng)
+        y = y.copy()
+        y[:3] = -1.0
+        config = SequentialConfig(num_inducing=8)
+        with pytest.raises(ValueError, match=re.escape("batch 0: Bernoulli labels mix 0 and -1")):
+            if via == "step":
+                step(Stream.start(_spec(), BernoulliLogit(), config, 1), x, y)
+            else:
+                run_stream([(x, y), later], _spec(), BernoulliLogit(), config)
+
+    def test_a_convention_switch_against_the_memory_is_named(self, rng):
+        """A {-1, +1} batch after a {0, 1} one is refused while the memory holds 0 labels, and
+        without memory the switched stream is the {-1, +1} stream, bit for bit."""
+        batches = self._label_batches(rng)
+        switched = [batches[0], (batches[1][0], 2.0 * batches[1][1] - 1.0)]
+        with pytest.raises(ValueError, match=re.escape("batch 1: Bernoulli labels mix 0 and -1")):
+            run_stream(switched, _spec(), BernoulliLogit(), SequentialConfig(num_inducing=8, memory_capacity=50))
+        signed = [(x, 2.0 * y - 1.0) for x, y in batches]
+        runs = [run_stream(b, _spec(), BernoulliLogit(), SequentialConfig(num_inducing=8)) for b in (switched, signed)]
+        for record, expected in zip(runs[0].records, runs[1].records, strict=True):
+            record.pop("wall_ms"), expected.pop("wall_ms")
+            assert record == expected
+        _assert_same_arrays(_state_arrays(runs[0].state), _state_arrays(runs[1].state))
 
     def test_a_stream_starts_on_no_inducing_points(self):
         start = Stream.start(_spec(), Gaussian(0.3), SequentialConfig(num_inducing=5), 3)
