@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualState, cross_gram, ngd_step, predict
-from .kernels import as_count
+from .kernels import as_count, as_real
 from .likelihoods import Gaussian
 
 DEFAULT_SEARCH_BUDGET = 2048
@@ -53,10 +53,27 @@ def expected_improvement(mean, var, best) -> np.ndarray:
 
 @dataclass
 class ExpectedImprovement:
-    """EI over the model being fantasized, with box ``bounds`` of shape (d, 2)."""
+    """EI over the model being fantasized, with box ``bounds`` of shape (d, 2).
+
+    ``best`` is a finite real (:func:`~dualgp.kernels.as_real`), and
+    ``bounds`` a finite integer or float array of shape (d, 2), d >= 1, with
+    each row's low end at most its high end, stored as floats; anything else
+    raises :class:`ValueError` naming the field.
+    """
 
     best: float
     bounds: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.best = as_real("best", self.best, -math.inf, strict=False)
+        try:
+            bounds = np.asarray(self.bounds)
+        except ValueError:  # a ragged nesting
+            bounds = np.empty(0)
+        if not (bounds.dtype.kind in "iuf" and bounds.ndim == 2 and bounds.shape[1] == 2 and len(bounds)
+                and np.isfinite(bounds).all() and (bounds[:, 0] <= bounds[:, 1]).all()):
+            raise ValueError(f"bounds must be a finite array of shape (d, 2) with lo <= hi, not {self.bounds!r}")
+        self.bounds = np.asarray(bounds, dtype=np.float64)
 
     def evaluate(self, state: DualState, x: np.ndarray) -> np.ndarray:
         mean, var = predict(state, x)
@@ -65,8 +82,7 @@ class ExpectedImprovement:
 
 def _refine(acq: ExpectedImprovement, state: DualState, x0: np.ndarray, s0: float, steps: int) -> np.ndarray:
     """Deterministic coordinate pattern search inside the acquisition's box."""
-    bounds = np.asarray(acq.bounds, dtype=np.float64)
-    lo, hi = bounds[:, 0], bounds[:, 1]
+    lo, hi = acq.bounds[:, 0], acq.bounds[:, 1]
     widths = 0.05 * (hi - lo)
     x_cur, s_cur = x0.copy(), float(s0)
     for _ in range(steps):
@@ -103,15 +119,15 @@ def fantasize_batch(
     fantasy state as prior, which is exact rank-one conditioning, on the
     :func:`cross_gram` the label was read from.  A non-Gaussian likelihood or
     a count :func:`~dualgp.kernels.as_count` refuses (``k`` and ``search_budget``
-    below 1, ``refine_steps`` below 0) raises ``ValueError``.  Returns the
-    points and the final fantasy state; the input state is never modified.
+    below 1, ``seed`` and ``refine_steps`` below 0) raises ``ValueError``.
+    Returns the points and the final fantasy state; the input state is never
+    modified.
     """
     k, search_budget = as_count("k", k, 1), as_count("search_budget", search_budget, 1)
-    refine_steps = as_count("refine_steps", refine_steps, 0)
+    refine_steps, seed = as_count("refine_steps", refine_steps, 0), as_count("seed", seed, 0)
     if not isinstance(lik, Gaussian):
         raise ValueError(f"fantasize_batch needs a {Gaussian.name} likelihood, not {lik.name!r}")
-    bounds = np.asarray(acq.bounds, dtype=np.float64)
-    lo, hi = bounds[:, 0], bounds[:, 1]
+    lo, hi = acq.bounds[:, 0], acq.bounds[:, 1]
     rng = np.random.default_rng(seed)
     fantasy = state
     points = []

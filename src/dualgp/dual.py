@@ -46,6 +46,7 @@ from .kernels import (
     KernelSpec,
     as_count,
     as_points,
+    as_real,
     gram,
     gram_diag,
     stable_cholesky,
@@ -232,7 +233,7 @@ def ngd_step(
     *,
     cross: CrossGram | None = None,
 ) -> DualState:
-    """One natural-gradient step with step size ``rho`` on the given data.
+    """One natural-gradient step with step size ``rho``, a real in [0, 1] (:func:`~dualgp.kernels.as_real`).
 
     The convex combination between the current natural parameters and the
     prior-plus-sites target is taken in natural-parameter space, then mapped
@@ -253,8 +254,7 @@ def ngd_step(
     ``K_zz + b_u`` factor for the marginals.  A cross-Gram built with
     another ``K_zz`` factor raises :class:`ValueError`.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    rho = as_real("rho", rho, most=1.0, strict=False)
     prior_alpha, prior_b = _prior_pair(state.num_inducing, prior_alpha, prior_b)
     if cross is None:
         cross = cross_gram(state, x)
@@ -298,11 +298,12 @@ def iterate_ngd(
 ) -> tuple[DualState, int, bool]:
     """Run :func:`ngd_step` against the kernel prior until the duals stop moving.
 
-    Stops when ``max(|d alpha|, |d b|)`` falls below ``tol`` or after
-    ``max_steps`` iterations, a count of at least 0 (:func:`~dualgp.kernels.as_count`);
+    Stops when ``max(|d alpha|, |d b|)`` falls below ``tol``, a real of at
+    least 0 (:func:`~dualgp.kernels.as_real`), or after ``max_steps``
+    iterations, a count of at least 0 (:func:`~dualgp.kernels.as_count`);
     returns ``(state, steps_taken, converged)``.
     """
-    max_steps = as_count("max_steps", max_steps, 0)
+    max_steps, tol = as_count("max_steps", max_steps, 0), as_real("tol", tol, strict=False)
     cross = cross_gram(state, x)
     for step in range(1, max_steps + 1):
         new = ngd_step(state, lik, x, y, rho, cross=cross)

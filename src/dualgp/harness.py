@@ -115,8 +115,9 @@ def make_stream(
     give different orders).  Sizes differ by at most one, with earlier
     batches taking the remainder (n=10 into 3 batches gives 4, 3, 3).
     Inputs and labels of different lengths raise :class:`ValueError`, as do
-    a ``num_batches`` outside 1 to ``len(y)`` and a ``sort_dim`` that is not an
-    input dimension; both are counts (:func:`~dualgp.kernels.as_count`).
+    a ``num_batches`` outside 1 to ``len(y)``, a ``sort_dim`` that is not an
+    input dimension and a ``seed`` other than None below 0; all three are
+    counts (:func:`~dualgp.kernels.as_count`).
     """
     x = as_points(x)
     y = np.asarray(y, dtype=np.float64)
@@ -124,12 +125,14 @@ def make_stream(
         raise ValueError(f"{len(x)} input rows but {len(y)} labels")
     if as_count("num_batches", num_batches, 1) > len(y):
         raise ValueError("more batches than data points")
+    if seed is not None:
+        seed = as_count("seed", seed, 0)
     if order == "as_is":
         idx = np.arange(len(y))
     elif order == "sorted":
-        if not 0 <= sort_dim < x.shape[1]:
+        if not 0 <= as_count("sort_dim", sort_dim, -math.inf) < x.shape[1]:
             raise ValueError(f"sort_dim {sort_dim} is not an input dimension of {x.shape[1]}-dimensional data")
-        idx = np.argsort(x[:, as_count("sort_dim", sort_dim, 0)], kind="stable")
+        idx = np.argsort(x[:, sort_dim], kind="stable")
     elif order == "shuffled":
         idx = np.random.default_rng(seed).permutation(len(y))
     else:

@@ -53,7 +53,8 @@ class Hyperparams:
     shared across dimensions; other than a number or a non-empty flat list it
     raises :class:`ValueError`.  ``constant_variance`` adds a constant kernel
     ``c(x, x') = constant_variance``; zero disables it.  ``noise_variance``
-    may be None; a set value must equal a Gaussian likelihood's noise.
+    may be None; a set value must equal a Gaussian likelihood's noise.  Each value
+    is stored as :func:`as_real` gives it, above 0 or, for ``constant_variance``, at least 0.
     These names are the keys of configs, checkpoints and run records, which
     read and write them through :meth:`from_entry` and :meth:`entry`.
     """
@@ -71,23 +72,17 @@ class Hyperparams:
 
     def entry(self) -> dict:
         """The fields as JSON values, in declaration order: floats, a list of floats, and None for an unset noise."""
-        noise = None if self.noise_variance is None else float(self.noise_variance)
-        return {"variance": float(self.variance), "lengthscales": self.lengthscales.tolist(),
-                "constant_variance": float(self.constant_variance), "noise_variance": noise}
+        return {"variance": self.variance, "lengthscales": self.lengthscales.tolist(),
+                "constant_variance": self.constant_variance, "noise_variance": self.noise_variance}
 
     def __post_init__(self) -> None:
-        self.lengthscales = np.atleast_1d(np.asarray(self.lengthscales, dtype=np.float64))
-        shape = self.lengthscales.shape
-        if len(shape) != 1 or not shape[0]:
-            raise ValueError(f"lengthscales must be a number or a non-empty flat list, not of shape {shape}")
-        if not 0.0 < self.variance < math.inf:
-            raise ValueError("variance must be positive and finite")
-        if not np.all((self.lengthscales > 0.0) & (self.lengthscales < math.inf)):
-            raise ValueError("lengthscales must be positive and finite")
-        if not 0.0 <= self.constant_variance < math.inf:
-            raise ValueError("constant_variance must be nonnegative and finite")
-        if self.noise_variance is not None and not 0.0 < self.noise_variance < math.inf:
-            raise ValueError("noise_variance must be positive and finite")
+        entries = np.atleast_1d(np.asarray(self.lengthscales, dtype=object))
+        if entries.ndim != 1 or not entries.size:
+            raise ValueError(f"lengthscales must be a number or a non-empty flat list, not of shape {entries.shape}")
+        self.variance = as_real("variance", self.variance)
+        self.lengthscales = np.array([as_real("lengthscales", entry) for entry in entries])
+        self.constant_variance = as_real("constant_variance", self.constant_variance, strict=False)
+        self.noise_variance = None if self.noise_variance is None else as_real("noise_variance", self.noise_variance)
 
 
 @dataclass
@@ -158,6 +153,18 @@ def as_count(name: str, value, least: int) -> int:
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
     return int(value)
+
+
+def as_real(name: str, value, least: float = 0.0, most: float = math.inf, *, strict: bool = True) -> float:
+    """A non-bool real ``value`` as a finite ``float`` in ``(least, most]``, closed unless ``strict``, or ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    if math.isfinite(value) and (least < value if strict else least <= value) and value <= most:
+        return float(value)
+    if most < math.inf:
+        raise ValueError(f"{name} must lie in {'(' if strict else '['}{least:g}, {most:g}]")
+    low = f"{'above' if strict else 'at least'} {least:g}" if least else ("positive" if strict else "nonnegative")
+    raise ValueError(f"{name} must be {low} and finite" if least > -math.inf else f"{name} must be finite")
 
 
 def as_points(x: np.ndarray) -> np.ndarray:

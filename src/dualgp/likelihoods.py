@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import BLOCK_ENTRIES, as_count
+from .kernels import BLOCK_ENTRIES, as_count, as_real
 
 DEFAULT_QUAD_POINTS = 20
 
@@ -88,14 +88,12 @@ def gauss_hermite_expectation(func, mean: np.ndarray, var: np.ndarray, order: in
 
 
 class Gaussian:
-    """Homoscedastic Gaussian observation noise."""
+    """Homoscedastic Gaussian observation noise, a positive ``noise_variance`` (:func:`~dualgp.kernels.as_real`)."""
 
     name = "gaussian"
 
     def __init__(self, noise_variance: float):
-        if not 0.0 < noise_variance < math.inf:
-            raise ValueError("noise_variance must be positive and finite")
-        self.noise_variance = float(noise_variance)
+        self.noise_variance = as_real("noise_variance", noise_variance)
 
     def site_expectations(self, y, mean, var) -> SiteValues:
         y = np.asarray(y, dtype=np.float64)

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .dual import CrossGram, DualState, cross_gram, elbo, make_state, ngd_step, weighted_gram
-from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_count, as_points, stable_cholesky
+from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_count, as_points, as_real, stable_cholesky
 from .likelihoods import BernoulliLogit, Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
 from .representation import refresh_representation
@@ -58,10 +58,10 @@ class SequentialConfig:
     ascent; ``memory_capacity`` the replay budget (0 disables memory).  The
     memory is always removed from the prior, replayed in the NGD data and
     curated together with the new batch.  A value outside its range raises
-    :class:`ValueError`: ``0 < ngd_rho <= 1``, ``0 < hyper_lr < inf``, and
-    the four counts by :func:`~dualgp.kernels.as_count`: ``num_inducing`` and
-    ``ngd_steps`` (a stream must learn from each batch) at least 1,
-    ``memory_capacity`` and ``hyper_steps`` at least 0.
+    :class:`ValueError`.  The reals, stored as :func:`~dualgp.kernels.as_real`
+    returns them: ``0 < ngd_rho <= 1`` and ``0 < hyper_lr < inf``.  The counts,
+    by :func:`~dualgp.kernels.as_count`: ``num_inducing`` and ``ngd_steps`` (a
+    stream must learn from each batch) at least 1, the others at least 0.
     """
 
     num_inducing: int
@@ -74,10 +74,8 @@ class SequentialConfig:
     def __post_init__(self) -> None:
         for name, least in (("num_inducing", 1), ("ngd_steps", 1), ("memory_capacity", 0), ("hyper_steps", 0)):
             as_count(name, getattr(self, name), least)
-        if not 0.0 < self.ngd_rho <= 1.0:
-            raise ValueError("ngd_rho must lie in (0, 1]")
-        if not 0.0 < self.hyper_lr < np.inf:
-            raise ValueError("hyper_lr must be positive and finite")
+        object.__setattr__(self, "ngd_rho", as_real("ngd_rho", self.ngd_rho, most=1.0))
+        object.__setattr__(self, "hyper_lr", as_real("hyper_lr", self.hyper_lr))
 
 
 @dataclass
@@ -198,7 +196,8 @@ def hyper_objective(
     The state is rebuilt at ``theta`` with its dual pair ``(alpha_u, b_u)``
     fixed, and the target is its evidence bound, :func:`elbo` plus the
     memory term, at the marginals of one cross-Gram over batch and memory:
-    the batch data term, plus the memory data term times ``n_old / n_mem``,
+    the batch data term, plus the memory data term times ``n_old / n_mem``
+    (``n_old`` is a count of at least 0, :func:`~dualgp.kernels.as_count`),
     minus the KL from the rebuilt posterior ``q`` to the kernel prior ``p``.
     ``q`` is ``p`` times the pseudo-likelihood ``t`` of the pair, over its
     normalizer ``Z``, so ``log Z - E_q[log t]`` is ``-KL(q || p)``: the bound
@@ -210,9 +209,10 @@ def hyper_objective(
     the rebuilt state, the likelihood and the state's ``(mean, var)`` over
     the batch then the memory, which an accepted candidate keeps.
     """
+    n_old = as_count("n_old", n_old, 0)
     rebuilt = make_state(KernelSpec(state.kernel.family, hyper), state.z, state.alpha_u, state.b_u)
     if isinstance(lik, Gaussian) and hyper.noise_variance is not None:
-        lik = Gaussian(noise_variance=float(hyper.noise_variance))
+        lik = Gaussian(hyper.noise_variance)
     mean, var = cross_gram(rebuilt, np.vstack([as_points(x_batch), as_points(x_mem)])).marginals(rebuilt)
     return _hyper_bound(rebuilt, lik, y_batch, y_mem, n_old, mean, var), rebuilt, lik, (mean, var)
 
@@ -241,12 +241,9 @@ def _hyper_at(log_theta: np.ndarray, template: Hyperparams, lik: Likelihood) -> 
     theta = np.exp(log_theta)
     n_ls = len(template.lengthscales)
     rest = iter(theta[1 + n_ls :])
-    return Hyperparams(
-        variance=float(theta[0]),
-        lengthscales=theta[1 : 1 + n_ls],
-        constant_variance=float(next(rest)) if template.constant_variance > 0 else 0.0,
-        noise_variance=float(next(rest)) if isinstance(lik, Gaussian) else template.noise_variance,
-    )
+    constant = next(rest) if template.constant_variance > 0 else 0.0
+    noise = next(rest) if isinstance(lik, Gaussian) else template.noise_variance
+    return Hyperparams(theta[0], theta[1 : 1 + n_ls], constant, noise)
 
 
 def hyper_gradient(objective, log_theta: np.ndarray, fd_step: float) -> np.ndarray:
@@ -342,7 +339,9 @@ class Stream:
     hyperparameter objective, and the next batch's index, which seeds its
     curation, is ``len(records)``.  ``clip_count`` and ``clip_max`` count
     and bound the clips above ``CLIP_RTOL`` (see :func:`run_stream`).
-    :meth:`start` rejects a kernel noise other than the Gaussian likelihood's.
+    :meth:`start` rejects a kernel noise other than the Gaussian likelihood's
+    and a ``dim`` or ``seed`` that is not a count of at least 0
+    (:func:`~dualgp.kernels.as_count`).
     """
 
     config: SequentialConfig
@@ -359,6 +358,7 @@ class Stream:
     def start(cls, kernel: KernelSpec, lik: Likelihood, config: SequentialConfig, dim: int, seed: int = 0) -> Stream:
         """The stream before its first batch: the kernel prior on an empty ``dim``-dimensional inducing set."""
         _check_noise(kernel, lik)
+        dim, seed = as_count("dim", dim, 0), as_count("seed", seed, 0)
         return cls(config, seed, lik, make_state(kernel, np.empty((0, dim))), empty_memory(dim))
 
 
@@ -455,7 +455,8 @@ def run_stream(
     exceeds ``CLIP_RTOL`` times the Frobenius norm of the repaired prior
     precision (at least 1) are summed up in one warning at the end.  A
     Gaussian likelihood owns the noise: a kernel ``noise_variance`` that is
-    set and differs from it raises :class:`ValueError` before any batch.
+    set and differs from it raises :class:`ValueError` before any batch, as
+    does a ``seed`` that :meth:`Stream.start` refuses.
     """
     _check_noise(kernel, lik)
     batches = iter(batches)
@@ -481,7 +482,7 @@ def _theta_record(hyper: Hyperparams, lik: Likelihood) -> dict:
     record = hyper.entry()
     del record["noise_variance"]
     if isinstance(lik, Gaussian):
-        record["noise_variance"] = float(lik.noise_variance)
+        record["noise_variance"] = lik.noise_variance
     return record
 
 

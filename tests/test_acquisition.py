@@ -96,6 +96,42 @@ class TestAcquisitionObjects:
             acq.evaluate(state, probe), expected_improvement(mean, var, 0.4), atol=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            pytest.param(np.array([-3.0, 3.0]), id="flat"),
+            pytest.param(np.array([[-3.0, 3.0, 4.0]]), id="three_columns"),
+            pytest.param(np.empty((0, 2)), id="no_dimensions"),
+            pytest.param(np.array([[3.0, -3.0]]), id="lo_above_hi"),
+            pytest.param(np.array([[np.nan, 3.0]]), id="nan"),
+            pytest.param(np.array([[-np.inf, 3.0]]), id="infinite"),
+            pytest.param([["-3", "3"]], id="strings"),
+            pytest.param([[False, True]], id="bools"),
+            pytest.param([[-3.0, 3.0], [1.0]], id="ragged"),
+        ],
+    )
+    def test_a_box_that_is_not_finite_d_by_2_with_lo_at_most_hi_is_refused(self, rng, bounds):
+        """Named by the field, rather than failing inside numpy once a batch is assembled."""
+        state, lik, _, _ = _gaussian_model(rng)
+        with pytest.raises(ValueError, match="bounds"):
+            fantasize_batch(state, lik, ExpectedImprovement(best=0.0, bounds=bounds), k=1, search_budget=8)
+
+    @pytest.mark.parametrize("best", [np.nan, np.inf, -np.inf])
+    def test_a_best_that_is_not_finite_is_refused(self, rng, best):
+        state, lik, _, _ = _gaussian_model(rng)
+        with pytest.raises(ValueError, match="best must be finite"):
+            fantasize_batch(state, lik, ExpectedImprovement(best=best, bounds=np.array([[-3.0, 3.0]])), k=1)
+
+    def test_an_integer_box_proposes_the_float_boxs_points(self, rng):
+        state, lik, _, _ = _gaussian_model(rng)
+        acq = ExpectedImprovement(best=0.4, bounds=[[-3, 3]])
+        assert acq.bounds.dtype == np.float64
+        same = ExpectedImprovement(best=0.4, bounds=np.array([[-3.0, 3.0]]))
+        np.testing.assert_array_equal(
+            fantasize_batch(state, lik, acq, k=2, search_budget=32)[0],
+            fantasize_batch(state, lik, same, k=2, search_budget=32)[0],
+        )
+
 
 class TestFantasizeBatch:
     def test_returns_k_points_inside_bounds(self, rng):

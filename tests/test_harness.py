@@ -584,6 +584,10 @@ INCONSISTENT_CHECKPOINTS = [
     pytest.param(_payload_edit("state", "kernel", "lengthscales", value=lambda ls: [ls]),
                  "lengthscales must be a number or a non-empty flat list, not of shape (1, 2)",
                  id="lengthscales_nested"),
+    pytest.param(_payload_edit("state", "kernel", "variance", value=lambda v: True),
+                 "variance must be a real number, not True", id="variance_bool"),
+    pytest.param(_payload_edit("likelihood", "noise_variance", value=lambda s2: "0.1"),
+                 "noise_variance must be a real number, not '0.1'", id="noise_string"),
 ]
 
 
