@@ -29,7 +29,8 @@ stream holds a state and is handed over to its step.
 
 Every reader of the posterior marginals of ``f`` gets them from
 :meth:`CrossGram.marginals` of one block per ``K_zz`` factor over the inputs
-it reads: NGD, the objective and the curation share one, and so do a BO
+it reads, and every block is built and dropped inside one function: NGD's
+marginals serve the objective and the curation, and one block a BO
 fantasy's label and conditioning.  :func:`predict` blocks by rows.
 """
 

@@ -8,7 +8,8 @@ hyperparameter ascent steps, and finally re-curate the memory under the
 updated state.  A :class:`Stream` holds what survives a batch; the first is
 the kernel prior on an empty inducing set, so the first batch's inducing
 points come from the same refresh as later ones'.  :func:`run_stream`
-folds :func:`step` over the batches.
+folds :func:`step` over the batches.  Each stage drops the kernel blocks it
+builds and hands on marginals, never a block.
 
 The sequential objective evaluated after each batch is the evidence bound of
 the batch-plus-memory data against the *normalized* adjusted prior (the
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigh
 
-from .dual import CrossGram, DualState, cross_gram, elbo, make_state, ngd_step, weighted_gram
+from .dual import DualState, cross_gram, elbo, make_state, ngd_step, weighted_gram
 from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_count, as_points, as_real, stable_cholesky
 from .likelihoods import BernoulliLogit, Gaussian, Likelihood
 from .memory import MemorySet, empty_memory, update_memory
@@ -141,14 +142,14 @@ def process_batch(
     x_batch: np.ndarray,
     y_batch: np.ndarray,
     memory: MemorySet,
-) -> tuple[DualState, AdjustedPrior, CrossGram]:
+) -> tuple[DualState, AdjustedPrior, tuple[np.ndarray, np.ndarray]]:
     """NGD updates for one batch against the memory-adjusted prior.
 
     The update data is batch plus memory, and its cross-Gram with the
     inducing inputs is built once for all the steps.  Returns the updated
-    state, the prior (for the objective) and that cross-Gram, which serves
-    any state with its ``kzz``.  Each step is handed its input state (see
-    :mod:`dualgp.dual`), which it drops once it has read the marginals.
+    state, the prior (for the objective) and the state's ``(mean, var)``
+    over the batch then the memory.  Each step is handed its input state
+    (see :mod:`dualgp.dual`), which it drops once it has read the marginals.
     """
     prior = remove_memory(state, lik, memory)
     x_fit = np.vstack([as_points(x_batch), memory.inputs])
@@ -157,7 +158,7 @@ def process_batch(
     for _ in range(config.ngd_steps):
         held, state = [state], None
         state = ngd_step(held.pop(), lik, x_fit, y_fit, config.ngd_rho, prior.alpha, prior.b, cross=cross)
-    return state, prior, cross
+    return state, prior, cross.marginals(state)
 
 
 def seq_objective(
@@ -390,9 +391,8 @@ def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
     :mod:`dualgp.dual`): its state goes to the refresh, which frees it, and
     the adjusted prior is released once the objective and the clip are
     read, before memory curation.  Both read the final marginals over the
-    batch then the memory: NGD's block gives them, and is dropped before the
-    hyperparameter ascent, whose last accepted candidate brings its own
-    state and marginals.
+    batch then the memory: NGD's, or the last accepted hyperparameter
+    candidate's.
     """
     start = time.perf_counter()
     config, seed, lik, memory, n_old = stream.config, stream.seed, stream.lik, stream.memory, stream.n_old
@@ -414,11 +414,9 @@ def step(stream: Stream, x_batch: np.ndarray, y_batch: np.ndarray) -> Stream:
     if x_batch.shape[1] != dim:
         raise ValueError(f"batch {index} has {x_batch.shape[1]} input dimensions but the first batch has {dim}")
 
-    state = refresh_representation(held.pop(), x_batch, config.num_inducing)
-    held, state = [state], None
-    state, prior, cross = process_batch(held.pop(), lik, config, x_batch, y_batch, memory)
-    marginals = cross.marginals(state)
-    del cross
+    state, prior, marginals = process_batch(
+        refresh_representation(held.pop(), x_batch, config.num_inducing), lik, config, x_batch, y_batch, memory
+    )
     if config.hyper_steps > 0:
         held, state = [state], None
         state, lik, _, marginals = optimize_hypers(held.pop(), lik, config, x_batch, y_batch, memory, n_old, marginals)

@@ -10,6 +10,7 @@ evidence
 
 import re
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
@@ -233,10 +234,11 @@ def test_with_empty_memory_is_the_batch(rng, flat):
     y = np.sin(x[:, 0])
     lik, state = Gaussian(0.3), make_state(_spec(), x[:3])
     config = SequentialConfig(num_inducing=3, ngd_steps=1)
-    new, _, cross = process_batch(state, lik, config, x[:, 0] if flat else x, y, empty_memory(1))
+    new, _, (mean, var) = process_batch(state, lik, config, x[:, 0] if flat else x, y, empty_memory(1))
     expected = ngd_step(state, lik, x, y, config.ngd_rho, state.alpha_u, state.b_u)
     assert np.array_equal(new.alpha_u, expected.alpha_u) and np.array_equal(new.b_u, expected.b_u)
-    assert cross.kzx.shape == (3, 5)
+    fresh_mean, fresh_var = cross_gram(new, x).marginals(new)
+    assert np.array_equal(mean, fresh_mean) and np.array_equal(var, fresh_var)
 
 
 class TestSeqObjective:
@@ -337,8 +339,8 @@ class TestPriorFactor:
         state, lik, x, y = _fitted_gaussian(rng)
         memory = _memory_of(x[:3], y[:3])
         config = SequentialConfig(num_inducing=6, ngd_steps=1, hyper_steps=2)
-        new, prior, cross = process_batch(state, lik, config, x[3:], y[3:], memory)
-        new, lik, _, _ = optimize_hypers(new, lik, config, x[3:], y[3:], memory, 3, cross.marginals(new))
+        new, prior, marginals = process_batch(state, lik, config, x[3:], y[3:], memory)
+        new, lik, _, _ = optimize_hypers(new, lik, config, x[3:], y[3:], memory, 3, marginals)
         assert prior.keff_ref() is state.keff
         assert new.keff is not state.keff
         x_all, y_all = np.vstack([x[3:], x[:3]]), np.concatenate([y[3:], y[:3]])
@@ -1007,6 +1009,27 @@ class TestBlockCounts:
         assert out.records[-1]["theta"] != stream.records[-1]["theta"]
         assert len(evals) == 3 * (2 * 3 + 1)
         assert len(states) == 1 + len(evals)
+
+    def test_process_batch_returns_no_block(self, monkeypatch):
+        """Removal's block and NGD's are both freed by the time ``process_batch`` returns."""
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-3, 3, (60, 1))
+        y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(60)
+        config = SequentialConfig(num_inducing=10, memory_capacity=10)
+        stream = run_stream([(x[:30], y[:30])], _spec(noise=None), Gaussian(0.1), config)
+        assert len(stream.memory) == 10
+        blocks = []
+        original = dualgp.sequential.cross_gram
+
+        def spying(state, x):
+            block = original(state, x)
+            blocks.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(dualgp.sequential, "cross_gram", spying)
+        out = process_batch(stream.state, stream.lik, config, x[30:], y[30:], stream.memory)
+        assert len(blocks) == 2 and len(out) == 3
+        assert [block() is None for block in blocks] == [True, True]
 
     def test_hyper_objective_builds_one_cross_gram(self, monkeypatch):
         """``K_zz`` of the rebuilt state and one block over the batch and the memory."""
