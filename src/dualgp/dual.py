@@ -302,9 +302,11 @@ def iterate_ngd(
     Stops when ``max(|d alpha|, |d b|)`` falls below ``tol``, a real of at
     least 0 (:func:`~dualgp.kernels.as_real`), or after ``max_steps``
     iterations, a count of at least 0 (:func:`~dualgp.kernels.as_count`);
-    returns ``(state, steps_taken, converged)``.
+    returns ``(state, steps_taken, converged)``.  ``rho`` is checked as
+    :func:`ngd_step` checks it, also when no step is taken.
     """
     max_steps, tol = as_count("max_steps", max_steps, 0), as_real("tol", tol, strict=False)
+    rho = as_real("rho", rho, most=1.0, strict=False)
     cross = cross_gram(state, x)
     for step in range(1, max_steps + 1):
         new = ngd_step(state, lik, x, y, rho, cross=cross)

@@ -164,6 +164,13 @@ def test_a_real_that_is_not_a_finite_number_in_its_range_is_refused(name, call, 
         call(value)
 
 
+@pytest.mark.parametrize("rho", [True, "a", math.nan, math.inf, TINY, ABOVE_ONE])
+def test_iterate_ngd_checks_rho_before_its_first_step(rho):
+    """``rho`` is refused also when ``max_steps=0`` lets no ``ngd_step`` check it."""
+    with pytest.raises(ValueError, match="rho"):
+        iterate_ngd(make_state(SPEC, X[::2]), Gaussian(0.1), X, Y, rho=rho, max_steps=0)
+
+
 @pytest.mark.parametrize("value", [np.float32(1.0), np.int64(1), 1], ids=["float32", "int64", "int"])
 @pytest.mark.parametrize("call", [pytest.param(call, id=entry) for entry, _, _, _, call in REALS])
 def test_a_real_of_another_type_counts_as_the_python_float(call, value):
