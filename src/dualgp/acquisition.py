@@ -51,21 +51,22 @@ def expected_improvement(mean, var, best) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpectedImprovement:
     """EI over the model being fantasized, with box ``bounds`` of shape (d, 2).
 
     ``best`` is a finite real (:func:`~dualgp.kernels.as_real`), and
     ``bounds`` a finite integer or float array of shape (d, 2), d >= 1, with
-    each row's low end at most its high end, stored as floats; anything else
-    raises :class:`ValueError` naming the field.
+    each row's low end at most its high end, stored as a read-only float
+    copy; anything else raises :class:`ValueError` naming the field.  The
+    fields are frozen.
     """
 
     best: float
     bounds: np.ndarray
 
     def __post_init__(self) -> None:
-        self.best = as_real("best", self.best, -math.inf, strict=False)
+        object.__setattr__(self, "best", as_real("best", self.best, -math.inf, strict=False))
         try:
             bounds = np.asarray(self.bounds)
         except ValueError:  # a ragged nesting
@@ -73,7 +74,9 @@ class ExpectedImprovement:
         if not (bounds.dtype.kind in "iuf" and bounds.ndim == 2 and bounds.shape[1] == 2 and len(bounds)
                 and np.isfinite(bounds).all() and (bounds[:, 0] <= bounds[:, 1]).all()):
             raise ValueError(f"bounds must be a finite array of shape (d, 2) with lo <= hi, not {self.bounds!r}")
-        self.bounds = np.asarray(bounds, dtype=np.float64)
+        bounds = np.array(bounds, dtype=np.float64)
+        bounds.flags.writeable = False
+        object.__setattr__(self, "bounds", bounds)
 
     def evaluate(self, state: DualState, x: np.ndarray) -> np.ndarray:
         mean, var = predict(state, x)

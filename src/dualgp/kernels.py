@@ -45,7 +45,7 @@ class FactorizationFailed(RuntimeError):
     """Raised when Cholesky fails at every jitter level on the ladder."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
     """Kernel hyperparameters plus the Gaussian observation-noise variance.
 
@@ -55,6 +55,7 @@ class Hyperparams:
     ``c(x, x') = constant_variance``; zero disables it.  ``noise_variance``
     may be None; a set value must equal a Gaussian likelihood's noise.  Each value
     is stored as :func:`as_real` gives it, above 0 or, for ``constant_variance``, at least 0.
+    The fields are frozen and ``lengthscales`` is a read-only array of its own.
     These names are the keys of configs, checkpoints and run records, which
     read and write them through :meth:`from_entry` and :meth:`entry`.
     """
@@ -79,13 +80,17 @@ class Hyperparams:
         entries = np.atleast_1d(np.asarray(self.lengthscales, dtype=object))
         if entries.ndim != 1 or not entries.size:
             raise ValueError(f"lengthscales must be a number or a non-empty flat list, not of shape {entries.shape}")
-        self.variance = as_real("variance", self.variance)
-        self.lengthscales = np.array([as_real("lengthscales", entry) for entry in entries])
-        self.constant_variance = as_real("constant_variance", self.constant_variance, strict=False)
-        self.noise_variance = None if self.noise_variance is None else as_real("noise_variance", self.noise_variance)
+        object.__setattr__(self, "variance", as_real("variance", self.variance))
+        lengthscales = np.array([as_real("lengthscales", entry) for entry in entries])
+        lengthscales.flags.writeable = False
+        object.__setattr__(self, "lengthscales", lengthscales)
+        constant = as_real("constant_variance", self.constant_variance, strict=False)
+        object.__setattr__(self, "constant_variance", constant)
+        if self.noise_variance is not None:
+            object.__setattr__(self, "noise_variance", as_real("noise_variance", self.noise_variance))
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelSpec:
     """A kernel family name paired with its hyperparameters."""
 

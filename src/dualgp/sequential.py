@@ -79,7 +79,7 @@ class SequentialConfig:
         object.__setattr__(self, "hyper_lr", as_real("hyper_lr", self.hyper_lr))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdjustedPrior:
     """Old posterior with the memory's site contributions subtracted.
 

@@ -7,6 +7,8 @@ Frozen by tests/oracles.py (mc_expected_improvement, 10^7 samples, seed
     EI(mean=0, var=1,    best=0) = 0.398600   (closed form phi(0))
 """
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from oracles import ndtr_reference
@@ -121,6 +123,23 @@ class TestAcquisitionObjects:
         state, lik, _, _ = _gaussian_model(rng)
         with pytest.raises(ValueError, match="best must be finite"):
             fantasize_batch(state, lik, ExpectedImprovement(best=best, bounds=np.array([[-3.0, 3.0]])), k=1)
+
+    @pytest.mark.parametrize("name, value", [("best", np.nan), ("bounds", np.array([[3.0, -3.0]]))])
+    def test_fields_cannot_be_assigned(self, name, value):
+        """A box assigned after construction used to reach numpy's "high - low < 0" unchecked."""
+        acq = ExpectedImprovement(best=0.4, bounds=np.array([[-3.0, 3.0]]))
+        with pytest.raises(FrozenInstanceError):
+            setattr(acq, name, value)
+        assert acq.best == 0.4
+        np.testing.assert_array_equal(acq.bounds, [[-3.0, 3.0]])
+
+    @pytest.mark.parametrize("given", [np.array([[-3.0, 3.0]]), [[-3, 3]]], ids=["float_array", "int_list"])
+    def test_bounds_are_a_read_only_copy(self, given):
+        acq = ExpectedImprovement(best=0.4, bounds=given)
+        with pytest.raises(ValueError, match="read-only"):
+            acq.bounds[0, 0] = 5.0
+        given[0][0] = -1.0  # the caller's box stays writable, and its own
+        np.testing.assert_array_equal(acq.bounds, [[-3.0, 3.0]])
 
     def test_an_integer_box_proposes_the_float_boxs_points(self, rng):
         state, lik, _, _ = _gaussian_model(rng)
@@ -246,8 +265,8 @@ class TestFantasizeBatch:
         monkeypatch.setattr(dualgp.acquisition, "ngd_step", conditioning)
         predicted, evaluated = [], []
         monkeypatch.setattr(dualgp.acquisition, "predict", lambda s, x: predicted.append(1) or predict(s, x))
-        evaluate = acq.evaluate
-        monkeypatch.setattr(acq, "evaluate", lambda s, x: evaluated.append(1) or evaluate(s, x))
+        evaluate = ExpectedImprovement.evaluate
+        monkeypatch.setattr(ExpectedImprovement, "evaluate", lambda a, s, x: evaluated.append(1) or evaluate(a, s, x))
         fantasize_batch(state, lik, acq, k=3, search_budget=64, seed=10, fantasy_sample=sample)
         assert len(built) == 3 and all(b is h for b, h in zip(built, handed, strict=True))
         assert [b.kzx.shape[1] for b in built] == [1, 1, 1]

@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -82,6 +83,37 @@ class TestHyperparams:
         values[name] = np.array([1.0, bad]) if name == "lengthscales" else bad
         with pytest.raises(ValueError, match=f"^{name} must be .* and finite"):
             Hyperparams(**values)
+
+
+class TestFrozen:
+    """A value checked at construction cannot be changed after it."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("variance", True), ("lengthscales", np.array([-1.0])), ("constant_variance", -1.0), ("noise_variance", 0.0)],
+    )
+    def test_hyperparams_fields_cannot_be_assigned(self, name, value):
+        hyper = Hyperparams(1.0, [0.5], noise_variance=0.1)
+        with pytest.raises(FrozenInstanceError):
+            setattr(hyper, name, value)
+        assert hyper.entry() == {"variance": 1.0, "lengthscales": [0.5], "constant_variance": 0.0,
+                                 "noise_variance": 0.1}
+
+    def test_lengthscales_are_a_read_only_array_of_their_own(self):
+        given = np.array([0.5, 2.0])
+        hyper = Hyperparams(1.0, given)
+        with pytest.raises(ValueError, match="read-only"):
+            hyper.lengthscales[0] = -1.0
+        given[0] = 3.0
+        np.testing.assert_array_equal(hyper.lengthscales, [0.5, 2.0])
+
+    @pytest.mark.parametrize("name, value", [("family", "cubic"), ("hyper", Hyperparams(2.0, [0.5]))])
+    def test_kernel_spec_fields_cannot_be_assigned(self, name, value):
+        spec = _spec()
+        hyper = spec.hyper
+        with pytest.raises(FrozenInstanceError):
+            setattr(spec, name, value)
+        assert (spec.family, spec.hyper) == ("matern52", hyper)
 
 
 class TestAsCount:

@@ -186,6 +186,13 @@ class TestRemoveMemory:
         np.testing.assert_array_equal(prior.b, state.b_u)
         assert prior.clip_magnitude == 0.0
 
+    @pytest.mark.parametrize("name", ["alpha", "b", "keff_ref", "logdet", "clip_magnitude"])
+    def test_prior_fields_cannot_be_assigned(self, rng, name):
+        state, lik, x, y = _fitted_gaussian(rng)
+        prior = remove_memory(state, lik, _memory_of(x[:3], y[:3]))
+        with pytest.raises(FrozenInstanceError):
+            setattr(prior, name, None)
+
     def test_full_memory_removal_recovers_kernel_prior(self, rng):
         """Removing all the data a converged state absorbed leaves nothing."""
         state, lik, x, y = _fitted_gaussian(rng)
