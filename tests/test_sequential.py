@@ -945,6 +945,39 @@ class TestRunStream:
         assert result.state.num_inducing <= 8
 
 
+def _regression_sample(rng, n):
+    """A smooth 4-d target on [-2, 2]^4 plus N(0, 0.5^2) noise."""
+    x = rng.uniform(-2.0, 2.0, (n, 4))
+    f = np.sin(1.2 * x[:, 0]) + 0.5 * np.cos(x[:, 1]) * x[:, 2] + 0.3 * x[:, 3]
+    return x, f + 0.5 * rng.standard_normal(n)
+
+
+class TestMemoryEffect:
+    """Replaying the memory keeps what earlier batches taught, over passes of a sorted stream."""
+
+    M = 20
+
+    def _last_pass_nlpd(self, seed, memory_capacity):
+        """Held-out nlpd after 3 passes of 8 sorted batches of 20, each pass a fresh sample."""
+        batches = []
+        for p in range(3):
+            x, y = _regression_sample(np.random.default_rng([seed, p]), 8 * 20)
+            batches += make_stream(x, y, 8, order="sorted")
+        x_test, y_test = _regression_sample(np.random.default_rng([seed, 10**6]), 2000)
+        spec = KernelSpec("matern52", Hyperparams(1.0, np.ones(4), noise_variance=0.2))
+        config = SequentialConfig(self.M, ngd_rho=0.8, ngd_steps=2, memory_capacity=memory_capacity, hyper_steps=5)
+        stream = run_stream(batches, spec, Gaussian(0.2), config, seed=seed)
+        return evaluate_state(stream.state, stream.lik, x_test, y_test)["nlpd"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_memory_lowers_the_held_out_nlpd(self, seed):
+        """Measured on seeds 1-20 (numpy 2.4, OpenBLAS, one thread): with a memory of M
+        the nlpd read 0.884-1.012, with none 1.026-1.095, and the gap 0.066-0.173
+        (0.066 on seed 3), the memory ahead on all 20."""
+        with_memory, without = self._last_pass_nlpd(seed, self.M), self._last_pass_nlpd(seed, 0)
+        assert without - with_memory > 0.05
+
+
 class TestBlockCounts:
     """The kernel blocks a batch and a hyperparameter evaluation build, counted."""
 
