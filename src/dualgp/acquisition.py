@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualState, cross_gram, ngd_step, predict
-from .kernels import as_count, as_real
+from .kernels import as_count, as_real, read_only
 from .likelihoods import Gaussian
 
 DEFAULT_SEARCH_BUDGET = 2048
@@ -51,7 +51,7 @@ def expected_improvement(mean, var, best) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpectedImprovement:
     """EI over the model being fantasized, with box ``bounds`` of shape (d, 2).
 
@@ -75,7 +75,7 @@ class ExpectedImprovement:
                 and np.isfinite(bounds).all() and (bounds[:, 0] <= bounds[:, 1]).all()):
             raise ValueError(f"bounds must be a finite array of shape (d, 2) with lo <= hi, not {self.bounds!r}")
         bounds = np.array(bounds, dtype=np.float64)
-        bounds.flags.writeable = False
+        read_only(bounds)
         object.__setattr__(self, "bounds", bounds)
 
     def evaluate(self, state: DualState, x: np.ndarray) -> np.ndarray:

@@ -72,14 +72,22 @@ def _check_features(path: str, x: np.ndarray, model_features: int) -> None:
         raise DataError(f"{path} has {x.shape[1]} feature columns but the model has {model_features}")
 
 
+def _write_run(args, records, state, lik, **extras) -> None:
+    """Write ``run_log.jsonl`` and ``checkpoint.json``, with ``extras``, into ``args.out``; print the last record."""
+    os.makedirs(args.out, exist_ok=True)
+    write_jsonl(os.path.join(args.out, "run_log.jsonl"), records)
+    save_checkpoint(os.path.join(args.out, "checkpoint.json"), state, lik, seed=args.seed, **extras)
+    print(json.dumps(records[-1]))
+
+
 def _cmd_stream(args) -> int:
     """The body of ``fit`` and ``stream``.
 
     Parses the config, splits the training rows into ``args.batches``
-    batches, standardizes the inputs on the first batch, runs the stream,
-    writes the run log and the checkpoint, and prints the last record.  A
-    ``--test`` file must have the training file's feature names in the same
-    order; otherwise :class:`DataError` names both files and both lists.
+    batches, standardizes the inputs on the first batch, runs the stream
+    and ends with :func:`_write_run`.  A ``--test`` file must have the
+    training file's feature names in the same order; otherwise
+    :class:`DataError` names both files and both lists.
     """
     config = parse_config(args.config)
     x, y, names = load_csv(args.data, args.label)
@@ -106,17 +114,7 @@ def _cmd_stream(args) -> int:
 
     kernel, lik = make_kernel(config), make_likelihood(config)
     result = run_stream(batches, kernel, lik, make_seq_config(config), seed=args.seed, evaluate=evaluate)
-    os.makedirs(args.out, exist_ok=True)
-    write_jsonl(os.path.join(args.out, "run_log.jsonl"), result.records)
-    save_checkpoint(
-        os.path.join(args.out, "checkpoint.json"),
-        result.state,
-        result.lik,
-        memory=result.memory,
-        seed=args.seed,
-        standardizer=standardizer,
-    )
-    print(json.dumps(result.records[-1]))
+    _write_run(args, result.records, result.state, result.lik, memory=result.memory, standardizer=standardizer)
     return 0
 
 
@@ -164,10 +162,7 @@ def _cmd_bo(args) -> int:
             }
         )
 
-    os.makedirs(args.out, exist_ok=True)
-    write_jsonl(os.path.join(args.out, "run_log.jsonl"), records)
-    save_checkpoint(os.path.join(args.out, "checkpoint.json"), state, lik, seed=args.seed)
-    print(json.dumps(records[-1]))
+    _write_run(args, records, state, lik)
     return 0
 
 
@@ -194,19 +189,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+def _int_at_least(low: int):
+    """The argparse type of an integer of at least ``low``; argparse names it ``integer`` in its messages."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,30 +206,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    data = argparse.ArgumentParser(add_help=False)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", default=None, help="INI config file")
+    run.add_argument("--seed", type=_int_at_least(0), default=0, help="random seed, an integer >= 0")
+    run.add_argument("--out", required=True, help="output directory")
+
+    data = argparse.ArgumentParser(add_help=False, parents=[run])
     data.add_argument("--data", required=True, help="training CSV with a header row")
     data.add_argument("--label", required=True, help="name of the label column")
-    data.add_argument("--config", default=None, help="INI config file")
     data.add_argument("--test", default=None, help="held-out CSV for metrics")
-    data.add_argument("--seed", type=_nonnegative_int, default=0)
-    data.add_argument("--out", required=True, help="output directory")
 
     fit = sub.add_parser("fit", parents=[data], help="offline fit on a CSV data set: a stream of one batch")
     fit.set_defaults(func=_cmd_stream, batches=1, order="as_is", sort_dim=0)
 
     stream = sub.add_parser("stream", parents=[data], help="sequential fit over a batch stream")
-    stream.add_argument("--batches", type=_positive_int, required=True)
+    stream.add_argument("--batches", type=_int_at_least(1), required=True)
     stream.add_argument("--order", choices=["as_is", "sorted", "shuffled"], default="as_is")
-    stream.add_argument("--sort-dim", type=_nonnegative_int, default=0, dest="sort_dim")
+    stream.add_argument("--sort-dim", type=_int_at_least(0), default=0, dest="sort_dim")
     stream.set_defaults(func=_cmd_stream)
 
-    bo = sub.add_parser("bo", help="batch Bayesian optimization on a synthetic objective")
+    bo = sub.add_parser("bo", parents=[run], help="batch Bayesian optimization on a synthetic objective")
     bo.add_argument("--objective", choices=sorted(OBJECTIVES), required=True)
-    bo.add_argument("--steps", type=_positive_int, default=10)
-    bo.add_argument("--batch-size", type=_positive_int, default=1, dest="batch_size")
-    bo.add_argument("--config", default=None)
-    bo.add_argument("--seed", type=_nonnegative_int, default=0)
-    bo.add_argument("--out", required=True)
+    bo.add_argument("--steps", type=_int_at_least(1), default=10)
+    bo.add_argument("--batch-size", type=_int_at_least(1), default=1, dest="batch_size")
     bo.set_defaults(func=_cmd_bo)
 
     pred = sub.add_parser("predict", help="apply a checkpoint to new inputs")

@@ -15,8 +15,8 @@ this parameterization.  Every ``b_u`` equals its transpose exactly
 (:func:`make_state` checks): site sums are :func:`weighted_gram`'s, and
 only :func:`~dualgp.representation.project_duals` symmetrizes.
 
-A :class:`DualState` is immutable: every function here returns new states
-and never writes to a state's arrays, and states may share them.  ``keff``
+A :class:`DualState` is immutable: every function here returns new states,
+a state's arrays are read-only, and states may share them.  ``keff``
 is the effective ``K_zz`` throughout, so the identities between the dual
 and moment forms hold exactly even when a jitter was needed.  A name bound
 to a state keeps its four ``M x M`` arrays alive, so a stage that replaces
@@ -50,6 +50,7 @@ from .kernels import (
     as_real,
     gram,
     gram_diag,
+    read_only,
     stable_cholesky,
 )
 from .likelihoods import Likelihood, SiteValues
@@ -57,7 +58,7 @@ from .likelihoods import Likelihood, SiteValues
 RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualState:
     """Immutable snapshot of the variational posterior.
 
@@ -71,7 +72,8 @@ class DualState:
     computes them and :func:`ngd_step` hands over the ``kq`` it solved with
     and shares ``keff`` and ``kzz``.  The invariant: every state is
     ``make_state(kernel, z, alpha_u, b_u)`` bit for bit, so a checkpoint,
-    which keeps only those four, reloads it exactly.
+    which keeps only those four, reloads it exactly.  Its arrays are
+    read-only (:func:`~dualgp.kernels.read_only`).
     """
 
     kernel: KernelSpec
@@ -83,12 +85,15 @@ class DualState:
     kq: CholeskyFactor
     kinv_alpha: np.ndarray
 
+    def __post_init__(self) -> None:
+        read_only(self.z, self.alpha_u, self.b_u, self.keff, self.kinv_alpha)
+
     @property
     def num_inducing(self) -> int:
         return self.z.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossGram:
     """``K(Z, x)`` of a state's inducing inputs against inputs ``x``.
 
@@ -97,12 +102,16 @@ class CrossGram:
     the kernel, ``z`` and the factor of ``K_zz``, which :func:`ngd_step`
     keeps, so one cross-Gram serves every step on the same inputs.  ``kzz``
     is the factor it was built with: a state with another one rejects it.
-    :func:`predict` builds one per block of query rows.
+    :func:`predict` builds one per block of query rows.  ``kzx`` and
+    ``residual`` are read-only.
     """
 
     kzx: np.ndarray
     residual: np.ndarray
     kzz: CholeskyFactor
+
+    def __post_init__(self) -> None:
+        read_only(self.kzx, self.residual)
 
     def marginals(self, state: DualState) -> tuple[np.ndarray, np.ndarray]:
         """Predictive mean ``k_xz K_zz^{-1} alpha_u`` and variance
@@ -114,7 +123,7 @@ class CrossGram:
         return self.kzx.T @ state.kinv_alpha, var
 
 
-@dataclass
+@dataclass(eq=False)
 class GaussianFactor:
     """An (possibly degenerate) unnormalized Gaussian factor on ``u``.
 
@@ -139,7 +148,13 @@ def make_state(
 ) -> DualState:
     """Build a state from inducing inputs and (optionally) dual parameters;
     the only code that factors a state's ``K_zz``.  A ``b_u`` other than its
-    transpose raises :class:`ValueError`."""
+    transpose raises :class:`ValueError`.
+
+    The state stores ``z``, ``alpha_u`` and ``b_u`` without a copy when they
+    are already float64 (and ``z`` a contiguous 2-D array), and freezes what
+    it stores: such an array becomes read-only for the caller too.  Pass a
+    copy to keep writing into it.
+    """
     z = as_points(z)
     m = z.shape[0]
     if alpha_u is None:

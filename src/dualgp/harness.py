@@ -27,6 +27,10 @@ from .sequential import SequentialConfig
 
 CHECKPOINT_FORMAT = "dualgp-checkpoint"
 CHECKPOINT_VERSION = 1
+# The checkpoint keys of the memory's and the standardizer's arrays, in file
+# order; each is the name of the field it holds.
+_MEMORY_KEYS = ("inputs", "labels", "scores")
+_STANDARDIZER_KEYS = ("mean", "scale")
 
 
 class DataError(ValueError):
@@ -200,7 +204,7 @@ def evaluate_state(state: DualState, lik: Likelihood, x_test: np.ndarray, y_test
     return score_table(prediction_table(state, lik, x_test), y_test)
 
 
-@dataclass
+@dataclass(eq=False)
 class Standardizer:
     """Per-feature affine input scaling, frozen when first fit."""
 
@@ -377,14 +381,9 @@ def save_checkpoint(
         },
         "likelihood": {"name": lik.name, setting: getattr(lik, setting)},
         "seed": seed,
-        "memory": None if memory is None else {
-            "inputs": memory.inputs.tolist(),
-            "labels": memory.labels.tolist(),
-            "scores": memory.scores.tolist(),
-        },
+        "memory": None if memory is None else {key: getattr(memory, key).tolist() for key in _MEMORY_KEYS},
         "standardizer": None if standardizer is None else {
-            "mean": standardizer.mean.tolist(),
-            "scale": standardizer.scale.tolist(),
+            key: getattr(standardizer, key).tolist() for key in _STANDARDIZER_KEYS
         },
     }
     text = json.dumps(payload, allow_nan=False)
@@ -452,7 +451,7 @@ def load_checkpoint(
         dim = state.z.shape[1]
         if payload.get("memory") is not None:
             raw = payload["memory"]
-            inputs, labels, scores = (np.asarray(raw[key], dtype=np.float64) for key in ("inputs", "labels", "scores"))
+            inputs, labels, scores = (np.asarray(raw[key], dtype=np.float64) for key in _MEMORY_KEYS)
             if not inputs.size:
                 inputs = inputs.reshape(0, dim)  # JSON writes an empty memory's inputs as []
             if not (labels.ndim == 1 and scores.shape == labels.shape and inputs.shape == (len(labels), dim)):
@@ -461,10 +460,7 @@ def load_checkpoint(
             memory = MemorySet(inputs, labels, scores)
         if payload.get("standardizer") is not None:
             raw = payload["standardizer"]
-            standardizer = Standardizer(
-                mean=np.asarray(raw["mean"], dtype=np.float64),
-                scale=np.asarray(raw["scale"], dtype=np.float64),
-            )
+            standardizer = Standardizer(**{key: np.asarray(raw[key], dtype=np.float64) for key in _STANDARDIZER_KEYS})
             if not standardizer.mean.shape == standardizer.scale.shape == (dim,):
                 raise ValueError(f"standardizer mean and scale need {dim} entries each, one per input dimension")
             if not np.all(standardizer.scale > 0.0):

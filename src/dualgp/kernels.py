@@ -45,7 +45,7 @@ class FactorizationFailed(RuntimeError):
     """Raised when Cholesky fails at every jitter level on the ladder."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hyperparams:
     """Kernel hyperparameters plus the Gaussian observation-noise variance.
 
@@ -82,7 +82,7 @@ class Hyperparams:
             raise ValueError(f"lengthscales must be a number or a non-empty flat list, not of shape {entries.shape}")
         object.__setattr__(self, "variance", as_real("variance", self.variance))
         lengthscales = np.array([as_real("lengthscales", entry) for entry in entries])
-        lengthscales.flags.writeable = False
+        read_only(lengthscales)
         object.__setattr__(self, "lengthscales", lengthscales)
         constant = as_real("constant_variance", self.constant_variance, strict=False)
         object.__setattr__(self, "constant_variance", constant)
@@ -102,7 +102,7 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
 
 
-@dataclass
+@dataclass(eq=False)
 class CholeskyFactor:
     """Inverse Cholesky factor of a (possibly jittered) positive definite matrix.
 
@@ -114,11 +114,15 @@ class CholeskyFactor:
     ``inv``.  Solving by a triangular inverse is as accurate in the forward
     error as substitution (Druinsky & Toledo, arXiv:1201.6035); the inverse
     is not backward stable, but the engine uses only the solutions.
+    ``inv`` is read-only (:func:`read_only`).
     """
 
     inv: np.ndarray
     logdet: float
     jitter_used: float
+
+    def __post_init__(self) -> None:
+        read_only(self.inv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(matrix + jitter I) x = rhs``."""
@@ -170,6 +174,17 @@ def as_real(name: str, value, least: float = 0.0, most: float = math.inf, *, str
         raise ValueError(f"{name} must lie in {'(' if strict else '['}{least:g}, {most:g}]")
     low = f"{'above' if strict else 'at least'} {least:g}" if least else ("positive" if strict else "nonnegative")
     raise ValueError(f"{name} must be {low} and finite" if least > -math.inf else f"{name} must be finite")
+
+
+def read_only(*arrays: np.ndarray) -> None:
+    """Mark each array read-only in place, so that an in-place write raises ValueError.
+
+    A stored array is frozen, not copied: an array handed to an engine value
+    that stores it becomes read-only for its caller too, and a writable view
+    or base of it can still change it.
+    """
+    for array in arrays:
+        array.flags.writeable = False
 
 
 def as_points(x: np.ndarray) -> np.ndarray:

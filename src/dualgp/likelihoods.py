@@ -38,7 +38,7 @@ def expit(x: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -x))
 
 
-@dataclass
+@dataclass(eq=False)
 class SiteValues:
     """Per-point site expectations.
 

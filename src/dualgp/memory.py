@@ -13,17 +13,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import as_points
+from .kernels import as_points, read_only
 from .likelihoods import Likelihood
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemorySet:
-    """Curated replay points with the scores they were last selected under."""
+    """Curated replay points with the scores they were last selected under.
+
+    The three arrays are frozen in place (:func:`~dualgp.kernels.read_only`):
+    arrays handed to ``MemorySet`` become read-only for the caller too.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
     scores: np.ndarray
+
+    def __post_init__(self) -> None:
+        read_only(self.inputs, self.labels, self.scores)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]

@@ -26,7 +26,7 @@ from .kernels import KernelSpec, as_count, as_points, gram, gram_diag
 REL_TOL = 1e-10
 
 
-@dataclass
+@dataclass(eq=False)
 class PivotSelection:
     """Greedy pivot choice: the selected candidate indices, in selection order."""
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -345,6 +346,44 @@ class TestBo:
             assert np.all((bounds[:, 0] <= proposed) & (proposed <= bounds[:, 1]))
 
 
+def _option_entries(text):
+    """Each option of a ``--help`` text, keyed by its first flag: its invocation and help, whitespace collapsed."""
+    entries = re.split(r"^(?=  -)", text, flags=re.M)[1:]
+    return {entry.split()[0].rstrip(","): " ".join(entry.split()) for entry in entries}
+
+
+class TestRunCommands:
+    """``fit``, ``stream`` and ``bo`` share their ``--config``, ``--seed`` and ``--out`` flags and their run writer."""
+
+    def test_the_shared_flags_are_described_alike(self, capsys):
+        helps = {}
+        for command in ("bo", "stream", "fit"):
+            assert run_cli([command, "--help"]) == 0
+            helps[command] = _option_entries(capsys.readouterr().out)
+        for flag in ("--config", "--seed", "--out"):
+            assert helps["bo"][flag] == helps["stream"][flag] == helps["fit"][flag]
+            assert len(helps["bo"][flag].split()) > 2, f"{flag} has no help text"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["bo", "--objective", "sinebump", "--steps", "2"], ["stream", "--batches", "2"], ["fit"]],
+        ids=["bo", "stream", "fit"],
+    )
+    def test_the_printed_record_is_the_run_logs_last_line(self, tmp_path, capsys, command):
+        config = _write_config(
+            tmp_path / "small.ini",
+            "[stream]\nnum_inducing = 8\nhyper_steps = 1\nngd_steps = 1\nmemory_capacity = 5\n\n"
+            "[bo]\nsearch_budget = 64\nrefine_steps = 2\ninit_points = 4\n",
+        )
+        if command[0] != "bo":
+            command = [*command, "--data", _write_regression_csv(tmp_path / "train.csv", n=20), "--label", "y"]
+        out = tmp_path / "run"
+        assert run_cli([*command, "--config", config, "--seed", "4", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == (out / "run_log.jsonl").read_text().splitlines()[-1:]
+        assert (out / "checkpoint.json").is_file()
+
+
 def _one_and_two_feature_files(tmp_path, standardize):
     """A 2-feature training CSV, a 1-feature CSV and a config setting ``standardize_inputs``."""
     train = _write_classification_csv(tmp_path / "two.csv", n=30)
@@ -484,6 +523,10 @@ class TestExitCodes:
     def test_count_flag_below_one_is_usage_error(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
         assert "must be an integer >= 1" in capsys.readouterr().err
+
+    def test_a_count_flag_that_is_no_integer_names_the_integer_type(self, tmp_path, capsys):
+        assert run_cli(["bo", "--objective", "sinebump", "--steps", "two", "--out", str(tmp_path / "o")]) == 2
+        assert "argument --steps: invalid integer value: 'two'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
