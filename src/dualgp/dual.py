@@ -53,7 +53,7 @@ from .kernels import (
     read_only,
     stable_cholesky,
 )
-from .likelihoods import Likelihood, SiteValues
+from .likelihoods import Likelihood
 
 RANK_TOL = 1e-10
 
@@ -205,8 +205,8 @@ def predict(state: DualState, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return mean, var
 
 
-def compute_sites(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarray) -> SiteValues:
-    """Site expectations of every ``(x_i, y_i)`` at the current marginals."""
+def compute_sites(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Site expectations ``(alpha_hat, beta_hat)`` of every ``(x_i, y_i)`` at the current marginals."""
     mean, var = predict(state, x)
     return lik.site_expectations(y, mean, var)
 
@@ -274,7 +274,7 @@ def ngd_step(
     prior_alpha, prior_b = _prior_pair(state.num_inducing, prior_alpha, prior_b)
     if cross is None:
         cross = cross_gram(state, x)
-    sites = lik.site_expectations(y, *cross.marginals(state))
+    alpha_hat, beta_hat = lik.site_expectations(y, *cross.marginals(state))
     kzx = cross.kzx
     del cross
     # The marginals were the predecessor's last use: keep what the combination
@@ -282,10 +282,10 @@ def ngd_step(
     kept_alpha, kept_b = (1.0 - rho) * state.alpha_u, (1.0 - rho) * state.b_u
     kernel, z, keff, kzz, kinv_alpha = state.kernel, state.z, state.keff, state.kzz, state.kinv_alpha
     del state
-    site_alpha = kzx @ sites.alpha_hat
+    site_alpha = kzx @ alpha_hat
     # b_new = (1 - rho) b_u + rho (prior_b + site_b), summed in place in that
     # order, which gives the same bits; kzx is not needed past site_b.
-    b_new = weighted_gram(kzx, sites.beta_hat)
+    b_new = weighted_gram(kzx, beta_hat)
     del kzx
     b_new += prior_b
     b_new *= rho

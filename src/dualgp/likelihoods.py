@@ -3,9 +3,9 @@
 Every likelihood exposes two expectations under a Gaussian marginal
 ``f ~ N(mean, var)``, vectorized over points:
 
-* ``site_expectations``: the expected first derivative and expected negative
-  second derivative of ``log p(y | f)``, the quantities the dual updates
-  consume.
+* ``site_expectations``: the pair ``(alpha_hat, beta_hat)`` of the expected
+  first derivative and expected negative second derivative of
+  ``log p(y | f)``, as computed, the quantities the dual updates consume.
 * ``expected_log_lik``: ``E[log p(y | f)]``, the data term of the bound.
 
 The Bernoulli likelihood adds ``predictive_density``, ``E[p(y | f)]``, its
@@ -30,26 +30,10 @@ from .kernels import BLOCK_ENTRIES, as_count, as_real
 
 DEFAULT_QUAD_POINTS = 20
 
-BETA_FLOOR = 1e-8
-
 
 def expit(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid ``1 / (1 + exp(-x))``, without overflow in either tail."""
     return np.exp(-np.logaddexp(0.0, -x))
-
-
-@dataclass(eq=False)
-class SiteValues:
-    """Per-point site expectations.
-
-    ``alpha_hat[i] = E[d/df log p(y_i | f)]`` and
-    ``beta_hat[i] = E[-d^2/df^2 log p(y_i | f)]`` under the current marginal,
-    with ``beta_hat`` floored at ``BETA_FLOOR`` to keep downstream
-    factorizations positive definite.
-    """
-
-    alpha_hat: np.ndarray
-    beta_hat: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -87,20 +71,22 @@ def gauss_hermite_expectation(func, mean: np.ndarray, var: np.ndarray, order: in
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class Gaussian:
     """Homoscedastic Gaussian observation noise, a positive ``noise_variance`` (:func:`~dualgp.kernels.as_real`)."""
 
     name = "gaussian"
+    noise_variance: float
 
-    def __init__(self, noise_variance: float):
-        self.noise_variance = as_real("noise_variance", noise_variance)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "noise_variance", as_real("noise_variance", self.noise_variance))
 
-    def site_expectations(self, y, mean, var) -> SiteValues:
+    def site_expectations(self, y, mean, var) -> tuple[np.ndarray, np.ndarray]:
+        """``(alpha_hat, beta_hat)``, in closed form ``(y - mean) / noise_variance`` and ``1 / noise_variance``."""
         y = np.asarray(y, dtype=np.float64)
         mean = np.asarray(mean, dtype=np.float64)
         alpha = (y - mean) / self.noise_variance
-        beta = np.full_like(alpha, max(1.0 / self.noise_variance, BETA_FLOOR))
-        return SiteValues(alpha_hat=alpha, beta_hat=beta)
+        return alpha, np.full_like(alpha, 1.0 / self.noise_variance)
 
     def expected_log_lik(self, y, mean, var) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
@@ -110,6 +96,7 @@ class Gaussian:
         return -0.5 * math.log(2.0 * math.pi * s2) - ((y - mean) ** 2 + var) / (2.0 * s2)
 
 
+@dataclass(frozen=True, eq=False)
 class BernoulliLogit:
     """Binary labels through a logistic link.
 
@@ -119,9 +106,10 @@ class BernoulliLogit:
     """
 
     name = "bernoulli_logit"
+    quad_points: int = DEFAULT_QUAD_POINTS
 
-    def __init__(self, quad_points: int = DEFAULT_QUAD_POINTS):
-        self.quad_points = as_count("quad_points", quad_points, 2)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "quad_points", as_count("quad_points", self.quad_points, 2))
 
     @staticmethod
     def canon_labels(y) -> np.ndarray:
@@ -135,12 +123,15 @@ class BernoulliLogit:
             raise ValueError("Bernoulli labels mix 0 and -1; use {0, 1} or {-1, +1} throughout, not both")
         return out
 
-    def site_expectations(self, y, mean, var) -> SiteValues:
+    def site_expectations(self, y, mean, var) -> tuple[np.ndarray, np.ndarray]:
+        """``(alpha_hat, beta_hat)`` as ``y E[sigma(-g)]`` and ``E[sigma(g) sigma(-g)]`` of ``g = y f``.
+
+        ``beta_hat`` is not floored: it underflows towards zero far from the decision boundary.
+        """
         y = self.canon_labels(y)
         signed = y * mean
         alpha = y * gauss_hermite_expectation(lambda g: expit(-g), signed, var, self.quad_points)
-        beta = gauss_hermite_expectation(_logistic_curvature, signed, var, self.quad_points)
-        return SiteValues(alpha_hat=alpha, beta_hat=np.maximum(beta, BETA_FLOOR))
+        return alpha, gauss_hermite_expectation(_logistic_curvature, signed, var, self.quad_points)
 
     def expected_log_lik(self, y, mean, var) -> np.ndarray:
         y = self.canon_labels(y)

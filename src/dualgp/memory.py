@@ -16,6 +16,8 @@ import numpy as np
 from .kernels import as_points, read_only
 from .likelihoods import Likelihood
 
+BETA_FLOOR = 1e-8  # bls floors beta_hat, which can underflow to 0: scores divide the sampling keys
+
 
 @dataclass(frozen=True, eq=False)
 class MemorySet:
@@ -42,7 +44,7 @@ def empty_memory(dim: int) -> MemorySet:
 
 def bls(lik: Likelihood, y: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Bayesian leverage scores: site precision times predictive variance, at the caller's marginals."""
-    return lik.site_expectations(y, mean, var).beta_hat * var
+    return np.maximum(lik.site_expectations(y, mean, var)[1], BETA_FLOOR) * var
 
 
 def update_memory(

@@ -119,9 +119,9 @@ def remove_memory(state: DualState, lik: Likelihood, memory: MemorySet) -> Adjus
         return AdjustedPrior(alpha=state.alpha_u, b=state.b_u, keff_ref=weakref.ref(keff), logdet=state.kq.logdet)
 
     cross = cross_gram(state, memory.inputs)
-    sites = lik.site_expectations(memory.labels, *cross.marginals(state))
-    b_pr = state.b_u - weighted_gram(cross.kzx, sites.beta_hat)
-    site_alpha = cross.kzx @ sites.alpha_hat
+    alpha_hat, beta_hat = lik.site_expectations(memory.labels, *cross.marginals(state))
+    b_pr = state.b_u - weighted_gram(cross.kzx, beta_hat)
+    site_alpha = cross.kzx @ alpha_hat
     del cross  # before the eigh workspace
     w, u = eigh(b_pr)
     clip = max(-float(w.min(initial=0.0)), 0.0)

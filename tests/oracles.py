@@ -61,8 +61,8 @@ from dualgp.kernels import (
     gram_diag,
     stable_cholesky,
 )
-from dualgp.likelihoods import Gaussian, Likelihood, SiteValues
-from dualgp.memory import MemorySet, empty_memory, update_memory
+from dualgp.likelihoods import Gaussian, Likelihood
+from dualgp.memory import BETA_FLOOR, MemorySet, empty_memory, update_memory
 from dualgp.representation import pivoted_cholesky_select, refresh_representation
 from dualgp.sequential import (
     CLIP_RTOL,
@@ -296,7 +296,7 @@ def pseudo_data(state: DualState) -> PseudoData:
 
 
 def site_reconstruction_check(
-    state: DualState, sites: SiteValues, x: np.ndarray
+    state: DualState, sites: tuple[np.ndarray, np.ndarray], x: np.ndarray
 ) -> float:
     """Max absolute mismatch between the state and a site-rebuilt state.
 
@@ -306,14 +306,15 @@ def site_reconstruction_check(
     when the state is the fixed point of NGD on ``(x, sites)`` with a zero
     prior.
     """
+    alpha_hat, beta_hat = sites
     kzx = gram(state.kernel, state.z, x)
     a = state.kzz.solve(kzx)
     ki = state.kzz.solve(np.eye(state.num_inducing))
-    prec_built = (a * sites.beta_hat) @ a.T + ki
+    prec_built = (a * beta_hat) @ a.T + ki
     prec_state = state.kzz.solve(state.kzz.solve(state.keff + state.b_u).T)
     mean_u = state.alpha_u
-    y_hat = sites.alpha_hat / sites.beta_hat + kzx.T @ state.kzz.solve(mean_u)
-    lin_built = (a * sites.beta_hat) @ y_hat
+    y_hat = alpha_hat / beta_hat + kzx.T @ state.kzz.solve(mean_u)
+    lin_built = (a * beta_hat) @ y_hat
     lin_state = state.kzz.solve(state.alpha_u + state.b_u @ state.kzz.solve(mean_u))
     return max(
         float(np.max(np.abs(prec_built - prec_state), initial=0.0)),
@@ -326,21 +327,22 @@ def bls_dense(state: DualState, lik: Likelihood, x: np.ndarray, y: np.ndarray) -
 
     Builds the scores from scratch as
     ``beta_i * (k_ii - a_i^T K_zz a_i + a_i^T (A W A^T + K_zz^{-1})^{-1} a_i)``
-    with features ``a_i = K_zz^{-1} k_zi`` and site weights ``W``.  Agrees
+    with features ``a_i = K_zz^{-1} k_zi``, site weights ``W`` and the leading
+    ``beta_i`` floored at ``BETA_FLOOR``, as ``bls`` floors it.  Agrees
     with ``dualgp.memory.bls`` exactly when the state's ``b_u`` equals the site sum of
     the scored points (an NGD fixed point with zero prior); kept as an
     independent assembly for cross-checking.
     """
-    sites = compute_sites(state, lik, x, y)
+    _, beta_hat = compute_sites(state, lik, x, y)
     kzx = gram(state.kernel, state.z, x)
     a = state.kzz.solve(kzx)
     ki = state.kzz.solve(np.eye(state.num_inducing))
-    middle = (a * sites.beta_hat) @ a.T + ki
+    middle = (a * beta_hat) @ a.T + ki
     low = cholesky(middle, lower=True)
     half = np.linalg.solve(low, a)
     leverage = np.sum(half * half, axis=0)
     residual = gram_diag(state.kernel, x) - np.sum(kzx * a, axis=0)
-    return sites.beta_hat * (residual + leverage)
+    return np.maximum(beta_hat, BETA_FLOOR) * (residual + leverage)
 
 
 def rls(kernel: KernelSpec, noise_variance: float, a: np.ndarray, kzz: np.ndarray) -> np.ndarray:
@@ -431,10 +433,10 @@ def seq_objective_vcl_form(
     if len(memory):
         mean_m, var_m = predict(state, memory.inputs)
         total += float(np.sum(lik.expected_log_lik(memory.labels, mean_m, var_m)))
-        sites = compute_sites(old_state, lik, memory.inputs, memory.labels)
+        alpha_hat, beta_hat = compute_sites(old_state, lik, memory.inputs, memory.labels)
         kzm = gram(old_state.kernel, old_state.z, memory.inputs)
-        removed_b = weighted_gram(kzm, sites.beta_hat)
-        factor = dual_factor(state.kzz, kzm @ sites.alpha_hat, removed_b, old_state.alpha_u)
+        removed_b = weighted_gram(kzm, beta_hat)
+        factor = dual_factor(state.kzz, kzm @ alpha_hat, removed_b, old_state.alpha_u)
         total -= expected_log_factor(factor, mean_q, cov_q)
     return total
 

@@ -426,7 +426,7 @@ def test_criterion_10_derivative_consistency():
             up = lik.expected_log_lik(yv, np.array([mean + h]), vv)[0]
             down = lik.expected_log_lik(yv, np.array([mean - h]), vv)[0]
             fd = (up - down) / (2.0 * h)
-            alpha_hat = lik.site_expectations(yv, np.array([mean]), vv).alpha_hat[0]
+            (alpha_hat,), _ = lik.site_expectations(yv, np.array([mean]), vv)
             assert fd == pytest.approx(alpha_hat, abs=1e-5)
 
         x = np.linspace(-2.0, 2.0, 12)[:, None]

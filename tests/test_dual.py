@@ -753,9 +753,9 @@ class TestMemory:
         prior_alpha, prior_b = rng.standard_normal(6), a @ a.T
         lik = BernoulliLogit()
         new = ngd_step(state, lik, x, y, rho, prior_alpha, prior_b)
-        sites = compute_sites(state, lik, x, y)
+        _, beta_hat = compute_sites(state, lik, x, y)
         kzx = gram(state.kernel, state.z, x)
-        s = kzx * np.sqrt(sites.beta_hat)
+        s = kzx * np.sqrt(beta_hat)
         site_b = s @ s.T
         expected = (1.0 - rho) * state.b_u + rho * (prior_b + site_b)
         assert np.array_equal(new.b_u, expected)

@@ -8,6 +8,7 @@ Monte Carlo error, roughly 3e-4 for order-one quantities.
 import math
 import re
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from oracles import expit_reference
 
 from dualgp.kernels import BLOCK_ENTRIES
 from dualgp.likelihoods import (
-    BETA_FLOOR,
     DEFAULT_QUAD_POINTS,
     BernoulliLogit,
     Gaussian,
@@ -25,6 +25,7 @@ from dualgp.likelihoods import (
     expit,
     gauss_hermite_expectation,
 )
+from dualgp.memory import BETA_FLOOR, bls
 
 # Frozen by tests/oracles.py: mc_bernoulli_sites(y, mean, var).
 BERN_SITE_ORACLE = [
@@ -120,10 +121,10 @@ class TestGaussHermite:
         lik20 = BernoulliLogit(quad_points=20)
         lik40 = BernoulliLogit(quad_points=40)
         y = np.array([1.0])
-        s20 = lik20.site_expectations(y, m, v)
-        s40 = lik40.site_expectations(y, m, v)
-        assert abs(s20.alpha_hat[0] - s40.alpha_hat[0]) < 1e-8
-        assert abs(s20.beta_hat[0] - s40.beta_hat[0]) < 1e-8
+        (a20,), (b20,) = lik20.site_expectations(y, m, v)
+        (a40,), (b40,) = lik40.site_expectations(y, m, v)
+        assert abs(a20 - a40) < 1e-8
+        assert abs(b20 - b40) < 1e-8
         e20 = lik20.expected_log_lik(y, m, v)
         e40 = lik40.expected_log_lik(y, m, v)
         assert abs(e20[0] - e40[0]) < 1e-8
@@ -140,10 +141,10 @@ class TestGaussHermite:
         lik20 = BernoulliLogit(quad_points=20)
         lik40 = BernoulliLogit(quad_points=40)
         y = np.array([1.0])
-        s20 = lik20.site_expectations(y, m, v)
-        s40 = lik40.site_expectations(y, m, v)
-        assert abs(s20.alpha_hat[0] - s40.alpha_hat[0]) < 1e-4
-        assert abs(s20.beta_hat[0] - s40.beta_hat[0]) < 1e-4
+        (a20,), (b20,) = lik20.site_expectations(y, m, v)
+        (a40,), (b40,) = lik40.site_expectations(y, m, v)
+        assert abs(a20 - a40) < 1e-4
+        assert abs(b20 - b40) < 1e-4
         e20 = lik20.expected_log_lik(y, m, v)
         e40 = lik40.expected_log_lik(y, m, v)
         assert abs(e20[0] - e40[0]) < 1e-4
@@ -152,9 +153,9 @@ class TestGaussHermite:
 class TestGaussian:
     def test_sites_closed_form(self):
         lik = Gaussian(noise_variance=0.5)
-        sites = lik.site_expectations(np.array([2.0]), np.array([0.5]), np.array([0.3]))
-        assert sites.alpha_hat[0] == pytest.approx(3.0, rel=1e-14)
-        assert sites.beta_hat[0] == pytest.approx(2.0, rel=1e-14)
+        (alpha_hat,), (beta_hat,) = lik.site_expectations(np.array([2.0]), np.array([0.5]), np.array([0.3]))
+        assert alpha_hat == pytest.approx(3.0, rel=1e-14)
+        assert beta_hat == pytest.approx(2.0, rel=1e-14)
 
     def test_expected_log_lik_matches_oracle(self):
         lik = Gaussian(noise_variance=0.5)
@@ -178,31 +179,31 @@ class TestGaussian:
 
     def test_beta_constant_across_points(self):
         lik = Gaussian(noise_variance=2.0)
-        sites = lik.site_expectations(np.zeros(4), np.arange(4.0), np.ones(4))
-        np.testing.assert_allclose(sites.beta_hat, 0.5)
+        _, beta_hat = lik.site_expectations(np.zeros(4), np.arange(4.0), np.ones(4))
+        np.testing.assert_allclose(beta_hat, 0.5)
 
 
 class TestBernoulliLogit:
     @pytest.mark.parametrize("y, mean, var, a_ref, b_ref", BERN_SITE_ORACLE)
     def test_sites_match_oracle(self, y, mean, var, a_ref, b_ref):
         lik = BernoulliLogit()
-        sites = lik.site_expectations(np.array([y]), np.array([mean]), np.array([var]))
-        assert sites.alpha_hat[0] == pytest.approx(a_ref, abs=1e-3)
-        assert sites.beta_hat[0] == pytest.approx(b_ref, abs=1e-3)
+        (alpha_hat,), (beta_hat,) = lik.site_expectations(np.array([y]), np.array([mean]), np.array([var]))
+        assert alpha_hat == pytest.approx(a_ref, abs=1e-3)
+        assert beta_hat == pytest.approx(b_ref, abs=1e-3)
 
     def test_sites_at_zero_mean_zero_var(self):
         lik = BernoulliLogit()
-        sites = lik.site_expectations(np.array([1.0]), np.array([0.0]), np.array([0.0]))
-        assert sites.alpha_hat[0] == pytest.approx(0.5, rel=1e-12)
-        assert sites.beta_hat[0] == pytest.approx(0.25, rel=1e-12)
+        (alpha_hat,), (beta_hat,) = lik.site_expectations(np.array([1.0]), np.array([0.0]), np.array([0.0]))
+        assert alpha_hat == pytest.approx(0.5, rel=1e-12)
+        assert beta_hat == pytest.approx(0.25, rel=1e-12)
 
     def test_sites_collapse_to_pointwise_derivatives(self):
         """As var -> 0 the site expectations hit the log-likelihood derivatives."""
         lik = BernoulliLogit()
         for y, mean in [(1.0, 0.7), (-1.0, 1.3), (1.0, -2.0)]:
-            sites = lik.site_expectations(np.array([y]), np.array([mean]), np.array([1e-12]))
-            assert sites.alpha_hat[0] == pytest.approx(y * expit_reference(-y * mean), abs=1e-6)
-            assert sites.beta_hat[0] == pytest.approx(expit_reference(mean) * expit_reference(-mean), abs=1e-6)
+            (alpha_hat,), (beta_hat,) = lik.site_expectations(np.array([y]), np.array([mean]), np.array([1e-12]))
+            assert alpha_hat == pytest.approx(y * expit_reference(-y * mean), abs=1e-6)
+            assert beta_hat == pytest.approx(expit_reference(mean) * expit_reference(-mean), abs=1e-6)
 
     def test_expected_log_lik_matches_oracle(self):
         lik = BernoulliLogit()
@@ -242,10 +243,8 @@ class TestBernoulliLogit:
         var = rng.uniform(0.1, 2.0, 5)
         y01 = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         ypm = np.array([-1.0, 1.0, 1.0, -1.0, 1.0])
-        a = lik.site_expectations(y01, mean, var)
-        b = lik.site_expectations(ypm, mean, var)
-        np.testing.assert_array_equal(a.alpha_hat, b.alpha_hat)
-        np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
+        for a, b in zip(lik.site_expectations(y01, mean, var), lik.site_expectations(ypm, mean, var)):
+            np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels"):
@@ -275,9 +274,11 @@ class TestBernoulliLogit:
         and the predictive density keep their bits."""
         y, mean, var = points
         lik = BernoulliLogit(quad_points=order)
-        sites, flipped = lik.site_expectations(y, mean, var), lik.site_expectations(-y, -mean, var)
-        assert np.array_equal(flipped.alpha_hat, -sites.alpha_hat)
-        assert np.array_equal(flipped.beta_hat, sites.beta_hat)
+        (alpha_hat, beta_hat), (flipped_alpha, flipped_beta) = (
+            lik.site_expectations(y, mean, var), lik.site_expectations(-y, -mean, var)
+        )
+        assert np.array_equal(flipped_alpha, -alpha_hat)
+        assert np.array_equal(flipped_beta, beta_hat)
         for method in (lik.expected_log_lik, lik.predictive_density):
             assert np.array_equal(method(-y, -mean, var), method(y, mean, var)), method.__name__
 
@@ -289,21 +290,24 @@ class TestBernoulliLogit:
         lik = BernoulliLogit(quad_points=order)
         nodes, weights = _hermgauss(order)
         f, yb = mean[:, None] + np.sqrt(2.0 * var)[:, None] * nodes, y[:, None]
-        sites = lik.site_expectations(y, mean, var)
-        np.testing.assert_allclose(sites.alpha_hat, y * (expit(-yb * f) @ weights), rtol=1e-14, atol=0)
-        beta = (expit(f) * expit(-f)) @ weights
-        above = beta > BETA_FLOOR
-        np.testing.assert_allclose(sites.beta_hat[above], beta[above], rtol=1e-14, atol=0)
-        assert np.all(sites.beta_hat[~above] == BETA_FLOOR)
+        alpha_hat, beta_hat = lik.site_expectations(y, mean, var)
+        np.testing.assert_allclose(alpha_hat, y * (expit(-yb * f) @ weights), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(beta_hat, (expit(f) * expit(-f)) @ weights, rtol=1e-14, atol=0)
         ell = -np.logaddexp(0.0, -yb * f) @ weights
         np.testing.assert_allclose(lik.expected_log_lik(y, mean, var), ell, rtol=1e-14, atol=0)
         prob = np.clip(expit(yb * f) @ weights, 0.0, 1.0)
         np.testing.assert_allclose(lik.predictive_density(y, mean, var), prob, rtol=1e-14, atol=0)
 
-    def test_beta_floor_engages_far_from_boundary(self):
+    def test_beta_is_raw_far_from_boundary_and_bls_floors_it(self):
+        """beta_hat keeps its quadrature value below BETA_FLOOR; the leverage score, which divides, floors it."""
         lik = BernoulliLogit()
-        sites = lik.site_expectations(np.array([1.0]), np.array([60.0]), np.array([0.01]))
-        assert sites.beta_hat[0] == BETA_FLOOR
+        y, mean, var = np.array([1.0]), np.array([60.0]), np.array([0.01])
+        _, beta_hat = lik.site_expectations(y, mean, var)
+        nodes, weights = _hermgauss(lik.quad_points)
+        f = mean[:, None] + np.sqrt(2.0 * var)[:, None] * nodes
+        np.testing.assert_allclose(beta_hat, (expit(f) * expit(-f)) @ weights, rtol=1e-14, atol=0)
+        assert beta_hat[0] < 1e-8
+        assert bls(lik, y, mean, var)[0] == BETA_FLOOR * var[0] > 0
 
     def test_rejects_tiny_quadrature(self):
         with pytest.raises(ValueError, match="quad_points"):
@@ -330,3 +334,30 @@ class TestExpit:
 class TestModuleHelpers:
     def test_default_quad_points(self):
         assert BernoulliLogit().quad_points == DEFAULT_QUAD_POINTS
+
+
+class TestFrozen:
+    """A setting checked at construction cannot be changed after it."""
+
+    @pytest.mark.parametrize(
+        "build, name, value",
+        [
+            (lambda: Gaussian(noise_variance=0.1), "noise_variance", True),
+            (lambda: Gaussian(noise_variance=0.1), "noise_variance", -0.5),
+            (lambda: BernoulliLogit(quad_points=20), "quad_points", 2.5),
+        ],
+    )
+    def test_settings_cannot_be_assigned(self, build, name, value):
+        """Each assignment used to skip the constructor's check and fail later, or never."""
+        lik = build()
+        before = getattr(lik, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(lik, name, value)
+        assert getattr(lik, name) == before
+
+    def test_constructors_keep_their_arguments_and_the_name_stays_a_class_attribute(self):
+        assert BernoulliLogit().quad_points == DEFAULT_QUAD_POINTS
+        assert Gaussian(noise_variance=0.5).noise_variance == 0.5
+        assert (Gaussian.name, BernoulliLogit.name) == ("gaussian", "bernoulli_logit")
+        assert [f.name for f in fields(Gaussian)] == ["noise_variance"]
+        assert [f.name for f in fields(BernoulliLogit)] == ["quad_points"]

@@ -41,7 +41,6 @@ VALUES = {
     "AdjustedPrior": lambda: remove_memory(_state(), Gaussian(0.1), _memory()),
     "ExpectedImprovement": lambda: ExpectedImprovement(0.5, [[0.0, 1.0], [-1.0, 1.0]]),
     "Standardizer": lambda: Standardizer.fit(X),
-    "SiteValues": lambda: Gaussian(0.1).site_expectations(Y, np.zeros(3), np.ones(3)),
     "PivotSelection": lambda: pivoted_cholesky_select(_spec(), X, 2),
 }
 
