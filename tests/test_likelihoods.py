@@ -355,9 +355,7 @@ class TestFrozen:
             setattr(lik, name, value)
         assert getattr(lik, name) == before
 
-    def test_constructors_keep_their_arguments_and_the_name_stays_a_class_attribute(self):
-        assert BernoulliLogit().quad_points == DEFAULT_QUAD_POINTS
-        assert Gaussian(noise_variance=0.5).noise_variance == 0.5
+    def test_the_setting_is_the_only_field_and_the_name_a_class_attribute(self):
         assert (Gaussian.name, BernoulliLogit.name) == ("gaussian", "bernoulli_logit")
         assert [f.name for f in fields(Gaussian)] == ["noise_variance"]
         assert [f.name for f in fields(BernoulliLogit)] == ["quad_points"]

@@ -18,9 +18,9 @@ def _output(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
-def _stored_run(checkout, workload, seed, seconds, trace):
+def _stored_run(checkout, workload, seconds, trace):
     """Stands in for run_benchmark: the stored seed-1 reg-hyper output of the run asked for."""
-    assert (workload, seed) == ("reg-hyper", 1)
+    assert workload == "reg-hyper" and trajectory.SEED == 1
     return _output(f"reg-hyper-trace{trace}.txt")
 
 
@@ -98,7 +98,7 @@ class TestAppend:
         path = tmp_path / "BENCH_reg-hyper.json"
         earlier = b'{"commit": "d83d292", "note": "an entry of an earlier session"}\n'
         path.write_bytes(earlier)
-        record = dict(seed=1, seconds=1.0, commit="7eda1d4", run=_stored_run)
+        record = dict(seconds=1.0, commit="7eda1d4", run=_stored_run)
         first = trajectory.record(ROOT, tmp_path, "reg-hyper", session="one", **record)
         after_first = path.read_bytes()
         assert after_first.startswith(earlier)

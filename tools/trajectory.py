@@ -6,7 +6,7 @@ Run from the repository root::
     python3 tools/trajectory.py --checkout DIR --commit SHA --workload reg-hyper
 
 For each workload the checkout's own ``perfbench/run.py`` runs twice in a
-subprocess at one seed, with ``--trace 0`` and with ``--trace 1``.  The
+subprocess at seed ``SEED``, with ``--trace 0`` and with ``--trace 1``.  The
 recorder parses what each run prints (the ``name value unit`` lines and the
 final JSON line; the JSON's full-precision value wins over a printed one) and
 appends one entry, a single JSON line, to ``BENCH_<workload>.json`` in the
@@ -31,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("reg-hyper", "clf-stream", "bo-branin")
+SEED = 1  # every entry is recorded at this seed, so counts compare across commits
 RUN_TIMEOUT_S = 900
 END_TO_END = ("nlpd", "error", "regret", "setup_s", "peak_rss_mb")  # from the --trace 0 run
 STAGE_MS = (
@@ -114,10 +115,10 @@ def append_entry(path: Path, entry: dict) -> None:
         out.write(json.dumps(entry) + "\n")
 
 
-def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> str:
+def run_benchmark(checkout: Path, workload: str, seconds: float, trace: int) -> str:
     """What ``checkout``'s ``perfbench/run.py`` prints; a run that prints no JSON line raises."""
     cmd = [
-        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S, check=False)
@@ -126,11 +127,11 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trac
     return proc.stdout
 
 
-def record(checkout: Path, out_dir: Path, workload: str, *, seed: int, seconds: float, commit: str,
+def record(checkout: Path, out_dir: Path, workload: str, *, seconds: float, commit: str,
            session: str, run=run_benchmark) -> dict:
     """Run one workload untraced and traced, and append its entry to ``out_dir/BENCH_<workload>.json``."""
-    untraced = run(checkout, workload, seed, seconds, 0)
-    traced = run(checkout, workload, seed, seconds, 1)
+    untraced = run(checkout, workload, seconds, 0)
+    traced = run(checkout, workload, seconds, 1)
     date = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     entry = make_entry(untraced, traced, commit=commit, date=date, session=session, seconds=seconds)
     append_entry(out_dir / f"BENCH_{workload}.json", entry)
@@ -149,7 +150,6 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, default=ROOT, help="tree whose perfbench/run.py runs")
     parser.add_argument("--commit", help="the checkout's commit (default: its git HEAD)")
     parser.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable (default: all)")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30.0, help="length of each --trace 0 run")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the BENCH_*.json files")
     parser.add_argument("--session", default=uuid.uuid4().hex[:12], help="groups entries recorded together")
@@ -158,8 +158,7 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     correct = True
     for workload in args.workload or WORKLOADS:
-        entry = record(args.checkout, args.out, workload, seed=args.seed, seconds=args.seconds, commit=commit,
-                       session=args.session)
+        entry = record(args.checkout, args.out, workload, seconds=args.seconds, commit=commit, session=args.session)
         print(json.dumps({key: entry[key] for key in ("commit", "workload", "correct", "nlpd", "counts")}))
         correct &= entry["correct"]
     return 0 if correct else 1
