@@ -123,13 +123,14 @@ class CrossGram:
         return self.kzx.T @ state.kinv_alpha, var
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GaussianFactor:
     """An (possibly degenerate) unnormalized Gaussian factor on ``u``.
 
     Stored in natural form: ``log f(u) = -1/2 u^T P u + u^T l + const`` with
     PSD ``P`` of rank ``rank``; the normalization constant treats the factor
-    as a density on its ``rank``-dimensional support.
+    as a density on its ``rank``-dimensional support.  The fields are frozen
+    and the arrays read-only.
     """
 
     precision: np.ndarray
@@ -138,6 +139,9 @@ class GaussianFactor:
     logdet_plus: float
     _eigvals: np.ndarray
     _eigvecs: np.ndarray
+
+    def __post_init__(self) -> None:
+        read_only(self.precision, self.linear, self._eigvals, self._eigvecs)
 
 
 def make_state(

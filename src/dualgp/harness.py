@@ -20,7 +20,7 @@ import numpy as np
 
 from .acquisition import DEFAULT_REFINE_STEPS, DEFAULT_SEARCH_BUDGET
 from .dual import DualState, make_state, predict
-from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_count, as_points
+from .kernels import FactorizationFailed, Hyperparams, KernelSpec, as_count, as_points, read_only
 from .likelihoods import DEFAULT_QUAD_POINTS, BernoulliLogit, Gaussian, Likelihood
 from .memory import MemorySet
 from .sequential import SequentialConfig
@@ -204,12 +204,30 @@ def evaluate_state(state: DualState, lik: Likelihood, x_test: np.ndarray, y_test
     return score_table(prediction_table(state, lik, x_test), y_test)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Standardizer:
-    """Per-feature affine input scaling, frozen when first fit."""
+    """Per-feature affine input scaling, frozen when first fit.
+
+    ``mean`` and ``scale`` are stored as read-only float arrays; other than
+    1-D of equal length, a non-finite entry or a ``scale`` entry that is not
+    positive raises :class:`ValueError`.
+    """
 
     mean: np.ndarray
     scale: np.ndarray
+
+    def __post_init__(self) -> None:
+        mean, scale = np.asarray(self.mean, dtype=np.float64), np.asarray(self.scale, dtype=np.float64)
+        if not (mean.ndim == 1 and mean.shape == scale.shape):
+            raise ValueError(f"standardizer mean and scale must be 1-D of equal length, not of shapes "
+                             f"{mean.shape} and {scale.shape}")
+        if not np.all(scale > 0.0) or not np.all(np.isfinite(scale)):
+            raise ValueError("standardizer scale must be positive and finite")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("standardizer mean must be finite")
+        read_only(mean, scale)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "Standardizer":
@@ -230,12 +248,13 @@ def _setting(section: str, default):
     return field(default=default, metadata={"section": section})
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Every run-time setting, fed from a config file plus CLI flags.
 
     Each field is the config key of the same name in its :func:`_setting`
     section, parsed at the field's type; engine defaults come from the engine.
+    The fields are frozen: :func:`parse_config` builds a new config.
     """
 
     kernel: str = _setting("model", "matern52")
@@ -424,8 +443,9 @@ def load_checkpoint(
     ``inputs``, ``labels`` and ``scores`` other than ``(n, d)``, ``(n,)``
     and ``(n,)`` for the model's input dimension ``d``, a standardizer whose
     ``mean`` and ``scale`` are not both 1-D of the model's input dimension or
-    whose ``scale`` is not positive, and a ``seed`` that is not a count of at
-    least 0 (:func:`~dualgp.kernels.as_count`; ``true`` and ``1.5`` are not).
+    that :class:`Standardizer` refuses (a ``scale`` that is not positive),
+    and a ``seed`` that is not a count of at least 0
+    (:func:`~dualgp.kernels.as_count`; ``true`` and ``1.5`` are not).
     """
     def finite(token: str):
         if not math.isfinite(float(token)):
@@ -459,12 +479,10 @@ def load_checkpoint(
                                  f"scores of shape {scores.shape}; the model needs (n, {dim}), (n,) and (n,)")
             memory = MemorySet(inputs, labels, scores)
         if payload.get("standardizer") is not None:
-            raw = payload["standardizer"]
-            standardizer = Standardizer(**{key: np.asarray(raw[key], dtype=np.float64) for key in _STANDARDIZER_KEYS})
-            if not standardizer.mean.shape == standardizer.scale.shape == (dim,):
+            raw = {key: np.asarray(payload["standardizer"][key], dtype=np.float64) for key in _STANDARDIZER_KEYS}
+            if not raw["mean"].shape == raw["scale"].shape == (dim,):
                 raise ValueError(f"standardizer mean and scale need {dim} entries each, one per input dimension")
-            if not np.all(standardizer.scale > 0.0):
-                raise ValueError("standardizer scale must be positive")
+            standardizer = Standardizer(**raw)
         seed = as_count("seed", payload.get("seed", 0), 0)
     except DataError:
         raise

@@ -102,7 +102,7 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CholeskyFactor:
     """Inverse Cholesky factor of a (possibly jittered) positive definite matrix.
 
@@ -113,8 +113,8 @@ class CholeskyFactor:
     solved against many times, so every solve is a matrix product with
     ``inv``.  Solving by a triangular inverse is as accurate in the forward
     error as substitution (Druinsky & Toledo, arXiv:1201.6035); the inverse
-    is not backward stable, but the engine uses only the solutions.
-    ``inv`` is read-only (:func:`read_only`).
+    is not backward stable, but the engine uses only the solutions.  The
+    fields are frozen and ``inv`` is read-only (:func:`read_only`).
     """
 
     inv: np.ndarray

@@ -21,16 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualState, make_state
-from .kernels import KernelSpec, as_count, as_points, gram, gram_diag
+from .kernels import KernelSpec, as_count, as_points, gram, gram_diag, read_only
 
 REL_TOL = 1e-10
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PivotSelection:
-    """Greedy pivot choice: the selected candidate indices, in selection order."""
+    """Greedy pivot choice: the selected candidate indices, in selection order, a read-only array."""
 
     indices: np.ndarray
+
+    def __post_init__(self) -> None:
+        read_only(self.indices)
 
 
 def _greedy_pivots(kzz: np.ndarray, cross: np.ndarray, diag: np.ndarray, max_points: int) -> PivotSelection:

@@ -17,7 +17,8 @@ ridge leverage scores, a greedy pivot choice over the full residual matrix,
 the expected log of a dual-pair factor, the four-term rewrite of the
 streaming objective, the hyperparameter objective in moment form, a stream
 loop that keeps every intermediate state alive, and the budget-matched
-offline baseline a stream is scored against.
+offline baseline a stream is scored against.  :func:`banana` draws the
+classification tests' data.
 
 The engine runs on numpy alone.  scipy is the reference for what it computes
 with numpy: Cholesky solves by LAPACK substitution on the triangle the
@@ -563,3 +564,15 @@ def fit_offline(
         memory_capacity=0,
     )
     return run_stream([(x, y)], kernel, lik, offline, seed=seed)
+
+
+def banana(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` points of two interleaved noisy crescents in 2-D, labels in {-1, +1}; ``seed`` seeds ``default_rng``."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, np.pi, n)
+    which = rng.integers(0, 2, n)
+    radius = 2.0 + 0.3 * rng.standard_normal(n)
+    x1 = np.where(which == 1, radius * np.cos(angle), 1.0 - radius * np.cos(angle))
+    x2 = np.where(which == 1, radius * np.sin(angle) - 1.0, -radius * np.sin(angle) + 1.0)
+    x = np.column_stack([x1, x2]) + 0.1 * rng.standard_normal((n, 2))
+    return x, np.where(which == 1, 1.0, -1.0)

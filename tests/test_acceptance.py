@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from oracles import bls_dense, fit_exact, fit_offline, greedy_pivot_reference, predict_exact, pseudo_data, rls
+from oracles import banana, bls_dense, fit_exact, fit_offline, greedy_pivot_reference, predict_exact, pseudo_data, rls
 
 import dualgp.sequential
 from dualgp.acquisition import ExpectedImprovement, expected_improvement, fantasize_batch
@@ -237,17 +237,6 @@ def test_criterion_05_streaming_matches_offline_regression():
         )
 
 
-def _banana(n, seed):
-    rng = np.random.default_rng(seed)
-    angle = rng.uniform(0.0, np.pi, n)
-    which = rng.integers(0, 2, n)
-    radius = 2.0 + 0.3 * rng.standard_normal(n)
-    x1 = np.where(which == 1, radius * np.cos(angle), 1.0 - radius * np.cos(angle))
-    x2 = np.where(which == 1, radius * np.sin(angle) - 1.0, -radius * np.sin(angle) + 1.0)
-    x = np.column_stack([x1, x2]) + 0.1 * rng.standard_normal((n, 2))
-    return x, np.where(which == 1, 1.0, -1.0)
-
-
 def _uniform_curation(memory, lik, x_batch, y_batch, mean, var, capacity, rng_seed):
     """``update_memory``'s pool, kept whole if it fits, else a seeded uniform draw instead of leverage."""
     pool_x = np.vstack([memory.inputs, x_batch])
@@ -267,8 +256,8 @@ def test_criterion_06_streaming_matches_offline_classification():
     with criterion(6, "streaming classification tracks offline, leverage beats uniform", 120.0):
         acc_stream, acc_offline, nlpd_leverage, nlpd_uniform = [], [], [], []
         for seed in range(5):
-            x_train, y_train = _banana(400, seed=seed)
-            x_test, y_test = _banana(300, seed=seed + 1000)
+            x_train, y_train = banana(400, seed=seed)
+            x_test, y_test = banana(300, seed=seed + 1000)
             batches = make_stream(x_train, y_train, 4, order="sorted")
 
             res = run_stream(batches, kernel, BernoulliLogit(), config, seed=seed)

@@ -1,7 +1,9 @@
-"""tools/trajectory.py: entries parsed from stored benchmark output, appended without rewriting."""
+"""tools/trajectory.py: entries parsed from stored benchmark output, appended without rewriting, and each
+run's output shown on the recorder's stderr."""
 
 import importlib.util
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,44 @@ class TestAppend:
         assert [json.loads(line)["commit"] for line in lines] == ["d83d292", "7eda1d4", "7eda1d4"]
         assert [json.loads(line) for line in lines[1:]] == [first, second]
         assert (first["session"], second["session"]) == ("one", "two")
+
+
+def _fake_checkout(root: Path, *, fail: bool) -> Path:
+    """A checkout whose ``perfbench/run.py`` prints the stored reg-hyper output of the trace asked for.
+
+    With ``fail`` its check line reads ``checks: 1 failed`` and it exits 1.
+    Either way it writes one line to its stderr.
+    """
+    script = root / "perfbench" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text(textwrap.dedent(f"""\
+        import sys
+        trace = sys.argv[sys.argv.index("--trace") + 1]
+        with open({str(FIXTURES)!r} + f"/reg-hyper-trace{{trace}}.txt", encoding="utf-8") as fixture:
+            text = fixture.read()
+        if {fail!r}:
+            text = text.replace("checks: all passed", "checks: 1 failed")
+        sys.stdout.write(text)
+        print("a line on the run's stderr", file=sys.stderr)
+        sys.exit(1 if {fail!r} else 0)
+    """), encoding="utf-8")
+    return root
+
+
+class TestRuns:
+    def test_a_run_is_returned_and_shown_on_stderr(self, tmp_path, capsys):
+        text = trajectory.run_benchmark(_fake_checkout(tmp_path, fail=False), "reg-hyper", 1.0, 0)
+        assert text == _output("reg-hyper-trace0.txt")
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        assert shown.err == text + "a line on the run's stderr\n"
+
+    def test_a_failed_check_fails_the_recorder_and_reaches_its_stderr(self, tmp_path, capsys):
+        checkout, out = _fake_checkout(tmp_path / "checkout", fail=True), tmp_path / "out"
+        argv = ["--checkout", str(checkout), "--commit", "c", "--workload", "reg-hyper", "--seconds", "1",
+                "--out", str(out)]
+        assert trajectory.main(argv) == 1
+        shown = capsys.readouterr()
+        assert shown.err.count("checks: 1 failed") == 2 and "checks: all passed" not in shown.err
+        assert [json.loads(line)["correct"] for line in shown.out.splitlines()] == [False]
+        assert len((out / "BENCH_reg-hyper.json").read_text(encoding="utf-8").splitlines()) == 1

@@ -11,7 +11,9 @@ recorder parses what each run prints (the ``name value unit`` lines and the
 final JSON line; the JSON's full-precision value wins over a printed one) and
 appends one entry, a single JSON line, to ``BENCH_<workload>.json`` in the
 output directory.  Earlier lines are never rewritten, and recording a commit
-again adds an entry.
+again adds an entry.  What each run prints, its stdout and then its stderr,
+is written to the recorder's stderr when the run ends; the recorder's stdout
+is one JSON summary line per workload.
 
 Wall times move between processes on one host, so compare entries of one
 ``session`` for time; the ``counts`` are deterministic for a commit and a seed
@@ -116,12 +118,17 @@ def append_entry(path: Path, entry: dict) -> None:
 
 
 def run_benchmark(checkout: Path, workload: str, seconds: float, trace: int) -> str:
-    """What ``checkout``'s ``perfbench/run.py`` prints; a run that prints no JSON line raises."""
+    """What ``checkout``'s ``perfbench/run.py`` prints, echoed with its stderr to this process's stderr.
+
+    A run that exits other than 0 or 1, or prints no JSON line, raises.
+    """
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S, check=False)
+    sys.stderr.write(proc.stdout + proc.stderr)
+    sys.stderr.flush()
     if proc.returncode not in (0, 1) or not proc.stdout.strip().endswith("}"):
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
     return proc.stdout
@@ -159,7 +166,7 @@ def main(argv=None) -> int:
     correct = True
     for workload in args.workload or WORKLOADS:
         entry = record(args.checkout, args.out, workload, seconds=args.seconds, commit=commit, session=args.session)
-        print(json.dumps({key: entry[key] for key in ("commit", "workload", "correct", "nlpd", "counts")}))
+        print(json.dumps({key: entry[key] for key in ("commit", "workload", "correct", "nlpd", "counts")}), flush=True)
         correct &= entry["correct"]
     return 0 if correct else 1
 
