@@ -128,9 +128,8 @@ def run_benchmark(checkout: Path, workload: str, seconds: float, trace: int) -> 
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S, check=False)
     sys.stderr.write(proc.stdout + proc.stderr)
-    sys.stderr.flush()
     if proc.returncode not in (0, 1) or not proc.stdout.strip().endswith("}"):
-        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}; its output is on stderr above")
     return proc.stdout
 
 
